@@ -60,12 +60,16 @@ def _int_field(doc, name):
     return value
 
 
-def _matrix_field(doc, name, rows, cols):
+def _array_field(doc, name):
     value = _field(doc, name)
     try:
-        arr = np.array(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"field '{name}' is not numeric") from exc
+
+
+def _matrix_field(doc, name, rows, cols):
+    arr = _array_field(doc, name)
     if arr.shape != (rows, cols):
         raise ProblemFileError(
             f"field '{name}' must be {rows}x{cols}, got shape {arr.shape}"
@@ -74,11 +78,7 @@ def _matrix_field(doc, name, rows, cols):
 
 
 def _vector_field(doc, name, size):
-    value = _field(doc, name)
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field '{name}' is not numeric") from exc
+    arr = _array_field(doc, name)
     if arr.shape != (size,):
         raise ProblemFileError(f"field '{name}' must have length {size}")
     return arr
@@ -98,7 +98,7 @@ def parse_problem_dict(doc):
     d = None
     if "D" in doc and doc["D"] is not None:
         n2 = _int_field(doc, "n2") if "n2" in doc else None
-        arr = np.array(doc["D"], dtype=float)
+        arr = _array_field(doc, "D")
         if arr.ndim != 2 or arr.shape[0] != n:
             raise ProblemFileError(f"field 'D' must have {n} rows")
         if n2 is not None and arr.shape[1] != n2:

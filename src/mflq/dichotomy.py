@@ -212,18 +212,15 @@ def evaluate_trajectory(sol, d, rho, t_grid):
     w = np.concatenate([sol.y1_0, [1.0]])
     y = np.empty((t.size, 2 * n))
     steps = {}
-    prev = 0.0
-    for i, ti in enumerate(t):
-        dt = ti - prev
+    for i, dt in enumerate(np.diff(t, prepend=0.0).tolist()):
         if dt > 0.0:
             stepper = steps.get(dt)
             if stepper is None:
                 stepper = mat_exp(sol.y1_generator * dt)
                 steps[dt] = stepper
             w = stepper @ w
-            prev = ti
         y[i, :n] = w[:n]
-        y[i, n:] = sol.y2_offset * np.exp(-0.5 * rho * ti)
+    y[:, n:] = np.exp(-0.5 * rho * t)[:, None] * sol.y2_offset
     z = y @ d.U.T
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
     z[t == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])

@@ -1,9 +1,10 @@
 """Dense real linear algebra kernels shared by all solver modules.
 
 Provides eigenvalues, the real Schur form with stable-eigenvalues-first
-ordering, a scaling-and-squaring matrix exponential, pivoted linear solves,
-and spectral classification helpers.  Everything operates on plain float64
-``numpy`` arrays; all functions are pure and inputs are never mutated.
+ordering (LAPACK ``dgees`` + ``dtrsen``), a scaling-and-squaring matrix
+exponential, pivoted linear solves, and spectral classification helpers.
+Everything operates on plain float64 ``numpy`` arrays; all functions are
+pure and inputs are never mutated.
 """
 
 import warnings
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as _sla
+from scipy.linalg.lapack import dgees, dtrsen
 
 from .errors import (
     ImaginaryAxisEigenvalue,
@@ -188,65 +190,20 @@ class OrderedSchurForm:
     k_stable: int
 
 
-def _diagonal_blocks(t):
-    """Block structure (start, size) of a quasi-triangular matrix."""
-    m = t.shape[0]
-    blocks = []
-    i = 0
-    while i < m:
-        if i + 1 < m and t[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def _block_is_stable(t, start, size):
-    # 2x2 blocks hold a conjugate pair; the common real part is the
-    # mean of the two diagonal entries.
-    if size == 1:
-        return t[start, start] < 0.0
-    return 0.5 * (t[start, start] + t[start + 1, start + 1]) < 0.0
-
-
-def _swap_adjacent_blocks(t, w, i, p, q, swap_tol):
-    """Swap the p-block at row `i` with the q-block just below it.
-
-    Solves a small Sylvester equation for the invariant subspace of the
-    trailing block, orthogonalizes it, and applies the resulting rotation to
-    `t` and `w` in place.  Raises :class:`SchurConvergenceFailure` when the
-    Sylvester system is too ill-conditioned for the swap to hold numerically.
-    """
-    j = i + p
-    hi = i + p + q
-    a11 = t[i:j, i:j]
-    a22 = t[j:hi, j:hi]
-    a12 = t[i:j, j:hi]
-    try:
-        x = _sla.solve_sylvester(a11, -a22, a12)
-    except np.linalg.LinAlgError as exc:  # eigenvalue collision
-        raise SchurConvergenceFailure(f"block swap at row {i} failed") from exc
-    basis = np.vstack([-x, np.eye(q)])
-    rot, _ = np.linalg.qr(basis, mode="complete")
-    t[i:hi, :] = rot.T @ t[i:hi, :]
-    t[:, i:hi] = t[:, i:hi] @ rot
-    w[:, i:hi] = w[:, i:hi] @ rot
-    residual = np.linalg.norm(t[i + q:hi, i:i + q])
-    if residual > swap_tol:
-        raise SchurConvergenceFailure(
-            f"block swap at row {i} left residual {residual:.3e}"
-        )
-    t[i + q:hi, i:i + q] = 0.0
+def _select_none(re, im):
+    # dgees needs a select callback even when it is told not to sort
+    return 0
 
 
 def real_schur_ordered(k, axis_tol=None):
     """Real Schur form of `k` with all stable eigenvalues moved first.
 
-    After an unordered Schur reduction, adjacent 1x1/2x2 diagonal blocks are
-    swapped by orthogonal rotations until every eigenvalue with negative real
-    part sits in the leading block.
+    LAPACK ``dgees`` computes the unordered real Schur form and its
+    eigenvalues; after the axis test on those eigenvalues, ``dtrsen`` moves
+    every eigenvalue with negative real part into the leading block by
+    orthogonal swaps of adjacent 1x1/2x2 diagonal blocks (Bai & Demmel, "On
+    swapping diagonal blocks in real Schur form", Linear Algebra Appl. 186,
+    1993).
 
     Parameters
     ----------
@@ -267,15 +224,23 @@ def real_schur_ordered(k, axis_tol=None):
     ImaginaryAxisEigenvalue
         If some eigenvalue has ``|Re| <= axis_tol``.
     SchurConvergenceFailure
-        If the QR iteration or a block swap fails, or the final factors do
+        If the QR iteration or the reordering fails, or the final factors do
         not reproduce `k` to working accuracy.
     """
     k = as_square(k)
     m = k.shape[0]
+    if m == 0:
+        return OrderedSchurForm(W=k.copy(), T=k.copy(), k_stable=0)
     if axis_tol is None:
         axis_tol = default_axis_tol(k)
-    lam = eigenvalues(k)
-    on_axis = lam[np.abs(lam.real) <= axis_tol]
+    t, _, wr, wi, w, _, info = dgees(_select_none, k)
+    if info != 0:
+        raise SchurConvergenceFailure(
+            f"Schur reduction did not converge (dgees info {info})"
+        )
+    # real eigenvalues stay real, as np.linalg.eigvals reports them
+    lam = wr + 1j * wi if wi.any() else wr
+    on_axis = lam[np.abs(wr) <= axis_tol]
     if on_axis.size:
         raise ImaginaryAxisEigenvalue(
             "eigenvalue(s) on or near the imaginary axis: "
@@ -283,31 +248,13 @@ def real_schur_ordered(k, axis_tol=None):
             eigenvalues=on_axis,
         )
 
-    try:
-        t, w = _sla.schur(k, output="real")
-    except _sla.LinAlgError as exc:
-        raise SchurConvergenceFailure("Schur reduction did not converge") from exc
-    t = t.copy()
-    w = w.copy()
-
-    blocks = [(start, size, _block_is_stable(t, start, size))
-              for start, size in _diagonal_blocks(t)]
-    swap_tol = 1e-8 * (1.0 + np.linalg.norm(k, "fro"))
-
-    # Bubble each stable block up past the unstable ones above it.
-    filled = 0  # blocks[:filled] are stable
-    for idx in range(len(blocks)):
-        if not blocks[idx][2]:
-            continue
-        for pos in range(idx, filled, -1):
-            up_start, up_size, up_flag = blocks[pos - 1]
-            _, lo_size, lo_flag = blocks[pos]
-            _swap_adjacent_blocks(t, w, up_start, up_size, lo_size, swap_tol)
-            blocks[pos - 1] = (up_start, lo_size, lo_flag)
-            blocks[pos] = (up_start + lo_size, up_size, up_flag)
-        filled += 1
-
-    k_stable = sum(size for _, size, stable in blocks if stable)
+    t, w, _, _, k_stable, _, _, info = dtrsen(
+        wr < 0.0, t, w, job="N", overwrite_t=1, overwrite_q=1
+    )
+    if info != 0:
+        raise SchurConvergenceFailure(
+            f"stable-first reordering failed (dtrsen info {info})"
+        )
 
     ortho_err = np.linalg.norm(w.T @ w - np.eye(m), "fro")
     recon_err = np.linalg.norm(w.T @ k @ w - t, "fro")

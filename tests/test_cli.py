@@ -113,6 +113,22 @@ class TestSolveSocialCommand:
         assert code == 4
         assert "Q" in err
 
+    @pytest.mark.parametrize("bad_d", [
+        [[1.0], [1.0, 2.0]],  # ragged
+        [["a"]],
+        [[{"x": 1.0}]],
+    ])
+    def test_non_numeric_D_exit_4(self, capsys, tmp_path, bad_d):
+        with open(SCALAR) as fh:
+            doc = json.load(fh)
+        doc["D"] = bad_d
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve-social", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "field 'D' is not numeric" in err
+
     def test_validation_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "unstab.json"
         bad.write_text(json.dumps({

@@ -248,6 +248,33 @@ class TestEvaluateTrajectory:
         assert np.linalg.norm(z_end + bump) * scale > \
             10.0 * np.linalg.norm(z_end) * scale
 
+    def test_repeated_points_match_distinct_grid(self):
+        rng = np.random.default_rng(107)
+        d, z1_0, psi0, rho = random_dichotomy_instance(rng)
+        sol = solve_decaying(d, z1_0, psi0, rho)
+        distinct = np.array([0.0, 0.5, 1.0, 2.5])
+        repeated = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.5, 2.5])
+        ref = evaluate_trajectory(sol, d, rho, distinct)
+        z = evaluate_trajectory(sol, d, rho, repeated)
+        rows = np.searchsorted(distinct, repeated)
+        np.testing.assert_allclose(z, ref[rows], rtol=1e-14, atol=1e-14)
+
+    def test_grid_starting_after_zero_matches_full_grid(self):
+        rng = np.random.default_rng(118)
+        d, z1_0, psi0, rho = random_dichotomy_instance(rng)
+        sol = solve_decaying(d, z1_0, psi0, rho)
+        full = np.array([0.0, 0.75, 1.5, 3.0])
+        ref = evaluate_trajectory(sol, d, rho, full)
+        z = evaluate_trajectory(sol, d, rho, full[1:])
+        np.testing.assert_allclose(z, ref[1:], rtol=1e-14, atol=1e-14)
+
+    def test_empty_grid(self):
+        rng = np.random.default_rng(129)
+        d, z1_0, psi0, rho = random_dichotomy_instance(rng)
+        sol = solve_decaying(d, z1_0, psi0, rho)
+        z = evaluate_trajectory(sol, d, rho, [])
+        assert z.shape == (0, 2 * d.n)
+
     def test_negative_time_rejected(self):
         d = decompose_from_schur(np.diag([-1.0, 1.0]))
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mflq.errors import ImaginaryAxisEigenvalue, SingularMatrix
+from mflq import linalg
+from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
 from mflq.linalg import (
     default_axis_tol,
     eigenvalues,
@@ -205,8 +206,8 @@ class TestRealSchurOrdered:
                            np.sort_complex(np.array(stable_eigs)), atol=1e-7)
 
     def test_stable_subspace_matches_lapack_sorted_schur(self):
-        # the swap-based ordering must span the same stable invariant
-        # subspace as LAPACK's own eigenvalue-sorted reduction
+        # the dgees + dtrsen ordering must span the same stable invariant
+        # subspace as scipy's eigenvalue-sorted reduction (sorting dgees)
         import scipy.linalg as sla
 
         rng = np.random.default_rng(50)
@@ -227,7 +228,8 @@ class TestRealSchurOrdered:
 
     def test_many_swaps_antistable_leading(self):
         # construct a similarity whose unordered reduction tends to put the
-        # antistable block first, forcing a full cascade of swaps
+        # antistable block first, so the reordering must move every stable
+        # block past the whole antistable block
         rng = np.random.default_rng(51)
         m = 24
         core = np.triu(rng.standard_normal((m, m)), 1)
@@ -241,6 +243,23 @@ class TestRealSchurOrdered:
         assert sf.k_stable == m // 2
         assert np.linalg.norm(sf.W @ sf.T @ sf.W.T - a, "fro") <= \
             1e-8 * np.linalg.norm(a, "fro")
+
+    def test_empty_matrix(self):
+        sf = real_schur_ordered(np.zeros((0, 0)))
+        assert sf.k_stable == 0
+        assert sf.W.shape == sf.T.shape == (0, 0)
+
+    @pytest.mark.parametrize("routine", ["dgees", "dtrsen"])
+    def test_lapack_failure_raises_convergence_failure(self, monkeypatch, routine):
+        real = getattr(linalg, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(linalg, routine, failing)
+        with pytest.raises(SchurConvergenceFailure, match=routine):
+            real_schur_ordered(np.diag([2.0, -1.0]))
 
     def test_quasi_triangular_structure(self):
         rng = np.random.default_rng(33)

@@ -14,7 +14,8 @@ and may fail (``beta >= 1``) on instances the subspace method still solves.
 The integrands are norms, so no closed form exists; each factor is computed
 by composite Simpson quadrature on ``[0, T]`` with `T` chosen from an
 analytic exponential tail bound, refined by panel doubling to a relative
-tolerance.
+tolerance; each doubling reuses the coarse samples and steps only the new
+midpoints.
 """
 
 from dataclasses import dataclass
@@ -44,17 +45,32 @@ class QuadratureConfig:
             raise ValueError("base_panels must be a positive even count")
 
 
-def _norm_samples(a, c, t_end, panels):
-    """||exp(a*k*h) @ c||_F for k = 0..panels, h = t_end/panels."""
+def _norm_samples(a, c, t_end, panels, coarse=None):
+    """||exp(a*k*h) @ c||_F for k = 0..panels, h = t_end/panels.
+
+    Returns the samples, `h` and the step ``exp(a*h)``.  With
+    ``coarse = (samples, step)`` from ``panels/2`` panels, the even samples
+    are taken from it and only the odd ones are stepped, from
+    ``exp(a*h) @ c`` by the coarse step ``exp(2a*h)``.
+    """
     h = t_end / panels
     step = mat_exp(a * h)
+    if coarse is None:
+        return _stepped_norms(c, step, panels + 1), h, step
     vals = np.empty(panels + 1)
-    cur = c.copy()
-    for k in range(panels + 1):
+    vals[::2] = coarse[0]
+    vals[1::2] = _stepped_norms(step @ c, coarse[1], panels // 2)
+    return vals, h, step
+
+
+def _stepped_norms(cur, step, count):
+    """||step^k @ cur||_F for k = 0..count-1."""
+    vals = np.empty(count)
+    for k in range(count):
         vals[k] = np.linalg.norm(cur, "fro")
-        if k < panels:
+        if k < count - 1:
             cur = step @ cur
-    return vals, h
+    return vals
 
 
 def _simpson(vals, h):
@@ -101,11 +117,13 @@ def decaying_norm_integral(a, c, cfg=None, return_history=False):
 
     history = []
     panels = cfg.base_panels
-    estimate = _simpson(*_norm_samples(a, c, t_end, panels))
+    vals, h, step = _norm_samples(a, c, t_end, panels)
+    estimate = _simpson(vals, h)
     history.append(estimate)
     for _ in range(cfg.max_doublings):
         panels *= 2
-        refined = _simpson(*_norm_samples(a, c, t_end, panels))
+        vals, h, step = _norm_samples(a, c, t_end, panels, (vals, step))
+        refined = _simpson(vals, h)
         history.append(refined)
         if abs(refined - estimate) <= cfg.rel_tol * max(abs(refined), 1e-300):
             estimate = refined

@@ -12,8 +12,11 @@ antistable rate.
 Two constructions of the transform are supported: the analytic one from a
 stabilizing Riccati solution (unit-triangular `U`) and the generic one from
 an ordered real Schur form (orthogonal `U`).  The improper integral behind
-the bounded choice is evaluated in closed form as a linear solve; trajectory
-samples come from an augmented matrix exponential, not ODE stepping.
+the bounded choice is evaluated in closed form as a linear solve.  Trajectory
+samples come from an augmented matrix exponential, not ODE stepping: one
+exponential per run of equal grid steps, with the states along the run
+filled by repeated squaring, so a uniform grid of N points costs one
+exponential and about ``log2(N)`` small products.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ __all__ = [
     "decompose_from_riccati",
     "decompose_from_schur",
     "evaluate_trajectory",
+    "sample_trajectory",
     "solve_decaying",
 ]
 
@@ -198,10 +202,15 @@ def solve_decaying(d, z1_0, psi0, rho):
 def evaluate_trajectory(sol, d, rho, t_grid):
     """Sample the decaying solution ``z(t)`` on a nonnegative time grid.
 
-    Each step advances the augmented state ``(y1, theta)`` by the cached
-    matrix exponential of `y1_generator` times the step length, so there is
-    no integration drift; ``y2`` is evaluated exactly.  Returns an array of
-    shape ``(len(t_grid), 2n)`` whose rows are ``z(t)``.
+    The grid is cut into maximal runs of equal steps.  A run of `L` steps
+    from ``t_prev`` takes one matrix exponential ``E = exp(y1_generator*h)``
+    with ``h = (t_last - t_prev) / L`` and fills the augmented states
+    ``E^1 w ... E^L w`` of ``w = (y1, theta)`` by doubling, so a uniform
+    grid costs one exponential and about ``log2(L)`` small products, with
+    no integration drift.  The i-th point of a run is evaluated at
+    ``t_prev + i*h``, at most a few ulps from its grid value; ``y2`` is
+    evaluated exactly.  Returns an array of shape ``(len(t_grid), 2n)``
+    whose rows are ``z(t)``.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.ndim != 1:
@@ -210,18 +219,79 @@ def evaluate_trajectory(sol, d, rho, t_grid):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
     n = d.n
     w = np.concatenate([sol.y1_0, [1.0]])
-    y = np.empty((t.size, 2 * n))
+    states = np.empty((t.size, n + 1))
     steps = {}
-    for i, dt in enumerate(np.diff(t, prepend=0.0).tolist()):
-        if dt > 0.0:
-            stepper = steps.get(dt)
+    for lo, hi, h in _equal_step_runs(t):
+        if h == 0.0:
+            states[lo:hi] = w
+        else:
+            stepper = steps.get(h)
             if stepper is None:
-                stepper = mat_exp(sol.y1_generator * dt)
-                steps[dt] = stepper
-            w = stepper @ w
-        y[i, :n] = w[:n]
+                stepper = steps[h] = mat_exp(sol.y1_generator * h)
+            _fill_powers(stepper, w, states[lo:hi])
+        w = states[hi - 1]
+    y = np.empty((t.size, 2 * n))
+    y[:, :n] = states[:, :n]
     y[:, n:] = np.exp(-0.5 * rho * t)[:, None] * sol.y2_offset
     z = y @ d.U.T
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
     z[t == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])
     return z
+
+
+def _equal_step_runs(t):
+    """``(lo, hi, h)`` for the maximal runs ``t[lo:hi]`` of equal steps of
+    the sorted grid `t`, whose first step is ``t[0] - 0``.
+
+    Two steps are equal when they differ by at most ``8 eps max(t_end, 1)``,
+    which covers the rounding of ``linspace``, ``arange`` and ``i*dt``
+    grids.  The run's step ``h = (t[hi-1] - t_prev) / (hi - lo)`` makes its
+    endpoint exact.  A run of more than two steps must also stay within that
+    tolerance of ``t_prev + i*h`` at every point, so slowly drifting steps
+    cannot add up; a run that does not is bisected.
+    """
+    if not t.size:
+        return
+    tol = 8.0 * np.finfo(float).eps * max(t[-1], 1.0)
+    dt = np.diff(t, prepend=0.0)
+    bounds = [0, *(np.flatnonzero(np.abs(np.diff(dt)) > tol) + 1).tolist(), t.size]
+    pending = list(zip(bounds[:-1], bounds[1:]))[::-1]
+    points = t.tolist()
+    while pending:
+        lo, hi = pending.pop()
+        t_prev = points[lo - 1] if lo else 0.0
+        count = hi - lo
+        h = (points[hi - 1] - t_prev) / count
+        if count > 2 and np.abs(
+                t_prev + h * np.arange(1, count + 1) - t[lo:hi]).max() > tol:
+            mid = (lo + hi) // 2
+            pending += [(mid, hi), (lo, mid)]
+            continue
+        yield lo, hi, h
+
+
+def _fill_powers(e, w, out):
+    """Fill the rows of `out` with ``e^1 w, e^2 w, ...`` by doubling: once
+    the rows up to ``e^k w`` are in place and ``power = e^k``, the next `k`
+    rows are ``rows @ power.T``, then `power` is squared."""
+    out[0] = e @ w
+    power = e
+    k = 1
+    while k < len(out):
+        take = min(k, len(out) - k)
+        out[k:k + take] = out[:take] @ power.T
+        k += take
+        power = power @ power
+
+
+def sample_trajectory(self, t_grid):
+    """Sample ``(xbar(t), s(t))`` on a nonnegative grid.
+
+    The ``trajectory`` method of the social and the game solutions, which
+    both carry ``bvp``, ``decomposition``, ``rho`` and ``n``.  Returns two
+    arrays of shape ``(len(t_grid), n)``.
+    """
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    z = evaluate_trajectory(self.bvp, self.decomposition, self.rho, t)
+    scaled = z * np.exp(0.5 * self.rho * t)[:, None]
+    return scaled[:, : self.n], scaled[:, self.n:]

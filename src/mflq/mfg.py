@@ -39,13 +39,7 @@ class MfgSolution:
     def n(self):
         return self.Pi.shape[0]
 
-    def trajectory(self, t_grid):
-        """Sample ``(xbar(t), s(t))``; two arrays of shape ``(len, n)``."""
-        t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        z = dichotomy.evaluate_trajectory(self.bvp, self.decomposition, self.rho, t)
-        growth = np.exp(0.5 * self.rho * t)[:, None]
-        scaled = z * growth
-        return scaled[:, : self.n], scaled[:, self.n:]
+    trajectory = dichotomy.sample_trajectory
 
 
 def build_mfg_matrix(p, Pi):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from conftest import random_spectrum_matrix
+from mflq import dichotomy
 from mflq.dichotomy import (
     DichotomyDecomposition,
     decompose_from_riccati,
@@ -28,6 +30,23 @@ def random_dichotomy_instance(rng, max_n=3):
     z1_0 = rng.standard_normal(n)
     psi0 = rng.standard_normal(2 * n)
     return d, z1_0, psi0, rho
+
+
+def _random_solution(rng):
+    d, z1_0, psi0, rho = random_dichotomy_instance(rng)
+    return d, solve_decaying(d, z1_0, psi0, rho), rho
+
+
+def _count_mat_exp(monkeypatch):
+    """Record every exponential taken by the trajectory sampler."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return mat_exp(a)
+
+    monkeypatch.setattr(dichotomy, "mat_exp", counted)
+    return calls
 
 
 class TestDecomposeFromRiccati:
@@ -274,6 +293,53 @@ class TestEvaluateTrajectory:
         sol = solve_decaying(d, z1_0, psi0, rho)
         z = evaluate_trajectory(sol, d, rho, [])
         assert z.shape == (0, 2 * d.n)
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0.0, 5.0, 1001),
+        np.arange(0.0, 10.01, 0.01),
+        np.arange(501) * 0.01,
+    ], ids=["linspace", "arange", "i_times_dt"])
+    def test_one_exponential_per_uniform_grid(self, monkeypatch, t):
+        # the rounded steps of these grids are not all equal as floats
+        assert len(set(np.diff(t).tolist())) > 1
+        calls = _count_mat_exp(monkeypatch)
+        d, sol, rho = _random_solution(np.random.default_rng(140))
+        evaluate_trajectory(sol, d, rho, t)
+        assert len(calls) == 1
+
+    def test_one_exponential_per_distinct_step_on_log_grid(self, monkeypatch):
+        t = np.concatenate([[0.0], np.logspace(-3, 1, 200)])
+        calls = _count_mat_exp(monkeypatch)
+        d, sol, rho = _random_solution(np.random.default_rng(151))
+        evaluate_trajectory(sol, d, rho, t)
+        assert len(calls) == len(set(np.diff(t).tolist())) == 200
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0.0, 5.0, 1001),
+        np.arange(20000) * 1e-3,
+        # uniform run, repeated points, a jump, a second run with another step
+        np.concatenate([np.linspace(0.0, 1.0, 101), [1.0, 1.0, 2.7],
+                        2.7 + np.arange(1, 301) * 0.003]),
+        # consecutive steps equal to within rounding, yet drifting enough
+        # over the grid that one exponential for all of it would be wrong
+        np.arange(4000) * 1e-3 + 1.7e-15 * np.arange(4000) ** 2,
+    ], ids=["uniform_1001", "uniform_20000", "mixed", "drifting"])
+    def test_against_per_point_expm_oracle(self, t):
+        rng = np.random.default_rng(162)
+        for _ in range(3):
+            d, sol, rho = _random_solution(rng)
+            n = d.n
+            w0 = np.concatenate([sol.y1_0, [1.0]])
+            # every point, or about 1000 evenly spaced ones on long grids
+            rows = np.unique(np.r_[np.arange(0, t.size, max(1, t.size // 1000)),
+                                   t.size - 1])
+            y1 = np.array([expm(sol.y1_generator * ti) @ w0
+                           for ti in t[rows]])[:, :n]
+            y2 = np.exp(-0.5 * rho * t[rows])[:, None] * sol.y2_offset
+            ref = np.hstack([y1, y2]) @ d.U.T
+            ref[t[rows] == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])
+            z = evaluate_trajectory(sol, d, rho, t)[rows]
+            assert np.abs(z - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_negative_time_rejected(self):
         d = decompose_from_schur(np.diag([-1.0, 1.0]))

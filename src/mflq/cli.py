@@ -212,16 +212,8 @@ def write_trajectory_csv(path, t_grid, xbar, s):
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _cmd_solve_social(args):
+def _cmd_solve_social(args, p, report):
     started = time.perf_counter()
-    p = load_problem_file(args.problem)
-    report = validate(p, axis_tol=args.axis_tol)
-    if not report.ok:
-        _print_error("validation", "; ".join(report.failures())
-                     + f" (margins: PBH {report.stabilizability_margin:.3e}, "
-                       f"R {report.r_min_eigenvalue:.3e}, "
-                       f"axis {report.axis_margin})")
-        return EXIT_VALIDATION
     sol = social_mod.solve_sce(p, axis_tol=args.axis_tol)
     grid = _time_grid(args.t_end, args.dt)
     xbar, s = sol.trajectory(grid)
@@ -253,13 +245,8 @@ def _cmd_solve_social(args):
     return EXIT_OK
 
 
-def _cmd_solve_game(args):
+def _cmd_solve_game(args, p, report):
     started = time.perf_counter()
-    p = load_problem_file(args.problem)
-    report = validate(p, axis_tol=args.axis_tol)
-    if not report.ok:
-        _print_error("validation", "; ".join(report.failures()))
-        return EXIT_VALIDATION
     sol = mfg_mod.solve_mfg(p, axis_tol=args.axis_tol)
     grid = _time_grid(args.t_end, args.dt)
     xbar, s = sol.trajectory(grid)
@@ -293,12 +280,7 @@ def _cmd_solve_game(args):
     return EXIT_OK
 
 
-def _cmd_contraction(args):
-    p = load_problem_file(args.problem)
-    report = validate(p, axis_tol=args.axis_tol)
-    if not report.ok:
-        _print_error("validation", "; ".join(report.failures()))
-        return EXIT_VALIDATION
+def _cmd_contraction(args, p, report):
     are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
                                        axis_tol=args.axis_tol)
     beta = contraction_mod.contraction_bound(p, are.X)
@@ -313,12 +295,7 @@ def _cmd_contraction(args):
     return EXIT_OK
 
 
-def _cmd_simulate(args):
-    p = load_problem_file(args.problem)
-    report = validate(p, axis_tol=args.axis_tol)
-    if not report.ok:
-        _print_error("validation", "; ".join(report.failures()))
-        return EXIT_VALIDATION
+def _cmd_simulate(args, p, report):
     try:
         cfg = SimConfig(N=args.agents, T=args.horizon, dt=args.dt,
                         replications=args.reps, seed=args.seed)
@@ -353,12 +330,7 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _cmd_spectrum(args):
-    p = load_problem_file(args.problem)
-    report = validate(p, axis_tol=args.axis_tol)
-    if not report.ok:
-        _print_error("validation", "; ".join(report.failures()))
-        return EXIT_VALIDATION
+def _cmd_spectrum(args, p, report):
     are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
                                        axis_tol=args.axis_tol)
     if args.system == "social":
@@ -433,7 +405,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        p = load_problem_file(args.problem)
+        report = validate(p, axis_tol=args.axis_tol)
+        if not report.ok:
+            _print_error("validation", "; ".join(report.failures())
+                         + f" (margins: PBH {report.stabilizability_margin:.3e}, "
+                           f"R {report.r_min_eigenvalue:.3e}, "
+                           f"axis {report.axis_margin})")
+            return EXIT_VALIDATION
+        return args.handler(args, p, report)
     except ProblemFileError as exc:
         _print_error("input", str(exc))
         return EXIT_IO

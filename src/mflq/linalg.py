@@ -23,6 +23,7 @@ from .errors import (
 __all__ = [
     "OrderedSchurForm",
     "as_square",
+    "as_symmetric",
     "default_axis_tol",
     "eigenvalues",
     "mat_exp",
@@ -39,6 +40,15 @@ def as_square(a, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
+def as_symmetric(a, name="matrix"):
+    """:func:`as_square`, and symmetric to a relative Frobenius error 1e-10."""
+    a = as_square(a, name)
+    err = np.linalg.norm(a - a.T, "fro")
+    if err > 1e-10 * max(np.linalg.norm(a, "fro"), np.finfo(float).tiny):
+        raise ValueError(f"{name} is not symmetric (asymmetry {err:.3e})")
     return a
 
 

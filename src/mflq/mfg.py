@@ -5,8 +5,8 @@ lower-left coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
 ``Q @ eta``, so the coefficient matrix is not Hamiltonian and the analytic
 Riccati transform is unavailable.  The stable/antistable splitting is
 instead constructed generically from the ordered real Schur form; the rest
-of the machinery (closed-form decaying solve, trajectory generators) is
-shared with the social pipeline.
+of the machinery (the front end for `Pi`, closed-form decaying solve,
+trajectory generators) is shared with the social pipeline.
 """
 
 import time
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dichotomy, riccati
-from .errors import MflqError
-from .linalg import solve_linear
-from .problem import raise_on_failed_validation, validate
+from . import dichotomy
+from .problem import discounted_riccati
 
 __all__ = ["MfgSolution", "build_mfg_matrix", "solve_mfg"]
 
@@ -52,36 +50,22 @@ def build_mfg_matrix(p, Pi):
 
 
 def solve_mfg(p, axis_tol=None):
-    """Solve the game consistency system via the ordered Schur splitting.
+    """Solve the game consistency system via the ordered Schur splitting,
+    after the front end shared with the social solver
+    (:func:`problem.discounted_riccati`).
 
-    Raises :class:`ImaginaryAxisEigenvalue` when the spectrum touches the
-    axis, :class:`DichotomySplitFailure` when the stable/antistable split is
-    not n/n, and :class:`GraphSubspaceFailure` when the leading transform
-    block is numerically singular.
+    Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
+    standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when a
+    spectrum touches the axis, :class:`DichotomySplitFailure` when the
+    stable/antistable split is not n/n, and :class:`GraphSubspaceFailure`
+    when the leading transform block is numerically singular.
     """
     t_start = time.perf_counter()
-    raise_on_failed_validation(validate(p, axis_tol=axis_tol))
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho, axis_tol=axis_tol)
+    are = discounted_riccati(p, axis_tol=axis_tol)
     m_mfg = build_mfg_matrix(p, are.X)
     d = dichotomy.decompose_from_schur(m_mfg, axis_tol=axis_tol)
-    n = p.n
-    psi0 = np.concatenate([np.zeros(n), p.Q @ p.eta])
+    psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
-
-    # Cross-check the shared decaying-solve path against the direct
-    # initial-value formula written in terms of the transform blocks.
-    u11, u12 = d.U[:n, :n], d.U[:n, n:]
-    u21, u22 = d.U[n:, :n], d.U[n:, n:]
-    ratio = solve_linear(u11.T, u21.T).T
-    integral = solve_linear(d.F22 + 0.5 * p.rho * np.eye(n),
-                            d.V[n:, n:] @ (p.Q @ p.eta))
-    s0_direct = ratio @ p.x0 + (ratio @ u12 - u22) @ integral
-    drift = np.abs(bvp.z2_0 - s0_direct).max()
-    if drift > 1e-8 * (1.0 + np.abs(bvp.z2_0).max()):
-        raise MflqError(
-            f"internal consistency check failed: initial-value formulas "
-            f"disagree by {drift:.3e}"
-        )
     return MfgSolution(
         Pi=are.X,
         M_mfg=m_mfg,

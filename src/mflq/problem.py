@@ -13,24 +13,16 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .errors import ImaginaryAxisEigenvalue, NonPositiveR, StabilizabilityFailure
-from .linalg import as_square, default_axis_tol, eigenvalues
+from .linalg import as_square, as_symmetric, default_axis_tol, eigenvalues
 
 __all__ = [
     "GammaWeights",
     "ProblemData",
     "ValidationReport",
+    "discounted_riccati",
     "gamma_weights",
-    "raise_on_failed_validation",
     "validate",
 ]
-
-_SYM_RTOL = 1e-10
-
-
-def _sym_error(m):
-    return np.linalg.norm(m - m.T, "fro") / max(np.linalg.norm(m, "fro"), 1e-300)
-
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -54,8 +46,8 @@ class ProblemData:
             b = b[:, None]
         if b.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got shape {b.shape}")
-        q = as_square(self.Q, "Q")
-        r = as_square(self.R, "R")
+        q = as_symmetric(self.Q, "Q")
+        r = as_symmetric(self.R, "R")
         gam = as_square(self.Gamma, "Gamma")
         eta = np.asarray(self.eta, dtype=float).reshape(-1)
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -67,10 +59,6 @@ class ProblemData:
             )
         if eta.size != n or x0.size != n:
             raise ValueError("eta and x0 must have the state dimension")
-        if _sym_error(q) > _SYM_RTOL:
-            raise ValueError("Q must be symmetric")
-        if _sym_error(r) > _SYM_RTOL:
-            raise ValueError("R must be symmetric")
         if not (np.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"discount rate rho must be positive, got {self.rho}")
         d = self.D
@@ -155,7 +143,7 @@ class ValidationReport:
             out.append("stabilizability")
         if not self.r_positive_definite:
             out.append("R_positive_definite")
-        if not self.axis_ok:
+        if self.axis_ok is False:
             out.append("shifted_hamiltonian_axis")
         return out
 
@@ -167,9 +155,8 @@ def validate(p, axis_tol=None):
     the verdicts and margins.
     """
     margin = riccati.stabilizability_margin(p.A, p.B)
-    stabilizable = bool(margin > 1e-8)
-    r_min = float(np.linalg.eigvalsh(p.R).min())
-    r_ok = bool(r_min > 1e-10 * max(float(np.linalg.norm(p.R, "fro")), 1.0))
+    stabilizable = bool(margin > riccati.PBH_TOL)
+    r_min, r_ok = riccati.r_definiteness(p.R)
     axis_ok = None
     axis_margin = None
     tol = 0.0
@@ -192,18 +179,11 @@ def validate(p, axis_tol=None):
     )
 
 
-def raise_on_failed_validation(report):
-    """Translate a failed :class:`ValidationReport` into the matching error."""
-    if not report.stabilizable:
-        raise StabilizabilityFailure(
-            f"(A, B) fails the PBH test (margin {report.stabilizability_margin:.3e})"
-        )
-    if not report.r_positive_definite:
-        raise NonPositiveR(
-            f"R must be positive definite (min eig {report.r_min_eigenvalue:.3e})"
-        )
-    if not report.axis_ok:
-        raise ImaginaryAxisEigenvalue(
-            "discount-shifted Hamiltonian has eigenvalue(s) near the "
-            f"imaginary axis (margin {report.axis_margin:.3e})"
-        )
+def discounted_riccati(p, axis_tol=None):
+    """Front end of the social and game solvers: the PBH test on ``(A, B)``
+    (it rejects an uncontrollable mode with ``0 <= Re lam < rho/2``, which
+    the discounted solve accepts), then :func:`riccati.solve_discounted_are`,
+    whose own `R` and axis checks use the thresholds of :func:`validate`."""
+    riccati.require_stabilizable(p.A, p.B, "(A, B)")
+    return riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
+                                        axis_tol=axis_tol)

@@ -19,27 +19,24 @@ import numpy as np
 import scipy.linalg as _sla
 
 from .errors import GraphSubspaceFailure, NonPositiveR, StabilizabilityFailure
-from .linalg import as_square, eigenvalues, real_schur_ordered, spectral_abscissa
+from .linalg import (as_square, as_symmetric, eigenvalues, real_schur_ordered,
+                     spectral_abscissa)
 
 __all__ = [
     "CareProblem",
     "StabilizingRiccatiSolution",
     "care_hamiltonian",
     "care_residual",
+    "r_definiteness",
+    "require_stabilizable",
     "solve_care_stabilizing",
     "solve_discounted_are",
     "stabilizability_margin",
 ]
 
-_SYM_RTOL = 1e-10
-_PBH_RTOL = 1e-8
+# a pair whose scaled PBH margin is at or below this is unstabilizable
+PBH_TOL = 1e-8
 _GRAPH_CONDITION_LIMIT = 1e12
-
-
-def _check_symmetric(m, name, rtol=_SYM_RTOL):
-    err = np.linalg.norm(m - m.T, "fro")
-    if err > rtol * max(np.linalg.norm(m, "fro"), np.finfo(float).tiny):
-        raise ValueError(f"{name} is not symmetric (asymmetry {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,10 @@ class CareProblem:
 
     def __post_init__(self):
         a = as_square(self.A_o, "A_o")
-        m = as_square(self.M, "M")
-        q = as_square(self.Q_o, "Q_o")
+        m = as_symmetric(self.M, "M")
+        q = as_symmetric(self.Q_o, "Q_o")
         if not (a.shape == m.shape == q.shape):
             raise ValueError("A_o, M, Q_o must share one square shape")
-        _check_symmetric(m, "M")
-        _check_symmetric(q, "Q_o")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
         if min_eig < -1e-10 * max(np.linalg.norm(m, "fro"), 1.0):
             raise ValueError(f"M is not positive semi-definite (min eig {min_eig:.3e})")
@@ -126,6 +121,23 @@ def stabilizability_margin(a, b):
     return float(margin)
 
 
+def require_stabilizable(a, b, pair):
+    """Raise :class:`StabilizabilityFailure`, naming the `pair`, unless the
+    PBH margin of ``(a, b)`` exceeds :data:`PBH_TOL`."""
+    margin = stabilizability_margin(a, b)
+    if not margin > PBH_TOL:
+        raise StabilizabilityFailure(
+            f"{pair} fails the PBH stabilizability test (margin {margin:.3e})"
+        )
+
+
+def r_definiteness(R):
+    """Smallest eigenvalue of `R` and whether it clears the positive
+    definiteness threshold ``1e-10 * max(||R||_F, 1)``."""
+    r_min = float(np.linalg.eigvalsh(R).min())
+    return r_min, r_min > 1e-10 * max(float(np.linalg.norm(R, "fro")), 1.0)
+
+
 def solve_care_stabilizing(p, axis_tol=None):
     """Stabilizing solution of a :class:`CareProblem` by Schur vectors.
 
@@ -145,11 +157,7 @@ def solve_care_stabilizing(p, axis_tol=None):
         stable subspace is not a graph subspace.
     """
     n = p.n
-    margin = stabilizability_margin(p.A_o, p.M)
-    if margin <= _PBH_RTOL:
-        raise StabilizabilityFailure(
-            f"(A_o, M) fails the PBH stabilizability test (margin {margin:.3e})"
-        )
+    require_stabilizable(p.A_o, p.M, "(A_o, M)")
     h = care_hamiltonian(p)
     sf = real_schur_ordered(h, axis_tol=axis_tol)
     # A Hamiltonian matrix off the axis always splits n/n.
@@ -195,10 +203,9 @@ def solve_discounted_are(A, B, Q, R, rho, axis_tol=None):
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    R = as_square(R, "R")
-    _check_symmetric(R, "R")
-    min_eig_r = float(np.linalg.eigvalsh(R).min())
-    if min_eig_r <= 1e-10 * max(np.linalg.norm(R, "fro"), 1.0):
+    R = as_symmetric(R, "R")
+    min_eig_r, r_ok = r_definiteness(R)
+    if not r_ok:
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
     m = B @ _sla.cho_solve(_sla.cho_factor(R), B.T)
     m = 0.5 * (m + m.T)

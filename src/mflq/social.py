@@ -7,6 +7,8 @@ becomes the Hamiltonian ``H = [[As, -B inv(R) B'], [Q_Gamma, -As']]`` with
 ``As = A - B inv(R) B' Pi - (rho/2) I``; solving one auxiliary Riccati
 equation block-triangularizes `H` and the unique initial value ``s0``
 keeping ``(xbar, s)`` in the admissible growth class follows in closed form.
+The ordered Schur forms of the two Riccati solves also decide existence:
+no separate validation pass runs on the solve path.
 
 The induced decentralized strategy for every agent is the linear feedback
 ``u_i(t) = K_x x_i(t) - inv(R) B' s(t)`` with ``K_x = -inv(R) B' Pi``.
@@ -19,9 +21,7 @@ import numpy as np
 import scipy.linalg as _sla
 
 from . import dichotomy, riccati
-from .errors import ImaginaryAxisEigenvalue
-from .linalg import default_axis_tol, eigenvalues
-from .problem import gamma_weights, raise_on_failed_validation, validate
+from .problem import discounted_riccati, gamma_weights
 
 __all__ = [
     "SceSolution",
@@ -90,33 +90,21 @@ def build_hamiltonian(p, Pi, w):
 def solve_sce(p, axis_tol=None):
     """Solve the social consistency system end to end.
 
-    Pipeline: validate the standing assumptions, solve the discounted
-    Riccati equation for `Pi`, assemble `H`, reject imaginary-axis
-    eigenvalues of `H`, solve the auxiliary Riccati equation for `X_plus`,
+    Pipeline: the front end :func:`problem.discounted_riccati` for `Pi`,
+    assemble `H`, solve the auxiliary Riccati equation on `H` for `X_plus`,
     build the dichotomy transform and extract ``s0`` and the trajectory
-    generators.
+    generators.  The two Riccati solves' Schur forms are the axis tests.
 
-    Raises :class:`ImaginaryAxisEigenvalue` when the dichotomy does not
-    exist (e.g. the scalar boundary case where the drift equals half the
-    discount rate under full mean-field tracking); validation failures raise
-    :class:`StabilizabilityFailure` or :class:`NonPositiveR`.
+    Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
+    standing assumptions fail, and :class:`ImaginaryAxisEigenvalue` when no
+    dichotomy exists (e.g. the scalar boundary case where the drift equals
+    half the discount rate under full mean-field tracking).
     """
     t_start = time.perf_counter()
-    raise_on_failed_validation(validate(p, axis_tol=axis_tol))
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho, axis_tol=axis_tol)
-    pi = are.X
+    are = discounted_riccati(p, axis_tol=axis_tol)
     w = gamma_weights(p.Q, p.Gamma, p.eta)
-    h = build_hamiltonian(p, pi, w)
+    h = build_hamiltonian(p, are.X, w)
     n = p.n
-    tol = default_axis_tol(h) if axis_tol is None else axis_tol
-    lam = eigenvalues(h)
-    on_axis = lam[np.abs(lam.real) <= tol]
-    if on_axis.size:
-        raise ImaginaryAxisEigenvalue(
-            "consistency Hamiltonian has eigenvalue(s) on or near the "
-            "imaginary axis: " + ", ".join(f"{z:.6g}" for z in on_axis),
-            eigenvalues=on_axis,
-        )
     a_shift = h[:n, :n]
     gram = -h[:n, n:]
     aux = riccati.solve_care_stabilizing(
@@ -127,7 +115,7 @@ def solve_sce(p, axis_tol=None):
     psi0 = np.concatenate([np.zeros(n), w.eta_Gamma])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return SceSolution(
-        Pi=pi,
+        Pi=are.X,
         H=h,
         X_plus=x_plus,
         A_C=aux.closed_loop,

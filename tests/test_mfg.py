@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import game_problem, random_problem, scaled_close
-from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue
+from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
 from mflq.mfg import build_mfg_matrix, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are
@@ -100,3 +100,41 @@ class TestSolveMfg:
         xbar, s = sol.trajectory(np.array([0.0]))
         assert np.allclose(xbar[0], game_case.x0, atol=1e-12)
         assert np.allclose(s[0], sol.s0, atol=1e-12)
+
+
+def direct_s0(sol, p):
+    """Initial adjoint from the transform blocks: with ``ratio = U21 inv(U11)``,
+    ``s0 = ratio x0 + (ratio U12 - U22) inv(F22 + rho/2 I) V22 Q eta``."""
+    n = p.n
+    d = sol.decomposition
+    u11, u12 = d.U[:n, :n], d.U[:n, n:]
+    u21, u22 = d.U[n:, :n], d.U[n:, n:]
+    ratio = np.linalg.solve(u11.T, u21.T).T
+    integral = np.linalg.solve(d.F22 + 0.5 * p.rho * np.eye(n),
+                               d.V[n:, n:] @ (p.Q @ p.eta))
+    return ratio @ p.x0 + (ratio @ u12 - u22) @ integral
+
+
+class TestS0Oracle:
+    """The shared decaying solve against the direct initial-value formula."""
+
+    @staticmethod
+    def assert_matches(sol, p):
+        drift = np.abs(sol.s0 - direct_s0(sol, p)).max()
+        assert drift <= 1e-8 * (1.0 + np.abs(sol.s0).max())
+
+    def test_reference_game(self, game_case):
+        self.assert_matches(solve_mfg(game_case), game_case)
+
+    def test_random_games(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(20):
+            p = random_problem(rng)
+            try:
+                sol = solve_mfg(p)
+            except MflqError:
+                continue
+            self.assert_matches(sol, p)
+            solved += 1
+        assert solved >= 15

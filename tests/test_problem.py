@@ -1,12 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import (
+    PROBLEM_DIR,
     degenerate_boundary_problem,
     indefinite_social_problem,
     scalar_social_problem,
 )
+from mflq.cli import load_problem_file, main, problem_to_dict
+from mflq.errors import (
+    ImaginaryAxisEigenvalue,
+    MflqError,
+    NonPositiveR,
+    StabilizabilityFailure,
+)
+from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights, validate
+from mflq.social import solve_sce
 
 
 class TestProblemData:
@@ -106,9 +118,84 @@ class TestValidate:
         assert not report.r_positive_definite
         assert report.axis_ok is None
 
+    def test_skipped_axis_check_not_listed_as_failed(self):
+        # with R failing, the axis check never runs and must not be named
+        p = ProblemData(A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[1e-14]],
+                        Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0])
+        report = validate(p)
+        assert not report.ok
+        assert report.failures() == ["R_positive_definite"]
+
     def test_boundary_case_passes_validation(self):
         # the shifted Hamiltonian built from Q is off the axis even though
         # the downstream consistency matrix is degenerate
         report = validate(degenerate_boundary_problem())
         assert report.ok
         assert report.axis_margin == pytest.approx(1.0, abs=1e-9)
+
+
+def scalar_problem(a, b, q, r):
+    return ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[0.0]],
+                       eta=[1.0], rho=1.0, x0=[1.0])
+
+
+# Rejected inputs and the error class each solver must name.  The first
+# input's mode is uncontrollable yet decays under the discount
+# (0 <= lam < rho/2): a successful discounted Riccati solve alone would not
+# reject it.
+REJECTED = [
+    ("slow_uncontrollable", scalar_problem(0.25, 0.0, 1.0, 1.0),
+     StabilizabilityFailure),
+    ("fast_uncontrollable", scalar_problem(2.0, 0.0, 1.0, 1.0),
+     StabilizabilityFailure),
+    ("shifted_axis", scalar_problem(0.5, 1.0, -1.0, 1.0),
+     ImaginaryAxisEigenvalue),
+    ("tiny_R", scalar_problem(-1.0, 1.0, 1.0, 1e-13), NonPositiveR),
+    ("unstabilizable_and_tiny_R", scalar_problem(2.0, 0.0, 1.0, 1e-13),
+     StabilizabilityFailure),
+]
+
+
+class TestRejectionVerdicts:
+    @pytest.mark.parametrize("name,p,error", REJECTED,
+                             ids=[case[0] for case in REJECTED])
+    def test_solvers_name_the_cause(self, name, p, error):
+        with pytest.raises(error):
+            solve_sce(p)
+        with pytest.raises(error):
+            solve_mfg(p)
+
+    @pytest.mark.parametrize("name,p,error", REJECTED,
+                             ids=[case[0] for case in REJECTED])
+    def test_cli_exit_2(self, capsys, tmp_path, name, p, error):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem_to_dict(p)))
+        assert main(["solve-social", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestCostScaling:
+    """``(Q, R) -> c (Q, R)`` scales `Pi` and `s0` by `c`.  A solver may
+    still reject a scaled problem, but what it accepts must be right."""
+
+    @pytest.mark.parametrize("name", ["ex41", "ex42_gamma005", "ex42_gamma2",
+                                      "ex43"])
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_accepted_solutions_scale(self, name, solver):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        try:
+            base = solver(p)
+        except MflqError:
+            base = None
+        for c in (1e-8, 1e4, 1e8):
+            scaled = ProblemData(A=p.A, B=p.B, Q=c * p.Q, R=c * p.R,
+                                 Gamma=p.Gamma, eta=p.eta, rho=p.rho, x0=p.x0)
+            try:
+                sol = solver(scaled)
+            except MflqError:
+                continue
+            assert base is not None, f"c={c} solves a problem rejected at c=1"
+            for got, want, tol in ((sol.Pi, base.Pi, 1e-6),
+                                   (sol.s0, base.s0, 1e-5)):
+                err = np.abs(got / c - want).max() / np.abs(want).max()
+                assert err <= tol, f"c={c}: relative error {err:.3e}"

@@ -219,7 +219,7 @@ def _cmd_solve_social(args, p, report):
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
         write_trajectory_csv(args.traj_out, grid, xbar, s)
-    ode_residual = social_mod.sce_residual(sol, p, grid)
+    ode_residual = social_mod._sce_residual(sol, p, grid, xbar, s)
     doc = {
         "command": "solve-social",
         "problem": problem_to_dict(p),

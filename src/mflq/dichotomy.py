@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure, StabilityCheckFailure
-from .linalg import as_square, mat_exp, real_schur_ordered, solve_linear, spectral_abscissa
+from .linalg import (as_square, block_2x2, mat_exp, real_schur_ordered, solve_linear,
+                     spectral_abscissa)
 
 __all__ = [
     "BvpSolution",
@@ -100,17 +101,14 @@ def decompose_from_riccati(A_shift, M, Q_coupling, X_plus):
         raise StabilityCheckFailure(
             f"closed-loop matrix is not stable (abscissa {abscissa:.3e})"
         )
-    k = np.block([[A_shift, -M], [Q_coupling, -A_shift.T]])
+    k = block_2x2(A_shift, -M, Q_coupling, -A_shift.T)
     ident = np.eye(n)
-    zero = np.zeros((n, n))
-    u = np.block([[ident, zero], [X_plus, ident]])
-    v = np.block([[ident, zero], [-X_plus, ident]])
+    u = block_2x2(ident, 0.0, X_plus, ident)
+    v = block_2x2(ident, 0.0, -X_plus, ident)
     d = DichotomyDecomposition(
         U=u, V=v, F11=f11, F12=-M, F22=-f11.T, U11_condition=1.0, K=k
     )
-    resid = np.linalg.norm(
-        v @ k @ u - np.block([[d.F11, d.F12], [zero, d.F22]]), "fro"
-    )
+    resid = np.linalg.norm(v @ k @ u - block_2x2(d.F11, d.F12, 0.0, d.F22), "fro")
     tol = 1e-7 * (1.0 + np.linalg.norm(k, "fro")
                   + np.linalg.norm(X_plus, "fro") ** 2)
     if resid > tol:

@@ -1,18 +1,16 @@
 """Dense real linear algebra kernels shared by all solver modules.
 
-Provides eigenvalues, the real Schur form with stable-eigenvalues-first
-ordering (LAPACK ``dgees`` + ``dtrsen``), a scaling-and-squaring matrix
-exponential, pivoted linear solves, and spectral classification helpers.
-Everything operates on plain float64 ``numpy`` arrays; all functions are
-pure and inputs are never mutated.
+Eigenvalues, the stable-first real Schur form, a scaling-and-squaring matrix
+exponential, LU and Cholesky solves, 2x2 block assembly and spectral helpers.
+LAPACK ``dgeev``, ``dgetrf``/``dgetrs``, ``dpotrf``/``dpotrs``, ``dgees`` and
+``dtrsen`` are called directly: on small matrices their numpy and scipy
+wrappers cost more than they do.  All functions are pure on float64 arrays.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as _sla
-from scipy.linalg.lapack import dgees, dtrsen
+from scipy.linalg.lapack import dgees, dgeev, dgetrf, dgetrs, dpotrf, dpotrs, dtrsen
 
 from .errors import (
     ImaginaryAxisEigenvalue,
@@ -24,12 +22,15 @@ __all__ = [
     "OrderedSchurForm",
     "as_square",
     "as_symmetric",
+    "block_2x2",
     "default_axis_tol",
     "eigenvalues",
     "mat_exp",
     "real_schur_ordered",
     "solve_linear",
+    "solve_spd",
     "spectral_abscissa",
+    "weighted_gram",
 ]
 
 
@@ -58,14 +59,34 @@ def default_axis_tol(k):
     return 1e-9 * (1.0 + np.linalg.norm(k, "fro"))
 
 
-def eigenvalues(a):
-    """All eigenvalues of a real square matrix, with multiplicity.
+def block_2x2(a11, a12, a21, a22):
+    """``[[a11, a12], [a21, a22]]`` from n-by-n blocks (or scalars)."""
+    n = a11.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a11, a12, a21, a22
+    return out
 
-    Complex eigenvalues come in conjugate pairs since the input is real.
-    Raises ``ValueError`` for non-square input and propagates the LAPACK
-    convergence error if the QR iteration fails.
+
+def eigenvalues(a):
+    """All eigenvalues of a real square matrix, with multiplicity (``dgeev``).
+
+    Complex eigenvalues come in conjugate pairs since the input is real; the
+    array is real when all are.  Raises ``ValueError`` for non-square input
+    and ``np.linalg.LinAlgError`` if the QR iteration fails.
     """
-    return np.linalg.eigvals(as_square(a))
+    a = as_square(a)
+    if a.shape[0] == 0:
+        return np.zeros(0)
+    big = np.abs(a).max()
+    if big and not 2.0**-459 <= big <= 2.0**459:
+        # scipy's bundled dgeev leaves the eigenvalues scaled when it has to
+        # scale such an `a` itself; an exact power-of-two scaling avoids that
+        e = int(np.frexp(big)[1])
+        return eigenvalues(np.ldexp(a, -e)) * 2.0**e
+    wr, wi, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeev did not converge (info {info})")
+    return wr + 1j * wi if wi.any() else wr
 
 
 def spectral_abscissa(a):
@@ -74,7 +95,7 @@ def spectral_abscissa(a):
 
 
 def solve_linear(a, b):
-    """Solve ``a @ x = b`` by pivoted LU factorization.
+    """Solve ``a @ x = b`` by pivoted LU factorization (``dgetrf``, ``dgetrs``).
 
     Raises :class:`SingularMatrix` when any pivot falls below
     ``1e-12 * ||a||_F``, rather than returning garbage.
@@ -82,16 +103,29 @@ def solve_linear(a, b):
     a = as_square(a, "coefficient matrix")
     b = np.asarray(b, dtype=float)
     nrm = np.linalg.norm(a, "fro")
-    with warnings.catch_warnings():
-        # an exactly-zero pivot is reported below as SingularMatrix
-        warnings.simplefilter("ignore", _sla.LinAlgWarning)
-        lu, piv = _sla.lu_factor(a, check_finite=False)
+    # dgetrf rejects an empty `a`; an exactly-zero pivot fails the test below
+    lu, piv, _ = dgetrf(a) if nrm else (a, None, 0)
     pivots = np.abs(np.diag(lu))
     if nrm == 0.0 or pivots.min() < 1e-12 * nrm:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below threshold {1e-12 * nrm:.3e}"
         )
-    return _sla.lu_solve((lu, piv), b, check_finite=False)
+    return dgetrs(lu, piv, b)[0]
+
+
+def solve_spd(a, b):
+    """Solve ``a @ x = b`` (matrix `b`) by Cholesky, ``dpotrf`` + ``dpotrs``;
+    raises ``np.linalg.LinAlgError`` unless `a` is positive definite."""
+    c, info = dpotrf(a)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"not positive definite (dpotrf info {info})")
+    return dpotrs(c, b)[0]
+
+
+def weighted_gram(b, r):
+    """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized."""
+    m = b @ solve_spd(r, b.T)
+    return 0.5 * (m + m.T)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dichotomy
+from .linalg import block_2x2
 from .problem import discounted_riccati
 
 __all__ = ["MfgSolution", "build_mfg_matrix", "solve_mfg"]
@@ -46,7 +47,7 @@ def build_mfg_matrix(p, Pi):
     ``Q @ Gamma``, not its symmetrized counterpart."""
     m = p.control_gram()
     a_shift = p.A - m @ Pi - 0.5 * p.rho * np.eye(p.n)
-    return np.block([[a_shift, -m], [p.Q @ p.Gamma, -a_shift.T]])
+    return block_2x2(a_shift, -m, p.Q @ p.Gamma, -a_shift.T)
 
 
 def solve_mfg(p, axis_tol=None):

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .linalg import as_square, as_symmetric, default_axis_tol, eigenvalues
+from .linalg import as_square, as_symmetric, default_axis_tol, eigenvalues, weighted_gram
 
 __all__ = [
     "GammaWeights",
@@ -86,10 +86,7 @@ class ProblemData:
 
     def control_gram(self):
         """``B @ inv(R) @ B'`` via a Cholesky solve, symmetrized."""
-        import scipy.linalg as sla
-
-        m = self.B @ sla.cho_solve(sla.cho_factor(self.R), self.B.T)
-        return 0.5 * (m + m.T)
+        return weighted_gram(self.B, self.R)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ solver by shifting ``A -> A - (rho/2) I``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as _sla
 
 from .errors import GraphSubspaceFailure, NonPositiveR, StabilizabilityFailure
-from .linalg import (as_square, as_symmetric, eigenvalues, real_schur_ordered,
-                     spectral_abscissa)
+from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues,
+                     real_schur_ordered, spectral_abscissa, weighted_gram)
 
 __all__ = [
     "CareProblem",
@@ -86,7 +85,7 @@ class StabilizingRiccatiSolution:
 
 def care_hamiltonian(p):
     """2n-by-2n Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` of the problem."""
-    return np.block([[p.A_o, -p.M], [-p.Q_o, -p.A_o.T]])
+    return block_2x2(p.A_o, -p.M, -p.Q_o, -p.A_o.T)
 
 
 def care_residual(x, p):
@@ -102,7 +101,9 @@ def stabilizability_margin(a, b):
     For every eigenvalue ``lam`` of `a` with ``Re lam >= 0`` the test matrix
     ``[lam*I - a, b]`` must have full row rank; the margin returned is the
     minimum of its smallest singular values divided by ``1 + ||a|| + ||b||``.
-    Returns ``inf`` when `a` is already stable.
+    A conjugate eigenvalue gives the conjugate test matrix, with the same
+    singular values, so only ``Im lam >= 0`` is tested, in one stacked SVD
+    call.  Returns ``inf`` when `a` is already stable.
     """
     a = as_square(a, "A")
     b = np.asarray(b, dtype=float)
@@ -110,15 +111,15 @@ def stabilizability_margin(a, b):
         b = b[:, None]
     n = a.shape[0]
     scale = 1.0 + float(np.linalg.norm(a, "fro")) + float(np.linalg.norm(b, "fro"))
-    margin = np.inf
-    ident = np.eye(n)
-    for lam in eigenvalues(a):
-        if lam.real < 0.0:
-            continue
-        test = np.hstack([lam * ident - a, b.astype(complex)])
-        sigma = np.linalg.svd(test, compute_uv=False)[-1]
-        margin = min(margin, float(sigma) / scale)
-    return float(margin)
+    lam = eigenvalues(a)
+    lam = lam[(lam.real >= 0.0) & (lam.imag >= 0.0)]
+    if not lam.size:
+        return np.inf
+    tests = np.empty((lam.size, n, n + b.shape[1]), dtype=complex)
+    tests[:, :, :n] = lam[:, None, None] * np.eye(n) - a
+    tests[:, :, n:] = b
+    sigma = np.linalg.svd(tests, compute_uv=False)[:, -1]
+    return float(sigma.min() / scale)
 
 
 def require_stabilizable(a, b, pair):
@@ -207,7 +208,6 @@ def solve_discounted_are(A, B, Q, R, rho, axis_tol=None):
     min_eig_r, r_ok = r_definiteness(R)
     if not r_ok:
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
-    m = B @ _sla.cho_solve(_sla.cho_factor(R), B.T)
-    m = 0.5 * (m + m.T)
+    m = weighted_gram(B, R)
     shifted = A - 0.5 * rho * np.eye(A.shape[0])
     return solve_care_stabilizing(CareProblem(shifted, m, Q), axis_tol=axis_tol)

@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as _sla
 
 from . import dichotomy, riccati
+from .linalg import block_2x2, solve_spd
 from .problem import discounted_riccati, gamma_weights
 
 __all__ = [
@@ -84,7 +84,7 @@ def build_hamiltonian(p, Pi, w):
     discounted consistency system, ``As = A - B inv(R) B' Pi - (rho/2) I``."""
     m = p.control_gram()
     a_shift = p.A - m @ Pi - 0.5 * p.rho * np.eye(p.n)
-    return np.block([[a_shift, -m], [w.Q_Gamma, -a_shift.T]])
+    return block_2x2(a_shift, -m, w.Q_Gamma, -a_shift.T)
 
 
 def solve_sce(p, axis_tol=None):
@@ -133,7 +133,7 @@ def solve_sce(p, axis_tol=None):
 
 def decentralized_strategy(sol, p):
     """Strategy gains induced by a solved consistency system."""
-    gain = -_sla.cho_solve(_sla.cho_factor(p.R), p.B.T)
+    gain = -solve_spd(p.R, p.B.T)
     return StrategySpec(K_x=gain @ sol.Pi, feedforward_gain=gain, solution=sol)
 
 
@@ -145,12 +145,16 @@ def sce_residual(sol, p, t_grid):
     Returns the max-norm residual over both equations.
     """
     t = np.asarray(t_grid, dtype=float)
+    return _sce_residual(sol, p, t, *sol.trajectory(t))
+
+
+def _sce_residual(sol, p, t, xbar, s):
+    """:func:`sce_residual` from the samples ``(xbar, s)`` on the grid `t`."""
     if t.size < 3:
         raise ValueError("need at least three grid points")
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("t_grid must be uniform")
-    xbar, s = sol.trajectory(t)
     m = p.control_gram()
     w = gamma_weights(p.Q, p.Gamma, p.eta)
     rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import PROBLEM_DIR, scalar_social_problem
+from mflq import dichotomy
 from mflq.cli import (
+    _time_grid,
     load_problem_file,
     main,
     parse_problem_dict,
@@ -12,6 +14,7 @@ from mflq.cli import (
     write_trajectory_csv,
 )
 from mflq.errors import ProblemFileError
+from mflq.social import sce_residual, solve_sce
 
 SCALAR = str(PROBLEM_DIR / "ex41.json")
 TWO_STATE_STRONG = str(PROBLEM_DIR / "ex42_gamma2.json")
@@ -84,6 +87,27 @@ class TestSolveSocialCommand:
         # the CSV start matches the reported initial data exactly
         assert float(t0[1]) == doc["problem"]["x0"][0]
         assert float(t0[2]) == doc["s0"][0]
+
+    def test_ode_residual_matches_api(self, capsys):
+        code, doc = run_json(capsys, ["solve-social", TWO_STATE_STRONG,
+                                      "--t-end", "3", "--dt", "0.02"])
+        assert code == 0
+        p = load_problem_file(TWO_STATE_STRONG)
+        expected = sce_residual(solve_sce(p), p, _time_grid(3.0, 0.02))
+        assert doc["residuals"]["ode_finite_difference"] == expected
+
+    def test_trajectory_sampled_once(self, capsys, monkeypatch):
+        calls = []
+        real = dichotomy.evaluate_trajectory
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dichotomy, "evaluate_trajectory", counting)
+        code, _ = run_json(capsys, ["solve-social", TWO_STATE_STRONG])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_report_echo_round_trips(self, capsys):
         code, doc = run_json(capsys, ["solve-social", SCALAR])

@@ -5,13 +5,17 @@ import scipy.linalg as sla
 from mflq import linalg
 from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
 from mflq.linalg import (
+    block_2x2,
     default_axis_tol,
     eigenvalues,
     mat_exp,
     real_schur_ordered,
     solve_linear,
+    solve_spd,
     spectral_abscissa,
+    weighted_gram,
 )
+from mflq.problem import ProblemData
 
 
 def scalar_consistency_matrix(a, b, q, r, rho, gamma):
@@ -44,6 +48,43 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("a,dtype", [
+        (np.diag([-1.0, 2.0]), float),
+        (np.triu(np.ones((3, 3))), float),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), complex),
+        (np.array([[1.0, 2.0, 0.0], [-3.0, 1.0, 0.0], [0.0, 0.0, 4.0]]), complex),
+    ])
+    def test_dtype_convention_of_eigvals(self, a, dtype):
+        # real when every eigenvalue is real, complex as soon as one pair is
+        lam = eigenvalues(a)
+        ref = np.linalg.eigvals(a)
+        assert lam.dtype == ref.dtype == np.dtype(dtype)
+        assert np.array_equal(lam, ref)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-140, 1e139, 1e300])
+    def test_extreme_scale(self, scale):
+        # dgeev scales such matrices internally; the eigenvalues must come
+        # back at the scale of the input
+        a = np.array([[1.0, 0.5], [-3.0, -2.0]])
+        lam = np.sort(eigenvalues(a * scale))
+        assert np.allclose(lam / scale, np.sort(np.linalg.eigvals(a)),
+                           rtol=1e-14, atol=0.0)
+
+    def test_lapack_failure_raises_linalg_error(self, monkeypatch):
+        real = linalg.dgeev
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(linalg, "dgeev", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="dgeev"):
+            eigenvalues(np.diag([2.0, -1.0]))
+
+    def test_empty(self):
+        lam = eigenvalues(np.zeros((0, 0)))
+        assert lam.shape == (0,) and lam.dtype == float
+
     def test_conjugate_closure(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -71,6 +112,15 @@ class TestSolveLinear:
     def test_identity(self):
         b = np.arange(6.0).reshape(3, 2)
         assert np.allclose(solve_linear(np.eye(3), b), b)
+
+    def test_matrix_right_hand_side_matches_numpy(self):
+        rng = np.random.default_rng(8)
+        for n, k in [(1, 1), (3, 2), (8, 5)]:
+            a = rng.standard_normal((n, n))
+            b = rng.standard_normal((n, k))
+            x = solve_linear(a, b)
+            assert x.shape == (n, k)
+            assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
 
     def test_diagonal(self):
         x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
@@ -108,6 +158,40 @@ class TestSolveLinear:
             solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
         with pytest.raises(SingularMatrix):
             solve_linear(np.zeros((2, 2)), np.ones(2))
+
+
+class TestCholeskyGram:
+    def test_matches_explicit_inverse(self):
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((4, 2))
+        g = rng.standard_normal((2, 2))
+        r = g @ g.T + 0.5 * np.eye(2)
+        assert np.allclose(solve_spd(r, b.T), np.linalg.solve(r, b.T))
+        m = weighted_gram(b, r)
+        assert np.array_equal(m, m.T)
+        assert np.allclose(m, b @ np.linalg.inv(r) @ b.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("r", [[[1.0, 0.0], [0.0, -1.0]],
+                                   [[1.0, 2.0], [2.0, 1.0]],
+                                   [[0.0, 0.0], [0.0, 1.0]]])
+    def test_indefinite_r_raises(self, r):
+        b = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            weighted_gram(b, np.array(r))
+        p = ProblemData(A=np.eye(2), B=b, Q=np.eye(2), R=r, Gamma=np.zeros((2, 2)),
+                        eta=np.zeros(2), rho=1.0, x0=np.zeros(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            p.control_gram()
+
+
+class TestBlock2x2:
+    def test_matches_np_block(self):
+        rng = np.random.default_rng(6)
+        a11, a12, a21, a22 = rng.standard_normal((4, 3, 3))
+        assert np.array_equal(block_2x2(a11, a12, a21, a22),
+                              np.block([[a11, a12], [a21, a22]]))
+        assert np.array_equal(block_2x2(a11, 0.0, a21, a22),
+                              np.block([[a11, np.zeros((3, 3))], [a21, a22]]))
 
 
 class TestMatExp:

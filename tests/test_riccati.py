@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_care_problem
 from mflq.errors import (
@@ -9,6 +12,7 @@ from mflq.errors import (
 )
 from mflq.linalg import spectral_abscissa
 from mflq.riccati import (
+    PBH_TOL,
     CareProblem,
     care_hamiltonian,
     care_residual,
@@ -209,3 +213,82 @@ class TestStabilizabilityMargin:
 
     def test_controllable(self):
         assert stabilizability_margin([[1.0]], [[1.0]]) > 0.1
+
+
+def reference_margin(a, b):
+    """The per-eigenvalue PBH loop the stacked SVD replaced: one SVD of
+    ``[lam*I - a, b]`` for every eigenvalue with ``Re lam >= 0``,
+    conjugates included."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    scale = 1.0 + float(np.linalg.norm(a, "fro")) + float(np.linalg.norm(b, "fro"))
+    margin = np.inf
+    for lam in np.linalg.eigvals(a):
+        if lam.real < 0.0:
+            continue
+        test = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
+        sigma = np.linalg.svd(test, compute_uv=False)[-1]
+        margin = min(margin, float(sigma) / scale)
+    return float(margin)
+
+
+PBH_KINDS = ["random", "conjugate", "repeated", "defective", "uncontrollable",
+             "zero_b", "on_axis", "stable", "empty"]
+
+
+@st.composite
+def pbh_pairs(draw, kind):
+    """``(a, b)`` with n <= 8 and 1 <= m <= max(n, 1), shaped by `kind`."""
+    n = 0 if kind == "empty" else draw(st.integers(2, 8))
+    m = draw(st.integers(1, max(n, 1)))
+    entries = st.floats(-2.0, 2.0, allow_nan=False, width=64)
+    g = draw(arrays(float, (n, n), elements=entries))
+    b = draw(arrays(float, (n, m), elements=entries))
+    lam = draw(st.floats(0.0, 2.0))
+    q, _ = np.linalg.qr(g + 3.0 * np.eye(n))
+    core = np.triu(g, 1)
+    if kind in ("random", "empty"):
+        return g, b
+    if kind == "zero_b":
+        return g, np.zeros((n, m))
+    if kind == "stable":
+        return -g @ g.T - 0.1 * np.eye(n), b
+    if kind == "on_axis":
+        # exactly triangular, so the 0 and +-i*w eigenvalues come out exact
+        core[np.diag_indices(n)] = np.diag(g)
+        core[0, 0] = core[1, 1] = core[1, 0] = 0.0
+        core[0, 1] = lam
+        core[1, 0] = -lam
+        return core, b
+    if kind == "conjugate":
+        core[np.diag_indices(n)] = np.diag(g)
+        core[0, 0] = core[1, 1] = lam
+        core[0, 1], core[1, 0] = 1.0 + lam, -1.0 - lam
+    elif kind == "repeated":
+        core = np.diag(np.where(np.arange(n) < n // 2 + 1, lam, np.diag(g)))
+    elif kind == "defective":
+        core = lam * np.eye(n) + np.eye(n, k=1)
+    else:  # uncontrollable: left eigenvector e1 of `core` annihilates b
+        core = np.tril(g)
+        core[0, 0] = lam + 0.5
+        b = b.copy()
+        b[0] = 0.0
+        b = q @ b
+    return q @ core @ q.T, b
+
+
+@pytest.mark.parametrize("kind", PBH_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_pbh_margin_matches_reference_loop(kind, data):
+    a, b = data.draw(pbh_pairs(kind))
+    margin = stabilizability_margin(a, b)
+    ref = reference_margin(a, b)
+    if kind in ("stable", "empty"):
+        assert ref == np.inf
+    if ref == np.inf:
+        assert margin == np.inf
+    else:
+        assert margin == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert (margin > PBH_TOL) == (ref > PBH_TOL)

@@ -1,89 +1,38 @@
 """Solvers for infinite-horizon discounted LQ mean-field social optimization
 and mean-field games, built on a Hamiltonian-matrix invariant-subspace
 decomposition, plus a fixed-point contraction-bound comparison and an
-N-agent Monte Carlo consistency simulator."""
+N-agent Monte Carlo consistency simulator.
+
+The package namespace holds the solver API; the numerical kernels stay
+importable from their submodules (``mflq.linalg``, ``mflq.riccati``,
+``mflq.dichotomy``)."""
 
 from . import errors
 from .contraction import QuadratureConfig, contraction_bound
-from .dichotomy import (
-    BvpSolution,
-    DichotomyDecomposition,
-    decompose_from_riccati,
-    decompose_from_schur,
-    evaluate_trajectory,
-    solve_decaying,
-)
-from .linalg import (
-    OrderedSchurForm,
-    default_axis_tol,
-    eigenvalues,
-    mat_exp,
-    real_schur_ordered,
-    solve_linear,
-    spectral_abscissa,
-)
-from .mfg import MfgSolution, build_mfg_matrix, solve_mfg
+from .mfg import MfgSolution, solve_mfg
 from .problem import GammaWeights, ProblemData, ValidationReport, gamma_weights, validate
-from .riccati import (
-    CareProblem,
-    StabilizingRiccatiSolution,
-    care_hamiltonian,
-    care_residual,
-    solve_care_stabilizing,
-    solve_discounted_are,
-    stabilizability_margin,
-)
 from .simulate import SimConfig, SimResult, simulate
-from .social import (
-    SceSolution,
-    StrategySpec,
-    build_hamiltonian,
-    decentralized_strategy,
-    sce_residual,
-    solve_sce,
-)
+from .social import SceSolution, StrategySpec, decentralized_strategy, sce_residual, solve_sce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BvpSolution",
-    "CareProblem",
-    "DichotomyDecomposition",
     "GammaWeights",
     "MfgSolution",
-    "OrderedSchurForm",
     "ProblemData",
     "QuadratureConfig",
     "SceSolution",
     "SimConfig",
     "SimResult",
-    "StabilizingRiccatiSolution",
     "StrategySpec",
     "ValidationReport",
-    "build_hamiltonian",
-    "build_mfg_matrix",
-    "care_hamiltonian",
-    "care_residual",
     "contraction_bound",
     "decentralized_strategy",
-    "decompose_from_riccati",
-    "decompose_from_schur",
-    "default_axis_tol",
-    "eigenvalues",
     "errors",
-    "evaluate_trajectory",
     "gamma_weights",
-    "mat_exp",
-    "real_schur_ordered",
     "sce_residual",
     "simulate",
-    "solve_care_stabilizing",
-    "solve_decaying",
-    "solve_discounted_are",
-    "solve_linear",
     "solve_mfg",
     "solve_sce",
-    "spectral_abscissa",
-    "stabilizability_margin",
     "validate",
 ]

@@ -136,13 +136,12 @@ def contraction_bound(p, Pi, cfg=None):
     """Contraction constant ``beta`` of the fixed-point map for problem `p`
     with discounted Riccati solution `Pi`.
 
-    Raises :class:`UnstableGenerator` if the shifted closed-loop drift is
-    not stable (it always is when `Pi` is the stabilizing solution).
+    Raises :class:`UnstableGenerator`, from :func:`decaying_norm_integral`,
+    if the shifted closed-loop drift is not stable (it always is when `Pi`
+    is the stabilizing solution).
     """
     gram = p.control_gram()
     a_shift = p.A - gram @ Pi - 0.5 * p.rho * np.eye(p.n)
-    if spectral_abscissa(a_shift) >= 0.0:
-        raise UnstableGenerator("shifted closed-loop drift is not stable")
     q_gamma = gamma_weights(p.Q, p.Gamma, p.eta).Q_Gamma
     left = decaying_norm_integral(a_shift, gram, cfg)
     right = decaying_norm_integral(a_shift.T, q_gamma, cfg)

@@ -10,9 +10,9 @@ exponentially decaying) on ``[0, inf)``; every other choice blows up at the
 antistable rate.
 
 Two constructions of the transform are supported: the analytic one from a
-stabilizing Riccati solution (unit-triangular `U`) and the generic one from
-an ordered real Schur form (orthogonal `U`).  The improper integral behind
-the bounded choice is evaluated in closed form as a linear solve.  Trajectory
+certified stabilizing Riccati solution (unit-triangular `U`) and the generic
+one from an ordered real Schur form (orthogonal `U`).  The improper integral
+behind the bounded choice is evaluated in closed form as a linear solve.  Trajectory
 samples come from an augmented matrix exponential, not ODE stepping: one
 exponential per run of equal grid steps, with the states along the run
 filled by repeated squaring, so a uniform grid of N points costs one
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DichotomySplitFailure, GraphSubspaceFailure, StabilityCheckFailure
-from .linalg import (as_square, block_2x2, mat_exp, real_schur_ordered, solve_linear,
-                     spectral_abscissa)
+from .errors import DichotomySplitFailure, GraphSubspaceFailure
+from .linalg import as_square, block_2x2, mat_exp, real_schur_ordered, solve_linear
 
 __all__ = [
     "BvpSolution",
@@ -78,45 +77,23 @@ class BvpSolution:
     decay_rate: float
 
 
-def decompose_from_riccati(A_shift, M, Q_coupling, X_plus):
-    """Dichotomy transform of ``[[A_shift, -M], [Q_coupling, -A_shift']]``
-    built from a stabilizing Riccati solution.
+def decompose_from_riccati(K, aux):
+    """Dichotomy transform of ``K = [[A_shift, -M], [Q_coupling, -A_shift']]``
+    from `aux`, the certified solution (a
+    :class:`riccati.StabilizingRiccatiSolution`) of its Riccati equation
+    ``X A_shift + A_shift' X - X M X - Q_coupling = 0``.
 
-    `X_plus` must solve ``X A_shift + A_shift' X - X M X - Q_coupling = 0``
-    with ``A_shift - M X_plus`` stable.  Then ``U = [[I, 0], [X_plus, I]]``
-    triangularizes the matrix exactly, with ``F11 = A_shift - M @ X_plus``,
-    ``F12 = -M`` and ``F22 = -F11'``.
-
-    Raises :class:`StabilityCheckFailure` if the closed loop is not stable,
-    and ``ValueError`` if `X_plus` does not actually solve the equation.
+    ``U = [[I, 0], [X, I]]`` triangularizes `K` exactly, with
+    ``F11 = A_shift - M X`` (the certified stable closed loop),
+    ``F12 = -M`` and ``F22 = -F11'``; nothing is checked again here.
     """
-    A_shift = as_square(A_shift, "A_shift")
-    M = as_square(M, "M")
-    Q_coupling = as_square(Q_coupling, "Q_coupling")
-    X_plus = as_square(X_plus, "X_plus")
-    n = A_shift.shape[0]
-    f11 = A_shift - M @ X_plus
-    abscissa = spectral_abscissa(f11)
-    if abscissa >= 0.0:
-        raise StabilityCheckFailure(
-            f"closed-loop matrix is not stable (abscissa {abscissa:.3e})"
-        )
-    k = block_2x2(A_shift, -M, Q_coupling, -A_shift.T)
+    n = aux.X.shape[0]
     ident = np.eye(n)
-    u = block_2x2(ident, 0.0, X_plus, ident)
-    v = block_2x2(ident, 0.0, -X_plus, ident)
-    d = DichotomyDecomposition(
-        U=u, V=v, F11=f11, F12=-M, F22=-f11.T, U11_condition=1.0, K=k
+    return DichotomyDecomposition(
+        U=block_2x2(ident, 0.0, aux.X, ident), V=block_2x2(ident, 0.0, -aux.X, ident),
+        F11=aux.closed_loop, F12=K[:n, n:], F22=-aux.closed_loop.T,
+        U11_condition=1.0, K=K,
     )
-    resid = np.linalg.norm(v @ k @ u - block_2x2(d.F11, d.F12, 0.0, d.F22), "fro")
-    tol = 1e-7 * (1.0 + np.linalg.norm(k, "fro")
-                  + np.linalg.norm(X_plus, "fro") ** 2)
-    if resid > tol:
-        raise ValueError(
-            f"X_plus does not solve the coupled Riccati equation "
-            f"(triangularization residual {resid:.3e})"
-        )
-    return d
 
 
 def decompose_from_schur(K, axis_tol=None):

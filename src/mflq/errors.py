@@ -40,11 +40,6 @@ class NonPositiveR(MflqError):
     """The control weight matrix is not symmetric positive definite."""
 
 
-class StabilityCheckFailure(MflqError):
-    """A matrix required to be stable has an eigenvalue with
-    nonnegative real part."""
-
-
 class DichotomySplitFailure(MflqError):
     """A 2n-by-2n matrix does not split n/n across the imaginary axis."""
 

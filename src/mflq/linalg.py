@@ -98,13 +98,15 @@ def solve_linear(a, b):
     """Solve ``a @ x = b`` by pivoted LU factorization (``dgetrf``, ``dgetrs``).
 
     Raises :class:`SingularMatrix` when any pivot falls below
-    ``1e-12 * ||a||_F``, rather than returning garbage.
+    ``1e-12 * ||a||_F``, rather than returning garbage.  An empty `a` has
+    the empty solution.
     """
     a = as_square(a, "coefficient matrix")
     b = np.asarray(b, dtype=float)
+    if a.shape[0] == 0:
+        return np.zeros(b.shape)
     nrm = np.linalg.norm(a, "fro")
-    # dgetrf rejects an empty `a`; an exactly-zero pivot fails the test below
-    lu, piv, _ = dgetrf(a) if nrm else (a, None, 0)
+    lu, piv, _ = dgetrf(a)
     pivots = np.abs(np.diag(lu))
     if nrm == 0.0 or pivots.min() < 1e-12 * nrm:
         raise SingularMatrix(

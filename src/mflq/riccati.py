@@ -8,6 +8,10 @@ The solution is read off the orthonormal basis of the stable invariant
 subspace: if its leading n rows form an invertible block ``W11``, then
 ``X = W21 @ inv(W11)``.
 
+:func:`stabilizing_solution` does this on a given Hamiltonian and certifies
+the result; :func:`solve_care_stabilizing` runs the ``(A_o, M)`` PBH test
+first.
+
 The discounted Riccati equation
 ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to the same
 solver by shifting ``A -> A - (rho/2) I``.
@@ -31,6 +35,7 @@ __all__ = [
     "solve_care_stabilizing",
     "solve_discounted_are",
     "stabilizability_margin",
+    "stabilizing_solution",
 ]
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
@@ -88,10 +93,10 @@ def care_hamiltonian(p):
     return block_2x2(p.A_o, -p.M, -p.Q_o, -p.A_o.T)
 
 
-def care_residual(x, p):
+def care_residual(x, a_o, m, q_o):
     """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
     x = np.asarray(x, dtype=float)
-    r = x @ p.A_o + p.A_o.T @ x - x @ p.M @ x + p.Q_o
+    r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
     return float(np.linalg.norm(r, "fro"))
 
 
@@ -139,27 +144,23 @@ def r_definiteness(R):
     return r_min, r_min > 1e-10 * max(float(np.linalg.norm(R, "fro")), 1.0)
 
 
-def solve_care_stabilizing(p, axis_tol=None):
-    """Stabilizing solution of a :class:`CareProblem` by Schur vectors.
-
-    Pipeline: build the Hamiltonian, reject imaginary-axis eigenvalues,
-    order the real Schur form stable-first, and form ``X = W21 @ inv(W11)``
-    from the leading n Schur vectors, symmetrized as ``(X + X') / 2``.
+def stabilizing_solution(h, axis_tol=None):
+    """Certified stabilizing solution from the Hamiltonian
+    ``h = [[A_o, -M], [-Q_o, -A_o']]``: order its real Schur form
+    stable-first, form ``X = W21 @ inv(W11)`` from the leading n Schur
+    vectors, symmetrized as ``(X + X') / 2``, and certify the residual and
+    the stability of ``A_o - M X``.  No PBH test runs here.
 
     Raises
     ------
-    StabilizabilityFailure
-        If the PBH test on ``(A_o, M)`` fails.
     ImaginaryAxisEigenvalue
         If the Hamiltonian spectrum touches the imaginary axis, i.e. the
         exponential dichotomy needed by the method does not exist.
     GraphSubspaceFailure
         If `W11` is numerically singular (condition estimate > 1e12): the
-        stable subspace is not a graph subspace.
+        stable subspace is not a graph subspace; or if certification fails.
     """
-    n = p.n
-    require_stabilizable(p.A_o, p.M, "(A_o, M)")
-    h = care_hamiltonian(p)
+    n = h.shape[0] // 2
     sf = real_schur_ordered(h, axis_tol=axis_tol)
     # A Hamiltonian matrix off the axis always splits n/n.
     if sf.k_stable != n:
@@ -175,8 +176,9 @@ def solve_care_stabilizing(p, axis_tol=None):
         )
     x = np.linalg.solve(w11.T, w21.T).T
     x = 0.5 * (x + x.T)
-    closed_loop = p.A_o - p.M @ x
-    residual = care_residual(x, p)
+    a_o, m, q_o = h[:n, :n], -h[:n, n:], -h[n:, :n]
+    closed_loop = a_o - m @ x
+    residual = care_residual(x, a_o, m, q_o)
     margin_cl = -spectral_abscissa(closed_loop)
     norm_x = np.linalg.norm(x, "fro")
     if margin_cl <= 0.0 or residual > 1e-7 * (1.0 + norm_x**2):
@@ -187,6 +189,14 @@ def solve_care_stabilizing(p, axis_tol=None):
     return StabilizingRiccatiSolution(
         X=x, closed_loop=closed_loop, residual=residual, spectrum_margin=margin_cl
     )
+
+
+def solve_care_stabilizing(p, axis_tol=None):
+    """Stabilizing solution of a :class:`CareProblem`: the PBH test on
+    ``(A_o, M)`` (:class:`StabilizabilityFailure`), then
+    :func:`stabilizing_solution` on its Hamiltonian."""
+    require_stabilizable(p.A_o, p.M, "(A_o, M)")
+    return stabilizing_solution(care_hamiltonian(p), axis_tol=axis_tol)
 
 
 def solve_discounted_are(A, B, Q, R, rho, axis_tol=None):

@@ -4,11 +4,14 @@ The consistency system for the mean field ``xbar`` and the adjoint offset
 ``s`` is a forward linear ODE pair with one free initial condition ``s(0)``.
 After discounting the unknowns by ``exp(-rho*t/2)`` the coefficient matrix
 becomes the Hamiltonian ``H = [[As, -B inv(R) B'], [Q_Gamma, -As']]`` with
-``As = A - B inv(R) B' Pi - (rho/2) I``; solving one auxiliary Riccati
-equation block-triangularizes `H` and the unique initial value ``s0``
-keeping ``(xbar, s)`` in the admissible growth class follows in closed form.
-The ordered Schur forms of the two Riccati solves also decide existence:
-no separate validation pass runs on the solve path.
+``As = A - B inv(R) B' Pi - (rho/2) I``; the stabilizing solution
+``X_plus`` of the auxiliary Riccati equation with Hamiltonian `H`
+block-triangularizes `H` through ``[[I, 0], [X_plus, I]]``, and the unique
+initial value ``s0`` keeping ``(xbar, s)`` in the admissible growth class
+follows in closed form.  The ordered Schur forms of the two Riccati solves
+also decide existence: no separate validation pass runs on the solve path,
+and the auxiliary solve runs no PBH test, since ``As`` is the closed loop
+the discounted solve certified stable.
 
 The induced decentralized strategy for every agent is the linear feedback
 ``u_i(t) = K_x x_i(t) - inv(R) B' s(t)`` with ``K_x = -inv(R) B' Pi``.
@@ -90,34 +93,31 @@ def build_hamiltonian(p, Pi, w):
 def solve_sce(p, axis_tol=None):
     """Solve the social consistency system end to end.
 
-    Pipeline: the front end :func:`problem.discounted_riccati` for `Pi`,
-    assemble `H`, solve the auxiliary Riccati equation on `H` for `X_plus`,
-    build the dichotomy transform and extract ``s0`` and the trajectory
-    generators.  The two Riccati solves' Schur forms are the axis tests.
+    Pipeline, the game's shape: the front end
+    :func:`problem.discounted_riccati` for `Pi`, assemble `H`, decompose it
+    by the auxiliary solution `X_plus` (:func:`riccati.stabilizing_solution`
+    on `H`), and extract ``s0`` and the trajectory generators.  The two
+    Riccati solves' Schur forms are the axis tests.
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
-    standing assumptions fail, and :class:`ImaginaryAxisEigenvalue` when no
+    standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when no
     dichotomy exists (e.g. the scalar boundary case where the drift equals
-    half the discount rate under full mean-field tracking).
+    half the discount rate under full mean-field tracking), and
+    :class:`GraphSubspaceFailure` when a Riccati solution fails certification.
     """
     t_start = time.perf_counter()
     are = discounted_riccati(p, axis_tol=axis_tol)
     w = gamma_weights(p.Q, p.Gamma, p.eta)
     h = build_hamiltonian(p, are.X, w)
+    aux = riccati.stabilizing_solution(h, axis_tol=axis_tol)
+    d = dichotomy.decompose_from_riccati(h, aux)
     n = p.n
-    a_shift = h[:n, :n]
-    gram = -h[:n, n:]
-    aux = riccati.solve_care_stabilizing(
-        riccati.CareProblem(a_shift, gram, -w.Q_Gamma), axis_tol=axis_tol
-    )
-    x_plus = aux.X
-    d = dichotomy.decompose_from_riccati(a_shift, gram, w.Q_Gamma, x_plus)
     psi0 = np.concatenate([np.zeros(n), w.eta_Gamma])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return SceSolution(
         Pi=are.X,
         H=h,
-        X_plus=x_plus,
+        X_plus=aux.X,
         A_C=aux.closed_loop,
         offset=bvp.y2_offset,
         s0=bvp.z2_0,

@@ -143,7 +143,7 @@ def test_criterion_6a_care_random_suite():
         p = random_care_problem(rng, max_n=6)
         sol = solve_care_stabilizing(p)
         norm_x = np.linalg.norm(sol.X, "fro")
-        assert care_residual(sol.X, p) <= 1e-7 * (1.0 + norm_x**2)
+        assert care_residual(sol.X, p.A_o, p.M, p.Q_o) <= 1e-7 * (1.0 + norm_x**2)
         assert spectral_abscissa(sol.closed_loop) < 0.0
         assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
 

@@ -12,13 +12,9 @@ from mflq.dichotomy import (
     evaluate_trajectory,
     solve_decaying,
 )
-from mflq.errors import (
-    DichotomySplitFailure,
-    GraphSubspaceFailure,
-    ImaginaryAxisEigenvalue,
-    StabilityCheckFailure,
-)
-from mflq.linalg import eigenvalues, mat_exp, spectral_abscissa
+from mflq.errors import DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue
+from mflq.linalg import block_2x2, eigenvalues, mat_exp, spectral_abscissa
+from mflq.riccati import stabilizing_solution
 
 
 def random_dichotomy_instance(rng, max_n=3):
@@ -49,51 +45,47 @@ def _count_mat_exp(monkeypatch):
     return calls
 
 
+def scalar_aux_hamiltonian():
+    """``[[a, -1], [2, -a]]`` with ``a = -sqrt(4.25)``: its auxiliary Riccati
+    equation ``2 a X - X^2 - 2 = 0`` has the stabilizing root
+    ``X = a + 1.5`` with closed loop ``a - X = -1.5``."""
+    a_shift = -np.sqrt(4.25)
+    return block_2x2(np.array([[a_shift]]), -1.0, 2.0, -a_shift), a_shift + 1.5
+
+
 class TestDecomposeFromRiccati:
     def test_scalar_reference(self):
-        # stabilizing solution of the scalar auxiliary equation
-        a_shift = -np.sqrt(4.25)
-        x_plus = a_shift + 1.5
-        d = decompose_from_riccati([[a_shift]], [[1.0]], [[2.0]], [[x_plus]])
+        k, x_plus = scalar_aux_hamiltonian()
+        d = decompose_from_riccati(k, stabilizing_solution(k))
         assert np.allclose(d.U, [[1.0, 0.0], [x_plus, 1.0]])
         assert d.F11[0, 0] == pytest.approx(-1.5, abs=1e-12)
+        assert d.F12[0, 0] == -1.0
         assert d.F22[0, 0] == pytest.approx(1.5, abs=1e-12)
         assert d.U11_condition == 1.0
+        assert d.K is k
 
     def test_zero_solution_identity_transform(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        d = decompose_from_riccati(a, np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+        k = block_2x2(a, -np.eye(2), 0.0, -a.T)
+        d = decompose_from_riccati(k, stabilizing_solution(k))
         assert np.allclose(d.U, np.eye(4))
         assert np.allclose(d.F11, a)
         assert np.allclose(d.F22, -a.T)
 
-    def test_unstable_closed_loop_rejected(self):
-        # the anti-stabilizing scalar root gives an unstable closed loop
-        a_shift = -np.sqrt(4.25)
-        x_minus = a_shift - 1.5
-        with pytest.raises(StabilityCheckFailure):
-            decompose_from_riccati([[a_shift]], [[1.0]], [[2.0]], [[x_minus]])
-
-    def test_non_solution_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_from_riccati([[-2.0]], [[1.0]], [[2.0]], [[0.1]])
-
     def test_block_identity(self):
         rng = np.random.default_rng(3)
-        from mflq.riccati import CareProblem, solve_care_stabilizing
-
         for _ in range(8):
             n = int(rng.integers(1, 4))
             a = rng.standard_normal((n, n)) - 1.5 * np.eye(n)
             c = rng.standard_normal((n, n))
             m = c @ c.T
             g = rng.standard_normal((n, n))
-            q_coupling = 0.5 * (g + g.T)
+            k = block_2x2(a, -m, 0.5 * (g + g.T), -a.T)
             try:
-                aux = solve_care_stabilizing(CareProblem(a, m, -q_coupling))
+                aux = stabilizing_solution(k)
             except ImaginaryAxisEigenvalue:
                 continue
-            d = decompose_from_riccati(a, m, q_coupling, aux.X)
+            d = decompose_from_riccati(k, aux)
             tri = np.block([[d.F11, d.F12],
                             [np.zeros((n, n)), d.F22]])
             nrm = np.linalg.norm(d.K, "fro")
@@ -152,9 +144,8 @@ class TestDecomposeFromSchur:
 
 class TestSolveDecaying:
     def test_scalar_reference(self):
-        a_shift = -np.sqrt(4.25)
-        x_plus = a_shift + 1.5
-        d = decompose_from_riccati([[a_shift]], [[1.0]], [[2.0]], [[x_plus]])
+        k, x_plus = scalar_aux_hamiltonian()
+        d = decompose_from_riccati(k, stabilizing_solution(k))
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         assert sol.z2_0[0] == pytest.approx(x_plus, abs=1e-12)
         assert np.allclose(sol.y2_offset, 0.0)

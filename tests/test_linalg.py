@@ -159,6 +159,10 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(np.zeros((2, 2)), np.ones(2))
 
+    def test_empty(self):
+        assert solve_linear(np.zeros((0, 0)), np.ones(0)).shape == (0,)
+        assert solve_linear(np.zeros((0, 0)), np.ones((0, 3))).shape == (0, 3)
+
 
 class TestCholeskyGram:
     def test_matches_explicit_inverse(self):

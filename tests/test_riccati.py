@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_care_problem
 from mflq.errors import (
+    GraphSubspaceFailure,
     ImaginaryAxisEigenvalue,
     NonPositiveR,
     StabilizabilityFailure,
@@ -19,6 +20,7 @@ from mflq.riccati import (
     solve_care_stabilizing,
     solve_discounted_are,
     stabilizability_margin,
+    stabilizing_solution,
 )
 
 
@@ -50,12 +52,12 @@ class TestCareProblemValidation:
 class TestCareResidual:
     def test_exact_scalar_solution(self):
         p = CareProblem([[0.0]], [[1.0]], [[1.0]])
-        assert care_residual([[1.0]], p) == pytest.approx(0.0, abs=1e-15)
+        assert care_residual([[1.0]], p.A_o, p.M, p.Q_o) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_candidate(self):
         n = 4
         p = CareProblem(np.zeros((n, n)), np.eye(n), np.eye(n))
-        assert care_residual(np.zeros((n, n)), p) == pytest.approx(np.sqrt(n))
+        assert care_residual(np.zeros((n, n)), p.A_o, p.M, p.Q_o) == pytest.approx(np.sqrt(n))
 
 
 class TestSolveCareStabilizing:
@@ -80,6 +82,12 @@ class TestSolveCareStabilizing:
         with pytest.raises(StabilizabilityFailure):
             solve_care_stabilizing(CareProblem([[1.0]], [[0.0]], [[1.0]]))
 
+    def test_core_refuses_unstabilizable_without_pbh(self):
+        # the stable eigenvector of [[1, 0], [-1, -1]] is (0, 1): W11 = 0
+        h = care_hamiltonian(CareProblem([[1.0]], [[0.0]], [[1.0]]))
+        with pytest.raises(GraphSubspaceFailure):
+            stabilizing_solution(h)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_certified(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -88,7 +96,7 @@ class TestSolveCareStabilizing:
             sol = solve_care_stabilizing(p)
             norm_x = np.linalg.norm(sol.X, "fro")
             assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
-            assert care_residual(sol.X, p) <= 1e-7 * (1.0 + norm_x**2)
+            assert care_residual(sol.X, p.A_o, p.M, p.Q_o) <= 1e-7 * (1.0 + norm_x**2)
             assert spectral_abscissa(sol.closed_loop) < 0.0
 
     def test_graph_subspace_identity(self):

@@ -9,9 +9,10 @@ from conftest import (
     scaled_close,
 )
 from mflq.errors import ImaginaryAxisEigenvalue, NonPositiveR, StabilizabilityFailure
+from mflq import riccati
 from mflq.linalg import eigenvalues, spectral_abscissa
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import solve_discounted_are
+from mflq.riccati import solve_discounted_are, stabilizability_margin
 from mflq.social import (
     build_hamiltonian,
     decentralized_strategy,
@@ -47,6 +48,23 @@ class TestBuildHamiltonian:
 
 
 class TestSolveSce:
+    def test_two_pbh_tests_per_solve(self, monkeypatch):
+        # (A, B) in the front end and (A_o, M) in the discounted solve; the
+        # auxiliary equation's A_shift is certified stable by the latter
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return stabilizability_margin(a, b)
+
+        monkeypatch.setattr(riccati, "stabilizability_margin", counted)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            p = random_problem(rng)  # draws until validate accepts
+            calls.clear()
+            solve_sce(p)
+            assert len(calls) == 2
+
     def test_scalar_reference_case(self, scalar_social):
         sol = solve_sce(scalar_social)
         root = np.sqrt(4.25)

@@ -72,6 +72,25 @@ class TestDecomposeFromRiccati:
         assert np.allclose(d.F11, a)
         assert np.allclose(d.F22, -a.T)
 
+    def test_unstable_closed_loop_rejected(self):
+        # K = U T inv(U) with U = [[I, 0], [X, I]] and a non-symmetric X:
+        # the stable subspace of K is the graph of X, but its symmetrized
+        # part gives the closed loop diag(0.4, -0.6), so no aux is certified
+        x = np.array([[1.0, 0.5], [-0.5, 1.0]])
+        f12 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        t = np.block([[-0.1 * np.eye(2), f12], [np.zeros((2, 2)), np.eye(2)]])
+        u = block_2x2(np.eye(2), 0.0, x, np.eye(2))
+        k = u @ t @ block_2x2(np.eye(2), 0.0, -x, np.eye(2))
+        with pytest.raises(GraphSubspaceFailure, match="closed-loop margin -"):
+            stabilizing_solution(k)
+
+    def test_non_solution_rejected(self):
+        # trailing block 3 is not -A_shift = 2: the graph of the stable
+        # eigenvector of K does not solve the Riccati equation of its blocks
+        k = np.array([[-2.0, -1.0], [-2.0, 3.0]])
+        with pytest.raises(GraphSubspaceFailure, match="failed certification"):
+            stabilizing_solution(k)
+
     def test_block_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(8):

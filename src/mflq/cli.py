@@ -335,9 +335,9 @@ def _cmd_spectrum(args, p, report):
                                        axis_tol=args.axis_tol)
     if args.system == "social":
         w = gamma_weights(p.Q, p.Gamma, p.eta)
-        matrix = social_mod.build_hamiltonian(p, are.X, w)
+        matrix = social_mod.build_hamiltonian(are, w)
     else:
-        matrix = mfg_mod.build_mfg_matrix(p, are.X)
+        matrix = mfg_mod.build_mfg_matrix(p, are)
     doc = {
         "command": "spectrum",
         "system": args.system,
@@ -392,7 +392,8 @@ def _build_parser():
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--reps", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="accepted for compatibility; has no effect")
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = sub.add_parser("spectrum")

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import as_square, block_2x2, mat_exp, real_schur_ordered, solve_linear
+from .linalg import (as_square, block_2x2, fill_powers, mat_exp,
+                     real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -203,7 +204,8 @@ def evaluate_trajectory(sol, d, rho, t_grid):
             stepper = steps.get(h)
             if stepper is None:
                 stepper = steps[h] = mat_exp(sol.y1_generator * h)
-            _fill_powers(stepper, w, states[lo:hi])
+            states[lo] = stepper @ w
+            fill_powers(stepper, states[lo:hi])
         w = states[hi - 1]
     y = np.empty((t.size, 2 * n))
     y[:, :n] = states[:, :n]
@@ -243,20 +245,6 @@ def _equal_step_runs(t):
             pending += [(mid, hi), (lo, mid)]
             continue
         yield lo, hi, h
-
-
-def _fill_powers(e, w, out):
-    """Fill the rows of `out` with ``e^1 w, e^2 w, ...`` by doubling: once
-    the rows up to ``e^k w`` are in place and ``power = e^k``, the next `k`
-    rows are ``rows @ power.T``, then `power` is squared."""
-    out[0] = e @ w
-    power = e
-    k = 1
-    while k < len(out):
-        take = min(k, len(out) - k)
-        out[k:k + take] = out[:take] @ power.T
-        k += take
-        power = power @ power
 
 
 def sample_trajectory(self, t_grid):

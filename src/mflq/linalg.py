@@ -25,6 +25,7 @@ __all__ = [
     "block_2x2",
     "default_axis_tol",
     "eigenvalues",
+    "fill_powers",
     "mat_exp",
     "real_schur_ordered",
     "solve_linear",
@@ -128,6 +129,23 @@ def weighted_gram(b, r):
     """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized."""
     m = b @ solve_spd(r, b.T)
     return 0.5 * (m + m.T)
+
+
+def fill_powers(e, out):
+    """Fill ``out[j] = out[0] @ (e^j)'`` from ``out[0]`` by doubling: once
+    the rows ``j < k`` are in place and ``power = e^k``, the next `k` rows
+    are ``rows @ power.T``, then `power` is squared.  A vector row `v` gives
+    ``e^j v``, a matrix row `m` gives ``(e^j m')'``.  `out` must be
+    contiguous: each product then runs on one flat view of its rows."""
+    flat = out.reshape(-1, e.shape[0])
+    per = len(flat) // len(out)
+    power = e
+    k = 1
+    while k < len(out):
+        take = min(k, len(out) - k)
+        flat[k * per:(k + take) * per] = flat[:take * per] @ power.T
+        k += take
+        power = power @ power
 
 
 # ---------------------------------------------------------------------------

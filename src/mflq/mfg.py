@@ -41,13 +41,13 @@ class MfgSolution:
     trajectory = dichotomy.sample_trajectory
 
 
-def build_mfg_matrix(p, Pi):
-    """Coefficient matrix ``[[As, -B inv(R) B'], [Q Gamma, -As']]`` of the
-    discounted game system; the lower-left block is the plain product
+def build_mfg_matrix(p, are):
+    """Coefficient matrix ``[[As, -M], [Q Gamma, -As']]`` of the discounted
+    game system, with ``M = B inv(R) B'`` and the closed loop
+    ``As = A - (rho/2) I - M Pi`` taken from the discounted Riccati
+    solution `are`; the lower-left block is the plain product
     ``Q @ Gamma``, not its symmetrized counterpart."""
-    m = p.control_gram()
-    a_shift = p.A - m @ Pi - 0.5 * p.rho * np.eye(p.n)
-    return block_2x2(a_shift, -m, p.Q @ p.Gamma, -a_shift.T)
+    return block_2x2(are.closed_loop, -are.M, p.Q @ p.Gamma, -are.closed_loop.T)
 
 
 def solve_mfg(p, axis_tol=None):
@@ -63,7 +63,7 @@ def solve_mfg(p, axis_tol=None):
     """
     t_start = time.perf_counter()
     are = discounted_riccati(p, axis_tol=axis_tol)
-    m_mfg = build_mfg_matrix(p, are.X)
+    m_mfg = build_mfg_matrix(p, are)
     d = dichotomy.decompose_from_schur(m_mfg, axis_tol=axis_tol)
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)

@@ -76,13 +76,15 @@ class CareProblem:
 
 @dataclass(frozen=True)
 class StabilizingRiccatiSolution:
-    """Symmetric solution with a certified stable closed loop.
+    """Symmetric solution with a certified stable closed loop
+    ``closed_loop = A_o - M X``, and the `M` the solve used.
 
     `residual` is the Frobenius norm of the equation evaluated at `X`;
     `spectrum_margin` is ``-max Re eig(closed_loop) > 0``.
     """
 
     X: np.ndarray
+    M: np.ndarray
     closed_loop: np.ndarray
     residual: float
     spectrum_margin: float
@@ -187,7 +189,8 @@ def stabilizing_solution(h, axis_tol=None):
             f"closed-loop margin {margin_cl:.3e})"
         )
     return StabilizingRiccatiSolution(
-        X=x, closed_loop=closed_loop, residual=residual, spectrum_margin=margin_cl
+        X=x, M=m, closed_loop=closed_loop, residual=residual,
+        spectrum_margin=margin_cl,
     )
 
 

@@ -5,14 +5,14 @@ Each replication integrates all N coupled state SDEs with Euler-Maruyama,
 using independent Brownian increments per agent, and accumulates the
 discounted per-agent running costs by a left-endpoint Riemann sum truncated
 at the horizon.  The mean-field gap compares the finite-population average
-state against the solved deterministic mean field at every grid point.
+state against the solved deterministic mean field at every grid point.  All
+replications are stepped together as one ``(replications, N, n)`` array.
 
-Randomness is fully reproducible: replication r draws from a generator
-seeded by ``SeedSequence(seed, spawn_key=(r,))``, so results are identical
-for a given config regardless of execution order or thread count.
+Randomness is fully reproducible: replication r draws its initial states,
+then one noise block per step, from a generator seeded by
+``SeedSequence(seed, spawn_key=(r,))``, whatever runs beside it.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,41 +86,9 @@ def _initial_transform(p, cfg):
 
 
 def _running_cost(p, x, u, x_mean):
-    dev = x - (p.Gamma @ x_mean + p.eta)
-    return (np.einsum("ij,jk,ik->i", dev, p.Q, dev)
-            + np.einsum("ij,jk,ik->i", u, p.R, u))
-
-
-def _run_replication(p, strategy, cfg, t_grid, xbar, uff, rep):
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
-    mean, chol = _initial_transform(p, cfg)
-    x = mean + rng.standard_normal((cfg.N, p.n)) @ chol.T
-    a_cl = p.A + p.B @ strategy.K_x
-    dt = float(t_grid[1] - t_grid[0])
-    sq_dt = np.sqrt(dt)
-    steps = t_grid.size - 1
-    discount = np.exp(-p.rho * t_grid[:-1])
-    cost = np.zeros(cfg.N)
-    gap = 0.0
-    path = np.empty((t_grid.size, p.n)) if cfg.store_paths else None
-    for k in range(steps):
-        x_mean = x.mean(axis=0)
-        if path is not None:
-            path[k] = x_mean
-        gap = max(gap, float(np.linalg.norm(x_mean - xbar[k])))
-        u = x @ strategy.K_x.T + uff[k]
-        cost += discount[k] * _running_cost(p, x, u, x_mean) * dt
-        drift = x @ a_cl.T + uff[k] @ p.B.T
-        noise = rng.standard_normal((cfg.N, p.n2)) * sq_dt
-        x = x + drift * dt + noise @ p.D.T
-    x_mean = x.mean(axis=0)
-    if path is not None:
-        path[steps] = x_mean
-    gap = max(gap, float(np.linalg.norm(x_mean - xbar[steps])))
-    u = x @ strategy.K_x.T + uff[steps]
-    terminal_level = float(_running_cost(p, x, u, x_mean).mean())
-    tail = np.exp(-p.rho * float(t_grid[-1])) * terminal_level / p.rho
-    return float(cost.mean()), gap, tail, path
+    dev = x - (x_mean @ p.Gamma.T + p.eta)[:, None, :]
+    return (np.einsum("rij,rij->ri", dev @ p.Q, dev)
+            + np.einsum("rij,rij->ri", u @ p.R, u))
 
 
 def simulate(p, strategy, cfg, threads=1):
@@ -128,9 +96,9 @@ def simulate(p, strategy, cfg, threads=1):
 
     `strategy` must come from a solved consistency system (it supplies the
     feedback gain, the feedforward input and the deterministic mean field).
-    The problem's noise matrix `D` is required here even if zero.
-    Replications run on up to `threads` workers; results do not depend on
-    the thread count.
+    The problem's noise matrix `D` is required here even if zero.  All
+    replications are stepped together as one ``(replications, N, n)``
+    array; `threads` is accepted for compatibility and has no effect.
     """
     if p.D is None:
         raise ValueError("simulation requires the noise matrix D")
@@ -138,21 +106,39 @@ def simulate(p, strategy, cfg, threads=1):
     t_grid = np.arange(steps + 1) * cfg.dt
     xbar, s = strategy.solution.trajectory(t_grid)
     uff = s @ strategy.feedforward_gain.T
-
-    def run(rep):
-        return _run_replication(p, strategy, cfg, t_grid, xbar, uff, rep)
-
-    if threads and threads > 1 and cfg.replications > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, range(cfg.replications)))
-    else:
-        rows = [run(rep) for rep in range(cfg.replications)]
-
-    costs = np.array([r[0] for r in rows])
-    gaps = np.array([r[1] for r in rows])
-    tails = np.array([r[2] for r in rows])
-    paths = [r[3] for r in rows] if cfg.store_paths else None
     reps = cfg.replications
+    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+            for r in range(reps)]
+    mean, chol = _initial_transform(p, cfg)
+    draws = np.empty((reps, cfg.N, p.n))
+    for rng, block in zip(rngs, draws):
+        rng.standard_normal(out=block)
+    x = mean + draws @ chol.T
+    a_cl = p.A + p.B @ strategy.K_x
+    dt = float(t_grid[1] - t_grid[0])
+    sq_dt = np.sqrt(dt)
+    discount = np.exp(-p.rho * t_grid[:-1])
+    noise = np.empty((reps, cfg.N, p.n2))
+    cost = np.zeros((reps, cfg.N))
+    gaps = np.zeros(reps)
+    paths = np.empty((reps, t_grid.size, p.n)) if cfg.store_paths else None
+    for k in range(steps + 1):
+        x_mean = x.mean(axis=1)
+        if paths is not None:
+            paths[:, k] = x_mean
+        gaps = np.maximum(gaps, np.linalg.norm(x_mean - xbar[k], axis=1))
+        u = x @ strategy.K_x.T + uff[k]
+        if k == steps:
+            break
+        cost += discount[k] * _running_cost(p, x, u, x_mean) * dt
+        drift = x @ a_cl.T + uff[k] @ p.B.T
+        for rng, block in zip(rngs, noise):
+            rng.standard_normal(out=block)
+        x = x + drift * dt + (noise * sq_dt) @ p.D.T
+    # the discarded tail, bounded by the terminal running-cost level
+    tails = (np.exp(-p.rho * float(t_grid[-1]))
+             * _running_cost(p, x, u, x_mean).mean(axis=1) / p.rho)
+    costs = cost.mean(axis=1)
     return SimResult(
         t_grid=t_grid,
         per_rep_cost=costs,
@@ -163,5 +149,5 @@ def simulate(p, strategy, cfg, threads=1):
         gap_mean=float(gaps.mean()),
         gap_std=float(gaps.std(ddof=1)) if reps > 1 else 0.0,
         tail_mean=float(tails.mean()),
-        mean_paths=paths,
+        mean_paths=list(paths) if paths is not None else None,
     )

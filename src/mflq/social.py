@@ -82,12 +82,12 @@ class StrategySpec:
         return s @ self.feedforward_gain.T
 
 
-def build_hamiltonian(p, Pi, w):
-    """Hamiltonian ``[[As, -B inv(R) B'], [Q_Gamma, -As']]`` of the
-    discounted consistency system, ``As = A - B inv(R) B' Pi - (rho/2) I``."""
-    m = p.control_gram()
-    a_shift = p.A - m @ Pi - 0.5 * p.rho * np.eye(p.n)
-    return block_2x2(a_shift, -m, w.Q_Gamma, -a_shift.T)
+def build_hamiltonian(are, w):
+    """Hamiltonian ``[[As, -M], [Q_Gamma, -As']]`` of the discounted
+    consistency system, from the discounted Riccati solution `are`: its `M`
+    is ``B inv(R) B'`` and its closed loop is
+    ``As = A - (rho/2) I - M Pi``."""
+    return block_2x2(are.closed_loop, -are.M, w.Q_Gamma, -are.closed_loop.T)
 
 
 def solve_sce(p, axis_tol=None):
@@ -108,7 +108,7 @@ def solve_sce(p, axis_tol=None):
     t_start = time.perf_counter()
     are = discounted_riccati(p, axis_tol=axis_tol)
     w = gamma_weights(p.Q, p.Gamma, p.eta)
-    h = build_hamiltonian(p, are.X, w)
+    h = build_hamiltonian(are, w)
     aux = riccati.stabilizing_solution(h, axis_tol=axis_tol)
     d = dichotomy.decompose_from_riccati(h, aux)
     n = p.n

@@ -189,7 +189,7 @@ def random_problem(rng, max_n=4, coupling="generic", with_noise=False,
             are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
         except Exception:
             continue
-        h = build_hamiltonian(p, are.X, gamma_weights(p.Q, p.Gamma, p.eta))
+        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
         lam = eigenvalues(h)
         if np.abs(lam.real).min() <= axis_margin:
             continue

@@ -252,7 +252,7 @@ def test_criterion_6g_scalar_spectral_law():
         p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[gam]],
                         eta=[0.0], rho=rho, x0=[1.0])
         are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-        h = build_hamiltonian(p, are.X, gamma_weights(p.Q, p.Gamma, p.eta))
+        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
         for lam in eigenvalues(h):
             assert scaled_close(lam**2, target, 1e-9)
         done += 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import game_problem, random_problem, scaled_close
+from mflq import linalg, social
 from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
 from mflq.mfg import build_mfg_matrix, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
@@ -14,8 +15,8 @@ class TestBuildMfgMatrix:
         rng = np.random.default_rng(2)
         p = random_problem(rng, coupling="zero")
         are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-        m_mfg = build_mfg_matrix(p, are.X)
-        h = build_hamiltonian(p, are.X, gamma_weights(p.Q, p.Gamma, p.eta))
+        m_mfg = build_mfg_matrix(p, are)
+        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
         assert np.allclose(m_mfg, h, atol=1e-12)
 
     def test_generally_not_hamiltonian(self):
@@ -27,7 +28,7 @@ class TestBuildMfgMatrix:
             if p.n < 2:
                 continue
             are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-            m_mfg = build_mfg_matrix(p, are.X)
+            m_mfg = build_mfg_matrix(p, are)
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -39,7 +40,7 @@ class TestBuildMfgMatrix:
     def test_lower_left_block_is_plain_product(self):
         p = game_problem()
         are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-        m_mfg = build_mfg_matrix(p, are.X)
+        m_mfg = build_mfg_matrix(p, are)
         assert np.allclose(m_mfg[2:, :2], p.Q @ p.Gamma)
 
 
@@ -100,6 +101,23 @@ class TestSolveMfg:
         xbar, s = sol.trajectory(np.array([0.0]))
         assert np.allclose(xbar[0], game_case.x0, atol=1e-12)
         assert np.allclose(s[0], sol.s0, atol=1e-12)
+
+
+@pytest.mark.parametrize("solve", [solve_sce, solve_mfg])
+def test_one_cholesky_of_r_per_solve(monkeypatch, solve):
+    # the discounted solve forms B inv(R) B' once, and the consistency
+    # matrix is built from what it returned
+    calls = []
+    real = linalg.solve_spd
+
+    def counting(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "solve_spd", counting)
+    monkeypatch.setattr(social, "solve_spd", counting)
+    solve(game_problem())
+    assert len(calls) == 1
 
 
 def direct_s0(sol, p):

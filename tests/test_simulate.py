@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import scalar_social_problem
+from conftest import PROBLEM_DIR, random_problem, scalar_social_problem
+from mflq.cli import load_problem_file
 from mflq.problem import ProblemData
-from mflq.simulate import SimConfig, simulate
+from mflq.simulate import SimConfig, _initial_transform, simulate
 from mflq.social import decentralized_strategy, solve_sce
 
 
@@ -124,3 +127,120 @@ def test_euler_error_first_order_in_dt():
         xbar, _ = strat.solution.trajectory(result.t_grid)
         errs.append(np.abs(result.mean_paths[0] - xbar).max())
     assert errs[1] <= 0.7 * errs[0]
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: the expected per-agent discounted cost of the recursion the
+# simulator runs, not of the SDE it discretizes.
+
+def expected_cost(p, strategy, cfg, t_grid):
+    """Expected per-agent cost of the Euler-Maruyama recursion, truncated at
+    the horizon, and the mean path ``m_k``.
+
+    The agents are i.i.d. under the decentralized strategy.  With
+    ``F = I + (A + B K_x) dt`` the mean follows ``m_{k+1} = F m_k + B uff_k dt``
+    and the deviation covariance ``P_{k+1} = F P_k F' + D D' dt``.  The cost
+    couples an agent to the empirical mean of N agents, which adds
+    ``-(P Gamma' + Gamma P)/N + Gamma P Gamma'/N`` to the covariance of
+    ``x_i - Gamma xbar - eta``; the control covariance is ``K_x P K_x'``.
+    """
+    n, k_x, gam = p.n, strategy.K_x, p.Gamma
+    dt = t_grid[1] - t_grid[0]
+    uff = strategy.feedforward(t_grid)
+    f = np.eye(n) + (p.A + p.B @ k_x) * dt
+    m = p.x0 if cfg.init_mean is None else np.asarray(cfg.init_mean, float)
+    cov = np.zeros((n, n)) if cfg.init_cov is None else np.asarray(cfg.init_cov, float)
+    means = [m]
+    total = 0.0
+    for k in range(t_grid.size - 1):
+        e = m - gam @ m - p.eta
+        cov_e = cov - (cov @ gam.T + gam @ cov) / cfg.N + gam @ cov @ gam.T / cfg.N
+        u = k_x @ m + uff[k]
+        level = (e @ p.Q @ e + np.trace(p.Q @ cov_e)
+                 + u @ p.R @ u + np.trace(p.R @ k_x @ cov @ k_x.T))
+        total += np.exp(-p.rho * t_grid[k]) * level * dt
+        m = f @ m + p.B @ uff[k] * dt
+        cov = f @ cov @ f.T + p.D @ p.D.T * dt
+        means.append(m)
+    return total, np.array(means)
+
+
+def _shipped(name):
+    return load_problem_file(PROBLEM_DIR / f"{name}.json")
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex43"])
+def test_noise_free_cost_matches_exact_oracle(name):
+    p = _shipped(name)
+    p = dataclasses.replace(p, D=0.0 * p.D)
+    strat = _strategy(p)
+    cfg = SimConfig(N=4, T=2.0, dt=0.01, replications=2, store_paths=True)
+    result = simulate(p, strat, cfg)
+    exact, means = expected_cost(p, strat, cfg, result.t_grid)
+    assert np.abs(result.per_rep_cost - exact).max() <= 1e-12 * abs(exact)
+    scale = np.abs(means).max()
+    for path in result.mean_paths:
+        assert np.abs(path - means).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["ex41", "ex43"])
+@pytest.mark.parametrize("agents", [8, 32])
+@pytest.mark.parametrize("spread", [False, True])
+def test_noisy_cost_within_four_stderr_of_exact_oracle(name, agents, spread):
+    p = _shipped(name)
+    strat = _strategy(p)
+    init_cov = 0.1 * np.eye(p.n) + 0.05 if spread else None
+    cfg = SimConfig(N=agents, T=2.0, dt=0.01, replications=64, seed=31,
+                    init_cov=init_cov)
+    result = simulate(p, strat, cfg)
+    exact, _ = expected_cost(p, strat, cfg, result.t_grid)
+    assert abs(result.cost_mean - exact) <= 4.0 * result.cost_stderr
+
+
+def reference_replication(p, strategy, cfg, rep):
+    """Replication `rep` stepped on its own, as a loop over time steps:
+    its mean path, agent-average cost, mean-field gap and tail bound."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
+    steps = max(1, int(round(cfg.T / cfg.dt)))
+    t = np.arange(steps + 1) * cfg.dt
+    xbar, s = strategy.solution.trajectory(t)
+    uff = s @ strategy.feedforward_gain.T
+    mean, chol = _initial_transform(p, cfg)
+    x = mean + rng.standard_normal((cfg.N, p.n)) @ chol.T
+    a_cl = p.A + p.B @ strategy.K_x
+    path, cost, gap = [], np.zeros(cfg.N), 0.0
+    for k in range(steps + 1):
+        x_mean = x.mean(axis=0)
+        path.append(x_mean)
+        gap = max(gap, float(np.linalg.norm(x_mean - xbar[k])))
+        u = x @ strategy.K_x.T + uff[k]
+        dev = x - (p.Gamma @ x_mean + p.eta)
+        level = (np.einsum("ij,jk,ik->i", dev, p.Q, dev)
+                 + np.einsum("ij,jk,ik->i", u, p.R, u))
+        if k == steps:
+            break
+        cost += np.exp(-p.rho * t[k]) * level * cfg.dt
+        noise = rng.standard_normal((cfg.N, p.n2)) * np.sqrt(cfg.dt)
+        x = x + (x @ a_cl.T + uff[k] @ p.B.T) * cfg.dt + noise @ p.D.T
+    tail = np.exp(-p.rho * t[-1]) * level.mean() / p.rho
+    return np.array(path), cost.mean(), gap, tail
+
+
+@pytest.mark.parametrize("case", ["ex43", "random"])
+def test_array_stepping_matches_per_replication_loop(case):
+    # same random streams, so the mean paths are bit-identical; the cost
+    # sums run in another order, so they agree to a few ulps
+    if case == "random":
+        p = random_problem(np.random.default_rng(8), max_n=4, with_noise=True)
+    else:
+        p = _shipped(case)
+    strat = _strategy(p)
+    cfg = SimConfig(N=16, T=1.0, dt=0.01, replications=3, seed=4,
+                    init_cov=0.2 * np.eye(p.n), store_paths=True)
+    result = simulate(p, strat, cfg)
+    for rep in range(cfg.replications):
+        path, cost, gap, tail = reference_replication(p, strat, cfg, rep)
+        assert np.array_equal(result.mean_paths[rep], path)
+        assert result.per_rep_cost[rep] == pytest.approx(cost, rel=1e-14)
+        assert result.per_rep_gap[rep] == pytest.approx(gap, rel=1e-14)
+        assert result.per_rep_tail[rep] == pytest.approx(tail, rel=1e-14)

@@ -27,7 +27,7 @@ class TestBuildHamiltonian:
                                    scalar_social.Q, scalar_social.R,
                                    scalar_social.rho)
         w = gamma_weights(scalar_social.Q, scalar_social.Gamma, scalar_social.eta)
-        h = build_hamiltonian(scalar_social, are.X, w)
+        h = build_hamiltonian(are, w)
         root = np.sqrt(4.25)
         assert np.allclose(h, [[-root, -1.0], [2.0, root]], atol=1e-9)
 
@@ -37,7 +37,7 @@ class TestBuildHamiltonian:
         for _ in range(10):
             p = random_problem(rng)
             are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-            h = build_hamiltonian(p, are.X, gamma_weights(p.Q, p.Gamma, p.eta))
+            h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -162,7 +162,7 @@ class TestSolveSce:
             p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]],
                             Gamma=[[gam]], eta=[0.0], rho=rho, x0=[1.0])
             are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-            h = build_hamiltonian(p, are.X, gamma_weights(p.Q, p.Gamma, p.eta))
+            h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
             lam = eigenvalues(h)
             assert scaled_close(lam[0] ** 2, target, 1e-9)
             assert scaled_close(lam[1] ** 2, target, 1e-9)

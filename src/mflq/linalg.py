@@ -4,19 +4,72 @@ Eigenvalues, the stable-first real Schur form, a scaling-and-squaring matrix
 exponential, LU and Cholesky solves, 2x2 block assembly and spectral helpers.
 LAPACK ``dgeev``, ``dgetrf``/``dgetrs``, ``dpotrf``/``dpotrs``, ``dgees`` and
 ``dtrsen`` are called directly: on small matrices their numpy and scipy
-wrappers cost more than they do.  All functions are pure on float64 arrays.
+wrappers cost more than they do.  The wrappers are the functions of scipy's
+compiled extension ``scipy.linalg._flapack``, the same objects
+``scipy.linalg.lapack`` re-exports, loaded without running the
+``scipy.linalg`` package init (see :func:`_load_flapack`).  All functions
+are pure on float64 arrays.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dgeev, dgetrf, dgetrs, dpotrf, dpotrs, dtrsen
+import scipy
 
 from .errors import (
     ImaginaryAxisEigenvalue,
     SchurConvergenceFailure,
     SingularMatrix,
 )
+
+
+def _load_flapack():
+    """The extension module ``scipy.linalg._flapack``, loaded from scipy's
+    install directory and registered under its own name.
+
+    ``import scipy.linalg.lapack`` would run the ``scipy.linalg`` package
+    init, which clones numpy for the array API layer and so imports
+    ``numpy.f2py``, ``numpy.ma``, ``numpy.testing`` and ``numpy.random``:
+    a median 280 ms in a fresh process on a 2-vCPU VM (Python 3.11, scipy
+    1.17), three times ``import numpy``, against 5 ms for loading the
+    extension alone.  The top-level ``scipy`` package is still imported
+    (above) for its platform set-up.  An entry already in ``sys.modules``
+    is reused, and a later
+    ``import scipy.linalg`` picks up the one registered here, so there is
+    one module object per process.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory,
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"LAPACK extension {name} not found in {directory}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgees = _flapack.dgees
+dgeev = _flapack.dgeev
+dgetrf = _flapack.dgetrf
+dgetrs = _flapack.dgetrs
+dpotrf = _flapack.dpotrf
+dpotrs = _flapack.dpotrs
+dtrsen = _flapack.dtrsen
 
 __all__ = [
     "OrderedSchurForm",

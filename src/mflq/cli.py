@@ -301,10 +301,10 @@ def _cmd_simulate(args, p, report):
                         replications=args.reps, seed=args.seed)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    sol = social_mod.solve_sce(p, axis_tol=args.axis_tol)
-    strategy = social_mod.decentralized_strategy(sol, p)
     if p.D is None:
         raise ProblemFileError("simulation requires field 'D' in the problem file")
+    sol = social_mod.solve_sce(p, axis_tol=args.axis_tol)
+    strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

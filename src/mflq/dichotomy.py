@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (as_square, block_2x2, fill_powers, mat_exp,
+from .linalg import (as_square, block_2x2, fill_powers, lu_factor, mat_exp,
                      real_schur_ordered, solve_linear)
 
 __all__ = [
@@ -44,8 +44,9 @@ _CONDITION_LIMIT = 1e12
 class DichotomyDecomposition:
     """Invertible `U` (with inverse `V`) block-triangularizing the source
     matrix `K`: ``V K U = [[F11, F12], [0, F22]]`` with `F11` stable and
-    `-F22` stable.  The leading n-by-n block of `U` is invertible with
-    condition estimate `U11_condition`."""
+    `-F22` stable.  The leading n-by-n block of `U` is invertible;
+    `U11_condition` is the ``dgecon`` estimate of its 1-norm condition
+    (:func:`linalg.lu_factor`), exactly 1 for the Riccati transform."""
 
     U: np.ndarray
     V: np.ndarray
@@ -108,7 +109,8 @@ def decompose_from_schur(K, axis_tol=None):
     DichotomySplitFailure
         If the stable/antistable split is not n/n.
     GraphSubspaceFailure
-        If the leading n-by-n block of `U` has condition estimate > 1e12.
+        If the leading n-by-n block of `U` has 1-norm condition estimate
+        > 1e12.
     """
     K = as_square(K)
     m = K.shape[0]
@@ -122,7 +124,7 @@ def decompose_from_schur(K, axis_tol=None):
             f"need {n}/{n}"
         )
     u11 = sf.W[:n, :n]
-    condition = np.linalg.cond(u11)
+    _, _, condition = lu_factor(u11)
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
         raise GraphSubspaceFailure(
             f"leading transform block has condition {condition:.3e}; "

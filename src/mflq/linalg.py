@@ -2,10 +2,10 @@
 
 Eigenvalues, the stable-first real Schur form, a scaling-and-squaring matrix
 exponential, LU and Cholesky solves, 2x2 block assembly and spectral helpers.
-LAPACK ``dgeev``, ``dgetrf``/``dgetrs``, ``dpotrf``/``dpotrs``, ``dgees`` and
-``dtrsen`` are called directly: on small matrices their numpy and scipy
-wrappers cost more than they do.  The wrappers are the functions of scipy's
-compiled extension ``scipy.linalg._flapack``, the same objects
+LAPACK ``dgeev``, ``dgetrf``/``dgetrs``/``dgecon``, ``dpotrf``/``dpotrs``,
+``dgees`` and ``dtrsen`` are called directly: on small matrices their numpy
+and scipy wrappers cost more than they do.  The wrappers are the functions
+of scipy's compiled extension ``scipy.linalg._flapack``, the same objects
 ``scipy.linalg.lapack`` re-exports, loaded without running the
 ``scipy.linalg`` package init (see :func:`_load_flapack`).  All functions
 are pure on float64 arrays.
@@ -38,9 +38,8 @@ def _load_flapack():
     1.17), three times ``import numpy``, against 5 ms for loading the
     extension alone.  The top-level ``scipy`` package is still imported
     (above) for its platform set-up.  An entry already in ``sys.modules``
-    is reused, and a later
-    ``import scipy.linalg`` picks up the one registered here, so there is
-    one module object per process.
+    is reused, and a later ``import scipy.linalg`` picks up the one
+    registered here, so there is one module object per process.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -63,6 +62,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+dgecon = _flapack.dgecon
 dgees = _flapack.dgees
 dgeev = _flapack.dgeev
 dgetrf = _flapack.dgetrf
@@ -79,6 +79,8 @@ __all__ = [
     "default_axis_tol",
     "eigenvalues",
     "fill_powers",
+    "lu_factor",
+    "lu_solve",
     "mat_exp",
     "real_schur_ordered",
     "solve_linear",
@@ -167,6 +169,27 @@ def solve_linear(a, b):
             f"pivot {pivots.min():.3e} below threshold {1e-12 * nrm:.3e}"
         )
     return dgetrs(lu, piv, b)[0]
+
+
+def lu_factor(a):
+    """Pivoted LU factors of a square `a` (``dgetrf``) and, from them, the
+    ``dgecon`` estimate of its 1-norm condition ``||a||_1 ||inv(a)||_1``.
+
+    Returns ``(lu, piv, condition)``.  Up to rounding the estimate is a
+    lower bound on the exact 1-norm condition, and on small matrices it is
+    usually equal to it; it is ``inf`` when a pivot is exactly zero.
+    """
+    lu, piv, info = dgetrf(a)
+    if info > 0:
+        return lu, piv, np.inf
+    rcond, _ = dgecon(lu, np.linalg.norm(a, 1))
+    return lu, piv, 1.0 / rcond if rcond > 0.0 else np.inf
+
+
+def lu_solve(lu, piv, b, trans=0):
+    """Solve ``a @ x = b``, or ``a.T @ x = b`` with ``trans=1``, on the
+    factors ``lu, piv`` of `a` from :func:`lu_factor` (``dgetrs``)."""
+    return dgetrs(lu, piv, b, trans=trans)[0]
 
 
 def solve_spd(a, b):

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphSubspaceFailure, NonPositiveR, StabilizabilityFailure
-from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues,
-                     real_schur_ordered, spectral_abscissa, weighted_gram)
+from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_factor,
+                     lu_solve, real_schur_ordered, spectral_abscissa,
+                     weighted_gram)
 
 __all__ = [
     "CareProblem",
@@ -159,8 +160,9 @@ def stabilizing_solution(h, axis_tol=None):
         If the Hamiltonian spectrum touches the imaginary axis, i.e. the
         exponential dichotomy needed by the method does not exist.
     GraphSubspaceFailure
-        If `W11` is numerically singular (condition estimate > 1e12): the
-        stable subspace is not a graph subspace; or if certification fails.
+        If `W11` is numerically singular (1-norm condition estimate from
+        its LU factors > 1e12): the stable subspace is not a graph
+        subspace; or if certification fails.
     """
     n = h.shape[0] // 2
     sf = real_schur_ordered(h, axis_tol=axis_tol)
@@ -171,12 +173,13 @@ def stabilizing_solution(h, axis_tol=None):
         )
     w11 = sf.W[:n, :n]
     w21 = sf.W[n:, :n]
-    condition = np.linalg.cond(w11)
+    lu, piv, condition = lu_factor(w11)
     if not np.isfinite(condition) or condition > _GRAPH_CONDITION_LIMIT:
         raise GraphSubspaceFailure(
             f"leading Schur-vector block has condition {condition:.3e}"
         )
-    x = np.linalg.solve(w11.T, w21.T).T
+    # X W11 = W21, solved as W11' X' = W21' on the factors of W11
+    x = lu_solve(lu, piv, w21.T, trans=1).T
     x = 0.5 * (x + x.T)
     a_o, m, q_o = h[:n, :n], -h[:n, n:], -h[n:, :n]
     closed_loop = a_o - m @ x

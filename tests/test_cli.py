@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PROBLEM_DIR, scalar_social_problem
-from mflq import dichotomy
+from mflq import dichotomy, social
 from mflq.cli import (
     _time_grid,
     load_problem_file,
@@ -269,6 +269,22 @@ class TestSimulateCommand:
 
     def test_zero_dt_exit_4(self, capsys):
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4
+
+    @pytest.mark.parametrize("source", [SCALAR, BOUNDARY])
+    def test_missing_noise_matrix_exit_4_before_solving(self, capsys, tmp_path,
+                                                        monkeypatch, source):
+        # BOUNDARY has no dichotomy: a solve would exit 3 on it
+        with open(source) as fh:
+            doc = json.load(fh)
+        del doc["D"], doc["n2"]
+        path = tmp_path / "no_noise.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(social, "solve_sce",
+                            lambda *a, **k: calls.append(a) or solve_sce(*a, **k))
+        assert main(["simulate", str(path)]) == 4
+        assert "requires field 'D'" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestTrajectoryCsv:

@@ -8,6 +8,8 @@ from mflq.linalg import (
     block_2x2,
     default_axis_tol,
     eigenvalues,
+    lu_factor,
+    lu_solve,
     mat_exp,
     real_schur_ordered,
     solve_linear,
@@ -162,6 +164,25 @@ class TestSolveLinear:
     def test_empty(self):
         assert solve_linear(np.zeros((0, 0)), np.ones(0)).shape == (0,)
         assert solve_linear(np.zeros((0, 0)), np.ones((0, 3))).shape == (0, 3)
+
+
+class TestLuFactor:
+    def test_solves_and_transposed_solves_match_numpy(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 5))
+        b = rng.standard_normal((5, 3))
+        lu, piv, condition = lu_factor(a)
+        assert np.allclose(lu_solve(lu, piv, b), np.linalg.solve(a, b))
+        assert np.allclose(lu_solve(lu, piv, b, trans=1), np.linalg.solve(a.T, b))
+        assert condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
+
+    def test_exactly_singular_is_infinite(self):
+        assert lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))[2] == np.inf
+        assert lu_factor(np.zeros((3, 3)))[2] == np.inf
+
+    def test_ill_conditioned(self):
+        a = np.diag([1.0, 1e-14])
+        assert lu_factor(a)[2] == pytest.approx(1e14, rel=1e-12)
 
 
 class TestCholeskyGram:

@@ -52,6 +52,20 @@ class TestSolveMfg:
         assert np.allclose(lam, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
         assert sol.decomposition.U11_condition <= 1e12
 
+    def test_u11_condition_estimates_the_one_norm_condition(self):
+        # dgecon's estimate is a lower bound, and within a small factor
+        rng = np.random.default_rng(31)
+        solved = 0
+        while solved < 20:
+            p = random_problem(rng, max_n=6)
+            try:
+                d = solve_mfg(p).decomposition
+            except MflqError:
+                continue
+            solved += 1
+            exact = np.linalg.cond(d.U[:p.n, :p.n], 1)
+            assert exact / 3.0 <= d.U11_condition <= exact * (1.0 + 1e-10)
+
     def test_zero_coupling_coincides_with_social(self):
         rng = np.random.default_rng(12)
         t = np.linspace(0.0, 5.0, 51)

@@ -90,7 +90,7 @@ def parse_problem_dict(doc):
         raise ProblemFileError("problem document must be a JSON object")
     n = _int_field(doc, "n")
     n1 = _int_field(doc, "n1")
-    if n < 1 or n1 < 0:
+    if n < 1 or n1 < 1:
         raise ProblemFileError("dimensions n, n1 must be positive")
     rho = _field(doc, "rho")
     if not isinstance(rho, (int, float)) or isinstance(rho, bool):
@@ -214,7 +214,7 @@ def write_trajectory_csv(path, t_grid, xbar, s):
 
 def _cmd_solve_social(args, p, report):
     started = time.perf_counter()
-    sol = social_mod.solve_sce(p, axis_tol=args.axis_tol)
+    sol = social_mod.solve_sce(p)
     grid = _time_grid(args.t_end, args.dt)
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
@@ -247,7 +247,7 @@ def _cmd_solve_social(args, p, report):
 
 def _cmd_solve_game(args, p, report):
     started = time.perf_counter()
-    sol = mfg_mod.solve_mfg(p, axis_tol=args.axis_tol)
+    sol = mfg_mod.solve_mfg(p)
     grid = _time_grid(args.t_end, args.dt)
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
@@ -281,8 +281,7 @@ def _cmd_solve_game(args, p, report):
 
 
 def _cmd_contraction(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
-                                       axis_tol=args.axis_tol)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     beta = contraction_mod.contraction_bound(p, are.X)
     doc = {
         "command": "contraction",
@@ -303,7 +302,7 @@ def _cmd_simulate(args, p, report):
         raise ProblemFileError(str(exc)) from exc
     if p.D is None:
         raise ProblemFileError("simulation requires field 'D' in the problem file")
-    sol = social_mod.solve_sce(p, axis_tol=args.axis_tol)
+    sol = social_mod.solve_sce(p)
     strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)
     if args.out:
@@ -331,8 +330,7 @@ def _cmd_simulate(args, p, report):
 
 
 def _cmd_spectrum(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
-                                       axis_tol=args.axis_tol)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     if args.system == "social":
         w = gamma_weights(p.Q, p.Gamma, p.eta)
         matrix = social_mod.build_hamiltonian(are, w)
@@ -364,8 +362,6 @@ def _build_parser():
 
     def add_common(sp):
         sp.add_argument("problem", help="path to a JSON problem file")
-        sp.add_argument("--axis-tol", type=float, default=None,
-                        help="override the imaginary-axis tolerance")
         sp.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
 
@@ -407,7 +403,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         p = load_problem_file(args.problem)
-        report = validate(p, axis_tol=args.axis_tol)
+        report = validate(p)
         if not report.ok:
             _print_error("validation", "; ".join(report.failures())
                          + f" (margins: PBH {report.stabilizability_margin:.3e}, "

@@ -11,12 +11,16 @@ antistable rate.
 
 Two constructions of the transform are supported: the analytic one from a
 certified stabilizing Riccati solution (unit-triangular `U`) and the generic
-one from an ordered real Schur form (orthogonal `U`).  The improper integral
-behind the bounded choice is evaluated in closed form as a linear solve.  Trajectory
-samples come from an augmented matrix exponential, not ODE stepping: one
-exponential per run of equal grid steps, with the states along the run
-filled by repeated squaring, so a uniform grid of N points costs one
-exponential and about ``log2(N)`` small products.
+one from an ordered real Schur form (orthogonal `U`).  The latter,
+:func:`decompose_from_schur`, is the one splitting of the package: the
+Riccati solves (:func:`riccati.stabilizing_solution`) and the game both
+split through it, so its axis test, n/n check and condition limit are
+written once.  The improper integral behind the bounded choice is
+evaluated in closed form as a linear solve.  Trajectory samples come from
+an augmented matrix exponential, not ODE stepping: one exponential per run
+of equal grid steps, with the states along the run filled by repeated
+squaring, so a uniform grid of N points costs one exponential and about
+``log2(N)`` small products.
 """
 
 from dataclasses import dataclass
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (as_square, block_2x2, fill_powers, lu_factor, mat_exp,
-                     real_schur_ordered, solve_linear)
+from .linalg import (as_square, block_2x2, fill_powers, lu_factor, lu_solve,
+                     mat_exp, real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -44,8 +48,9 @@ _CONDITION_LIMIT = 1e12
 class DichotomyDecomposition:
     """Invertible `U` (with inverse `V`) block-triangularizing the source
     matrix `K`: ``V K U = [[F11, F12], [0, F22]]`` with `F11` stable and
-    `-F22` stable.  The leading n-by-n block of `U` is invertible;
-    `U11_condition` is the ``dgecon`` estimate of its 1-norm condition
+    `-F22` stable.  The leading n-by-n block `U11` of `U` is invertible;
+    `U11_lu` holds its pivoted LU factors ``(lu, piv)`` and
+    `U11_condition` the ``dgecon`` estimate of its 1-norm condition
     (:func:`linalg.lu_factor`), exactly 1 for the Riccati transform."""
 
     U: np.ndarray
@@ -53,6 +58,7 @@ class DichotomyDecomposition:
     F11: np.ndarray
     F12: np.ndarray
     F22: np.ndarray
+    U11_lu: tuple
     U11_condition: float
     K: np.ndarray
 
@@ -94,13 +100,14 @@ def decompose_from_riccati(K, aux):
     return DichotomyDecomposition(
         U=block_2x2(ident, 0.0, aux.X, ident), V=block_2x2(ident, 0.0, -aux.X, ident),
         F11=aux.closed_loop, F12=K[:n, n:], F22=-aux.closed_loop.T,
-        U11_condition=1.0, K=K,
+        U11_lu=lu_factor(ident)[:2], U11_condition=1.0, K=K,
     )
 
 
-def decompose_from_schur(K, axis_tol=None):
+def decompose_from_schur(K):
     """Dichotomy transform of a generic 2n-by-2n matrix from its ordered
-    real Schur form (orthogonal `U`, so ``V = U'``).
+    real Schur form (orthogonal `U`, so ``V = U'``).  The axis tolerance
+    is :func:`linalg.default_axis_tol` of `K`.
 
     Raises
     ------
@@ -117,14 +124,14 @@ def decompose_from_schur(K, axis_tol=None):
     if m % 2:
         raise ValueError(f"matrix dimension must be even, got {m}")
     n = m // 2
-    sf = real_schur_ordered(K, axis_tol=axis_tol)
+    sf = real_schur_ordered(K)
     if sf.k_stable != n:
         raise DichotomySplitFailure(
             f"stable/antistable split is {sf.k_stable}/{m - sf.k_stable}, "
             f"need {n}/{n}"
         )
     u11 = sf.W[:n, :n]
-    _, _, condition = lu_factor(u11)
+    lu, piv, condition = lu_factor(u11)
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
         raise GraphSubspaceFailure(
             f"leading transform block has condition {condition:.3e}; "
@@ -136,6 +143,7 @@ def decompose_from_schur(K, axis_tol=None):
         F11=sf.T[:n, :n],
         F12=sf.T[:n, n:],
         F22=sf.T[n:, n:],
+        U11_lu=(lu, piv),
         U11_condition=float(condition),
         K=K,
     )
@@ -151,7 +159,8 @@ def solve_decaying(d, z1_0, psi0, rho):
     ``c = -inv(F22 + (rho/2) I) @ (V @ psi0)[n:]``,
     the closed form of ``-int_0^inf exp(-F22*s) (V psi)(s) ds`` (convergent
     because ``-F22`` is stable and ``rho > 0``); the leading transformed
-    initial value then follows from ``U11 y1(0) = z1(0) - U12 c``.
+    initial value then follows from ``U11 y1(0) = z1(0) - U12 c``, solved
+    on the factors `U11_lu` of the decomposition.
     """
     if rho <= 0.0:
         raise ValueError(f"decay rate rho must be positive, got {rho}")
@@ -160,7 +169,7 @@ def solve_decaying(d, z1_0, psi0, rho):
     psi0 = np.asarray(psi0, dtype=float).reshape(2 * n)
     v_psi = d.V @ psi0
     c = -solve_linear(d.F22 + 0.5 * rho * np.eye(n), v_psi[n:])
-    y1_0 = solve_linear(d.U[:n, :n], z1_0 - d.U[:n, n:] @ c)
+    y1_0 = lu_solve(*d.U11_lu, z1_0 - d.U[:n, n:] @ c)
     z2_0 = d.U[n:, :n] @ y1_0 + d.U[n:, n:] @ c
     forcing = d.F12 @ c + v_psi[:n]
     generator = np.zeros((n + 1, n + 1))

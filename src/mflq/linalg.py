@@ -335,7 +335,7 @@ def _select_none(re, im):
     return 0
 
 
-def real_schur_ordered(k, axis_tol=None):
+def real_schur_ordered(k):
     """Real Schur form of `k` with all stable eigenvalues moved first.
 
     LAPACK ``dgees`` computes the unordered real Schur form and its
@@ -348,12 +348,11 @@ def real_schur_ordered(k, axis_tol=None):
     Parameters
     ----------
     k : array, shape (m, m)
-        Real square matrix with no eigenvalue within `axis_tol` of the
-        imaginary axis.
-    axis_tol : float, optional
-        Tolerance for the axis test; defaults to ``1e-9 * (1 + ||k||_F)``.
-        Eigenvalues within the tolerance are rejected even if genuinely
-        off-axis: the splitting would not be numerically trustworthy.
+        Real square matrix with no eigenvalue within
+        ``default_axis_tol(k) = 1e-9 * (1 + ||k||_F)`` of the imaginary
+        axis.  Eigenvalues within that tolerance are rejected even if
+        genuinely off-axis: the splitting would not be numerically
+        trustworthy.
 
     Returns
     -------
@@ -362,7 +361,7 @@ def real_schur_ordered(k, axis_tol=None):
     Raises
     ------
     ImaginaryAxisEigenvalue
-        If some eigenvalue has ``|Re| <= axis_tol``.
+        If some eigenvalue has ``|Re| <= default_axis_tol(k)``.
     SchurConvergenceFailure
         If the QR iteration or the reordering fails, or the final factors do
         not reproduce `k` to working accuracy.
@@ -371,8 +370,6 @@ def real_schur_ordered(k, axis_tol=None):
     m = k.shape[0]
     if m == 0:
         return OrderedSchurForm(W=k.copy(), T=k.copy(), k_stable=0)
-    if axis_tol is None:
-        axis_tol = default_axis_tol(k)
     t, _, wr, wi, w, _, info = dgees(_select_none, k)
     if info != 0:
         raise SchurConvergenceFailure(
@@ -380,7 +377,7 @@ def real_schur_ordered(k, axis_tol=None):
         )
     # real eigenvalues stay real, as np.linalg.eigvals reports them
     lam = wr + 1j * wi if wi.any() else wr
-    on_axis = lam[np.abs(wr) <= axis_tol]
+    on_axis = lam[np.abs(wr) <= default_axis_tol(k)]
     if on_axis.size:
         raise ImaginaryAxisEigenvalue(
             "eigenvalue(s) on or near the imaginary axis: "

@@ -50,7 +50,7 @@ def build_mfg_matrix(p, are):
     return block_2x2(are.closed_loop, -are.M, p.Q @ p.Gamma, -are.closed_loop.T)
 
 
-def solve_mfg(p, axis_tol=None):
+def solve_mfg(p):
     """Solve the game consistency system via the ordered Schur splitting,
     after the front end shared with the social solver
     (:func:`problem.discounted_riccati`).
@@ -62,9 +62,9 @@ def solve_mfg(p, axis_tol=None):
     when the leading transform block is numerically singular.
     """
     t_start = time.perf_counter()
-    are = discounted_riccati(p, axis_tol=axis_tol)
+    are = discounted_riccati(p)
     m_mfg = build_mfg_matrix(p, are)
-    d = dichotomy.decompose_from_schur(m_mfg, axis_tol=axis_tol)
+    d = dichotomy.decompose_from_schur(m_mfg)
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return MfgSolution(

@@ -44,8 +44,9 @@ class ProblemData:
         b = np.asarray(self.B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        if b.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got shape {b.shape}")
+        if b.shape[0] != n or b.shape[1] == 0:
+            raise ValueError(f"B must have {n} rows and at least one column, "
+                             f"got shape {b.shape}")
         q = as_symmetric(self.Q, "Q")
         r = as_symmetric(self.R, "R")
         gam = as_square(self.Gamma, "Gamma")
@@ -145,11 +146,11 @@ class ValidationReport:
         return out
 
 
-def validate(p, axis_tol=None):
+def validate(p):
     """Check stabilizability of ``(A, B)``, positive definiteness of `R`,
     and that the discount-shifted Hamiltonian built from `Q` has no
-    eigenvalues near the imaginary axis.  Never raises; the report carries
-    the verdicts and margins.
+    eigenvalues within :func:`linalg.default_axis_tol` of the imaginary
+    axis.  Never raises; the report carries the verdicts and margins.
     """
     margin = riccati.stabilizability_margin(p.A, p.B)
     stabilizable = bool(margin > riccati.PBH_TOL)
@@ -162,7 +163,7 @@ def validate(p, axis_tol=None):
         h = riccati.care_hamiltonian(
             riccati.CareProblem(shifted, p.control_gram(), p.Q)
         )
-        tol = default_axis_tol(h) if axis_tol is None else axis_tol
+        tol = default_axis_tol(h)
         axis_margin = float(np.abs(eigenvalues(h).real).min())
         axis_ok = bool(axis_margin > tol)
     return ValidationReport(
@@ -176,11 +177,10 @@ def validate(p, axis_tol=None):
     )
 
 
-def discounted_riccati(p, axis_tol=None):
+def discounted_riccati(p):
     """Front end of the social and game solvers: the PBH test on ``(A, B)``
     (it rejects an uncontrollable mode with ``0 <= Re lam < rho/2``, which
     the discounted solve accepts), then :func:`riccati.solve_discounted_are`,
     whose own `R` and axis checks use the thresholds of :func:`validate`."""
     riccati.require_stabilizable(p.A, p.B, "(A, B)")
-    return riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho,
-                                        axis_tol=axis_tol)
+    return riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)

@@ -4,9 +4,10 @@ Solves ``X A_o + A_o' X - X M X + Q_o = 0`` for the stabilizing (maximal)
 symmetric solution.  The state weight `Q_o` may be indefinite; what is
 required is that the associated 2n-by-2n Hamiltonian matrix has no
 eigenvalues on the imaginary axis and that ``(A_o, M)`` is stabilizable.
-The solution is read off the orthonormal basis of the stable invariant
-subspace: if its leading n rows form an invertible block ``W11``, then
-``X = W21 @ inv(W11)``.
+The solution is read off the orthonormal basis `U` of the stable invariant
+subspace that :func:`dichotomy.decompose_from_schur` computes, the same
+splitting the game uses: its leading n rows form an invertible block
+``U11``, and ``X = U21 @ inv(U11)``.
 
 :func:`stabilizing_solution` does this on a given Hamiltonian and certifies
 the result; :func:`solve_care_stabilizing` runs the ``(A_o, M)`` PBH test
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, NonPositiveR, StabilizabilityFailure
-from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_factor,
-                     lu_solve, real_schur_ordered, spectral_abscissa,
-                     weighted_gram)
+from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_solve,
+                     spectral_abscissa, weighted_gram)
 
 __all__ = [
     "CareProblem",
@@ -41,7 +42,6 @@ __all__ = [
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
 PBH_TOL = 1e-8
-_GRAPH_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -147,39 +147,31 @@ def r_definiteness(R):
     return r_min, r_min > 1e-10 * max(float(np.linalg.norm(R, "fro")), 1.0)
 
 
-def stabilizing_solution(h, axis_tol=None):
+def stabilizing_solution(h):
     """Certified stabilizing solution from the Hamiltonian
-    ``h = [[A_o, -M], [-Q_o, -A_o']]``: order its real Schur form
-    stable-first, form ``X = W21 @ inv(W11)`` from the leading n Schur
-    vectors, symmetrized as ``(X + X') / 2``, and certify the residual and
-    the stability of ``A_o - M X``.  No PBH test runs here.
+    ``h = [[A_o, -M], [-Q_o, -A_o']]``: split it by
+    :func:`dichotomy.decompose_from_schur`, form ``X = U21 @ inv(U11)``
+    from the leading n Schur vectors, symmetrized as ``(X + X') / 2``, and
+    certify the residual and the stability of ``A_o - M X``.  No PBH test
+    runs here.
 
     Raises
     ------
     ImaginaryAxisEigenvalue
         If the Hamiltonian spectrum touches the imaginary axis, i.e. the
         exponential dichotomy needed by the method does not exist.
+    DichotomySplitFailure
+        If the split is not n/n; a Hamiltonian off the axis always splits
+        n/n, so only a non-Hamiltonian `h` gets here.
     GraphSubspaceFailure
-        If `W11` is numerically singular (1-norm condition estimate from
+        If `U11` is numerically singular (1-norm condition estimate from
         its LU factors > 1e12): the stable subspace is not a graph
         subspace; or if certification fails.
     """
-    n = h.shape[0] // 2
-    sf = real_schur_ordered(h, axis_tol=axis_tol)
-    # A Hamiltonian matrix off the axis always splits n/n.
-    if sf.k_stable != n:
-        raise GraphSubspaceFailure(
-            f"expected {n} stable eigenvalues, found {sf.k_stable}"
-        )
-    w11 = sf.W[:n, :n]
-    w21 = sf.W[n:, :n]
-    lu, piv, condition = lu_factor(w11)
-    if not np.isfinite(condition) or condition > _GRAPH_CONDITION_LIMIT:
-        raise GraphSubspaceFailure(
-            f"leading Schur-vector block has condition {condition:.3e}"
-        )
-    # X W11 = W21, solved as W11' X' = W21' on the factors of W11
-    x = lu_solve(lu, piv, w21.T, trans=1).T
+    d = decompose_from_schur(h)
+    n = d.n
+    # X U11 = U21, solved as U11' X' = U21' on the factors of U11
+    x = lu_solve(*d.U11_lu, d.U[n:, :n].T, trans=1).T
     x = 0.5 * (x + x.T)
     a_o, m, q_o = h[:n, :n], -h[:n, n:], -h[n:, :n]
     closed_loop = a_o - m @ x
@@ -197,15 +189,15 @@ def stabilizing_solution(h, axis_tol=None):
     )
 
 
-def solve_care_stabilizing(p, axis_tol=None):
+def solve_care_stabilizing(p):
     """Stabilizing solution of a :class:`CareProblem`: the PBH test on
     ``(A_o, M)`` (:class:`StabilizabilityFailure`), then
     :func:`stabilizing_solution` on its Hamiltonian."""
     require_stabilizable(p.A_o, p.M, "(A_o, M)")
-    return stabilizing_solution(care_hamiltonian(p), axis_tol=axis_tol)
+    return stabilizing_solution(care_hamiltonian(p))
 
 
-def solve_discounted_are(A, B, Q, R, rho, axis_tol=None):
+def solve_discounted_are(A, B, Q, R, rho):
     """Stabilizing solution of the discounted Riccati equation.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
@@ -226,4 +218,4 @@ def solve_discounted_are(A, B, Q, R, rho, axis_tol=None):
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
     m = weighted_gram(B, R)
     shifted = A - 0.5 * rho * np.eye(A.shape[0])
-    return solve_care_stabilizing(CareProblem(shifted, m, Q), axis_tol=axis_tol)
+    return solve_care_stabilizing(CareProblem(shifted, m, Q))

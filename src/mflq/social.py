@@ -90,7 +90,7 @@ def build_hamiltonian(are, w):
     return block_2x2(are.closed_loop, -are.M, w.Q_Gamma, -are.closed_loop.T)
 
 
-def solve_sce(p, axis_tol=None):
+def solve_sce(p):
     """Solve the social consistency system end to end.
 
     Pipeline, the game's shape: the front end
@@ -106,10 +106,10 @@ def solve_sce(p, axis_tol=None):
     :class:`GraphSubspaceFailure` when a Riccati solution fails certification.
     """
     t_start = time.perf_counter()
-    are = discounted_riccati(p, axis_tol=axis_tol)
+    are = discounted_riccati(p)
     w = gamma_weights(p.Q, p.Gamma, p.eta)
     h = build_hamiltonian(are, w)
-    aux = riccati.stabilizing_solution(h, axis_tol=axis_tol)
+    aux = riccati.stabilizing_solution(h)
     d = dichotomy.decompose_from_riccati(h, aux)
     n = p.n
     psi0 = np.concatenate([np.zeros(n), w.eta_Gamma])

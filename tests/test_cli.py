@@ -153,6 +153,18 @@ class TestSolveSocialCommand:
         assert code == 4
         assert "field 'D' is not numeric" in err
 
+    def test_no_controls_exit_4(self, capsys, tmp_path):
+        bad = tmp_path / "no_controls.json"
+        bad.write_text(json.dumps({
+            "n": 1, "n1": 0, "rho": 1.0, "A": [[1.0]], "B": [[]],
+            "Q": [[1.0]], "R": [], "Gamma": [[0.0]],
+            "eta": [0.0], "x0": [0.0],
+        }))
+        code = main(["solve-social", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "n1" in err
+
     def test_validation_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "unstab.json"
         bad.write_text(json.dumps({

@@ -13,7 +13,7 @@ from mflq.dichotomy import (
     solve_decaying,
 )
 from mflq.errors import DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue
-from mflq.linalg import block_2x2, eigenvalues, mat_exp, spectral_abscissa
+from mflq.linalg import block_2x2, eigenvalues, lu_factor, mat_exp, spectral_abscissa
 from mflq.riccati import stabilizing_solution
 
 
@@ -374,6 +374,7 @@ def test_decomposition_dataclass_roundtrip():
         F11=q1.T @ d.F11 @ q1,
         F12=q1.T @ d.F12 @ q2,
         F22=q2.T @ d.F22 @ q2,
+        U11_lu=lu_factor(u2[:n, :n])[:2],
         U11_condition=float(np.linalg.cond(u2[:n, :n])),
         K=d.K,
     )

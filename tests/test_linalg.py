@@ -276,11 +276,11 @@ class TestRealSchurOrdered:
         with pytest.raises(ImaginaryAxisEigenvalue):
             real_schur_ordered([[0.0, 1.0], [-1.0, 0.0]])
 
-    def test_axis_tol_override(self):
-        k = np.diag([-1e-6, 1.0])
+    def test_default_axis_tol_boundary(self):
+        # the tolerance is 1e-9 (1 + ||k||_F), about 2e-9 here
         with pytest.raises(ImaginaryAxisEigenvalue):
-            real_schur_ordered(k, axis_tol=1e-3)
-        sf = real_schur_ordered(k, axis_tol=1e-9)
+            real_schur_ordered(np.diag([-1e-9, 1.0]))
+        sf = real_schur_ordered(np.diag([-1e-6, 1.0]))
         assert sf.k_stable == 1
 
     def test_default_axis_tol_scales(self):

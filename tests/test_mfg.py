@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import game_problem, random_problem, scaled_close
+from conftest import PROBLEM_DIR, game_problem, random_problem, scaled_close
 from mflq import linalg, social
+from mflq.cli import load_problem_file
 from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
 from mflq.mfg import build_mfg_matrix, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
@@ -132,6 +133,22 @@ def test_one_cholesky_of_r_per_solve(monkeypatch, solve):
     monkeypatch.setattr(social, "solve_spd", counting)
     solve(game_problem())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("solve,count", [(solve_mfg, 3), (solve_sce, 4)])
+def test_lu_factorizations_per_solve(monkeypatch, solve, count):
+    # the game splits through decompose_from_schur and solves for y1(0) on
+    # the factors of U11 it kept; the social transform's U11 is the identity
+    calls = []
+    real = linalg.dgetrf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "dgetrf", counting)
+    solve(load_problem_file(PROBLEM_DIR / "ex43.json"))
+    assert len(calls) == count
 
 
 def direct_s0(sol, p):

@@ -50,6 +50,12 @@ class TestProblemData:
         with pytest.raises(ValueError):
             ProblemData(**base)
 
+    def test_no_controls_rejected(self):
+        with pytest.raises(ValueError, match="B"):
+            ProblemData(A=[[1.0]], B=np.zeros((1, 0)), Q=[[1.0]],
+                        R=np.zeros((0, 0)), Gamma=[[0.0]], eta=[0.0],
+                        rho=1.0, x0=[0.0])
+
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
     def test_bad_rho(self, rho):
         with pytest.raises(ValueError):
@@ -199,3 +205,43 @@ class TestCostScaling:
                                    (sol.s0, base.s0, 1e-5)):
                 err = np.abs(got / c - want).max() / np.abs(want).max()
                 assert err <= tol, f"c={c}: relative error {err:.3e}"
+
+
+def outcome(solver, p):
+    """``(solution, None)``, or ``(None, error class)`` if `solver` rejects `p`."""
+    try:
+        return solver(p), None
+    except MflqError as exc:
+        return None, type(exc)
+
+
+class TestTimeScaling:
+    """``(A, B, Q, R, rho) -> c (A, B, Q, R, rho)`` is the same problem in
+    time units ``1/c`` times as long: the verdict, `Pi`, `X_plus` and `s0`
+    are unchanged, and the trajectory at time ``t/c`` is the original's at
+    time `t`."""
+
+    @pytest.mark.parametrize("name", ["ex22_degenerate", "ex41",
+                                      "ex42_gamma005", "ex42_gamma2", "ex43"])
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_time_units_do_not_matter(self, name, solver):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        base, base_error = outcome(solver, p)
+        t = np.linspace(0.0, 10.0, 101)
+        if base is not None:
+            ref = np.hstack(base.trajectory(t))
+        for c in (2.0**-20, 1e-3, 0.25, 4.0, 1e3, 2.0**20):
+            scaled = ProblemData(A=c * p.A, B=c * p.B, Q=c * p.Q, R=c * p.R,
+                                 Gamma=p.Gamma, eta=p.eta, rho=c * p.rho,
+                                 x0=p.x0)
+            sol, error = outcome(solver, scaled)
+            assert error is base_error, f"c={c}: {error} against {base_error}"
+            if sol is None:
+                continue
+            pairs = [(sol.Pi, base.Pi), (sol.s0, base.s0)]
+            if hasattr(base, "X_plus"):
+                pairs.append((sol.X_plus, base.X_plus))
+            for got, want in pairs:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
+            traj = np.hstack(sol.trajectory(t / c))
+            assert np.abs(traj - ref).max() <= 1e-11 * np.abs(ref).max(), c

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_care_problem
 from mflq.errors import (
+    DichotomySplitFailure,
     GraphSubspaceFailure,
     ImaginaryAxisEigenvalue,
     NonPositiveR,
@@ -87,6 +88,11 @@ class TestSolveCareStabilizing:
         h = care_hamiltonian(CareProblem([[1.0]], [[0.0]], [[1.0]]))
         with pytest.raises(GraphSubspaceFailure):
             stabilizing_solution(h)
+
+    def test_non_hamiltonian_split_failure(self):
+        # a Hamiltonian off the axis splits n/n; this matrix splits 3/1
+        with pytest.raises(DichotomySplitFailure):
+            stabilizing_solution(np.diag([-1.0, -2.0, -3.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_certified(self, seed):

@@ -11,7 +11,8 @@ antistable rate.
 
 Two constructions of the transform are supported: the analytic one from a
 certified stabilizing Riccati solution (unit-triangular `U`) and the generic
-one from an ordered real Schur form (orthogonal `U`).  The latter,
+one from the ordered real Schur form of `K` balanced by ``diag(I, cI)``
+(`U` orthogonal up to that scaling).  The latter,
 :func:`decompose_from_schur`, is the one splitting of the package: the
 Riccati solves (:func:`riccati.stabilizing_solution`) and the game both
 split through it, so its axis test, n/n check and condition limit are
@@ -23,13 +24,13 @@ squaring, so a uniform grid of N points costs one exponential and about
 ``log2(N)`` small products.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (as_square, block_2x2, fill_powers, lu_factor, lu_solve,
-                     mat_exp, real_schur_ordered, solve_linear)
+from .linalg import (as_square, block_2x2, block_balance, fill_powers, lu_factor,
+                     lu_solve, mat_exp, real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -105,9 +106,11 @@ def decompose_from_riccati(K, aux):
 
 
 def decompose_from_schur(K):
-    """Dichotomy transform of a generic 2n-by-2n matrix from its ordered
-    real Schur form (orthogonal `U`, so ``V = U'``).  The axis tolerance
-    is :func:`linalg.default_axis_tol` of `K`.
+    """Dichotomy transform of a generic 2n-by-2n matrix from the ordered
+    real Schur form ``W S W'`` of ``inv(T) K T``, balanced by
+    :func:`linalg.block_balance`: ``U = T W`` and ``V = W' inv(T)`` (exact,
+    so `U11` and the `F` blocks are those of `W` and `S`; `U` is orthogonal
+    only if ``T = I``).  The axis tolerance is that of the balanced matrix.
 
     Raises
     ------
@@ -124,7 +127,8 @@ def decompose_from_schur(K):
     if m % 2:
         raise ValueError(f"matrix dimension must be even, got {m}")
     n = m // 2
-    sf = real_schur_ordered(K)
+    balanced, c = block_balance(K)
+    sf = real_schur_ordered(balanced)
     if sf.k_stable != n:
         raise DichotomySplitFailure(
             f"stable/antistable split is {sf.k_stable}/{m - sf.k_stable}, "
@@ -137,9 +141,13 @@ def decompose_from_schur(K):
             f"leading transform block has condition {condition:.3e}; "
             "the stable subspace is not a graph subspace"
         )
+    u, v = sf.W, sf.W.T
+    if c != 1.0:
+        t = np.repeat([1.0, c], n)
+        u, v = u * t[:, None], v / t
     return DichotomyDecomposition(
-        U=sf.W,
-        V=sf.W.T,
+        U=u,
+        V=v,
         F11=sf.T[:n, :n],
         F12=sf.T[:n, n:],
         F22=sf.T[n:, n:],
@@ -263,9 +271,12 @@ def sample_trajectory(self, t_grid):
 
     The ``trajectory`` method of the social and the game solutions, which
     both carry ``bvp``, ``decomposition``, ``rho`` and ``n``.  Returns two
-    arrays of shape ``(len(t_grid), n)``.
-    """
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    z = evaluate_trajectory(self.bvp, self.decomposition, self.rho, t)
-    scaled = z * np.exp(0.5 * self.rho * t)[:, None]
-    return scaled[:, : self.n], scaled[:, self.n:]
+    arrays of shape ``(len(t_grid), n)``.  ``exp(rho t/2) z(t)`` is sampled
+    by the generator shifted by ``rho/2``, ``[[F11 + rho/2 I, forcing],
+    [0, 0]]``, with constant ``y2 = c``: no factor to overflow on long
+    horizons."""
+    bvp = self.bvp
+    shifted = replace(bvp, y1_generator=bvp.y1_generator
+                      + bvp.decay_rate * np.eye(self.n + 1), decay_rate=0.0)
+    z = evaluate_trajectory(shifted, self.decomposition, 0.0, t_grid)
+    return z[:, : self.n], z[:, self.n:]

@@ -13,6 +13,7 @@ are pure on float64 arrays.
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -76,6 +77,7 @@ __all__ = [
     "as_square",
     "as_symmetric",
     "block_2x2",
+    "block_balance",
     "default_axis_tol",
     "eigenvalues",
     "fill_powers",
@@ -121,6 +123,28 @@ def block_2x2(a11, a12, a21, a22):
     out = np.empty((2 * n, 2 * n))
     out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a11, a12, a21, a22
     return out
+
+
+def block_balance(k):
+    """``(inv(T) k T, c)`` for a 2n-by-2n `k` and ``T = diag(I, cI)``, with
+    `c` the power of two nearest ``sqrt(||k21||_F / ||k12||_F)`` (1 if
+    either block is zero): the simplest symplectic balancing of a
+    Hamiltonian (Benner, SISC 2001), exact.  Exponents and mantissas are
+    rounded apart, so ``(k12, k21) -> (2^-j k12, 2^j k21)`` gives ``2^j c``."""
+    n = k.shape[0] // 2
+    norms = np.linalg.norm(k[n:, :n]), np.linalg.norm(k[:n, n:])
+    if not 0.0 < min(norms) <= max(norms) < np.inf:
+        return k, 1.0
+    (m_lo, e_lo), (m_up, e_up) = map(math.frexp, norms)
+    d = e_lo - e_up
+    e = d // 2 + math.floor(0.5 * (d % 2 + math.log2(m_lo / m_up)) + 0.5)
+    if not e:
+        return k, 1.0
+    c = math.ldexp(1.0, e)
+    out = k.copy()
+    out[:n, n:] *= c
+    out[n:, :n] /= c
+    return out, c
 
 
 def eigenvalues(a):
@@ -202,9 +226,12 @@ def solve_spd(a, b):
 
 
 def weighted_gram(b, r):
-    """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized."""
-    m = b @ solve_spd(r, b.T)
-    return 0.5 * (m + m.T)
+    """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized;
+    `r` is scaled to ``1 <= max |r_ij| < 2`` first, so that ``2^k r`` gives
+    exactly ``2^-k`` times the result (a Cholesky factor takes roots)."""
+    e = int(np.frexp(np.abs(r).max())[1]) - 1
+    m = b @ solve_spd(np.ldexp(r, -e), b.T)
+    return np.ldexp(0.5 * (m + m.T), -e)
 
 
 def fill_powers(e, out):

@@ -13,7 +13,9 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .linalg import as_square, as_symmetric, default_axis_tol, eigenvalues, weighted_gram
+from .errors import MflqError
+from .linalg import (as_square, as_symmetric, block_2x2, block_balance,
+                     default_axis_tol, eigenvalues, weighted_gram)
 
 __all__ = [
     "GammaWeights",
@@ -148,9 +150,10 @@ class ValidationReport:
 
 def validate(p):
     """Check stabilizability of ``(A, B)``, positive definiteness of `R`,
-    and that the discount-shifted Hamiltonian built from `Q` has no
-    eigenvalues within :func:`linalg.default_axis_tol` of the imaginary
-    axis.  Never raises; the report carries the verdicts and margins.
+    and that the discount-shifted Hamiltonian built from `Q`, balanced as the
+    solvers balance it (:func:`linalg.block_balance`), has no eigenvalues
+    within :func:`linalg.default_axis_tol` of the imaginary axis.  Never
+    raises; the report carries the verdicts and margins.
     """
     margin = riccati.stabilizability_margin(p.A, p.B)
     stabilizable = bool(margin > riccati.PBH_TOL)
@@ -160,9 +163,7 @@ def validate(p):
     tol = 0.0
     if r_ok:
         shifted = p.A - 0.5 * p.rho * np.eye(p.n)
-        h = riccati.care_hamiltonian(
-            riccati.CareProblem(shifted, p.control_gram(), p.Q)
-        )
+        h, _ = block_balance(block_2x2(shifted, -p.control_gram(), -p.Q, -shifted.T))
         tol = default_axis_tol(h)
         axis_margin = float(np.abs(eigenvalues(h).real).min())
         axis_ok = bool(axis_margin > tol)
@@ -178,9 +179,16 @@ def validate(p):
 
 
 def discounted_riccati(p):
-    """Front end of the social and game solvers: the PBH test on ``(A, B)``
-    (it rejects an uncontrollable mode with ``0 <= Re lam < rho/2``, which
-    the discounted solve accepts), then :func:`riccati.solve_discounted_are`,
-    whose own `R` and axis checks use the thresholds of :func:`validate`."""
-    riccati.require_stabilizable(p.A, p.B, "(A, B)")
-    return riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    """Front end of the social and game solvers: :func:`riccati.solve_discounted_are`
+    (thresholds shared with :func:`validate`).  An uncontrollable mode is an
+    eigenvalue of every closed loop, so a Hurwitz ``A - M Pi`` proves
+    ``(A, B)`` stabilizable; the ``(A, B)`` PBH test runs only to name a
+    failed solve or a mode of ``A - M Pi`` with ``Re >= 0``."""
+    try:
+        are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    except MflqError:
+        riccati.require_stabilizable(p.A, p.B, "(A, B)")
+        raise
+    if are.spectrum_margin <= 0.5 * p.rho:
+        riccati.require_stabilizable(p.A, p.B, "(A, B)")
+    return are

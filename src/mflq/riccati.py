@@ -4,14 +4,13 @@ Solves ``X A_o + A_o' X - X M X + Q_o = 0`` for the stabilizing (maximal)
 symmetric solution.  The state weight `Q_o` may be indefinite; what is
 required is that the associated 2n-by-2n Hamiltonian matrix has no
 eigenvalues on the imaginary axis and that ``(A_o, M)`` is stabilizable.
-The solution is read off the orthonormal basis `U` of the stable invariant
-subspace that :func:`dichotomy.decompose_from_schur` computes, the same
-splitting the game uses: its leading n rows form an invertible block
-``U11``, and ``X = U21 @ inv(U11)``.
+The solution is read off the basis `U` (orthogonal up to balancing) of the
+stable invariant subspace that :func:`dichotomy.decompose_from_schur`
+computes, the same splitting the game uses: its leading n rows form an
+invertible block ``U11``, and ``X = U21 @ inv(U11)``.
 
 :func:`stabilizing_solution` does this on a given Hamiltonian and certifies
-the result; :func:`solve_care_stabilizing` runs the ``(A_o, M)`` PBH test
-first.
+the result; the ``(A_o, M)`` PBH test only names the cause of a failure.
 
 The discounted Riccati equation
 ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to the same
@@ -23,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dichotomy import decompose_from_schur
-from .errors import GraphSubspaceFailure, NonPositiveR, StabilizabilityFailure
+from .errors import (GraphSubspaceFailure, MflqError, NonPositiveR,
+                     StabilizabilityFailure)
 from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_solve,
                      spectral_abscissa, weighted_gram)
 
@@ -152,8 +152,9 @@ def stabilizing_solution(h):
     ``h = [[A_o, -M], [-Q_o, -A_o']]``: split it by
     :func:`dichotomy.decompose_from_schur`, form ``X = U21 @ inv(U11)``
     from the leading n Schur vectors, symmetrized as ``(X + X') / 2``, and
-    certify the residual and the stability of ``A_o - M X``.  No PBH test
-    runs here.
+    certify the stability of ``A_o - M X`` and the residual, relative to
+    ``||Q_o|| + 2 ||A_o|| ||X|| + ||M|| ||X||^2`` (Sun, Numer. Math. 1997).
+    No PBH test runs here.
 
     Raises
     ------
@@ -177,8 +178,10 @@ def stabilizing_solution(h):
     closed_loop = a_o - m @ x
     residual = care_residual(x, a_o, m, q_o)
     margin_cl = -spectral_abscissa(closed_loop)
-    norm_x = np.linalg.norm(x, "fro")
-    if margin_cl <= 0.0 or residual > 1e-7 * (1.0 + norm_x**2):
+    norm_x = np.linalg.norm(x)
+    bound = 1e-7 * (np.linalg.norm(q_o) + 2.0 * np.linalg.norm(a_o) * norm_x
+                    + np.linalg.norm(m) * norm_x**2)
+    if margin_cl <= 0.0 or residual > bound:
         raise GraphSubspaceFailure(
             f"solution failed certification (residual {residual:.3e}, "
             f"closed-loop margin {margin_cl:.3e})"
@@ -190,20 +193,27 @@ def stabilizing_solution(h):
 
 
 def solve_care_stabilizing(p):
-    """Stabilizing solution of a :class:`CareProblem`: the PBH test on
-    ``(A_o, M)`` (:class:`StabilizabilityFailure`), then
-    :func:`stabilizing_solution` on its Hamiltonian."""
-    require_stabilizable(p.A_o, p.M, "(A_o, M)")
-    return stabilizing_solution(care_hamiltonian(p))
+    """Stabilizing solution of a :class:`CareProblem` by
+    :func:`stabilizing_solution`; if that raises, a failed ``(A_o, M)`` PBH
+    test turns the error into :class:`StabilizabilityFailure`."""
+    return _solve_or_name(p.A_o, p.M, p.Q_o)
+
+
+def _solve_or_name(a_o, m, q_o):
+    try:
+        return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
+    except MflqError:
+        require_stabilizable(a_o, m, "(A_o, M)")
+        raise
 
 
 def solve_discounted_are(A, B, Q, R, rho):
     """Stabilizing solution of the discounted Riccati equation.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
-    ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
-    :func:`solve_care_stabilizing` to the shifted data
-    ``(A - (rho/2) I, B inv(R) B', Q)``.
+    ``A - B inv(R) B' Pi - (rho/2) I`` is stable, as
+    :func:`solve_care_stabilizing` does on the shifted data
+    ``(A - (rho/2) I, B inv(R) B', Q)`` without building a :class:`CareProblem`.
 
     `R` must be symmetric positive definite (:class:`NonPositiveR` otherwise);
     the inverse enters only through a Cholesky solve against ``B'``.
@@ -212,10 +222,11 @@ def solve_discounted_are(A, B, Q, R, rho):
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
+    Q = as_symmetric(Q, "Q")
     R = as_symmetric(R, "R")
     min_eig_r, r_ok = r_definiteness(R)
     if not r_ok:
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
     m = weighted_gram(B, R)
     shifted = A - 0.5 * rho * np.eye(A.shape[0])
-    return solve_care_stabilizing(CareProblem(shifted, m, Q))
+    return _solve_or_name(shifted, m, Q)

@@ -117,6 +117,19 @@ class TestSolveSocialCommand:
         assert np.array_equal(echoed.A, original.A)
         assert echoed.rho == original.rho
 
+    @pytest.mark.parametrize("name", ["ex41", "ex43"])
+    def test_scaled_cost_solved_as_by_api(self, capsys, tmp_path, name):
+        # validate's axis check balances the Hamiltonian as the solver does
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        doc = problem_to_dict(p)
+        doc["Q"] = (1e12 * p.Q).tolist()
+        doc["R"] = (1e12 * p.R).tolist()
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["solve-social", str(scaled)])
+        assert code == 0
+        assert report["Pi"] == solve_sce(load_problem_file(scaled)).Pi.tolist()
+
     def test_boundary_case_exit_3(self, capsys):
         code = main(["solve-social", BOUNDARY])
         err = capsys.readouterr().err

@@ -13,7 +13,8 @@ from mflq.dichotomy import (
     solve_decaying,
 )
 from mflq.errors import DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue
-from mflq.linalg import block_2x2, eigenvalues, lu_factor, mat_exp, spectral_abscissa
+from mflq.linalg import (block_2x2, block_balance, eigenvalues, lu_factor, mat_exp,
+                         real_schur_ordered, spectral_abscissa)
 from mflq.riccati import stabilizing_solution
 
 
@@ -159,6 +160,28 @@ class TestDecomposeFromSchur:
             assert np.linalg.norm(d.V @ d.K @ d.U - tri, "fro") <= \
                 1e-7 * np.linalg.norm(d.K, "fro")
             assert d.U11_condition <= 1e12
+
+
+    @pytest.mark.parametrize("e", [-40, 30])
+    def test_balanced_transform(self, e):
+        # off-diagonal blocks 2^e apart: U = diag(I, cI) W, V = inv(U), and
+        # the leading block is that of the balanced matrix's Schur vectors
+        rng = np.random.default_rng(28)
+        n = 2
+        k, _, _ = random_spectrum_matrix(rng, n, n)
+        k[n:, :n] *= 2.0**e
+        d = decompose_from_schur(k)
+        c = 2.0**round(0.5 * np.log2(np.linalg.norm(k[n:, :n])
+                                     / np.linalg.norm(k[:n, n:])))
+        w = real_schur_ordered(block_balance(k)[0]).W
+        assert np.array_equal(d.U[:n], w[:n])
+        assert np.array_equal(d.U[n:], c * w[n:])
+        assert np.linalg.norm(d.V @ d.U - np.eye(2 * n)) <= 1e-12
+        tri = np.block([[d.F11, d.F12], [np.zeros((n, n)), d.F22]])
+        t = np.diag(np.r_[np.ones(n), np.full(n, c)])
+        balanced = np.linalg.inv(t) @ k @ t
+        assert np.linalg.norm(d.V @ k @ d.U - tri) <= \
+            1e-12 * np.linalg.norm(balanced)
 
 
 class TestSolveDecaying:

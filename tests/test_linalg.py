@@ -6,6 +6,7 @@ from mflq import linalg
 from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
 from mflq.linalg import (
     block_2x2,
+    block_balance,
     default_axis_tol,
     eigenvalues,
     lu_factor,
@@ -207,6 +208,47 @@ class TestCholeskyGram:
                         eta=np.zeros(2), rho=1.0, x0=np.zeros(2))
         with pytest.raises(np.linalg.LinAlgError):
             p.control_gram()
+
+
+    @pytest.mark.parametrize("k", [-41, -1, 1, 7])
+    def test_power_of_two_scaling_of_r_is_exact(self, k):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((3, 2))
+        g = rng.standard_normal((2, 2))
+        r = g @ g.T + 0.5 * np.eye(2)
+        assert np.array_equal(weighted_gram(b, 2.0**k * r),
+                              2.0**-k * weighted_gram(b, r))
+
+
+class TestBlockBalance:
+    def test_nearest_power_of_two(self):
+        k = np.array([[1.0, 3.0], [3.0 * 2.0**20, -1.0]])
+        out, c = block_balance(k)
+        assert c == 2.0**10
+        assert np.array_equal(out, [[1.0, 3.0 * 2.0**10], [3.0 * 2.0**10, -1.0]])
+        # sqrt(2^9) is 2^4.5: the tie rounds up
+        assert block_balance(np.array([[0.0, 1.0], [2.0**9, 0.0]]))[1] == 2.0**5
+        assert block_balance(np.array([[0.0, 1.0], [1.1 * 2.0**-9, 0.0]]))[1] \
+            == 2.0**-4
+
+    @pytest.mark.parametrize("j", [-37, -1, 0, 1, 40])
+    def test_opposite_block_scalings_shift_c_exactly(self, j):
+        rng = np.random.default_rng(9)
+        k = rng.standard_normal((4, 4))
+        moved = k.copy()
+        moved[:2, 2:] *= 2.0**-j
+        moved[2:, :2] *= 2.0**j
+        assert block_balance(moved)[1] == 2.0**j * block_balance(k)[1]
+
+    @pytest.mark.parametrize("zero", ["upper", "lower"])
+    def test_zero_block_is_left_alone(self, zero):
+        k = np.arange(1.0, 17.0).reshape(4, 4)
+        if zero == "upper":
+            k[:2, 2:] = 0.0
+        else:
+            k[2:, :2] = 0.0
+        out, c = block_balance(k)
+        assert c == 1.0 and out is k
 
 
 class TestBlock2x2:

@@ -245,3 +245,20 @@ class TestTimeScaling:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
             traj = np.hstack(sol.trajectory(t / c))
             assert np.abs(traj - ref).max() <= 1e-11 * np.abs(ref).max(), c
+
+    @pytest.mark.parametrize("name", ["ex41", "ex43"])
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_long_horizon_trajectory_is_finite(self, name, solver):
+        # exp(rho t/2) overflows past t = 1420 at rho = 1; the trajectory
+        # must not be formed as the decaying z(t) times that factor
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        base = solver(p)
+        c = 2.0**20
+        scaled = solver(ProblemData(A=c * p.A, B=c * p.B, Q=c * p.Q,
+                                    R=c * p.R, Gamma=p.Gamma, eta=p.eta,
+                                    rho=c * p.rho, x0=p.x0))
+        t = np.array([0.0, 1e-3, 1e-2, 1.0, 5.0, 20.0, 1419.0, 1420.0, 1e5])
+        ref = np.hstack(base.trajectory(t))
+        for traj in (ref, np.hstack(scaled.trajectory(t / c))):
+            assert np.isfinite(traj).all()
+            assert np.abs(traj - ref).max() <= 1e-11 * np.abs(ref).max()

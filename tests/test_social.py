@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PROBLEM_DIR,
     degenerate_boundary_problem,
     indefinite_social_problem,
     random_problem,
     scalar_social_problem,
     scaled_close,
 )
-from mflq.errors import ImaginaryAxisEigenvalue, NonPositiveR, StabilizabilityFailure
+from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, NonPositiveR,
+                         StabilizabilityFailure)
 from mflq import riccati
+from mflq.cli import main
 from mflq.linalg import eigenvalues, spectral_abscissa
+from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are, stabilizability_margin
 from mflq.social import (
@@ -48,9 +52,10 @@ class TestBuildHamiltonian:
 
 
 class TestSolveSce:
-    def test_two_pbh_tests_per_solve(self, monkeypatch):
-        # (A, B) in the front end and (A_o, M) in the discounted solve; the
-        # auxiliary equation's A_shift is certified stable by the latter
+    def test_pbh_tests_only_name_failures(self, monkeypatch):
+        # a Hurwitz A - M Pi proves (A, B) stabilizable, so an accepted solve
+        # runs no PBH test; a closed loop with a mode at Re >= 0 runs the
+        # (A, B) test once, and a rejection runs at least one to name it
         calls = []
 
         def counted(a, b):
@@ -59,11 +64,39 @@ class TestSolveSce:
 
         monkeypatch.setattr(riccati, "stabilizability_margin", counted)
         rng = np.random.default_rng(41)
-        for _ in range(5):
+        seen = set()
+        for _ in range(12):
             p = random_problem(rng)  # draws until validate accepts
-            calls.clear()
-            solve_sce(p)
-            assert len(calls) == 2
+            for solver in (solve_sce, solve_mfg):
+                calls.clear()
+                sol = solver(p)
+                hurwitz = spectral_abscissa(p.A - p.control_gram() @ sol.Pi) < 0.0
+                assert len(calls) == (0 if hurwitz else 1)
+                seen.add(hurwitz)
+        assert seen == {True, False}
+        for p in (ProblemData(A=[[0.25]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],
+                              Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0]),
+                  ProblemData(A=[[2.0]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],
+                              Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0]),
+                  ProblemData(A=[[0.5]], B=[[1.0]], Q=[[-1.0]], R=[[1.0]],
+                              Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0])):
+            for solver in (solve_sce, solve_mfg):
+                calls.clear()
+                with pytest.raises(MflqError):
+                    solver(p)
+                assert len(calls) >= 1
+
+    def test_one_pbh_test_per_cli_solve(self, monkeypatch):
+        # validate's; the solve itself certifies by its closed loop
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return stabilizability_margin(a, b)
+
+        monkeypatch.setattr(riccati, "stabilizability_margin", counted)
+        assert main(["solve-social", str(PROBLEM_DIR / "ex42_gamma2.json")]) == 0
+        assert len(calls) == 1
 
     def test_scalar_reference_case(self, scalar_social):
         sol = solve_sce(scalar_social)

@@ -11,8 +11,7 @@ antistable rate.
 
 Two constructions of the transform are supported: the analytic one from a
 certified stabilizing Riccati solution (unit-triangular `U`) and the generic
-one from the ordered real Schur form of `K` balanced by ``diag(I, cI)``
-(`U` orthogonal up to that scaling).  The latter,
+one from an ordered real Schur form (`U` orthogonal up to balancing).  The latter,
 :func:`decompose_from_schur`, is the one splitting of the package: the
 Riccati solves (:func:`riccati.stabilizing_solution`) and the game both
 split through it, so its axis test, n/n check and condition limit are
@@ -107,10 +106,9 @@ def decompose_from_riccati(K, aux):
 
 def decompose_from_schur(K):
     """Dichotomy transform of a generic 2n-by-2n matrix from the ordered
-    real Schur form ``W S W'`` of ``inv(T) K T``, balanced by
-    :func:`linalg.block_balance`: ``U = T W`` and ``V = W' inv(T)`` (exact,
-    so `U11` and the `F` blocks are those of `W` and `S`; `U` is orthogonal
-    only if ``T = I``).  The axis tolerance is that of the balanced matrix.
+    real Schur form ``W S W'`` of ``inv(T) K T`` (:func:`linalg.block_balance`):
+    ``U = T W`` and ``V = W' inv(T)``, exact scalings of the orthogonal `W`.
+    The axis tolerance is that of the balanced matrix.
 
     Raises
     ------
@@ -271,12 +269,9 @@ def sample_trajectory(self, t_grid):
 
     The ``trajectory`` method of the social and the game solutions, which
     both carry ``bvp``, ``decomposition``, ``rho`` and ``n``.  Returns two
-    arrays of shape ``(len(t_grid), n)``.  ``exp(rho t/2) z(t)`` is sampled
-    by the generator shifted by ``rho/2``, ``[[F11 + rho/2 I, forcing],
-    [0, 0]]``, with constant ``y2 = c``: no factor to overflow on long
-    horizons."""
-    bvp = self.bvp
-    shifted = replace(bvp, y1_generator=bvp.y1_generator
-                      + bvp.decay_rate * np.eye(self.n + 1), decay_rate=0.0)
+    arrays of shape ``(len(t_grid), n)``, from the generator shifted by ``rho/2``
+    (constant ``y2 = c``), so no ``exp(rho t/2)`` factor overflows on long horizons."""
+    shifted = replace(self.bvp, decay_rate=0.0, y1_generator=self.bvp.y1_generator
+                      + 0.5 * self.rho * np.eye(self.n + 1))
     z = evaluate_trajectory(shifted, self.decomposition, 0.0, t_grid)
     return z[:, : self.n], z[:, self.n:]

@@ -126,11 +126,10 @@ def block_2x2(a11, a12, a21, a22):
 
 
 def block_balance(k):
-    """``(inv(T) k T, c)`` for a 2n-by-2n `k` and ``T = diag(I, cI)``, with
-    `c` the power of two nearest ``sqrt(||k21||_F / ||k12||_F)`` (1 if
-    either block is zero): the simplest symplectic balancing of a
-    Hamiltonian (Benner, SISC 2001), exact.  Exponents and mantissas are
-    rounded apart, so ``(k12, k21) -> (2^-j k12, 2^j k21)`` gives ``2^j c``."""
+    """``(inv(T) k T, c)``, ``T = diag(I, cI)``, `c` the power of two nearest
+    ``sqrt(||k21|| / ||k12||)`` (1 if either is zero): exact symplectic balancing
+    (Benner, SISC 2001).  Exponents and mantissas are rounded apart, so
+    ``(k12, k21) -> (2^-j k12, 2^j k21)`` gives ``2^j c`` exactly."""
     n = k.shape[0] // 2
     norms = np.linalg.norm(k[n:, :n]), np.linalg.norm(k[:n, n:])
     if not 0.0 < min(norms) <= max(norms) < np.inf:
@@ -226,9 +225,8 @@ def solve_spd(a, b):
 
 
 def weighted_gram(b, r):
-    """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized;
-    `r` is scaled to ``1 <= max |r_ij| < 2`` first, so that ``2^k r`` gives
-    exactly ``2^-k`` times the result (a Cholesky factor takes roots)."""
+    """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized; `r` is
+    first scaled to ``1 <= max |r_ij| < 2``, so ``2^k r`` scales it by exactly ``2^-k``."""
     e = int(np.frexp(np.abs(r).max())[1]) - 1
     m = b @ solve_spd(np.ldexp(r, -e), b.T)
     return np.ldexp(0.5 * (m + m.T), -e)

@@ -150,10 +150,9 @@ class ValidationReport:
 
 def validate(p):
     """Check stabilizability of ``(A, B)``, positive definiteness of `R`,
-    and that the discount-shifted Hamiltonian built from `Q`, balanced as the
-    solvers balance it (:func:`linalg.block_balance`), has no eigenvalues
-    within :func:`linalg.default_axis_tol` of the imaginary axis.  Never
-    raises; the report carries the verdicts and margins.
+    and that the discount-shifted Hamiltonian built from `Q`, balanced as in
+    the solvers, has no eigenvalues within :func:`linalg.default_axis_tol` of
+    the imaginary axis.  Never raises; the report carries the verdicts and margins.
     """
     margin = riccati.stabilizability_margin(p.A, p.B)
     stabilizable = bool(margin > riccati.PBH_TOL)
@@ -180,15 +179,16 @@ def validate(p):
 
 def discounted_riccati(p):
     """Front end of the social and game solvers: :func:`riccati.solve_discounted_are`
-    (thresholds shared with :func:`validate`).  An uncontrollable mode is an
-    eigenvalue of every closed loop, so a Hurwitz ``A - M Pi`` proves
-    ``(A, B)`` stabilizable; the ``(A, B)`` PBH test runs only to name a
-    failed solve or a mode of ``A - M Pi`` with ``Re >= 0``."""
+    (thresholds shared with :func:`validate`).  Feedback keeps the PBH rank, so
+    ``(A, B)`` is tested only at the modes of ``A - M Pi`` with ``Re >= 0``, and
+    in full only to name a failure."""
     try:
         are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     except MflqError:
         riccati.require_stabilizable(p.A, p.B, "(A, B)")
         raise
     if are.spectrum_margin <= 0.5 * p.rho:
-        riccati.require_stabilizable(p.A, p.B, "(A, B)")
+        closed = are.closed_loop + 0.5 * p.rho * np.eye(p.n)
+        if not riccati.stabilizability_margin(closed, p.B) > riccati.PBH_TOL:
+            riccati.require_stabilizable(p.A, p.B, "(A, B)")
     return are

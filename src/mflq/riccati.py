@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dichotomy import decompose_from_schur
-from .errors import (GraphSubspaceFailure, MflqError, NonPositiveR,
-                     StabilizabilityFailure)
+from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
 from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_solve,
                      spectral_abscissa, weighted_gram)
 
@@ -58,17 +57,24 @@ class CareProblem:
     Q_o: np.ndarray
 
     def __post_init__(self):
-        a = as_square(self.A_o, "A_o")
-        m = as_symmetric(self.M, "M")
-        q = as_symmetric(self.Q_o, "Q_o")
+        self._set(as_square(self.A_o, "A_o"), as_symmetric(self.M, "M"),
+                  as_symmetric(self.Q_o, "Q_o"))
+        min_eig = float(np.linalg.eigvalsh(0.5 * (self.M + self.M.T)).min())
+        if min_eig < -1e-10 * max(np.linalg.norm(self.M, "fro"), 1.0):
+            raise ValueError(f"M is not positive semi-definite (min eig {min_eig:.3e})")
+
+    def _set(self, a, m, q):
         if not (a.shape == m.shape == q.shape):
             raise ValueError("A_o, M, Q_o must share one square shape")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-        if min_eig < -1e-10 * max(np.linalg.norm(m, "fro"), 1.0):
-            raise ValueError(f"M is not positive semi-definite (min eig {min_eig:.3e})")
-        object.__setattr__(self, "A_o", a)
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "Q_o", q)
+        for name, value in (("A_o", a), ("M", m), ("Q_o", q)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _of_checked(cls, a, m, q):
+        """Of blocks checked but for their shapes: square `A_o`, symmetric
+        `Q_o`, `M` from :func:`linalg.weighted_gram`."""
+        return object.__new__(cls)._set(a, m, q)
 
     @property
     def n(self):
@@ -152,9 +158,8 @@ def stabilizing_solution(h):
     ``h = [[A_o, -M], [-Q_o, -A_o']]``: split it by
     :func:`dichotomy.decompose_from_schur`, form ``X = U21 @ inv(U11)``
     from the leading n Schur vectors, symmetrized as ``(X + X') / 2``, and
-    certify the stability of ``A_o - M X`` and the residual, relative to
-    ``||Q_o|| + 2 ||A_o|| ||X|| + ||M|| ||X||^2`` (Sun, Numer. Math. 1997).
-    No PBH test runs here.
+    certify the stability of ``A_o - M X`` and the residual relative to
+    ``||Q_o|| + 2||A_o|| ||X|| + ||M|| ||X||^2`` (Sun 1997).  No PBH test.
 
     Raises
     ------
@@ -178,10 +183,9 @@ def stabilizing_solution(h):
     closed_loop = a_o - m @ x
     residual = care_residual(x, a_o, m, q_o)
     margin_cl = -spectral_abscissa(closed_loop)
-    norm_x = np.linalg.norm(x)
-    bound = 1e-7 * (np.linalg.norm(q_o) + 2.0 * np.linalg.norm(a_o) * norm_x
-                    + np.linalg.norm(m) * norm_x**2)
-    if margin_cl <= 0.0 or residual > bound:
+    nx = np.linalg.norm(x)
+    scale = np.linalg.norm(q_o) + nx * (2.0 * np.linalg.norm(a_o) + np.linalg.norm(m) * nx)
+    if margin_cl <= 0.0 or residual > 1e-7 * scale:
         raise GraphSubspaceFailure(
             f"solution failed certification (residual {residual:.3e}, "
             f"closed-loop margin {margin_cl:.3e})"
@@ -195,15 +199,11 @@ def stabilizing_solution(h):
 def solve_care_stabilizing(p):
     """Stabilizing solution of a :class:`CareProblem` by
     :func:`stabilizing_solution`; if that raises, a failed ``(A_o, M)`` PBH
-    test turns the error into :class:`StabilizabilityFailure`."""
-    return _solve_or_name(p.A_o, p.M, p.Q_o)
-
-
-def _solve_or_name(a_o, m, q_o):
+    test makes it a :class:`StabilizabilityFailure`."""
     try:
-        return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
+        return stabilizing_solution(care_hamiltonian(p))
     except MflqError:
-        require_stabilizable(a_o, m, "(A_o, M)")
+        require_stabilizable(p.A_o, p.M, "(A_o, M)")
         raise
 
 
@@ -211,9 +211,9 @@ def solve_discounted_are(A, B, Q, R, rho):
     """Stabilizing solution of the discounted Riccati equation.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
-    ``A - B inv(R) B' Pi - (rho/2) I`` is stable, as
-    :func:`solve_care_stabilizing` does on the shifted data
-    ``(A - (rho/2) I, B inv(R) B', Q)`` without building a :class:`CareProblem`.
+    ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
+    :func:`solve_care_stabilizing` to the shifted data
+    ``(A - (rho/2) I, B inv(R) B', Q)``.
 
     `R` must be symmetric positive definite (:class:`NonPositiveR` otherwise);
     the inverse enters only through a Cholesky solve against ``B'``.
@@ -229,4 +229,4 @@ def solve_discounted_are(A, B, Q, R, rho):
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
     m = weighted_gram(B, R)
     shifted = A - 0.5 * rho * np.eye(A.shape[0])
-    return _solve_or_name(shifted, m, Q)
+    return solve_care_stabilizing(CareProblem._of_checked(shifted, m, Q))

@@ -191,7 +191,7 @@ def test_scaled_boundary_case_is_on_axis(cost):
         reason="the defective double eigenvalue at 0 splits by about "
                "sqrt(eps ||H||), above the axis tolerance, for some roundings; "
                "the boundary case is then solved (ROADMAP item 2)",
-        strict=False)) if c == 1e12 else c
+        strict=True)) if c == 1e12 else c
     for c in DEGENERATE_COSTS
 ])
 def test_scaled_boundary_case_rejected(cost):

@@ -211,6 +211,13 @@ class TestSolveDiscountedAre:
         )
         assert via_discount.X[0, 0] == direct.X[0, 0]
 
+    def test_mismatched_shapes_rejected(self):
+        # the solver-built CareProblem still compares the shapes of A, M, Q
+        with pytest.raises(ValueError, match="share one square shape"):
+            solve_discounted_are(np.eye(2), [[1.0], [0.0]], [[1.0]], [[1.0]], 1.0)
+        with pytest.raises(ValueError, match="share one square shape"):
+            solve_discounted_are(np.eye(2), [[1.0, 0.0]], np.eye(2), np.eye(2), 1.0)
+
     def test_non_positive_r(self):
         with pytest.raises(NonPositiveR):
             solve_discounted_are([[1.0]], [[1.0]], [[1.0]], [[-1.0]], 1.0)

@@ -54,8 +54,8 @@ class TestBuildHamiltonian:
 class TestSolveSce:
     def test_pbh_tests_only_name_failures(self, monkeypatch):
         # a Hurwitz A - M Pi proves (A, B) stabilizable, so an accepted solve
-        # runs no PBH test; a closed loop with a mode at Re >= 0 runs the
-        # (A, B) test once, and a rejection runs at least one to name it
+        # runs no PBH test; a closed loop with a mode at Re >= 0 is tested
+        # once, as (A - M Pi, B), and a rejection runs at least one to name it
         calls = []
 
         def counted(a, b):
@@ -70,8 +70,10 @@ class TestSolveSce:
             for solver in (solve_sce, solve_mfg):
                 calls.clear()
                 sol = solver(p)
-                hurwitz = spectral_abscissa(p.A - p.control_gram() @ sol.Pi) < 0.0
+                closed = p.A - p.control_gram() @ sol.Pi
+                hurwitz = spectral_abscissa(closed) < 0.0
                 assert len(calls) == (0 if hurwitz else 1)
+                assert all(np.allclose(a, closed) for a in calls)
                 seen.add(hurwitz)
         assert seen == {True, False}
         for p in (ProblemData(A=[[0.25]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import contraction as contraction_mod
 from . import mfg as mfg_mod
-from . import riccati
 from . import social as social_mod
 from .errors import (
     DichotomySplitFailure,
@@ -33,7 +32,7 @@ from .errors import (
     StabilizabilityFailure,
     UnstableGenerator,
 )
-from .problem import ProblemData, gamma_weights, validate
+from .problem import ProblemData, discounted_riccati, gamma_weights, validate
 from .simulate import SimConfig, simulate
 
 __all__ = ["load_problem_file", "main", "parse_problem_dict", "problem_to_dict"]
@@ -281,7 +280,7 @@ def _cmd_solve_game(args, p, report):
 
 
 def _cmd_contraction(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    are = discounted_riccati(p)
     beta = contraction_mod.contraction_bound(p, are.X)
     doc = {
         "command": "contraction",
@@ -330,7 +329,7 @@ def _cmd_simulate(args, p, report):
 
 
 def _cmd_spectrum(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    are = discounted_riccati(p)
     if args.system == "social":
         w = gamma_weights(p.Q, p.Gamma, p.eta)
         matrix = social_mod.build_hamiltonian(are, w)

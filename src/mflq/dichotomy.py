@@ -93,14 +93,15 @@ def decompose_from_riccati(K, aux):
 
     ``U = [[I, 0], [X, I]]`` triangularizes `K` exactly, with
     ``F11 = A_shift - M X`` (the certified stable closed loop),
-    ``F12 = -M`` and ``F22 = -F11'``; nothing is checked again here.
+    ``F12 = -M`` and ``F22 = -F11'``; nothing is checked again here, and
+    ``U11 = I`` is its own LU factorization (no pivoting).
     """
     n = aux.X.shape[0]
     ident = np.eye(n)
     return DichotomyDecomposition(
         U=block_2x2(ident, 0.0, aux.X, ident), V=block_2x2(ident, 0.0, -aux.X, ident),
         F11=aux.closed_loop, F12=K[:n, n:], F22=-aux.closed_loop.T,
-        U11_lu=lu_factor(ident)[:2], U11_condition=1.0, K=K,
+        U11_lu=(ident, np.arange(n, dtype=np.int32)), U11_condition=1.0, K=K,
     )
 
 

@@ -40,7 +40,11 @@ def _load_flapack():
     extension alone.  The top-level ``scipy`` package is still imported
     (above) for its platform set-up.  An entry already in ``sys.modules``
     is reused, and a later ``import scipy.linalg`` picks up the one
-    registered here, so there is one module object per process.
+    registered here, so there is one module object per process.  The
+    package object does not get the attribute, though: after ``import
+    mflq; import scipy.linalg``, ``scipy.linalg._flapack`` raises
+    ``AttributeError``, while ``scipy.linalg.lapack`` and ``from
+    scipy.linalg import _flapack`` work.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)

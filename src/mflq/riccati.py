@@ -1,20 +1,21 @@
 """Continuous-time algebraic Riccati equations via stable Schur vectors.
 
 Solves ``X A_o + A_o' X - X M X + Q_o = 0`` for the stabilizing (maximal)
-symmetric solution.  The state weight `Q_o` may be indefinite; what is
-required is that the associated 2n-by-2n Hamiltonian matrix has no
-eigenvalues on the imaginary axis and that ``(A_o, M)`` is stabilizable.
-The solution is read off the basis `U` (orthogonal up to balancing) of the
-stable invariant subspace that :func:`dichotomy.decompose_from_schur`
-computes, the same splitting the game uses: its leading n rows form an
-invertible block ``U11``, and ``X = U21 @ inv(U11)``.
+symmetric solution.  The kernels take plain arrays: square `A_o`, symmetric
+positive semi-definite `M` and symmetric, possibly indefinite, `Q_o`.  The
+Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` must have no eigenvalues on the
+imaginary axis, and ``(A_o, M)`` must be stabilizable.  `X` is read off the
+basis `U` (orthogonal up to balancing) of the stable invariant subspace that
+:func:`dichotomy.decompose_from_schur` computes, the splitting the game
+uses too: ``X = U21 @ inv(U11)``.
 
-:func:`stabilizing_solution` does this on a given Hamiltonian and certifies
-the result; the ``(A_o, M)`` PBH test only names the cause of a failure.
-
-The discounted Riccati equation
-``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to the same
-solver by shifting ``A -> A - (rho/2) I``.
+:func:`stabilizing_solution` does this on a given Hamiltonian (the social
+solve's auxiliary equation) and certifies the result.
+:func:`solve_care_stabilizing` builds the Hamiltonian from the three blocks
+and runs the ``(A_o, M)`` PBH test only to name a failure.  The discounted
+equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
+``A -> A - (rho/2) I``; :func:`solve_discounted_are` checks its inputs and
+calls it.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,7 @@ from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_solve,
                      spectral_abscissa, weighted_gram)
 
 __all__ = [
-    "CareProblem",
     "StabilizingRiccatiSolution",
-    "care_hamiltonian",
     "care_residual",
     "r_definiteness",
     "require_stabilizable",
@@ -41,44 +40,6 @@ __all__ = [
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
 PBH_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CareProblem:
-    """Data ``(A_o, M, Q_o)`` of the Riccati equation
-    ``X A_o + A_o' X - X M X + Q_o = 0``.
-
-    `M` must be symmetric positive semi-definite; `Q_o` symmetric but not
-    necessarily sign-definite.
-    """
-
-    A_o: np.ndarray
-    M: np.ndarray
-    Q_o: np.ndarray
-
-    def __post_init__(self):
-        self._set(as_square(self.A_o, "A_o"), as_symmetric(self.M, "M"),
-                  as_symmetric(self.Q_o, "Q_o"))
-        min_eig = float(np.linalg.eigvalsh(0.5 * (self.M + self.M.T)).min())
-        if min_eig < -1e-10 * max(np.linalg.norm(self.M, "fro"), 1.0):
-            raise ValueError(f"M is not positive semi-definite (min eig {min_eig:.3e})")
-
-    def _set(self, a, m, q):
-        if not (a.shape == m.shape == q.shape):
-            raise ValueError("A_o, M, Q_o must share one square shape")
-        for name, value in (("A_o", a), ("M", m), ("Q_o", q)):
-            object.__setattr__(self, name, value)
-        return self
-
-    @classmethod
-    def _of_checked(cls, a, m, q):
-        """Of blocks checked but for their shapes: square `A_o`, symmetric
-        `Q_o`, `M` from :func:`linalg.weighted_gram`."""
-        return object.__new__(cls)._set(a, m, q)
-
-    @property
-    def n(self):
-        return self.A_o.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,11 +56,6 @@ class StabilizingRiccatiSolution:
     closed_loop: np.ndarray
     residual: float
     spectrum_margin: float
-
-
-def care_hamiltonian(p):
-    """2n-by-2n Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` of the problem."""
-    return block_2x2(p.A_o, -p.M, -p.Q_o, -p.A_o.T)
 
 
 def care_residual(x, a_o, m, q_o):
@@ -196,14 +152,15 @@ def stabilizing_solution(h):
     )
 
 
-def solve_care_stabilizing(p):
-    """Stabilizing solution of a :class:`CareProblem` by
-    :func:`stabilizing_solution`; if that raises, a failed ``(A_o, M)`` PBH
-    test makes it a :class:`StabilizabilityFailure`."""
+def solve_care_stabilizing(a_o, m, q_o):
+    """Stabilizing solution of ``X A_o + A_o' X - X M X + Q_o = 0`` by
+    :func:`stabilizing_solution` on ``[[A_o, -M], [-Q_o, -A_o']]``; if that
+    raises, a failed ``(A_o, M)`` PBH test makes it a
+    :class:`StabilizabilityFailure`.  The blocks are not checked."""
     try:
-        return stabilizing_solution(care_hamiltonian(p))
+        return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
     except MflqError:
-        require_stabilizable(p.A_o, p.M, "(A_o, M)")
+        require_stabilizable(a_o, m, "(A_o, M)")
         raise
 
 
@@ -228,5 +185,6 @@ def solve_discounted_are(A, B, Q, R, rho):
     if not r_ok:
         raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
     m = weighted_gram(B, R)
-    shifted = A - 0.5 * rho * np.eye(A.shape[0])
-    return solve_care_stabilizing(CareProblem._of_checked(shifted, m, Q))
+    if not (A.shape == m.shape == Q.shape):
+        raise ValueError("A_o, M, Q_o must share one square shape")
+    return solve_care_stabilizing(A - 0.5 * rho * np.eye(A.shape[0]), m, Q)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mflq import ProblemData, validate
-from mflq.linalg import eigenvalues
+from mflq.linalg import block_2x2, eigenvalues
 from mflq.problem import gamma_weights
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -120,9 +120,10 @@ def random_spectrum_matrix(rng, n_stable, n_anti, rate_lo=0.3, rate_hi=1.2):
 
 
 def random_care_problem(rng, max_n=6, axis_margin=1e-3):
-    """Stabilizable Riccati data with possibly indefinite state weight and
-    a Hamiltonian spectrum at least `axis_margin` away from the axis."""
-    from mflq.riccati import CareProblem, care_hamiltonian, stabilizability_margin
+    """Stabilizable Riccati data ``(A_o, M, Q_o)`` with possibly indefinite
+    state weight and a Hamiltonian spectrum at least `axis_margin` away
+    from the axis."""
+    from mflq.riccati import stabilizability_margin
 
     while True:
         n = int(rng.integers(1, max_n + 1))
@@ -134,11 +135,11 @@ def random_care_problem(rng, max_n=6, axis_margin=1e-3):
         q = 0.5 * (g + g.T)
         if stabilizability_margin(a, m) <= 1e-6:
             continue
-        p = CareProblem(a, 0.5 * (m + m.T), q)
-        lam = eigenvalues(care_hamiltonian(p))
+        m = 0.5 * (m + m.T)
+        lam = eigenvalues(block_2x2(a, -m, -q, -a.T))
         if np.abs(lam.real).min() <= axis_margin:
             continue
-        return p
+        return a, m, q
 
 
 def random_problem(rng, max_n=4, coupling="generic", with_noise=False,

@@ -140,10 +140,10 @@ def test_criterion_5_degenerate_detection():
 def test_criterion_6a_care_random_suite():
     rng = np.random.default_rng(2024)
     for _ in range(200):
-        p = random_care_problem(rng, max_n=6)
-        sol = solve_care_stabilizing(p)
+        a, m, q = random_care_problem(rng, max_n=6)
+        sol = solve_care_stabilizing(a, m, q)
         norm_x = np.linalg.norm(sol.X, "fro")
-        assert care_residual(sol.X, p.A_o, p.M, p.Q_o) <= 1e-7 * (1.0 + norm_x**2)
+        assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
         assert spectral_abscissa(sol.closed_loop) < 0.0
         assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from conftest import random_spectrum_matrix
+from conftest import random_problem, random_spectrum_matrix
 from mflq import dichotomy
 from mflq.dichotomy import (
     DichotomyDecomposition,
@@ -13,9 +15,11 @@ from mflq.dichotomy import (
     solve_decaying,
 )
 from mflq.errors import DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue
-from mflq.linalg import (block_2x2, block_balance, eigenvalues, lu_factor, mat_exp,
-                         real_schur_ordered, spectral_abscissa)
+from mflq.linalg import (block_2x2, block_balance, eigenvalues, lu_factor, lu_solve,
+                         mat_exp, real_schur_ordered, spectral_abscissa)
+from mflq.problem import gamma_weights
 from mflq.riccati import stabilizing_solution
+from mflq.social import solve_sce
 
 
 def random_dichotomy_instance(rng, max_n=3):
@@ -113,6 +117,22 @@ class TestDecomposeFromRiccati:
             assert np.linalg.norm(d.V @ d.K @ d.U - tri, "fro") <= 1e-6 * (1.0 + nrm)
             assert spectral_abscissa(d.F11) < 0.0
             assert spectral_abscissa(-d.F22) < 0.0
+
+    def test_identity_factors_are_built(self):
+        # U11 = I is its own LU factorization with no pivoting: the built
+        # factors solve exactly, and give the s0 of dgetrf's factors bit for bit
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            p = random_problem(rng)
+            sol = solve_sce(p)
+            d = sol.decomposition
+            b = rng.standard_normal(p.n)
+            assert np.array_equal(lu_solve(*d.U11_lu, b), b)
+            factored = replace(d, U11_lu=lu_factor(np.eye(p.n))[:2])
+            psi0 = np.concatenate([np.zeros(p.n),
+                                   gamma_weights(p.Q, p.Gamma, p.eta).eta_Gamma])
+            ref = solve_decaying(factored, p.x0, psi0, p.rho)
+            assert sol.s0.tobytes() == ref.z2_0.tobytes()
 
 
 class TestDecomposeFromSchur:

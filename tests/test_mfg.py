@@ -135,10 +135,11 @@ def test_one_cholesky_of_r_per_solve(monkeypatch, solve):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("solve,count", [(solve_mfg, 3), (solve_sce, 4)])
+@pytest.mark.parametrize("solve,count", [(solve_mfg, 3), (solve_sce, 3)])
 def test_lu_factorizations_per_solve(monkeypatch, solve, count):
     # the game splits through decompose_from_schur and solves for y1(0) on
-    # the factors of U11 it kept; the social transform's U11 is the identity
+    # the factors of U11 it kept; the social transform's U11 is the identity,
+    # whose factors are built, not computed
     calls = []
     real = linalg.dgetrf
 

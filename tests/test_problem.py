@@ -10,6 +10,7 @@ from conftest import (
     scalar_social_problem,
 )
 from mflq.cli import load_problem_file, main, problem_to_dict
+from mflq.contraction import contraction_bound
 from mflq.errors import (
     ImaginaryAxisEigenvalue,
     MflqError,
@@ -67,6 +68,25 @@ class TestProblemData:
     def test_control_gram(self):
         p = indefinite_social_problem()
         assert np.allclose(p.control_gram(), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", ["ex41", "ex43"])
+    def test_solves_leave_the_problem_alone(self, name):
+        # no solve may cache anything on its (frozen) input
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        before = dict(vars(p))
+        contents = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
+        validate(p)
+        t = np.linspace(0.0, 5.0, 51)
+        sol = solve_sce(p)
+        sol.trajectory(t)
+        solve_mfg(p).trajectory(t)
+        contraction_bound(p, sol.Pi)
+        after = vars(p)
+        assert after.keys() == before.keys()
+        for k, v in before.items():
+            assert after[k] is v, k
+        for k, data in contents.items():
+            assert after[k].tobytes() == data, k
 
 
 class TestGammaWeights:

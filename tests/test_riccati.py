@@ -12,11 +12,9 @@ from mflq.errors import (
     NonPositiveR,
     StabilizabilityFailure,
 )
-from mflq.linalg import spectral_abscissa
+from mflq.linalg import block_2x2, spectral_abscissa
 from mflq.riccati import (
     PBH_TOL,
-    CareProblem,
-    care_hamiltonian,
     care_residual,
     solve_care_stabilizing,
     solve_discounted_are,
@@ -33,37 +31,25 @@ def scalar_discounted_solution(a, b, q, r, rho):
     return (a_rho + np.sqrt(a_rho**2 + q * br2)) / br2
 
 
-class TestCareProblemValidation:
-    def test_asymmetric_m_rejected(self):
-        with pytest.raises(ValueError):
-            CareProblem(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
-
-    def test_indefinite_m_rejected(self):
-        with pytest.raises(ValueError):
-            CareProblem(np.eye(2), -np.eye(2), np.eye(2))
-
-    def test_asymmetric_q_rejected(self):
-        with pytest.raises(ValueError):
-            CareProblem(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_indefinite_q_accepted(self):
-        CareProblem(np.eye(2), np.eye(2), np.diag([1.0, -5.0]))
+def scalar_care(a_o, m, q_o):
+    """:func:`solve_care_stabilizing` on 1-by-1 blocks."""
+    return solve_care_stabilizing(np.array([[a_o]]), np.array([[m]]), np.array([[q_o]]))
 
 
 class TestCareResidual:
     def test_exact_scalar_solution(self):
-        p = CareProblem([[0.0]], [[1.0]], [[1.0]])
-        assert care_residual([[1.0]], p.A_o, p.M, p.Q_o) == pytest.approx(0.0, abs=1e-15)
+        one = np.array([[1.0]])
+        assert care_residual(one, np.zeros((1, 1)), one, one) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_candidate(self):
         n = 4
-        p = CareProblem(np.zeros((n, n)), np.eye(n), np.eye(n))
-        assert care_residual(np.zeros((n, n)), p.A_o, p.M, p.Q_o) == pytest.approx(np.sqrt(n))
+        zero, ident = np.zeros((n, n)), np.eye(n)
+        assert care_residual(zero, zero, ident, ident) == pytest.approx(np.sqrt(n))
 
 
 class TestSolveCareStabilizing:
     def test_scalar_unit(self):
-        sol = solve_care_stabilizing(CareProblem([[0.0]], [[1.0]], [[1.0]]))
+        sol = scalar_care(0.0, 1.0, 1.0)
         assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert sol.closed_loop[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert sol.spectrum_margin == pytest.approx(1.0, abs=1e-12)
@@ -71,21 +57,21 @@ class TestSolveCareStabilizing:
     def test_scalar_negative_weight(self):
         # shifted scalar data with sign-flipped coupling weight
         a_o = 2.0 - scalar_discounted_solution(2.0, 1.0, 2.0, 1.0, 1.0) - 0.5
-        sol = solve_care_stabilizing(CareProblem([[a_o]], [[1.0]], [[-2.0]]))
+        sol = scalar_care(a_o, 1.0, -2.0)
         assert sol.X[0, 0] == pytest.approx(-0.5615528128, abs=1e-9)
         assert sol.closed_loop[0, 0] == pytest.approx(-1.5, abs=1e-9)
 
     def test_axis_eigenvalue_raises(self):
         with pytest.raises(ImaginaryAxisEigenvalue):
-            solve_care_stabilizing(CareProblem([[0.0]], [[1.0]], [[-1.0]]))
+            scalar_care(0.0, 1.0, -1.0)
 
     def test_unstabilizable_raises(self):
         with pytest.raises(StabilizabilityFailure):
-            solve_care_stabilizing(CareProblem([[1.0]], [[0.0]], [[1.0]]))
+            scalar_care(1.0, 0.0, 1.0)
 
     def test_core_refuses_unstabilizable_without_pbh(self):
         # the stable eigenvector of [[1, 0], [-1, -1]] is (0, 1): W11 = 0
-        h = care_hamiltonian(CareProblem([[1.0]], [[0.0]], [[1.0]]))
+        h = np.array([[1.0, 0.0], [-1.0, -1.0]])
         with pytest.raises(GraphSubspaceFailure):
             stabilizing_solution(h)
 
@@ -98,20 +84,20 @@ class TestSolveCareStabilizing:
     def test_random_instances_certified(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(10):
-            p = random_care_problem(rng)
-            sol = solve_care_stabilizing(p)
+            a, m, q = random_care_problem(rng)
+            sol = solve_care_stabilizing(a, m, q)
             norm_x = np.linalg.norm(sol.X, "fro")
             assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
-            assert care_residual(sol.X, p.A_o, p.M, p.Q_o) <= 1e-7 * (1.0 + norm_x**2)
+            assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
             assert spectral_abscissa(sol.closed_loop) < 0.0
 
     def test_graph_subspace_identity(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
-            p = random_care_problem(rng)
-            sol = solve_care_stabilizing(p)
-            h = care_hamiltonian(p)
-            stack = np.vstack([np.eye(p.n), sol.X])
+            a, m, q = random_care_problem(rng)
+            sol = solve_care_stabilizing(a, m, q)
+            h = block_2x2(a, -m, -q, -a.T)
+            stack = np.vstack([np.eye(a.shape[0]), sol.X])
             lhs = h @ stack
             rhs = stack @ sol.closed_loop
             scale = 1.0 + np.linalg.norm(h, "fro") * (1.0 + np.linalg.norm(sol.X))
@@ -136,7 +122,7 @@ class TestAgainstEstablishedSolver:
                 ref = sla.solve_continuous_are(a, b, q, np.eye(b.shape[1]))
             except np.linalg.LinAlgError:
                 continue
-            sol = solve_care_stabilizing(CareProblem(a, b @ b.T, q))
+            sol = solve_care_stabilizing(a, b @ b.T, q)
             gap = np.linalg.norm(sol.X - ref, "fro")
             assert gap <= 1e-8 * (1.0 + np.linalg.norm(ref, "fro"))
             checked += 1
@@ -152,7 +138,7 @@ class TestScalarMaximality:
             if a * a + m * q <= 1e-2:  # keep away from the axis boundary
                 continue
             roots = np.roots([m, -2.0 * a, -q])
-            sol = solve_care_stabilizing(CareProblem([[a]], [[m]], [[q]]))
+            sol = scalar_care(a, m, q)
             assert sol.X[0, 0] == pytest.approx(max(roots.real), abs=1e-9)
 
 
@@ -206,17 +192,28 @@ class TestSolveDiscountedAre:
         via_discount = solve_discounted_are([[a]], [[b]], [[q]], [[r]], rho)
         b_mat = np.array([[b]])
         gram = b_mat @ sla.cho_solve(sla.cho_factor(np.array([[r]])), b_mat.T)
-        direct = solve_care_stabilizing(
-            CareProblem([[a - rho / 2.0]], gram, [[q]])
-        )
+        direct = solve_care_stabilizing(np.array([[a - rho / 2.0]]), gram, np.array([[q]]))
         assert via_discount.X[0, 0] == direct.X[0, 0]
 
     def test_mismatched_shapes_rejected(self):
-        # the solver-built CareProblem still compares the shapes of A, M, Q
+        # solve_discounted_are compares the shapes of A, M = B inv(R) B', Q
         with pytest.raises(ValueError, match="share one square shape"):
             solve_discounted_are(np.eye(2), [[1.0], [0.0]], [[1.0]], [[1.0]], 1.0)
         with pytest.raises(ValueError, match="share one square shape"):
             solve_discounted_are(np.eye(2), [[1.0, 0.0]], np.eye(2), np.eye(2), 1.0)
+
+    def test_asymmetric_q_rejected(self):
+        with pytest.raises(ValueError, match="Q is not symmetric"):
+            solve_discounted_are(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 np.eye(2), 1.0)
+
+    def test_indefinite_q_accepted(self):
+        # decoupled scalar equations, each with the closed-form solution
+        q = [1.0, -5.0]
+        sol = solve_discounted_are(3.0 * np.eye(2), np.eye(2), np.diag(q), np.eye(2), 1.0)
+        expected = [scalar_discounted_solution(3.0, 1.0, qi, 1.0, 1.0) for qi in q]
+        assert sol.X == pytest.approx(np.diag(expected), rel=1e-9, abs=1e-9)
+        assert sol.spectrum_margin > 0.0
 
     def test_non_positive_r(self):
         with pytest.raises(NonPositiveR):

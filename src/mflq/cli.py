@@ -12,6 +12,7 @@ failure, 4 I/O or parse error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import contraction as contraction_mod
 from . import mfg as mfg_mod
+from . import riccati
 from . import social as social_mod
 from .errors import (
     DichotomySplitFailure,
@@ -32,7 +34,7 @@ from .errors import (
     StabilizabilityFailure,
     UnstableGenerator,
 )
-from .problem import ProblemData, discounted_riccati, gamma_weights, validate
+from .problem import ProblemData, gamma_weights, validate
 from .simulate import SimConfig, simulate
 
 __all__ = ["load_problem_file", "main", "parse_problem_dict", "problem_to_dict"]
@@ -190,7 +192,7 @@ def _emit(doc, out_path=None):
 
 
 def _time_grid(t_end, dt):
-    if dt <= 0.0 or t_end < dt:
+    if not 0.0 < dt <= t_end < np.inf:
         raise ProblemFileError(f"invalid grid: t_end={t_end}, dt={dt}")
     steps = int(round(t_end / dt))
     return np.arange(steps + 1) * dt
@@ -211,32 +213,30 @@ def write_trajectory_csv(path, t_grid, xbar, s):
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _cmd_solve_social(args, p, report):
+def _solve_report(solve, own_keys, args, p, report):
+    """``solve-social`` and ``solve-game``: solve, sample the trajectory,
+    write the CSV, then report the common keys around the command's own,
+    which ``own_keys(sol, p, grid, xbar, s)`` returns with the residuals
+    that follow the discounted Riccati one."""
     started = time.perf_counter()
-    sol = social_mod.solve_sce(p)
+    sol = solve(p)
+    solve_seconds = time.perf_counter() - started
     grid = _time_grid(args.t_end, args.dt)
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
         write_trajectory_csv(args.traj_out, grid, xbar, s)
-    ode_residual = social_mod._sce_residual(sol, p, grid, xbar, s)
+    keys, residuals = own_keys(sol, p, grid, xbar, s)
     doc = {
-        "command": "solve-social",
+        "command": args.command,
         "problem": problem_to_dict(p),
         "validation": _validation_dict(report),
-        "spectrum": _spectrum_rows(sol.H),
+        "spectrum": _spectrum_rows(sol.decomposition.K),
         "Pi": sol.Pi.tolist(),
-        "Xplus": sol.X_plus.tolist(),
-        "A_C": sol.A_C.tolist(),
-        "A_cl": sol.A_cl.tolist(),
-        "c": sol.offset.tolist(),
+        **keys,
         "s0": sol.s0.tolist(),
-        "residuals": {
-            "discounted_riccati": sol.pi_residual,
-            "auxiliary_riccati": sol.aux_residual,
-            "ode_finite_difference": ode_residual,
-        },
+        "residuals": {"discounted_riccati": sol.pi_residual, **residuals},
         "timings": {
-            "solve_seconds": sol.solve_seconds,
+            "solve_seconds": solve_seconds,
             "total_seconds": time.perf_counter() - started,
         },
     }
@@ -244,43 +244,37 @@ def _cmd_solve_social(args, p, report):
     return EXIT_OK
 
 
-def _cmd_solve_game(args, p, report):
-    started = time.perf_counter()
-    sol = mfg_mod.solve_mfg(p)
-    grid = _time_grid(args.t_end, args.dt)
-    xbar, s = sol.trajectory(grid)
-    if args.traj_out:
-        write_trajectory_csv(args.traj_out, grid, xbar, s)
+def _social_keys(sol, p, grid, xbar, s):
+    return {
+        "Xplus": sol.X_plus.tolist(),
+        "A_C": sol.A_C.tolist(),
+        "A_cl": sol.A_cl.tolist(),
+        "c": sol.bvp.y2_offset.tolist(),
+    }, {
+        "auxiliary_riccati": sol.aux_residual,
+        "ode_finite_difference": social_mod._sce_residual(sol, p, grid, xbar, s),
+    }
+
+
+def _game_keys(sol, p, grid, xbar, s):
     n = p.n
-    u = sol.decomposition.U
-    doc = {
-        "command": "solve-game",
-        "problem": problem_to_dict(p),
-        "validation": _validation_dict(report),
-        "spectrum": _spectrum_rows(sol.M_mfg),
-        "Pi": sol.Pi.tolist(),
-        "M_mfg": sol.M_mfg.tolist(),
+    d = sol.decomposition
+    u = d.U
+    return {
+        "M_mfg": d.K.tolist(),
         "U11": u[:n, :n].tolist(),
         "U12": u[:n, n:].tolist(),
         "U21": u[n:, :n].tolist(),
         "U22": u[n:, n:].tolist(),
-        "U11_condition": sol.decomposition.U11_condition,
+        "U11_condition": d.U11_condition,
         "det_U11": float(np.linalg.det(u[:n, :n])),
-        "F11": sol.decomposition.F11.tolist(),
+        "F11": d.F11.tolist(),
         "y2_offset": sol.bvp.y2_offset.tolist(),
-        "s0": sol.s0.tolist(),
-        "residuals": {"discounted_riccati": sol.pi_residual},
-        "timings": {
-            "solve_seconds": sol.solve_seconds,
-            "total_seconds": time.perf_counter() - started,
-        },
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, {}
 
 
 def _cmd_contraction(args, p, report):
-    are = discounted_riccati(p)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     beta = contraction_mod.contraction_bound(p, are.X)
     doc = {
         "command": "contraction",
@@ -329,7 +323,7 @@ def _cmd_simulate(args, p, report):
 
 
 def _cmd_spectrum(args, p, report):
-    are = discounted_riccati(p)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     if args.system == "social":
         w = gamma_weights(p.Q, p.Gamma, p.eta)
         matrix = social_mod.build_hamiltonian(are, w)
@@ -364,8 +358,8 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
 
-    for name, fn in (("solve-social", _cmd_solve_social),
-                     ("solve-game", _cmd_solve_game)):
+    for name, solve, own_keys in (("solve-social", social_mod.solve_sce, _social_keys),
+                                  ("solve-game", mfg_mod.solve_mfg, _game_keys)):
         sp = sub.add_parser(name)
         add_common(sp)
         sp.add_argument("--t-end", type=float, default=10.0,
@@ -374,7 +368,7 @@ def _build_parser():
                         help="trajectory step (default 0.01)")
         sp.add_argument("--traj-out", default=None,
                         help="write a trajectory CSV to this path")
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=functools.partial(_solve_report, solve, own_keys))
 
     sp = sub.add_parser("contraction")
     add_common(sp)

@@ -5,34 +5,32 @@ lower-left coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
 ``Q @ eta``, so the coefficient matrix is not Hamiltonian and the analytic
 Riccati transform is unavailable.  The stable/antistable splitting is
 instead constructed generically from the ordered real Schur form; the rest
-of the machinery (the front end for `Pi`, closed-form decaying solve,
-trajectory generators) is shared with the social pipeline.
+of the machinery (the front end :func:`riccati.solve_discounted_are` for
+`Pi`, closed-form decaying solve, trajectory generators) is shared with the
+social pipeline.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dichotomy
+from . import dichotomy, riccati
 from .linalg import block_2x2
-from .problem import discounted_riccati
 
 __all__ = ["MfgSolution", "build_mfg_matrix", "solve_mfg"]
 
 
 @dataclass(frozen=True)
 class MfgSolution:
-    """Solved game consistency system with its splitting transform."""
+    """Solved game consistency system with its splitting transform; the
+    coefficient matrix `M_mfg` is ``decomposition.K``."""
 
     Pi: np.ndarray
-    M_mfg: np.ndarray
     decomposition: dichotomy.DichotomyDecomposition
     s0: np.ndarray
     bvp: dichotomy.BvpSolution
     rho: float
     pi_residual: float
-    solve_seconds: float
 
     @property
     def n(self):
@@ -53,7 +51,7 @@ def build_mfg_matrix(p, are):
 def solve_mfg(p):
     """Solve the game consistency system via the ordered Schur splitting,
     after the front end shared with the social solver
-    (:func:`problem.discounted_riccati`).
+    (:func:`riccati.solve_discounted_are`).
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
     standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when a
@@ -61,19 +59,15 @@ def solve_mfg(p):
     stable/antistable split is not n/n, and :class:`GraphSubspaceFailure`
     when the leading transform block is numerically singular.
     """
-    t_start = time.perf_counter()
-    are = discounted_riccati(p)
-    m_mfg = build_mfg_matrix(p, are)
-    d = dichotomy.decompose_from_schur(m_mfg)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    d = dichotomy.decompose_from_schur(build_mfg_matrix(p, are))
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return MfgSolution(
         Pi=are.X,
-        M_mfg=m_mfg,
         decomposition=d,
         s0=bvp.z2_0,
         bvp=bvp,
         rho=p.rho,
         pi_residual=are.residual,
-        solve_seconds=time.perf_counter() - t_start,
     )

@@ -5,6 +5,11 @@ and the discounted quadratic cost with mean-field coupling
 ``Gamma * mean(x) + eta``, state weight `Q` (symmetric, possibly indefinite),
 control weight ``R > 0`` and discount rate ``rho > 0``.  ``x0`` is the
 initial mean field.
+
+:func:`validate` reports every standing assumption at once and never
+raises; the solvers do not call it, since their front end
+:func:`riccati.solve_discounted_are` certifies ``(A, B)`` and `R` at the
+same thresholds by what its solve produces.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .errors import MflqError
 from .linalg import (as_square, as_symmetric, block_2x2, block_balance,
                      default_axis_tol, eigenvalues, weighted_gram)
 
@@ -21,7 +25,6 @@ __all__ = [
     "GammaWeights",
     "ProblemData",
     "ValidationReport",
-    "discounted_riccati",
     "gamma_weights",
     "validate",
 ]
@@ -62,6 +65,9 @@ class ProblemData:
             )
         if eta.size != n or x0.size != n:
             raise ValueError("eta and x0 must have the state dimension")
+        for name, vec in (("eta", eta), ("x0", x0)):
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} has non-finite entries")
         if not (np.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"discount rate rho must be positive, got {self.rho}")
         d = self.D
@@ -175,20 +181,3 @@ def validate(p):
         axis_margin=axis_margin,
         axis_tol=tol,
     )
-
-
-def discounted_riccati(p):
-    """Front end of the social and game solvers: :func:`riccati.solve_discounted_are`
-    (thresholds shared with :func:`validate`).  Feedback keeps the PBH rank, so
-    ``(A, B)`` is tested only at the modes of ``A - M Pi`` with ``Re >= 0``, and
-    in full only to name a failure."""
-    try:
-        are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-    except MflqError:
-        riccati.require_stabilizable(p.A, p.B, "(A, B)")
-        raise
-    if are.spectrum_margin <= 0.5 * p.rho:
-        closed = are.closed_loop + 0.5 * p.rho * np.eye(p.n)
-        if not riccati.stabilizability_margin(closed, p.B) > riccati.PBH_TOL:
-            riccati.require_stabilizable(p.A, p.B, "(A, B)")
-    return are

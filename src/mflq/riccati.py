@@ -14,8 +14,11 @@ solve's auxiliary equation) and certifies the result.
 :func:`solve_care_stabilizing` builds the Hamiltonian from the three blocks
 and runs the ``(A_o, M)`` PBH test only to name a failure.  The discounted
 equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
-``A -> A - (rho/2) I``; :func:`solve_discounted_are` checks its inputs and
-calls it.
+``A -> A - (rho/2) I``; :func:`solve_discounted_are` is the front end of
+every solver and command.  It certifies ``(A, B)`` by the outcome: the full
+PBH test runs only on a failed solve (its verdict wins over the failure's
+own, an `R` failure included), and on an accepted one only at the modes of
+``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.
 """
 
 from dataclasses import dataclass
@@ -165,7 +168,8 @@ def solve_care_stabilizing(a_o, m, q_o):
 
 
 def solve_discounted_are(A, B, Q, R, rho):
-    """Stabilizing solution of the discounted Riccati equation.
+    """Stabilizing solution of the discounted Riccati equation, with
+    ``(A, B)`` certified stabilizable.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
     ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
@@ -173,7 +177,9 @@ def solve_discounted_are(A, B, Q, R, rho):
     ``(A - (rho/2) I, B inv(R) B', Q)``.
 
     `R` must be symmetric positive definite (:class:`NonPositiveR` otherwise);
-    the inverse enters only through a Cholesky solve against ``B'``.
+    the inverse enters only through a Cholesky solve against ``B'``.  Any
+    failure, or a closed-loop mode with ``Re >= 0`` that fails the PBH test,
+    becomes a :class:`StabilizabilityFailure` when ``(A, B)`` fails it.
     """
     A = as_square(A, "A")
     B = np.asarray(B, dtype=float)
@@ -181,10 +187,19 @@ def solve_discounted_are(A, B, Q, R, rho):
         B = B[:, None]
     Q = as_symmetric(Q, "Q")
     R = as_symmetric(R, "R")
-    min_eig_r, r_ok = r_definiteness(R)
-    if not r_ok:
-        raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
-    m = weighted_gram(B, R)
-    if not (A.shape == m.shape == Q.shape):
+    n = A.shape[0]
+    if not (A.shape == (B.shape[0], B.shape[0]) == Q.shape):
         raise ValueError("A_o, M, Q_o must share one square shape")
-    return solve_care_stabilizing(A - 0.5 * rho * np.eye(A.shape[0]), m, Q)
+    try:
+        min_eig_r, r_ok = r_definiteness(R)
+        if not r_ok:
+            raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
+        are = solve_care_stabilizing(A - 0.5 * rho * np.eye(n), weighted_gram(B, R), Q)
+    except MflqError:
+        require_stabilizable(A, B, "(A, B)")
+        raise
+    if are.spectrum_margin <= 0.5 * rho:
+        closed = are.closed_loop + 0.5 * rho * np.eye(n)
+        if not stabilizability_margin(closed, B) > PBH_TOL:
+            require_stabilizable(A, B, "(A, B)")
+    return are

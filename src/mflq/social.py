@@ -11,20 +11,20 @@ initial value ``s0`` keeping ``(xbar, s)`` in the admissible growth class
 follows in closed form.  The ordered Schur forms of the two Riccati solves
 also decide existence: no separate validation pass runs on the solve path,
 and the auxiliary solve runs no PBH test, since ``As`` is the closed loop
-the discounted solve certified stable.
+that :func:`riccati.solve_discounted_are` certified stable, along with
+``(A, B)`` stabilizable.
 
 The induced decentralized strategy for every agent is the linear feedback
 ``u_i(t) = K_x x_i(t) - inv(R) B' s(t)`` with ``K_x = -inv(R) B' Pi``.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dichotomy, riccati
 from .linalg import block_2x2, solve_spd
-from .problem import discounted_riccati, gamma_weights
+from .problem import gamma_weights
 
 __all__ = [
     "SceSolution",
@@ -42,15 +42,14 @@ class SceSolution:
 
     `A_C` is the stable matrix governing the discounted pair; the mean field
     itself evolves by ``A_cl = A_C + (rho/2) I`` (spectral abscissa below
-    ``rho/2``).  Along the whole trajectory ``s(t) = X_plus @ xbar(t) +
-    offset`` holds identically.
+    ``rho/2``).  The Hamiltonian `H` is ``decomposition.K``.  Along the
+    whole trajectory ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds
+    identically.
     """
 
     Pi: np.ndarray
-    H: np.ndarray
     X_plus: np.ndarray
     A_C: np.ndarray
-    offset: np.ndarray
     s0: np.ndarray
     A_cl: np.ndarray
     rho: float
@@ -58,7 +57,6 @@ class SceSolution:
     bvp: dichotomy.BvpSolution
     pi_residual: float
     aux_residual: float
-    solve_seconds: float
 
     @property
     def n(self):
@@ -94,7 +92,7 @@ def solve_sce(p):
     """Solve the social consistency system end to end.
 
     Pipeline, the game's shape: the front end
-    :func:`problem.discounted_riccati` for `Pi`, assemble `H`, decompose it
+    :func:`riccati.solve_discounted_are` for `Pi`, assemble `H`, decompose it
     by the auxiliary solution `X_plus` (:func:`riccati.stabilizing_solution`
     on `H`), and extract ``s0`` and the trajectory generators.  The two
     Riccati solves' Schur forms are the axis tests.
@@ -105,8 +103,7 @@ def solve_sce(p):
     half the discount rate under full mean-field tracking), and
     :class:`GraphSubspaceFailure` when a Riccati solution fails certification.
     """
-    t_start = time.perf_counter()
-    are = discounted_riccati(p)
+    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
     w = gamma_weights(p.Q, p.Gamma, p.eta)
     h = build_hamiltonian(are, w)
     aux = riccati.stabilizing_solution(h)
@@ -116,10 +113,8 @@ def solve_sce(p):
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return SceSolution(
         Pi=are.X,
-        H=h,
         X_plus=aux.X,
         A_C=aux.closed_loop,
-        offset=bvp.y2_offset,
         s0=bvp.z2_0,
         A_cl=aux.closed_loop + 0.5 * p.rho * np.eye(n),
         rho=p.rho,
@@ -127,7 +122,6 @@ def solve_sce(p):
         bvp=bvp,
         pi_residual=are.residual,
         aux_residual=aux.residual,
-        solve_seconds=time.perf_counter() - t_start,
     )
 
 

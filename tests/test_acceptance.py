@@ -47,10 +47,10 @@ def test_criterion_1_scalar_social_golden():
     p = scalar_social_problem()
     sol = solve_sce(p)
     assert sol.Pi[0, 0] == pytest.approx(3.5616, abs=1e-3)
-    assert np.allclose(sol.H, [[-2.0616, -1.0], [2.0, 2.0616]], atol=1e-3)
-    lam = np.sort(eigenvalues(sol.H).real)
+    assert np.allclose(sol.decomposition.K, [[-2.0616, -1.0], [2.0, 2.0616]], atol=1e-3)
+    lam = np.sort(eigenvalues(sol.decomposition.K).real)
     assert np.allclose(lam, [-1.5, 1.5], atol=1e-6)
-    assert np.abs(eigenvalues(sol.H).imag).max() <= 1e-6
+    assert np.abs(eigenvalues(sol.decomposition.K).imag).max() <= 1e-6
     assert sol.X_plus[0, 0] == pytest.approx(-0.5615, abs=1e-3)
     assert sol.A_C[0, 0] == pytest.approx(-1.5, abs=1e-6)
     assert sol.s0[0] == pytest.approx(-0.5615, abs=1e-3)
@@ -74,7 +74,7 @@ def test_criterion_2_two_state_indefinite_golden():
         [0.5, 0.5, -2.6327, -2.1327],
         [0.5, 0.0, 7.9914, 5.4914],
     ]
-    assert np.allclose(sol.H, expected_h, atol=1e-3)
+    assert np.allclose(sol.decomposition.K, expected_h, atol=1e-3)
     assert np.allclose(sol.X_plus, [[-2.0373, 2.7519], [2.7519, -4.1941]],
                        atol=1e-3)
     assert np.allclose(sol.A_C, [[1.9181, -6.5492], [1.4181, -4.0492]],
@@ -86,7 +86,7 @@ def test_criterion_2_two_state_indefinite_golden():
         -1.0655 + 0.6208j, -1.0655 - 0.6208j,
         1.0655 + 0.6208j, 1.0655 - 0.6208j,
     ])
-    assert np.allclose(as_multiset(eigenvalues(sol.H)), expected_eigs,
+    assert np.allclose(as_multiset(eigenvalues(sol.decomposition.K)), expected_eigs,
                        atol=1e-3)
 
 
@@ -102,8 +102,8 @@ def test_criterion_3_game_golden():
         [5.0, 0.0, -14.7999, -10.7999],
         [2.5, 5.0, 42.0915, 28.0915],
     ]
-    assert np.allclose(sol.M_mfg, expected_m, atol=1e-3)
-    lam = eigenvalues(sol.M_mfg)
+    assert np.allclose(sol.decomposition.K, expected_m, atol=1e-3)
+    lam = eigenvalues(sol.decomposition.K)
     assert np.abs(lam.imag).max() <= 1e-3
     assert np.allclose(np.sort(lam.real),
                        [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
@@ -232,7 +232,7 @@ def test_criterion_6f_affine_manifold_identity():
     for p in cases:
         sol = solve_sce(p)
         xbar, s = sol.trajectory(t)
-        recon = xbar @ sol.X_plus.T + sol.offset
+        recon = xbar @ sol.X_plus.T + sol.bvp.y2_offset
         assert scaled_close(s, recon, 1e-9)
 
 

@@ -14,6 +14,7 @@ from mflq.cli import (
     write_trajectory_csv,
 )
 from mflq.errors import ProblemFileError
+from mflq.mfg import solve_mfg
 from mflq.social import sce_residual, solve_sce
 
 SCALAR = str(PROBLEM_DIR / "ex41.json")
@@ -178,6 +179,27 @@ class TestSolveSocialCommand:
         assert code == 4
         assert "n1" in err
 
+    @pytest.mark.parametrize("field,value", [("x0", float("nan")), ("eta", float("inf"))])
+    def test_non_finite_vector_exit_4(self, capsys, tmp_path, field, value):
+        with open(SCALAR) as fh:
+            doc = json.load(fh)
+        doc[field] = [value]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve-social", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert f"{field} has non-finite entries" in err
+
+    @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--dt", "nan")])
+    def test_non_finite_grid_exit_4(self, capsys, flag, value):
+        code = main(["solve-social", SCALAR, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "invalid grid" in err
+
     def test_validation_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "unstab.json"
         bad.write_text(json.dumps({
@@ -223,6 +245,38 @@ class TestSolveGameCommand:
         first = traj.read_text().splitlines()[1].split(",")
         assert [float(v) for v in first[1:3]] == doc["problem"]["x0"]
         assert [float(v) for v in first[3:5]] == doc["s0"]
+
+
+COMMON_HEAD = ["command", "problem", "validation", "spectrum", "Pi"]
+COMMON_TAIL = ["s0", "residuals", "timings"]
+REPORT_SHAPES = {
+    "solve-social": (solve_sce, ["Xplus", "A_C", "A_cl", "c"],
+                     ["discounted_riccati", "auxiliary_riccati", "ode_finite_difference"]),
+    "solve-game": (solve_mfg, ["M_mfg", "U11", "U12", "U21", "U22", "U11_condition",
+                               "det_U11", "F11", "y2_offset"],
+                   ["discounted_riccati"]),
+}
+
+
+class TestSolveReports:
+    # ex42_gamma2's game matrix splits 1/3, so solve-game rejects it
+    @pytest.mark.parametrize("command,path", [
+        ("solve-social", SCALAR), ("solve-social", TWO_STATE_STRONG),
+        ("solve-social", TWO_STATE_WEAK), ("solve-social", GAME),
+        ("solve-game", SCALAR), ("solve-game", TWO_STATE_WEAK), ("solve-game", GAME),
+    ])
+    def test_report_shape(self, capsys, command, path):
+        solve, own_keys, residual_keys = REPORT_SHAPES[command]
+        code, doc = run_json(capsys, [command, path])
+        assert code == 0
+        assert list(doc) == COMMON_HEAD + own_keys + COMMON_TAIL
+        assert doc["command"] == command
+        assert list(doc["residuals"]) == residual_keys
+        assert list(doc["timings"]) == ["solve_seconds", "total_seconds"]
+        assert 0.0 < doc["timings"]["solve_seconds"] <= doc["timings"]["total_seconds"]
+        lam = np.linalg.eigvals(solve(load_problem_file(path)).decomposition.K)
+        assert [(row["re"], row["im"]) for row in doc["spectrum"]] \
+            == sorted((float(z.real), float(z.imag)) for z in lam)
 
 
 class TestContractionCommand:

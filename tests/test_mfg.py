@@ -49,7 +49,7 @@ class TestSolveMfg:
     def test_reference_game(self, game_case):
         sol = solve_mfg(game_case)
         assert np.allclose(sol.s0, [2.31075, -4.11538], atol=1e-3)
-        lam = np.sort(np.linalg.eigvals(sol.M_mfg).real)
+        lam = np.sort(np.linalg.eigvals(sol.decomposition.K).real)
         assert np.allclose(lam, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
         assert sol.decomposition.U11_condition <= 1e12
 
@@ -107,7 +107,7 @@ class TestSolveMfg:
         fd_x = (xbar[2:] - xbar[:-2]) / (2.0 * h)
         fd_s = (s[2:] - s[:-2]) / (2.0 * h)
         scale = max(np.abs(xbar).max(), np.abs(s).max(), 1.0) \
-            * (1.0 + np.linalg.norm(sol.M_mfg))
+            * (1.0 + np.linalg.norm(sol.decomposition.K))
         assert np.abs(fd_x - rhs_x[1:-1]).max() <= 1e-5 * scale
         assert np.abs(fd_s - rhs_s[1:-1]).max() <= 1e-5 * scale
 

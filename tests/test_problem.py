@@ -51,6 +51,15 @@ class TestProblemData:
         with pytest.raises(ValueError):
             ProblemData(**base)
 
+    @pytest.mark.parametrize("field", ["eta", "x0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, field, value):
+        base = dict(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.0]],
+                    eta=[0.0], rho=1.0, x0=[0.0])
+        base[field] = [value]
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            ProblemData(**base)
+
     def test_no_controls_rejected(self):
         with pytest.raises(ValueError, match="B"):
             ProblemData(A=[[1.0]], B=np.zeros((1, 0)), Q=[[1.0]],

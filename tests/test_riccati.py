@@ -202,6 +202,22 @@ class TestSolveDiscountedAre:
         with pytest.raises(ValueError, match="share one square shape"):
             solve_discounted_are(np.eye(2), [[1.0, 0.0]], np.eye(2), np.eye(2), 1.0)
 
+    def test_shapes_checked_before_pbh(self):
+        # unstabilizable and R too small, but the malformed call is named first
+        with pytest.raises(ValueError, match="share one square shape"):
+            solve_discounted_are(2.0 * np.eye(2), [[0.0]], np.eye(2), [[1e-13]], 1.0)
+
+    @pytest.mark.parametrize("a,b,r", [
+        ([[0.2]], [[0.0]], [[1.0]]),
+        (np.diag([0.2, 1.0]), [[0.0], [1.0]], [[1.0]]),
+        ([[2.0]], [[0.0]], [[1e-13]]),
+    ], ids=["solved-scalar", "solved-two-state", "tiny-r"])
+    def test_unstabilizable_pair_rejected(self, a, b, r):
+        # the first two solve, with an uncontrollable mode 0.2 < rho/2 left
+        # in the closed loop; the third fails the R check first
+        with pytest.raises(StabilizabilityFailure, match=r"\(A, B\)"):
+            solve_discounted_are(a, b, np.eye(np.shape(a)[0]), r, 1.0)
+
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError, match="Q is not symmetric"):
             solve_discounted_are(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),

@@ -108,11 +108,11 @@ class TestSolveSce:
         assert sol.A_C[0, 0] == pytest.approx(-1.5, abs=1e-9)
         assert sol.A_cl[0, 0] == pytest.approx(-1.0, abs=1e-9)
         assert spectral_abscissa(sol.A_cl) == pytest.approx(-1.0, abs=1e-9)
-        assert sol.offset[0] == pytest.approx(0.0, abs=1e-12)
+        assert sol.bvp.y2_offset[0] == pytest.approx(0.0, abs=1e-12)
         assert sol.s0[0] == pytest.approx(1.5 - root, abs=1e-9)
         # s0 = X_plus x0 + offset
         assert sol.s0[0] == pytest.approx(
-            (sol.X_plus @ scalar_social.x0 + sol.offset)[0], abs=1e-12
+            (sol.X_plus @ scalar_social.x0 + sol.bvp.y2_offset)[0], abs=1e-12
         )
 
     def test_scalar_trajectory(self, scalar_social):
@@ -154,7 +154,7 @@ class TestSolveSce:
             p = random_problem(rng)
             sol = solve_sce(p)
             xbar, s = sol.trajectory(t)
-            recon = xbar @ sol.X_plus.T + sol.offset
+            recon = xbar @ sol.X_plus.T + sol.bvp.y2_offset
             assert scaled_close(s, recon, 1e-9)
 
     def test_nonpositive_coupling_class_always_solves(self):

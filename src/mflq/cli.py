@@ -191,9 +191,15 @@ def _emit(doc, out_path=None):
         sys.stdout.write(text + "\n")
 
 
+# ``solve-social`` and ``solve-game`` sample at most this many grid points
+MAX_GRID_POINTS = 10**6
+
+
 def _time_grid(t_end, dt):
-    if not 0.0 < dt <= t_end < np.inf:
-        raise ProblemFileError(f"invalid grid: t_end={t_end}, dt={dt}")
+    # the grid has round(t_end / dt) + 1 points
+    if not (0.0 < dt <= t_end < np.inf and t_end / dt < MAX_GRID_POINTS - 0.5):
+        raise ProblemFileError(f"invalid grid: t_end={t_end}, dt={dt} (need "
+                               f"0 < dt <= t_end, at most {MAX_GRID_POINTS} points)")
     steps = int(round(t_end / dt))
     return np.arange(steps + 1) * dt
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableGenerator
-from .linalg import as_square, fill_powers, mat_exp
+from .linalg import as_square, fill_powers, fro, mat_exp
 from .problem import gamma_weights
 
 __all__ = ["QuadratureConfig", "contraction_bound", "decaying_norm_integral"]
@@ -104,7 +104,7 @@ def decaying_norm_integral(a, c, cfg=None, return_history=False):
     alpha = float(lam.real.max())
     if alpha >= 0.0:
         raise UnstableGenerator(f"generator is not stable (abscissa {alpha:.3e})")
-    c_norm = np.linalg.norm(c, "fro")
+    c_norm = fro(c)
     if c_norm == 0.0:
         return (0.0, [0.0]) if return_history else 0.0
 
@@ -116,8 +116,7 @@ def decaying_norm_integral(a, c, cfg=None, return_history=False):
     # The bound can be loose the other way for strongly non-normal a;
     # extend until the integrand itself is below the tail target.
     for _ in range(60):
-        if np.linalg.norm(mat_exp(a * t_end) @ c, "fro") <= \
-                cfg.truncation_tol * -alpha:
+        if fro(mat_exp(a * t_end) @ c) <= cfg.truncation_tol * -alpha:
             break
         t_end *= 1.5
 

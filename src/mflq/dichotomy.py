@@ -227,7 +227,9 @@ def evaluate_trajectory(sol, d, rho, t_grid):
         w = states[hi - 1]
     y = np.empty((t.size, 2 * n))
     y[:, :n] = states[:, :n]
-    y[:, n:] = np.exp(-0.5 * rho * t)[:, None] * sol.y2_offset
+    y[:, n:] = sol.y2_offset
+    if rho:
+        y[:, n:] *= np.exp(-0.5 * rho * t)[:, None]
     z = y @ d.U.T
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
     z[t == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])

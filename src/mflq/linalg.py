@@ -1,14 +1,15 @@
 """Dense real linear algebra kernels shared by all solver modules.
 
 Eigenvalues, the stable-first real Schur form, a scaling-and-squaring matrix
-exponential, LU and Cholesky solves, 2x2 block assembly and spectral helpers.
-LAPACK ``dgeev``, ``dgetrf``/``dgetrs``/``dgecon``, ``dpotrf``/``dpotrs``,
-``dgees`` and ``dtrsen`` are called directly: on small matrices their numpy
-and scipy wrappers cost more than they do.  The wrappers are the functions
-of scipy's compiled extension ``scipy.linalg._flapack``, the same objects
-``scipy.linalg.lapack`` re-exports, loaded without running the
-``scipy.linalg`` package init (see :func:`_load_flapack`).  All functions
-are pure on float64 arrays.
+exponential, LU and Cholesky solves, matrix norms, 2x2 block assembly and
+spectral helpers.  LAPACK ``dgeev``, ``dgetrf``/``dgetrs``/``dgecon``,
+``dpotrf``/``dpotrs``, ``dgees``, ``dtrsen``, ``dlange`` (every matrix norm)
+and ``dsyev`` (the eigenvalues of `R`) are called directly: on small
+matrices their numpy and scipy wrappers cost more than they do.  The
+wrappers are the functions of scipy's compiled extension
+``scipy.linalg._flapack``, the same objects ``scipy.linalg.lapack``
+re-exports, loaded without running the ``scipy.linalg`` package init (see
+:func:`_load_flapack`).  All functions are pure on float64 arrays.
 """
 
 import importlib.machinery
@@ -72,8 +73,10 @@ dgees = _flapack.dgees
 dgeev = _flapack.dgeev
 dgetrf = _flapack.dgetrf
 dgetrs = _flapack.dgetrs
+dlange = _flapack.dlange
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
+dsyev = _flapack.dsyev
 dtrsen = _flapack.dtrsen
 
 __all__ = [
@@ -85,6 +88,7 @@ __all__ = [
     "default_axis_tol",
     "eigenvalues",
     "fill_powers",
+    "fro",
     "lu_factor",
     "lu_solve",
     "mat_exp",
@@ -106,19 +110,26 @@ def as_square(a, name="matrix"):
     return a
 
 
+def fro(a):
+    """Frobenius norm of a 2-D float64 array (``dlange``), 0.0 when empty.
+
+    ``dlange`` sums scaled squares (``dlassq``), so it neither overflows
+    nor underflows where the plain sum of squares would."""
+    return dlange("F", a)
+
+
 def as_symmetric(a, name="matrix"):
     """:func:`as_square`, and symmetric to a relative Frobenius error 1e-10."""
     a = as_square(a, name)
-    err = np.linalg.norm(a - a.T, "fro")
-    if err > 1e-10 * max(np.linalg.norm(a, "fro"), np.finfo(float).tiny):
+    err = fro(a - a.T)
+    if err > 1e-10 * max(fro(a), np.finfo(float).tiny):
         raise ValueError(f"{name} is not symmetric (asymmetry {err:.3e})")
     return a
 
 
 def default_axis_tol(k):
     """Scale-invariant tolerance for 'eigenvalue on the imaginary axis'."""
-    k = np.asarray(k, dtype=float)
-    return 1e-9 * (1.0 + np.linalg.norm(k, "fro"))
+    return 1e-9 * (1.0 + fro(np.asarray(k, dtype=float)))
 
 
 def block_2x2(a11, a12, a21, a22):
@@ -135,7 +146,7 @@ def block_balance(k):
     (Benner, SISC 2001).  Exponents and mantissas are rounded apart, so
     ``(k12, k21) -> (2^-j k12, 2^j k21)`` gives ``2^j c`` exactly."""
     n = k.shape[0] // 2
-    norms = np.linalg.norm(k[n:, :n]), np.linalg.norm(k[:n, n:])
+    norms = fro(k[n:, :n]), fro(k[:n, n:])
     if not 0.0 < min(norms) <= max(norms) < np.inf:
         return k, 1.0
     (m_lo, e_lo), (m_up, e_up) = map(math.frexp, norms)
@@ -160,7 +171,7 @@ def eigenvalues(a):
     a = as_square(a)
     if a.shape[0] == 0:
         return np.zeros(0)
-    big = np.abs(a).max()
+    big = dlange("M", a)
     if big and not 2.0**-459 <= big <= 2.0**459:
         # scipy's bundled dgeev leaves the eigenvalues scaled when it has to
         # scale such an `a` itself; an exact power-of-two scaling avoids that
@@ -188,7 +199,7 @@ def solve_linear(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape[0] == 0:
         return np.zeros(b.shape)
-    nrm = np.linalg.norm(a, "fro")
+    nrm = fro(a)
     lu, piv, _ = dgetrf(a)
     pivots = np.abs(np.diag(lu))
     if nrm == 0.0 or pivots.min() < 1e-12 * nrm:
@@ -209,7 +220,7 @@ def lu_factor(a):
     lu, piv, info = dgetrf(a)
     if info > 0:
         return lu, piv, np.inf
-    rcond, _ = dgecon(lu, np.linalg.norm(a, 1))
+    rcond, _ = dgecon(lu, dlange("1", a))
     return lu, piv, 1.0 / rcond if rcond > 0.0 else np.inf
 
 
@@ -324,7 +335,7 @@ def mat_exp(a):
     a = as_square(a)
     if a.shape[0] == 0:
         return a.copy()
-    nrm = np.linalg.norm(a, 1)
+    nrm = dlange("1", a)
     result = None
     for m in (3, 5, 7, 9):
         if nrm <= _PADE_THETA[m]:
@@ -404,10 +415,11 @@ def real_schur_ordered(k):
         raise SchurConvergenceFailure(
             f"Schur reduction did not converge (dgees info {info})"
         )
-    # real eigenvalues stay real, as np.linalg.eigvals reports them
-    lam = wr + 1j * wi if wi.any() else wr
-    on_axis = lam[np.abs(wr) <= default_axis_tol(k)]
-    if on_axis.size:
+    k_norm = fro(k)
+    on_axis = np.abs(wr) <= 1e-9 * (1.0 + k_norm)  # default_axis_tol(k)
+    if on_axis.any():
+        # real eigenvalues stay real, as np.linalg.eigvals reports them
+        on_axis = (wr + 1j * wi if wi.any() else wr)[on_axis]
         raise ImaginaryAxisEigenvalue(
             "eigenvalue(s) on or near the imaginary axis: "
             + ", ".join(f"{z:.6g}" for z in on_axis),
@@ -422,9 +434,9 @@ def real_schur_ordered(k):
             f"stable-first reordering failed (dtrsen info {info})"
         )
 
-    ortho_err = np.linalg.norm(w.T @ w - np.eye(m), "fro")
-    recon_err = np.linalg.norm(w.T @ k @ w - t, "fro")
-    if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(np.linalg.norm(k, "fro"), 1.0):
+    ortho_err = fro(w.T @ w - np.eye(m))
+    recon_err = fro(w.T @ k @ w - t)
+    if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(k_norm, 1.0):
         raise SchurConvergenceFailure(
             f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
             f"reconstruction {recon_err:.3e})"

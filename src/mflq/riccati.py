@@ -27,8 +27,8 @@ import numpy as np
 
 from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (as_square, as_symmetric, block_2x2, eigenvalues, lu_solve,
-                     spectral_abscissa, weighted_gram)
+from .linalg import (as_square, as_symmetric, block_2x2, dsyev, eigenvalues, fro,
+                     lu_solve, spectral_abscissa, weighted_gram)
 
 __all__ = [
     "StabilizingRiccatiSolution",
@@ -65,7 +65,7 @@ def care_residual(x, a_o, m, q_o):
     """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
     x = np.asarray(x, dtype=float)
     r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
-    return float(np.linalg.norm(r, "fro"))
+    return fro(r)
 
 
 def stabilizability_margin(a, b):
@@ -83,7 +83,7 @@ def stabilizability_margin(a, b):
     if b.ndim == 1:
         b = b[:, None]
     n = a.shape[0]
-    scale = 1.0 + float(np.linalg.norm(a, "fro")) + float(np.linalg.norm(b, "fro"))
+    scale = 1.0 + fro(a) + fro(b)
     lam = eigenvalues(a)
     lam = lam[(lam.real >= 0.0) & (lam.imag >= 0.0)]
     if not lam.size:
@@ -106,10 +106,14 @@ def require_stabilizable(a, b, pair):
 
 
 def r_definiteness(R):
-    """Smallest eigenvalue of `R` and whether it clears the positive
-    definiteness threshold ``1e-10 * max(||R||_F, 1)``."""
-    r_min = float(np.linalg.eigvalsh(R).min())
-    return r_min, r_min > 1e-10 * max(float(np.linalg.norm(R, "fro")), 1.0)
+    """Smallest eigenvalue of `R` (``dsyev`` on its lower triangle) and
+    whether it clears the positive definiteness threshold
+    ``1e-10 * max(||R||_F, 1)``."""
+    w, _, info = dsyev(R, compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyev did not converge (info {info})")
+    r_min = float(w[0])
+    return r_min, r_min > 1e-10 * max(fro(R), 1.0)
 
 
 def stabilizing_solution(h):
@@ -142,8 +146,8 @@ def stabilizing_solution(h):
     closed_loop = a_o - m @ x
     residual = care_residual(x, a_o, m, q_o)
     margin_cl = -spectral_abscissa(closed_loop)
-    nx = np.linalg.norm(x)
-    scale = np.linalg.norm(q_o) + nx * (2.0 * np.linalg.norm(a_o) + np.linalg.norm(m) * nx)
+    nx = fro(x)
+    scale = fro(q_o) + nx * (2.0 * fro(a_o) + fro(m) * nx)
     if margin_cl <= 0.0 or residual > 1e-7 * scale:
         raise GraphSubspaceFailure(
             f"solution failed certification (residual {residual:.3e}, "

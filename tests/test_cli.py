@@ -6,6 +6,7 @@ import pytest
 from conftest import PROBLEM_DIR, scalar_social_problem
 from mflq import dichotomy, social
 from mflq.cli import (
+    MAX_GRID_POINTS,
     _time_grid,
     load_problem_file,
     main,
@@ -199,6 +200,26 @@ class TestSolveSocialCommand:
         assert code == 4
         assert out == ""
         assert "invalid grid" in err
+
+    @pytest.mark.parametrize("t_end,dt", [
+        ("1e300", "1e-10"),                   # the step count overflows
+        (str(float(MAX_GRID_POINTS)), "1"),   # one point over the limit
+    ])
+    def test_oversized_grid_exit_4(self, capsys, monkeypatch, t_end, dt):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trajectory sampled on a rejected grid")
+
+        monkeypatch.setattr(dichotomy, "evaluate_trajectory", unreachable)
+        code = main(["solve-social", SCALAR, "--t-end", t_end, "--dt", dt])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "invalid grid" in err
+
+    def test_largest_grid_accepted(self):
+        grid = _time_grid(float(MAX_GRID_POINTS - 1), 1.0)
+        assert grid.size == MAX_GRID_POINTS
+        assert grid[-1] == MAX_GRID_POINTS - 1
 
     def test_validation_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "unstab.json"

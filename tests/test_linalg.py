@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mflq import linalg
 from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
@@ -9,6 +12,7 @@ from mflq.linalg import (
     block_balance,
     default_axis_tol,
     eigenvalues,
+    fro,
     lu_factor,
     lu_solve,
     mat_exp,
@@ -218,6 +222,45 @@ class TestCholeskyGram:
         r = g @ g.T + 0.5 * np.eye(2)
         assert np.array_equal(weighted_gram(b, 2.0**k * r),
                               2.0**-k * weighted_gram(b, r))
+
+
+def _matrices(max_side, square=False, big=1e150):
+    """Matrices with zero entries and entries of magnitude in ``[1/big, big]``.
+    With the default `big` the squares and their sums are normal numbers, so
+    np.linalg.norm's plain sum of squares is accurate too."""
+    entries = st.one_of(st.just(0.0), st.floats(1 / big, big), st.floats(-big, -1 / big))
+    sides = st.integers(1, max_side)
+    shapes = sides.map(lambda m: (m, m)) if square else st.tuples(sides, sides)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=entries))
+
+
+class TestFro:
+    @given(_matrices(8))
+    def test_matches_numpy_norm(self, a):
+        ref = np.linalg.norm(a, "fro")
+        assert abs(fro(a) - ref) <= 4 * np.finfo(float).eps * ref
+        assert abs(fro(a.T) - ref) <= 4 * np.finfo(float).eps * ref
+
+    @given(_matrices(16, square=True))
+    def test_views_match_numpy_norm(self, k):
+        n = max(k.shape[0] // 2, 1)
+        for view in (k[:n, n:], k[n:, :n], k[::2, 1::2]):
+            ref = np.linalg.norm(view, "fro")
+            assert abs(fro(view) - ref) <= 4 * np.finfo(float).eps * ref
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 2)])
+    def test_zero_for_empty_and_zero_arrays(self, shape):
+        assert fro(np.zeros(shape)) == 0.0
+
+    # dlassq sums the squares of three magnitude ranges, split near 2^-511
+    # and 2^486, apart; scaling is exact while no entry changes range
+    @given(_matrices(8, big=1e100), st.integers(-30, 30))
+    def test_power_of_two_scaling_is_exact(self, a, k):
+        assert fro(np.ldexp(a, k)) == np.ldexp(fro(a), k)
+
+    def test_no_overflow_on_huge_entries(self):
+        a = np.full((3, 3), 1e300)
+        assert fro(a) == pytest.approx(3e300, rel=4 * np.finfo(float).eps)
 
 
 class TestBlockBalance:

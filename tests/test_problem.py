@@ -17,6 +17,7 @@ from mflq.errors import (
     NonPositiveR,
     StabilizabilityFailure,
 )
+from mflq.linalg import default_axis_tol
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights, validate
 from mflq.social import solve_sce
@@ -50,6 +51,24 @@ class TestProblemData:
         base[field] = value
         with pytest.raises(ValueError):
             ProblemData(**base)
+
+    def test_huge_asymmetric_q_rejected(self):
+        # the squares of these entries overflow; the symmetry test must not
+        with pytest.raises(ValueError, match="Q is not symmetric"):
+            ProblemData(A=np.eye(2), B=[[1.0], [1.0]],
+                        Q=[[1e200, 1e200], [0.0, 1e200]], R=[[1.0]],
+                        Gamma=np.zeros((2, 2)), eta=[0.0, 0.0], rho=1.0,
+                        x0=[0.0, 0.0])
+
+    def test_huge_symmetric_q_accepted(self):
+        # warnings are errors in this suite, so an overflow would fail here
+        q = [[1e200, -3e199], [-3e199, 2e200]]
+        p = ProblemData(A=np.eye(2), B=[[1.0], [1.0]], Q=q, R=[[1.0]],
+                        Gamma=np.zeros((2, 2)), eta=[0.0, 0.0], rho=1.0,
+                        x0=[0.0, 0.0])
+        np.testing.assert_array_equal(p.Q, q)
+        tol = default_axis_tol(p.Q)
+        assert np.isfinite(tol) and tol > 1e-9 * 2e200
 
     @pytest.mark.parametrize("field", ["eta", "x0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

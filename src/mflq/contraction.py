@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableGenerator
-from .linalg import as_square, fill_powers, fro, mat_exp
+from .linalg import add_diag, as_square, fill_powers, fro, mat_exp
 from .problem import gamma_weights
 
 __all__ = ["QuadratureConfig", "contraction_bound", "decaying_norm_integral"]
@@ -142,7 +142,7 @@ def contraction_bound(p, Pi, cfg=None):
     is the stabilizing solution).
     """
     gram = p.control_gram()
-    a_shift = p.A - gram @ Pi - 0.5 * p.rho * np.eye(p.n)
+    a_shift = add_diag(p.A - gram @ Pi, -0.5 * p.rho)
     q_gamma = gamma_weights(p.Q, p.Gamma, p.eta).Q_Gamma
     left = decaying_norm_integral(a_shift, gram, cfg)
     right = decaying_norm_integral(a_shift.T, q_gamma, cfg)

@@ -23,13 +23,13 @@ squaring, so a uniform grid of N points costs one exponential and about
 ``log2(N)`` small products.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (as_square, block_2x2, block_balance, fill_powers, lu_factor,
-                     lu_solve, mat_exp, real_schur_ordered, solve_linear)
+from .linalg import (add_diag, as_square, block_2x2, block_balance, fill_powers,
+                     lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -97,7 +97,7 @@ def decompose_from_riccati(K, aux):
     ``U11 = I`` is its own LU factorization (no pivoting).
     """
     n = aux.X.shape[0]
-    ident = np.eye(n)
+    ident = add_diag(np.zeros((n, n)), 1.0)
     return DichotomyDecomposition(
         U=block_2x2(ident, 0.0, aux.X, ident), V=block_2x2(ident, 0.0, -aux.X, ident),
         F11=aux.closed_loop, F12=K[:n, n:], F22=-aux.closed_loop.T,
@@ -175,7 +175,7 @@ def solve_decaying(d, z1_0, psi0, rho):
     z1_0 = np.asarray(z1_0, dtype=float).reshape(n)
     psi0 = np.asarray(psi0, dtype=float).reshape(2 * n)
     v_psi = d.V @ psi0
-    c = -solve_linear(d.F22 + 0.5 * rho * np.eye(n), v_psi[n:])
+    c = -solve_linear(add_diag(d.F22, 0.5 * rho), v_psi[n:])
     y1_0 = lu_solve(*d.U11_lu, z1_0 - d.U[:n, n:] @ c)
     z2_0 = d.U[n:, :n] @ y1_0 + d.U[n:, n:] @ c
     forcing = d.F12 @ c + v_psi[:n]
@@ -209,20 +209,22 @@ def evaluate_trajectory(sol, d, rho, t_grid):
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
-    if t.size and (t[0] < 0.0 or np.any(np.diff(t) < 0.0)):
-        raise ValueError("t_grid must be nonnegative and nondecreasing")
+    dt = t.copy()  # the steps from 0, unless the end is not finite (inf - inf warns)
+    dt[1:] -= t[:-1] if t.size and t[-1] < np.inf else 0.0
+    if t.size and not (dt.min() >= 0.0 and t[-1] < np.inf):  # NaN fails both
+        raise ValueError("t_grid must be finite, nonnegative and nondecreasing")
     n = d.n
     w = np.concatenate([sol.y1_0, [1.0]])
     states = np.empty((t.size, n + 1))
     steps = {}
-    for lo, hi, h in _equal_step_runs(t):
+    for lo, hi, h in _equal_step_runs(t, dt):
         if h == 0.0:
             states[lo:hi] = w
         else:
             stepper = steps.get(h)
             if stepper is None:
                 stepper = steps[h] = mat_exp(sol.y1_generator * h)
-            states[lo] = stepper @ w
+            np.matmul(stepper, w, out=states[lo])
             fill_powers(stepper, states[lo:hi])
         w = states[hi - 1]
     y = np.empty((t.size, 2 * n))
@@ -232,13 +234,14 @@ def evaluate_trajectory(sol, d, rho, t_grid):
         y[:, n:] *= np.exp(-0.5 * rho * t)[:, None]
     z = y @ d.U.T
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
-    z[t == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])
+    zeros = np.searchsorted(t, 0.0, "right")  # the zero times lead the grid
+    z[:zeros, :n], z[:zeros, n:] = sol.z1_0, sol.z2_0
     return z
 
 
-def _equal_step_runs(t):
-    """``(lo, hi, h)`` for the maximal runs ``t[lo:hi]`` of equal steps of
-    the sorted grid `t`, whose first step is ``t[0] - 0``.
+def _equal_step_runs(t, dt):
+    """The ``(lo, hi, h)`` of the maximal runs ``t[lo:hi]`` of equal steps of
+    the sorted grid `t`, whose steps from 0 are `dt`, in grid order.
 
     Two steps are equal when they differ by at most ``8 eps max(t_end, 1)``,
     which covers the rounding of ``linspace``, ``arange`` and ``i*dt``
@@ -248,23 +251,22 @@ def _equal_step_runs(t):
     cannot add up; a run that does not is bisected.
     """
     if not t.size:
-        return
+        return []
     tol = 8.0 * np.finfo(float).eps * max(t[-1], 1.0)
-    dt = np.diff(t, prepend=0.0)
     bounds = [0, *(np.flatnonzero(np.abs(np.diff(dt)) > tol) + 1).tolist(), t.size]
-    pending = list(zip(bounds[:-1], bounds[1:]))[::-1]
-    points = t.tolist()
+    pending, runs = list(zip(bounds[:-1], bounds[1:]))[::-1], []
     while pending:
         lo, hi = pending.pop()
-        t_prev = points[lo - 1] if lo else 0.0
+        t_prev = float(t[lo - 1]) if lo else 0.0
         count = hi - lo
-        h = (points[hi - 1] - t_prev) / count
+        h = (float(t[hi - 1]) - t_prev) / count
         if count > 2 and np.abs(
                 t_prev + h * np.arange(1, count + 1) - t[lo:hi]).max() > tol:
             mid = (lo + hi) // 2
             pending += [(mid, hi), (lo, mid)]
             continue
-        yield lo, hi, h
+        runs.append((lo, hi, h))
+    return runs
 
 
 def sample_trajectory(self, t_grid):
@@ -274,7 +276,8 @@ def sample_trajectory(self, t_grid):
     both carry ``bvp``, ``decomposition``, ``rho`` and ``n``.  Returns two
     arrays of shape ``(len(t_grid), n)``, from the generator shifted by ``rho/2``
     (constant ``y2 = c``), so no ``exp(rho t/2)`` factor overflows on long horizons."""
-    shifted = replace(self.bvp, decay_rate=0.0, y1_generator=self.bvp.y1_generator
-                      + 0.5 * self.rho * np.eye(self.n + 1))
+    b = self.bvp
+    shifted = BvpSolution(b.z1_0, b.z2_0, b.y1_0, b.y2_offset,
+                          add_diag(b.y1_generator, 0.5 * self.rho), 0.0)
     z = evaluate_trajectory(shifted, self.decomposition, 0.0, t_grid)
     return z[:, : self.n], z[:, self.n:]

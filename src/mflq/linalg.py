@@ -81,6 +81,7 @@ dtrsen = _flapack.dtrsen
 
 __all__ = [
     "OrderedSchurForm",
+    "add_diag",
     "as_square",
     "as_symmetric",
     "block_2x2",
@@ -105,9 +106,16 @@ def as_square(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not dlange("M", a) < np.inf:  # the max-abs norm propagates NaN and inf
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def add_diag(a, s):
+    """``a + s*I`` with no identity built: a copy of `a`, `s` added to its diagonal."""
+    out = a.copy()  # C-ordered, so its flat view is the matrix
+    out.reshape(-1)[::len(out) + 1] += s
+    return out
 
 
 def fro(a):
@@ -241,27 +249,34 @@ def solve_spd(a, b):
 
 def weighted_gram(b, r):
     """``b @ inv(r) @ b.T`` by :func:`solve_spd` against ``b.T``, symmetrized; `r` is
-    first scaled to ``1 <= max |r_ij| < 2``, so ``2^k r`` scales it by exactly ``2^-k``."""
-    e = int(np.frexp(np.abs(r).max())[1]) - 1
+    first scaled to ``1 <= max |r_ij| < 2``, so ``2^k r`` scales it by exactly ``2^-k``,
+    and a `b` past ``2^530`` (``b b'`` overflows) below 1.  ``ValueError`` if not finite."""
+    e = math.frexp(dlange("M", r))[1] - 1
+    f = math.frexp(dlange("M", b))[1]
+    b, f = (np.ldexp(b, -f), f) if f > 530 else (b, 0)
     m = b @ solve_spd(np.ldexp(r, -e), b.T)
-    return np.ldexp(0.5 * (m + m.T), -e)
+    m = 0.5 * (m + m.T)
+    mantissa, exponent = math.frexp(dlange("M", m))  # (inf or nan, 0) if not finite
+    if not (mantissa < 1.0 and exponent + 2 * f - e <= 1024):
+        raise ValueError("B inv(R) B' overflows or is not finite")
+    return np.ldexp(m, 2 * f - e)
 
 
 def fill_powers(e, out):
     """Fill ``out[j] = out[0] @ (e^j)'`` from ``out[0]`` by doubling: once
     the rows ``j < k`` are in place and ``power = e^k``, the next `k` rows
-    are ``rows @ power.T``, then `power` is squared.  A vector row `v` gives
-    ``e^j v``, a matrix row `m` gives ``(e^j m')'``.  `out` must be
-    contiguous: each product then runs on one flat view of its rows."""
+    are ``rows @ power.T``, written in place, then `power` is squared if more
+    rows are left.  A vector row `v` gives ``e^j v``, a matrix row `m` gives
+    ``(e^j m')'``.  `out` must be contiguous: each product runs on flat views."""
     flat = out.reshape(-1, e.shape[0])
     per = len(flat) // len(out)
     power = e
     k = 1
     while k < len(out):
         take = min(k, len(out) - k)
-        flat[k * per:(k + take) * per] = flat[:take * per] @ power.T
+        np.matmul(flat[:take * per], power.T, out=flat[k * per:(k + take) * per])
         k += take
-        power = power @ power
+        power = power @ power if k < len(out) else None
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +449,7 @@ def real_schur_ordered(k):
             f"stable-first reordering failed (dtrsen info {info})"
         )
 
-    ortho_err = fro(w.T @ w - np.eye(m))
+    ortho_err = fro(add_diag(w.T @ w, -1.0))
     recon_err = fro(w.T @ k @ w - t)
     if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(k_norm, 1.0):
         raise SchurConvergenceFailure(

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .linalg import (as_square, as_symmetric, block_2x2, block_balance,
+from .linalg import (add_diag, as_square, as_symmetric, block_2x2, block_balance,
                      default_axis_tol, eigenvalues, weighted_gram)
 
 __all__ = [
@@ -115,7 +115,7 @@ def gamma_weights(Q, Gamma, eta):
     eta = np.asarray(eta, dtype=float).reshape(-1)
     q_gamma = Gamma.T @ Q + Q @ Gamma - Gamma.T @ Q @ Gamma
     q_gamma = 0.5 * (q_gamma + q_gamma.T)
-    eta_gamma = (np.eye(Q.shape[0]) - Gamma.T) @ (Q @ eta)
+    eta_gamma = add_diag(0.0 - Gamma.T, 1.0) @ (Q @ eta)  # 0 - g: I - Gamma' bit for bit
     return GammaWeights(Q_Gamma=q_gamma, eta_Gamma=eta_gamma)
 
 
@@ -126,8 +126,9 @@ class ValidationReport:
     `stabilizability_margin` is the scaled PBH margin (``inf`` when `A` is
     stable); `axis_margin` is the distance of the discount-shifted
     Hamiltonian spectrum from the imaginary axis, or ``None`` when it could
-    not be formed because `R` failed.  Borderline margins are reported, not
-    rejected; hard failures flip the corresponding flag.
+    not be formed because `R` failed or ``B inv(R) B'`` overflows.
+    Borderline margins are reported, not rejected; hard failures flip the
+    corresponding flag.
     """
 
     stabilizable: bool
@@ -163,12 +164,14 @@ def validate(p):
     margin = riccati.stabilizability_margin(p.A, p.B)
     stabilizable = bool(margin > riccati.PBH_TOL)
     r_min, r_ok = riccati.r_definiteness(p.R)
-    axis_ok = None
-    axis_margin = None
-    tol = 0.0
-    if r_ok:
-        shifted = p.A - 0.5 * p.rho * np.eye(p.n)
-        h, _ = block_balance(block_2x2(shifted, -p.control_gram(), -p.Q, -shifted.T))
+    axis_ok, axis_margin, tol = None, None, 0.0
+    try:
+        gram = p.control_gram() if r_ok else None
+    except ValueError:  # B inv(R) B' overflows: there is no Hamiltonian to test
+        gram, axis_ok = None, False
+    if gram is not None:
+        shifted = add_diag(p.A, -0.5 * p.rho)
+        h, _ = block_balance(block_2x2(shifted, -gram, -p.Q, -shifted.T))
         tol = default_axis_tol(h)
         axis_margin = float(np.abs(eigenvalues(h).real).min())
         axis_ok = bool(axis_margin > tol)

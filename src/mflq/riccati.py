@@ -27,8 +27,8 @@ import numpy as np
 
 from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (as_square, as_symmetric, block_2x2, dsyev, eigenvalues, fro,
-                     lu_solve, spectral_abscissa, weighted_gram)
+from .linalg import (add_diag, as_square, as_symmetric, block_2x2, dsyev, eigenvalues,
+                     fro, lu_solve, spectral_abscissa, weighted_gram)
 
 __all__ = [
     "StabilizingRiccatiSolution",
@@ -89,7 +89,8 @@ def stabilizability_margin(a, b):
     if not lam.size:
         return np.inf
     tests = np.empty((lam.size, n, n + b.shape[1]), dtype=complex)
-    tests[:, :, :n] = lam[:, None, None] * np.eye(n) - a
+    tests[:, :, :n] = 0.0 - a  # lam I - a, as 0 - a_ij off the diagonal
+    tests[:, range(n), range(n)] += lam[:, None]
     tests[:, :, n:] = b
     sigma = np.linalg.svd(tests, compute_uv=False)[:, -1]
     return float(sigma.min() / scale)
@@ -191,19 +192,17 @@ def solve_discounted_are(A, B, Q, R, rho):
         B = B[:, None]
     Q = as_symmetric(Q, "Q")
     R = as_symmetric(R, "R")
-    n = A.shape[0]
     if not (A.shape == (B.shape[0], B.shape[0]) == Q.shape):
         raise ValueError("A_o, M, Q_o must share one square shape")
     try:
         min_eig_r, r_ok = r_definiteness(R)
         if not r_ok:
             raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
-        are = solve_care_stabilizing(A - 0.5 * rho * np.eye(n), weighted_gram(B, R), Q)
+        are = solve_care_stabilizing(add_diag(A, -0.5 * rho), weighted_gram(B, R), Q)
     except MflqError:
         require_stabilizable(A, B, "(A, B)")
         raise
     if are.spectrum_margin <= 0.5 * rho:
-        closed = are.closed_loop + 0.5 * rho * np.eye(n)
-        if not stabilizability_margin(closed, B) > PBH_TOL:
+        if not stabilizability_margin(add_diag(are.closed_loop, 0.5 * rho), B) > PBH_TOL:
             require_stabilizable(A, B, "(A, B)")
     return are

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dichotomy, riccati
-from .linalg import block_2x2, solve_spd
+from .linalg import add_diag, block_2x2, solve_spd
 from .problem import gamma_weights
 
 __all__ = [
@@ -116,7 +116,7 @@ def solve_sce(p):
         X_plus=aux.X,
         A_C=aux.closed_loop,
         s0=bvp.z2_0,
-        A_cl=aux.closed_loop + 0.5 * p.rho * np.eye(n),
+        A_cl=add_diag(aux.closed_loop, 0.5 * p.rho),
         rho=p.rho,
         decomposition=d,
         bvp=bvp,

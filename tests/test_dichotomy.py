@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from conftest import random_problem, random_spectrum_matrix
+from conftest import PROBLEM_DIR, random_problem, random_spectrum_matrix
 from mflq import dichotomy
+from mflq.cli import load_problem_file
 from mflq.dichotomy import (
     DichotomyDecomposition,
     decompose_from_riccati,
@@ -399,6 +402,75 @@ class TestEvaluateTrajectory:
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         with pytest.raises(ValueError):
             evaluate_trajectory(sol, d, 1.0, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                      [np.nan], [0.0, np.inf, np.inf],
+                                      [-np.inf, 0.0]],
+                             ids=["nan_inside", "inf_end", "nan_only",
+                                  "inf_repeated", "minus_inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        # the grid check names the grid, and no warning comes first
+        sol = solve_sce(load_problem_file(PROBLEM_DIR / "ex41.json"))
+        with pytest.raises(ValueError, match="^t_grid must be finite"):
+            sol.trajectory(grid)
+
+
+def _reference_equal_step_runs(t):
+    """The run splitting of ``evaluate_trajectory`` as first written (a
+    generator over ``np.diff`` and ``t.tolist()``), kept verbatim as the
+    reference for the one-pass version."""
+    if not t.size:
+        return
+    tol = 8.0 * np.finfo(float).eps * max(t[-1], 1.0)
+    dt = np.diff(t, prepend=0.0)
+    bounds = [0, *(np.flatnonzero(np.abs(np.diff(dt)) > tol) + 1).tolist(), t.size]
+    pending = list(zip(bounds[:-1], bounds[1:]))[::-1]
+    points = t.tolist()
+    while pending:
+        lo, hi = pending.pop()
+        t_prev = points[lo - 1] if lo else 0.0
+        count = hi - lo
+        h = (points[hi - 1] - t_prev) / count
+        if count > 2 and np.abs(
+                t_prev + h * np.arange(1, count + 1) - t[lo:hi]).max() > tol:
+            mid = (lo + hi) // 2
+            pending += [(mid, hi), (lo, mid)]
+            continue
+        yield lo, hi, h
+
+
+@st.composite
+def step_grids(draw):
+    """Sorted nonnegative grids: a ``linspace``, ``arange`` or ``i*dt`` run
+    of up to 5,000 points, maybe shifted off 0, with repeated points and a
+    jump."""
+    kind = draw(st.sampled_from(["linspace", "arange", "i_times_dt"]))
+    count = draw(st.integers(1, 5000))
+    step = draw(st.floats(1e-4, 10.0))
+    if kind == "linspace":
+        t = np.linspace(0.0, step * (count - 1), count)
+    elif kind == "arange":
+        t = np.arange(0.0, step * (count - 0.5), step)
+    else:
+        t = np.arange(count) * step
+    t = t + draw(st.sampled_from([0.0, 0.0, step, 0.37, 1e3]))
+    repeats = draw(st.lists(st.integers(0, t.size - 1), max_size=5))
+    t = np.sort(np.concatenate([t, t[repeats]]))
+    jump_at = draw(st.integers(0, t.size))
+    t[jump_at:] += draw(st.sampled_from([0.0, 0.5, 17.0]))
+    return t
+
+
+DRIFTING = np.arange(4000) * 1e-3 + 1.7e-15 * np.arange(4000) ** 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(t=step_grids())
+@example(t=DRIFTING)
+@example(t=np.array([]))
+def test_equal_step_runs_match_reference(t):
+    runs = dichotomy._equal_step_runs(t, np.diff(t, prepend=0.0))
+    assert runs == list(_reference_equal_step_runs(t))
 
 
 def test_decomposition_dataclass_roundtrip():

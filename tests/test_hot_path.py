@@ -1,11 +1,19 @@
 """The solve and trajectory path takes its norms and the eigenvalues of `R`
 from LAPACK directly (:func:`linalg.fro`, ``dlange``, ``dsyev``); on small
-matrices numpy's wrappers cost more than the routines.  These tests fail if
-a wrapper comes back onto that path."""
+matrices numpy's wrappers cost more than the routines.  It shifts diagonals
+in place (:func:`linalg.add_diag`) rather than building identities, and
+builds its solutions with their constructors, not ``dataclasses.replace``.
+These tests fail if a wrapper, an identity or a ``replace`` comes back onto
+that path; the Pade approximant of :func:`linalg.mat_exp` is the one place
+that builds an identity."""
+
+import dataclasses
+import sys
 
 import numpy as np
 
 from conftest import PROBLEM_DIR, random_problem
+from mflq import linalg
 from mflq.cli import load_problem_file
 from mflq.contraction import contraction_bound
 from mflq.errors import MflqError
@@ -34,9 +42,34 @@ def _count_wrapper_calls(monkeypatch):
     return calls
 
 
-def test_solves_and_trajectories_call_no_numpy_norm(monkeypatch):
-    problems = _problems()
-    calls = _count_wrapper_calls(monkeypatch)
+def _count_identities_and_replaces(monkeypatch):
+    """Record ``np.eye`` calls from anywhere but the Pade approximant, and
+    ``dataclasses.replace`` calls, also through a name a module imported."""
+    calls = []
+    real_eye, real_replace = np.eye, dataclasses.replace
+    pade = linalg._pade_approximant.__code__
+
+    def eye(*args, **kwargs):
+        caller = sys._getframe(1).f_code
+        if caller is not pade:
+            calls.append(f"np.eye from {caller.co_name}")
+        return real_eye(*args, **kwargs)
+
+    def replace(*args, **kwargs):
+        calls.append("dataclasses.replace")
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", eye)
+    monkeypatch.setattr(dataclasses, "replace", replace)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mflq") and getattr(module, "replace", None) is real_replace:
+            monkeypatch.setattr(module, "replace", replace)
+    return calls
+
+
+def _validate_solve_and_sample(problems):
+    """Validate, solve both ways, sample each solution and take one
+    contraction bound; returns the solutions."""
     grid = np.linspace(0.0, 5.0, 101)
     solutions = []
     for p in problems:
@@ -47,7 +80,22 @@ def test_solves_and_trajectories_call_no_numpy_norm(monkeypatch):
             except MflqError:
                 continue
             solutions[-1].trajectory(grid)
+    contraction_bound(problems[-1], solutions[-1].Pi)
+    return solutions
+
+
+def test_solves_and_trajectories_call_no_numpy_norm(monkeypatch):
+    problems = _problems()
+    calls = _count_wrapper_calls(monkeypatch)
+    solutions = _validate_solve_and_sample(problems)
     # the degenerate file fails both solvers, ex42_gamma2's coupling the game
     assert len(solutions) == 2 * len(problems) - 3
-    contraction_bound(problems[-1], solutions[-1].Pi)
+    assert calls == []
+
+
+def test_solves_and_trajectories_build_no_identity_and_call_no_replace(monkeypatch):
+    problems = _problems()
+    calls = _count_identities_and_replaces(monkeypatch)
+    solutions = _validate_solve_and_sample(problems)
+    assert len(solutions) == 2 * len(problems) - 3
     assert calls == []

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mflq import linalg
 from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
 from mflq.linalg import (
+    add_diag,
+    as_square,
     block_2x2,
     block_balance,
     default_axis_tol,
     eigenvalues,
+    fill_powers,
     fro,
     lu_factor,
     lu_solve,
@@ -214,6 +217,23 @@ class TestCholeskyGram:
             p.control_gram()
 
 
+    def test_huge_b_is_scaled_exactly(self):
+        # b b' overflows at 2^1120, yet M = 2^120 M0 is representable
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((3, 2))
+        g = rng.standard_normal((2, 2))
+        r = g @ g.T + 0.5 * np.eye(2)
+        assert np.array_equal(weighted_gram(2.0**560 * b, 2.0**1000 * r),
+                              2.0**120 * weighted_gram(b, r))
+
+    @pytest.mark.parametrize("b,r", [([[1e160], [1e160]], [[1.0]]),
+                                     ([[1e150]], [[1e-10]]),
+                                     ([[np.nan]], [[1.0]])],
+                             ids=["b_overflows", "r_tiny", "b_nan"])
+    def test_non_finite_gram_raises_without_warning(self, b, r):
+        with pytest.raises(ValueError, match="^B inv\\(R\\) B' overflows"):
+            weighted_gram(np.array(b), np.array(r))
+
     @pytest.mark.parametrize("k", [-41, -1, 1, 7])
     def test_power_of_two_scaling_of_r_is_exact(self, k):
         rng = np.random.default_rng(5)
@@ -302,6 +322,82 @@ class TestBlock2x2:
                               np.block([[a11, a12], [a21, a22]]))
         assert np.array_equal(block_2x2(a11, 0.0, a21, a22),
                               np.block([[a11, np.zeros((3, 3))], [a21, a22]]))
+
+
+def _reference_fill_powers(e, out):
+    """The doubling of ``fill_powers`` as first written (a product assigned
+    per slab, then a squaring after every slab), kept verbatim as the
+    reference."""
+    flat = out.reshape(-1, e.shape[0])
+    per = len(flat) // len(out)
+    power = e
+    k = 1
+    while k < len(out):
+        take = min(k, len(out) - k)
+        flat[k * per:(k + take) * per] = flat[:take * per] @ power.T
+        k += take
+        power = power @ power
+
+
+class TestFillPowers:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6), count=st.integers(1, 300), width=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_doubling_bit_for_bit(self, n, count, width, seed):
+        # width 0: vector rows, as a trajectory; else matrix rows, as the
+        # contraction quadrature
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((n, n))
+        e /= np.linalg.norm(e, 2)
+        shape = (count, n) if width == 0 else (count, width, n)
+        out = np.empty(shape)
+        out[0] = rng.standard_normal(shape[1:])
+        ref = out.copy()
+        fill_powers(e, out)
+        _reference_fill_powers(e, ref)
+        assert out.tobytes() == ref.tobytes()
+
+
+def _layouts(a):
+    """`a` C-ordered, F-ordered, and as strided views of larger arrays."""
+    big = np.zeros((2 * a.shape[0] + 1, 3 * a.shape[1]))
+    big[1::2, ::3] = a
+    wide = np.zeros((a.shape[1], 2 * a.shape[0]))
+    wide[:, ::2] = a.T
+    return [np.ascontiguousarray(a), np.asfortranarray(a), big[1::2, ::3],
+            wide[:, ::2].T]
+
+
+class TestAsSquare:
+    @given(a=st.integers(1, 8).flatmap(lambda m: arrays(
+               np.float64, (m, m), elements=st.floats(allow_nan=False,
+                                                      allow_infinity=False))),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    @example(a=np.array([[1.7e308, -1.7e308], [5e-324, -2.2e-308]]), bad=np.nan,
+             data=None)
+    def test_non_finite_anywhere_is_rejected(self, a, bad, data):
+        for view in _layouts(a):
+            assert as_square(view, "X") is not None
+        i, j = (0, 0) if data is None else data.draw(
+            st.tuples(st.integers(0, a.shape[0] - 1), st.integers(0, a.shape[1] - 1)))
+        a = a.copy()
+        a[i, j] = bad
+        for view in _layouts(a):
+            with pytest.raises(ValueError, match="^X has non-finite entries$"):
+                as_square(view, "X")
+
+    def test_empty_is_accepted(self):
+        assert as_square(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestAddDiag:
+    @pytest.mark.parametrize("s", [0.75, -2.5])
+    def test_matches_identity_shift(self, s):
+        a = np.random.default_rng(8).standard_normal((4, 4))
+        for view in (a, np.asfortranarray(a), a.T):
+            out = add_diag(view, s)
+            assert np.array_equal(out, view + s * np.eye(4))
+            assert out is not view and not np.shares_memory(out, view)
 
 
 class TestMatExp:

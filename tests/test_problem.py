@@ -188,6 +188,32 @@ class TestValidate:
         assert report.axis_margin == pytest.approx(1.0, abs=1e-9)
 
 
+class TestOverflowingControlGram:
+    """``B inv(R) B'`` overflows at ``B = 1e160``: validation reports it,
+    the solvers name it, and neither warns first."""
+
+    def problem(self):
+        return ProblemData(A=[[1.0, 0.0], [0.0, -1.0]], B=[[1e160], [1e160]],
+                           Q=np.eye(2), R=[[1.0]], Gamma=np.zeros((2, 2)),
+                           eta=np.zeros(2), rho=1.0, x0=np.ones(2))
+
+    def test_validate_reports_the_axis_check_failed(self):
+        report = validate(self.problem())
+        assert report.axis_ok is False and report.axis_margin is None
+        assert "shifted_hamiltonian_axis" in report.failures()
+
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_solvers_name_the_gram(self, solver):
+        with pytest.raises(ValueError, match="B inv\\(R\\) B'"):
+            solver(self.problem())
+
+    def test_cli_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(problem_to_dict(self.problem())))
+        assert main(["solve-social", str(path)]) == 2
+        assert "shifted_hamiltonian_axis" in capsys.readouterr().err
+
+
 def scalar_problem(a, b, q, r):
     return ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[0.0]],
                        eta=[1.0], rho=1.0, x0=[1.0])

@@ -16,11 +16,14 @@ one from an ordered real Schur form (`U` orthogonal up to balancing).  The latte
 Riccati solves (:func:`riccati.stabilizing_solution`) and the game both
 split through it, so its axis test, n/n check and condition limit are
 written once.  The improper integral behind the bounded choice is
-evaluated in closed form as a linear solve.  Trajectory samples come from
-an augmented matrix exponential, not ODE stepping: one exponential per run
-of equal grid steps, with the states along the run filled by repeated
-squaring, so a uniform grid of N points costs one exponential and about
-``log2(N)`` small products.
+evaluated in closed form as a linear solve.  The solution is stored
+shifted by ``rho/2``: it is ``exp(-rho*t/2)`` times a solution whose
+trailing transformed half is constant, which is the undiscounted form the
+callers sample, and no ``exp(rho*t/2)`` factor can overflow on a long
+horizon.  Trajectory samples come from an augmented matrix exponential, not
+ODE stepping: one exponential per run of equal grid steps, with the states
+along the run filled by repeated squaring, so a uniform grid of N points
+costs one exponential and about ``log2(N)`` small products.
 """
 
 from dataclasses import dataclass
@@ -69,12 +72,14 @@ class DichotomyDecomposition:
 
 @dataclass(frozen=True)
 class BvpSolution:
-    """Initial data and generators of the unique decaying solution.
+    """Initial data and generator of the unique decaying solution, shifted
+    by ``rho/2``: the decaying solution is ``exp(-rho*t/2)`` times the one
+    described here.
 
-    In transformed coordinates ``y = V z`` the trailing half is exactly
-    ``y2(t) = y2_offset * exp(-decay_rate * t)`` and the leading half is
-    propagated by ``exp(y1_generator * t)`` acting on ``(y1_0, 1)``, where
-    the trailing corner of `y1_generator` carries the forcing decay.
+    In transformed coordinates ``y = V z`` the trailing half is the constant
+    ``y2 = y2_offset`` and the leading half is propagated by
+    ``exp(y1_generator * t)`` acting on ``(y1_0, 1)``, where the shifted
+    generator is ``[[F11 + (rho/2) I, forcing], [0, 0]]``.
     """
 
     z1_0: np.ndarray
@@ -82,7 +87,6 @@ class BvpSolution:
     y1_0: np.ndarray
     y2_offset: np.ndarray
     y1_generator: np.ndarray
-    decay_rate: float
 
 
 def decompose_from_riccati(K, aux):
@@ -167,7 +171,9 @@ def solve_decaying(d, z1_0, psi0, rho):
     the closed form of ``-int_0^inf exp(-F22*s) (V psi)(s) ds`` (convergent
     because ``-F22`` is stable and ``rho > 0``); the leading transformed
     initial value then follows from ``U11 y1(0) = z1(0) - U12 c``, solved
-    on the factors `U11_lu` of the decomposition.
+    on the factors `U11_lu` of the decomposition.  The result is stored
+    shifted by ``rho/2`` (:class:`BvpSolution`): ``y2 = c`` is constant and
+    the generator is ``[[F11 + (rho/2) I, F12 c + (V psi0)[:n]], [0, 0]]``.
     """
     if rho <= 0.0:
         raise ValueError(f"decay rate rho must be positive, got {rho}")
@@ -180,21 +186,15 @@ def solve_decaying(d, z1_0, psi0, rho):
     z2_0 = d.U[n:, :n] @ y1_0 + d.U[n:, n:] @ c
     forcing = d.F12 @ c + v_psi[:n]
     generator = np.zeros((n + 1, n + 1))
-    generator[:n, :n] = d.F11
+    generator[:n, :n] = add_diag(d.F11, 0.5 * rho)
     generator[:n, n] = forcing
-    generator[n, n] = -0.5 * rho
-    return BvpSolution(
-        z1_0=z1_0,
-        z2_0=z2_0,
-        y1_0=y1_0,
-        y2_offset=c,
-        y1_generator=generator,
-        decay_rate=0.5 * rho,
-    )
+    return BvpSolution(z1_0=z1_0, z2_0=z2_0, y1_0=y1_0, y2_offset=c,
+                       y1_generator=generator)
 
 
-def evaluate_trajectory(sol, d, rho, t_grid):
-    """Sample the decaying solution ``z(t)`` on a nonnegative time grid.
+def evaluate_trajectory(sol, d, t_grid):
+    """Sample the shifted decaying solution ``exp(rho*t/2) z(t)`` on a
+    nonnegative time grid; no factor ``exp(+-rho*t/2)`` is applied.
 
     The grid is cut into maximal runs of equal steps.  A run of `L` steps
     from ``t_prev`` takes one matrix exponential ``E = exp(y1_generator*h)``
@@ -203,8 +203,8 @@ def evaluate_trajectory(sol, d, rho, t_grid):
     grid costs one exponential and about ``log2(L)`` small products, with
     no integration drift.  The i-th point of a run is evaluated at
     ``t_prev + i*h``, at most a few ulps from its grid value; ``y2`` is
-    evaluated exactly.  Returns an array of shape ``(len(t_grid), 2n)``
-    whose rows are ``z(t)``.
+    the constant ``y2_offset``.  Returns an array of shape
+    ``(len(t_grid), 2n)`` whose rows are ``exp(rho*t/2) z(t)``.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.ndim != 1:
@@ -230,8 +230,6 @@ def evaluate_trajectory(sol, d, rho, t_grid):
     y = np.empty((t.size, 2 * n))
     y[:, :n] = states[:, :n]
     y[:, n:] = sol.y2_offset
-    if rho:
-        y[:, n:] *= np.exp(-0.5 * rho * t)[:, None]
     z = y @ d.U.T
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
     zeros = np.searchsorted(t, 0.0, "right")  # the zero times lead the grid
@@ -273,11 +271,8 @@ def sample_trajectory(self, t_grid):
     """Sample ``(xbar(t), s(t))`` on a nonnegative grid.
 
     The ``trajectory`` method of the social and the game solutions, which
-    both carry ``bvp``, ``decomposition``, ``rho`` and ``n``.  Returns two
-    arrays of shape ``(len(t_grid), n)``, from the generator shifted by ``rho/2``
-    (constant ``y2 = c``), so no ``exp(rho t/2)`` factor overflows on long horizons."""
-    b = self.bvp
-    shifted = BvpSolution(b.z1_0, b.z2_0, b.y1_0, b.y2_offset,
-                          add_diag(b.y1_generator, 0.5 * self.rho), 0.0)
-    z = evaluate_trajectory(shifted, self.decomposition, 0.0, t_grid)
+    both carry ``bvp``, ``decomposition`` and ``n``.  Returns two arrays of
+    shape ``(len(t_grid), n)``: the undiscounted pair is the shifted form
+    that :func:`evaluate_trajectory` samples, as stored."""
+    z = evaluate_trajectory(self.bvp, self.decomposition, t_grid)
     return z[:, : self.n], z[:, self.n:]

@@ -29,7 +29,6 @@ class MfgSolution:
     decomposition: dichotomy.DichotomyDecomposition
     s0: np.ndarray
     bvp: dichotomy.BvpSolution
-    rho: float
     pi_residual: float
 
     @property
@@ -68,6 +67,5 @@ def solve_mfg(p):
         decomposition=d,
         s0=bvp.z2_0,
         bvp=bvp,
-        rho=p.rho,
         pi_residual=are.residual,
     )

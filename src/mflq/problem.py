@@ -65,7 +65,7 @@ class ProblemData:
             )
         if eta.size != n or x0.size != n:
             raise ValueError("eta and x0 must have the state dimension")
-        for name, vec in (("eta", eta), ("x0", x0)):
+        for name, vec in (("B", b), ("eta", eta), ("x0", x0)):
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} has non-finite entries")
         if not (np.isfinite(self.rho) and self.rho > 0.0):

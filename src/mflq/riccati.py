@@ -4,16 +4,17 @@ Solves ``X A_o + A_o' X - X M X + Q_o = 0`` for the stabilizing (maximal)
 symmetric solution.  The kernels take plain arrays: square `A_o`, symmetric
 positive semi-definite `M` and symmetric, possibly indefinite, `Q_o`.  The
 Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` must have no eigenvalues on the
-imaginary axis, and ``(A_o, M)`` must be stabilizable.  `X` is read off the
-basis `U` (orthogonal up to balancing) of the stable invariant subspace that
-:func:`dichotomy.decompose_from_schur` computes, the splitting the game
-uses too: ``X = U21 @ inv(U11)``.
+imaginary axis, and ``(A_o, M)`` must be stabilizable; neither is tested
+apart from the solve, whose Schur form and certified closed loop decide
+both.  `X` is read off the basis `U` (orthogonal up to balancing) of the
+stable invariant subspace that :func:`dichotomy.decompose_from_schur`
+computes, the splitting the game uses too: ``X = U21 @ inv(U11)``.
 
 :func:`stabilizing_solution` does this on a given Hamiltonian (the social
 solve's auxiliary equation) and certifies the result.
-:func:`solve_care_stabilizing` builds the Hamiltonian from the three blocks
-and runs the ``(A_o, M)`` PBH test only to name a failure.  The discounted
-equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
+:func:`solve_care_stabilizing` builds the Hamiltonian from the three
+blocks; no ``(A_o, M)`` PBH test runs.  The discounted equation
+``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
 ``A -> A - (rho/2) I``; :func:`solve_discounted_are` is the front end of
 every solver and command.  It certifies ``(A, B)`` by the outcome: the full
 PBH test runs only on a failed solve (its verdict wins over the failure's
@@ -162,14 +163,11 @@ def stabilizing_solution(h):
 
 def solve_care_stabilizing(a_o, m, q_o):
     """Stabilizing solution of ``X A_o + A_o' X - X M X + Q_o = 0`` by
-    :func:`stabilizing_solution` on ``[[A_o, -M], [-Q_o, -A_o']]``; if that
-    raises, a failed ``(A_o, M)`` PBH test makes it a
-    :class:`StabilizabilityFailure`.  The blocks are not checked."""
-    try:
-        return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
-    except MflqError:
-        require_stabilizable(a_o, m, "(A_o, M)")
-        raise
+    :func:`stabilizing_solution` on ``[[A_o, -M], [-Q_o, -A_o']]``, whose
+    failures it raises as they are: no ``(A_o, M)`` PBH test runs, since
+    the front end :func:`solve_discounted_are` names an unstabilizable
+    ``(A, B)``.  The blocks are not checked."""
+    return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
 
 
 def solve_discounted_are(A, B, Q, R, rho):

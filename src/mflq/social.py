@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dichotomy, riccati
-from .linalg import add_diag, block_2x2, solve_spd
+from .linalg import block_2x2, solve_spd
 from .problem import gamma_weights
 
 __all__ = [
@@ -42,9 +42,10 @@ class SceSolution:
 
     `A_C` is the stable matrix governing the discounted pair; the mean field
     itself evolves by ``A_cl = A_C + (rho/2) I`` (spectral abscissa below
-    ``rho/2``).  The Hamiltonian `H` is ``decomposition.K``.  Along the
-    whole trajectory ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds
-    identically.
+    ``rho/2``), the leading block of the stored generator
+    ``bvp.y1_generator``.  The Hamiltonian `H` is ``decomposition.K``.
+    Along the whole trajectory ``s(t) = X_plus @ xbar(t) + bvp.y2_offset``
+    holds identically.
     """
 
     Pi: np.ndarray
@@ -52,7 +53,6 @@ class SceSolution:
     A_C: np.ndarray
     s0: np.ndarray
     A_cl: np.ndarray
-    rho: float
     decomposition: dichotomy.DichotomyDecomposition
     bvp: dichotomy.BvpSolution
     pi_residual: float
@@ -116,8 +116,7 @@ def solve_sce(p):
         X_plus=aux.X,
         A_C=aux.closed_loop,
         s0=bvp.z2_0,
-        A_cl=add_diag(aux.closed_loop, 0.5 * p.rho),
-        rho=p.rho,
+        A_cl=bvp.y1_generator[:n, :n],
         decomposition=d,
         bvp=bvp,
         pi_residual=are.residual,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mflq import ProblemData, validate
+from mflq.dichotomy import evaluate_trajectory
 from mflq.linalg import block_2x2, eigenvalues
 from mflq.problem import gamma_weights
 
@@ -219,3 +220,10 @@ def scaled_close(actual, expected, tol):
     scale = 1.0 + max(np.abs(actual).max(initial=0.0),
                       np.abs(expected).max(initial=0.0))
     return float(np.abs(actual - expected).max(initial=0.0)) <= tol * scale
+
+
+def decaying_trajectory(sol, d, rho, t_grid):
+    """The decaying solution ``z(t)`` itself: the stored shifted form that
+    :func:`dichotomy.evaluate_trajectory` samples, times ``exp(-rho*t/2)``."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    return evaluate_trajectory(sol, d, t) * np.exp(-0.5 * rho * t)[:, None]

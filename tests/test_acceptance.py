@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import (
     PROBLEM_DIR,
+    decaying_trajectory,
     degenerate_boundary_problem,
     game_problem,
     indefinite_social_problem,
@@ -26,7 +27,7 @@ from conftest import (
 )
 from mflq.cli import main
 from mflq.contraction import contraction_bound
-from mflq.dichotomy import decompose_from_schur, evaluate_trajectory, solve_decaying
+from mflq.dichotomy import decompose_from_schur, solve_decaying
 from mflq.errors import ImaginaryAxisEigenvalue
 from mflq.linalg import eigenvalues, mat_exp, spectral_abscissa
 from mflq.mfg import solve_mfg
@@ -182,7 +183,7 @@ def test_criterion_6c_bvp_vs_adaptive_rk_oracle():
     t = np.linspace(0.0, 10.0, 101)
     for d, z1_0, psi0, rho in _bvp_instances(50):
         sol = solve_decaying(d, z1_0, psi0, rho)
-        z = evaluate_trajectory(sol, d, rho, t)
+        z = decaying_trajectory(sol, d, rho, t)
         z0 = np.concatenate([sol.z1_0, sol.z2_0])
         ivp = solve_ivp(
             lambda s, y: d.K @ y + psi0 * np.exp(-0.5 * rho * s),
@@ -203,7 +204,7 @@ def test_criterion_6d_initial_value_uniqueness_blowup():
         proj_anti = d.U[:, n:] @ d.V[n:, :]
         _, _, vt = np.linalg.svd(proj_anti[:, n:])
         v = vt[0]
-        z_end = evaluate_trajectory(sol, d, rho, [t_end])[0]
+        z_end = decaying_trajectory(sol, d, rho, [t_end])[0]
         bump = mat_exp(d.K * t_end) @ np.concatenate([np.zeros(n), delta * v])
         weight = np.exp(-0.5 * rho * t_end)
         assert np.linalg.norm(z_end + bump) * weight > \

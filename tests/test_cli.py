@@ -180,7 +180,11 @@ class TestSolveSocialCommand:
         assert code == 4
         assert "n1" in err
 
-    @pytest.mark.parametrize("field,value", [("x0", float("nan")), ("eta", float("inf"))])
+    @pytest.mark.parametrize("field,value", [
+        ("x0", float("nan")), ("eta", float("inf")),
+        # a row of B, rejected when parsed, before an SVD of B can fail
+        pytest.param("B", [float("nan")], id="B-nan"),
+    ])
     def test_non_finite_vector_exit_4(self, capsys, tmp_path, field, value):
         with open(SCALAR) as fh:
             doc = json.load(fh)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from conftest import PROBLEM_DIR, random_problem, random_spectrum_matrix
+from conftest import (PROBLEM_DIR, decaying_trajectory, random_problem,
+                      random_spectrum_matrix)
 from mflq import dichotomy
 from mflq.cli import load_problem_file
 from mflq.dichotomy import (
@@ -17,9 +18,11 @@ from mflq.dichotomy import (
     evaluate_trajectory,
     solve_decaying,
 )
-from mflq.errors import DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue
-from mflq.linalg import (block_2x2, block_balance, eigenvalues, lu_factor, lu_solve,
-                         mat_exp, real_schur_ordered, spectral_abscissa)
+from mflq.errors import (DichotomySplitFailure, GraphSubspaceFailure,
+                         ImaginaryAxisEigenvalue, MflqError)
+from mflq.linalg import (add_diag, block_2x2, block_balance, eigenvalues, lu_factor,
+                         lu_solve, mat_exp, real_schur_ordered, spectral_abscissa)
+from mflq.mfg import solve_mfg
 from mflq.problem import gamma_weights
 from mflq.riccati import stabilizing_solution
 from mflq.social import solve_sce
@@ -251,13 +254,36 @@ class TestSolveDecaying:
             assert np.abs(sol_ab.z2_0 - combined).max() <= \
                 1e-9 * (1.0 + np.abs(combined).max())
 
+    @pytest.mark.parametrize("path", sorted(PROBLEM_DIR.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_generator_stored_shifted(self, path):
+        # [[F11 + (rho/2) I, forcing], [0, 0]] bit for bit, signed zeros
+        # included; the social A_cl is that leading block
+        p = load_problem_file(path)
+        solved = 0
+        for solve in (solve_sce, solve_mfg):
+            try:
+                sol = solve(p)
+            except MflqError:
+                continue
+            solved += 1
+            gen, n = sol.bvp.y1_generator, p.n
+            assert gen.shape == (n + 1, n + 1)
+            assert gen[n].tobytes() == np.zeros(n + 1).tobytes()
+            lead = add_diag(sol.decomposition.F11, 0.5 * p.rho)
+            assert gen[:n, :n].tobytes() == lead.tobytes()
+            if solve is solve_sce:
+                assert sol.A_cl.tobytes() == lead.tobytes()
+        # the degenerate file fails both solvers
+        assert solved or path.stem == "ex22_degenerate"
+
 
 class TestEvaluateTrajectory:
     def test_initial_condition(self):
         rng = np.random.default_rng(52)
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
-        z = evaluate_trajectory(sol, d, rho, [0.0])
+        z = evaluate_trajectory(sol, d, [0.0])
         assert np.allclose(z[0, : d.n], sol.z1_0, atol=1e-12)
         assert np.allclose(z[0, d.n:], sol.z2_0, atol=1e-12)
 
@@ -267,7 +293,7 @@ class TestEvaluateTrajectory:
         for _ in range(5):
             d, z1_0, psi0, rho = random_dichotomy_instance(rng)
             sol = solve_decaying(d, z1_0, psi0, rho)
-            z = evaluate_trajectory(sol, d, rho, t)
+            z = decaying_trajectory(sol, d, rho, t)
             z0 = np.concatenate([sol.z1_0, sol.z2_0])
             ivp = solve_ivp(
                 lambda s, y: d.K @ y + psi0 * np.exp(-0.5 * rho * s),
@@ -285,7 +311,7 @@ class TestEvaluateTrajectory:
         sol = solve_decaying(d, z1_0, psi0, rho)
         h = 1e-4
         t = np.arange(0.0, 2.0, h)
-        z = evaluate_trajectory(sol, d, rho, t)
+        z = decaying_trajectory(sol, d, rho, t)
         rhs = z @ d.K.T + np.exp(-0.5 * rho * t)[:, None] * psi0
         fd = (z[2:] - z[:-2]) / (2.0 * h)
         scale = 1.0 + np.abs(z).max() * (1.0 + np.linalg.norm(d.K))
@@ -299,7 +325,7 @@ class TestEvaluateTrajectory:
             d, z1_0, psi0, rho = random_dichotomy_instance(rng)
             sol = solve_decaying(d, z1_0, psi0, rho)
             t = np.linspace(0.0, 20.0, 401)
-            z = evaluate_trajectory(sol, d, rho, t)
+            z = decaying_trajectory(sol, d, rho, t)
             weighted = np.linalg.norm(z, axis=1) * np.exp(0.25 * rho * t)
             peak = int(weighted.argmax())
             assert t[peak] <= 10.0
@@ -317,7 +343,7 @@ class TestEvaluateTrajectory:
         proj_anti = d.U[:, n:] @ d.V[n:, :]
         _, _, vt = np.linalg.svd(proj_anti[:, n:])
         v = vt[0]
-        z_end = evaluate_trajectory(sol, d, rho, [t_end])[0]
+        z_end = decaying_trajectory(sol, d, rho, [t_end])[0]
         bump = mat_exp(d.K * t_end) @ np.concatenate([np.zeros(n), delta * v])
         scale = np.exp(-0.5 * rho * t_end)
         assert np.linalg.norm(z_end + bump) * scale > \
@@ -329,8 +355,8 @@ class TestEvaluateTrajectory:
         sol = solve_decaying(d, z1_0, psi0, rho)
         distinct = np.array([0.0, 0.5, 1.0, 2.5])
         repeated = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.5, 2.5])
-        ref = evaluate_trajectory(sol, d, rho, distinct)
-        z = evaluate_trajectory(sol, d, rho, repeated)
+        ref = evaluate_trajectory(sol, d, distinct)
+        z = evaluate_trajectory(sol, d, repeated)
         rows = np.searchsorted(distinct, repeated)
         np.testing.assert_allclose(z, ref[rows], rtol=1e-14, atol=1e-14)
 
@@ -339,15 +365,15 @@ class TestEvaluateTrajectory:
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
         full = np.array([0.0, 0.75, 1.5, 3.0])
-        ref = evaluate_trajectory(sol, d, rho, full)
-        z = evaluate_trajectory(sol, d, rho, full[1:])
+        ref = evaluate_trajectory(sol, d, full)
+        z = evaluate_trajectory(sol, d, full[1:])
         np.testing.assert_allclose(z, ref[1:], rtol=1e-14, atol=1e-14)
 
     def test_empty_grid(self):
         rng = np.random.default_rng(129)
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
-        z = evaluate_trajectory(sol, d, rho, [])
+        z = evaluate_trajectory(sol, d, [])
         assert z.shape == (0, 2 * d.n)
 
     @pytest.mark.parametrize("t", [
@@ -359,15 +385,15 @@ class TestEvaluateTrajectory:
         # the rounded steps of these grids are not all equal as floats
         assert len(set(np.diff(t).tolist())) > 1
         calls = _count_mat_exp(monkeypatch)
-        d, sol, rho = _random_solution(np.random.default_rng(140))
-        evaluate_trajectory(sol, d, rho, t)
+        d, sol, _ = _random_solution(np.random.default_rng(140))
+        evaluate_trajectory(sol, d, t)
         assert len(calls) == 1
 
     def test_one_exponential_per_distinct_step_on_log_grid(self, monkeypatch):
         t = np.concatenate([[0.0], np.logspace(-3, 1, 200)])
         calls = _count_mat_exp(monkeypatch)
-        d, sol, rho = _random_solution(np.random.default_rng(151))
-        evaluate_trajectory(sol, d, rho, t)
+        d, sol, _ = _random_solution(np.random.default_rng(151))
+        evaluate_trajectory(sol, d, t)
         assert len(calls) == len(set(np.diff(t).tolist())) == 200
 
     @pytest.mark.parametrize("t", [
@@ -383,7 +409,7 @@ class TestEvaluateTrajectory:
     def test_against_per_point_expm_oracle(self, t):
         rng = np.random.default_rng(162)
         for _ in range(3):
-            d, sol, rho = _random_solution(rng)
+            d, sol, _ = _random_solution(rng)
             n = d.n
             w0 = np.concatenate([sol.y1_0, [1.0]])
             # every point, or about 1000 evenly spaced ones on long grids
@@ -391,17 +417,18 @@ class TestEvaluateTrajectory:
                                    t.size - 1])
             y1 = np.array([expm(sol.y1_generator * ti) @ w0
                            for ti in t[rows]])[:, :n]
-            y2 = np.exp(-0.5 * rho * t[rows])[:, None] * sol.y2_offset
+            # the stored form is shifted: y2 is constant
+            y2 = np.broadcast_to(sol.y2_offset, (rows.size, n))
             ref = np.hstack([y1, y2]) @ d.U.T
             ref[t[rows] == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])
-            z = evaluate_trajectory(sol, d, rho, t)[rows]
+            z = evaluate_trajectory(sol, d, t)[rows]
             assert np.abs(z - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_negative_time_rejected(self):
         d = decompose_from_schur(np.diag([-1.0, 1.0]))
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         with pytest.raises(ValueError):
-            evaluate_trajectory(sol, d, 1.0, [-1.0, 0.0])
+            evaluate_trajectory(sol, d, [-1.0, 0.0])
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
                                       [np.nan], [0.0, np.inf, np.inf],

@@ -5,7 +5,8 @@ in place (:func:`linalg.add_diag`) rather than building identities, and
 builds its solutions with their constructors, not ``dataclasses.replace``.
 These tests fail if a wrapper, an identity or a ``replace`` comes back onto
 that path; the Pade approximant of :func:`linalg.mat_exp` is the one place
-that builds an identity."""
+that builds an identity.  ``trajectory()`` samples the stored shifted
+solution as it is, with no rebuilt solution and no shifted copy."""
 
 import dataclasses
 import sys
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from conftest import PROBLEM_DIR, random_problem
-from mflq import linalg
+from mflq import dichotomy, linalg
 from mflq.cli import load_problem_file
 from mflq.contraction import contraction_bound
 from mflq.errors import MflqError
@@ -97,5 +98,29 @@ def test_solves_and_trajectories_build_no_identity_and_call_no_replace(monkeypat
     problems = _problems()
     calls = _count_identities_and_replaces(monkeypatch)
     solutions = _validate_solve_and_sample(problems)
+    assert len(solutions) == 2 * len(problems) - 3
+    assert calls == []
+
+
+def test_trajectory_rebuilds_no_solution_and_shifts_no_diagonal(monkeypatch):
+    # the stored generator is already the shifted one that trajectory() samples
+    problems = _problems()
+    solutions = _validate_solve_and_sample(problems)
+    calls = []
+    real_bvp, real_add_diag = dichotomy.BvpSolution, dichotomy.add_diag
+
+    def bvp(*args, **kwargs):
+        calls.append("BvpSolution")
+        return real_bvp(*args, **kwargs)
+
+    def add_diag(*args, **kwargs):
+        calls.append("add_diag")
+        return real_add_diag(*args, **kwargs)
+
+    monkeypatch.setattr(dichotomy, "BvpSolution", bvp)
+    monkeypatch.setattr(dichotomy, "add_diag", add_diag)
+    grid = np.linspace(0.0, 5.0, 101)
+    for sol in solutions:
+        sol.trajectory(grid)
     assert len(solutions) == 2 * len(problems) - 3
     assert calls == []

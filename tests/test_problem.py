@@ -70,7 +70,7 @@ class TestProblemData:
         tol = default_axis_tol(p.Q)
         assert np.isfinite(tol) and tol > 1e-9 * 2e200
 
-    @pytest.mark.parametrize("field", ["eta", "x0"])
+    @pytest.mark.parametrize("field", ["B", "eta", "x0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_vector_rejected(self, field, value):
         base = dict(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.0]],

@@ -13,6 +13,8 @@ from mflq.errors import (
     StabilizabilityFailure,
 )
 from mflq.linalg import block_2x2, spectral_abscissa
+from mflq.mfg import solve_mfg
+from mflq.problem import ProblemData
 from mflq.riccati import (
     PBH_TOL,
     care_residual,
@@ -21,6 +23,7 @@ from mflq.riccati import (
     stabilizability_margin,
     stabilizing_solution,
 )
+from mflq.social import solve_sce
 
 
 def scalar_discounted_solution(a, b, q, r, rho):
@@ -66,8 +69,9 @@ class TestSolveCareStabilizing:
             scalar_care(0.0, 1.0, -1.0)
 
     def test_unstabilizable_raises(self):
-        with pytest.raises(StabilizabilityFailure):
-            scalar_care(1.0, 0.0, 1.0)
+        # the kernel runs no (A_o, M) PBH test; the front end names the pair
+        with pytest.raises(StabilizabilityFailure, match=r"^\(A, B\) fails"):
+            solve_discounted_are([[1.0]], [[0.0]], [[1.0]], [[1.0]], 1.0)
 
     def test_core_refuses_unstabilizable_without_pbh(self):
         # the stable eigenvector of [[1, 0], [-1, -1]] is (0, 1): W11 = 0
@@ -217,6 +221,21 @@ class TestSolveDiscountedAre:
         # in the closed loop; the third fails the R check first
         with pytest.raises(StabilizabilityFailure, match=r"\(A, B\)"):
             solve_discounted_are(a, b, np.eye(np.shape(a)[0]), r, 1.0)
+
+    @pytest.mark.parametrize("solve", ["front_end", "social", "game"])
+    @pytest.mark.parametrize("s", [1e-2, 1.0, 1e2, 1e5])
+    def test_axis_failure_not_blamed_on_stabilizability(self, solve, s):
+        # (A, B) is stabilizable at every s, and the shifted Hamiltonian has
+        # eigenvalues within ~5e-9 of the axis: one cause, whatever the
+        # control units.  The PBH margin of (A_o, M) scales with s^2, so a
+        # test on it would blame stabilizability for small s.
+        a, b, q = [[0.7]], [[1e-5 * s]], [[-4e8 / s**2]]
+        p = ProblemData(A=a, B=b, Q=q, R=[[1.0]], Gamma=[[0.0]], eta=[0.0],
+                        rho=1.0, x0=[1.0])
+        run = {"front_end": lambda: solve_discounted_are(a, b, q, [[1.0]], 1.0),
+               "social": lambda: solve_sce(p), "game": lambda: solve_mfg(p)}[solve]
+        with pytest.raises(ImaginaryAxisEigenvalue):
+            run()
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError, match="Q is not symmetric"):

@@ -8,7 +8,7 @@ importable from their submodules (``mflq.linalg``, ``mflq.riccati``,
 ``mflq.dichotomy``)."""
 
 from . import errors
-from .contraction import QuadratureConfig, contraction_bound
+from .contraction import contraction_bound
 from .mfg import MfgSolution, solve_mfg
 from .problem import GammaWeights, ProblemData, ValidationReport, gamma_weights, validate
 from .simulate import SimConfig, SimResult, simulate
@@ -20,7 +20,6 @@ __all__ = [
     "GammaWeights",
     "MfgSolution",
     "ProblemData",
-    "QuadratureConfig",
     "SceSolution",
     "SimConfig",
     "SimResult",

@@ -15,10 +15,9 @@ The integrands are norms, so no closed form exists; each factor is computed
 by composite Simpson quadrature on ``[0, T]`` with `T` chosen from an
 analytic exponential tail bound, refined by panel doubling to a relative
 tolerance; each doubling reuses the coarse samples and computes only the
-new midpoints, as powers of one step exponential filled by doubling.
+new midpoints, as powers of one step exponential filled by doubling.  The
+truncation and refinement targets are the module constants below.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +25,12 @@ from .errors import UnstableGenerator
 from .linalg import add_diag, as_square, fill_powers, fro, mat_exp
 from .problem import gamma_weights
 
-__all__ = ["QuadratureConfig", "contraction_bound", "decaying_norm_integral"]
+__all__ = ["contraction_bound", "decaying_norm_integral"]
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Truncation and refinement targets for the norm integrals."""
-
-    truncation_tol: float = 1e-10
-    base_panels: int = 2048
-    rel_tol: float = 1e-6
-    max_doublings: int = 6
-
-    def __post_init__(self):
-        if self.truncation_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.base_panels < 2 or self.base_panels % 2:
-            raise ValueError("base_panels must be a positive even count")
+TRUNCATION_TOL = 1e-10  # bound on the discarded tail of each integral
+BASE_PANELS = 2048      # Simpson panels before the first doubling (even)
+REL_TOL = 1e-6          # two successive estimates must agree to this
+MAX_DOUBLINGS = 6
 
 
 def _norm_samples(a, c, t_end, panels, coarse=None):
@@ -84,20 +72,16 @@ def _simpson(vals, h):
                       + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
 
 
-def decaying_norm_integral(a, c, cfg=None, return_history=False):
+def decaying_norm_integral(a, c):
     """``int_0^inf ||exp(a*t) @ c||_F dt`` for a stable matrix `a`.
 
     The domain is truncated at `T` where the analytic tail bound
     ``kappa * ||c||_F * exp(alpha*T) / (-alpha)`` (with ``alpha`` the
     spectral abscissa and ``kappa`` an eigenvector-conditioning constant)
-    falls below ``truncation_tol``, then integrated by composite Simpson
-    with panel doubling until two successive estimates agree to ``rel_tol``.
-
-    With ``return_history=True`` also returns the list of successive
-    panel-doubling estimates.
+    falls below :data:`TRUNCATION_TOL`, then integrated by composite
+    Simpson with panel doubling until two successive estimates agree to
+    :data:`REL_TOL`, or :data:`MAX_DOUBLINGS` doublings are done.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     a = as_square(a)
     c = np.asarray(c, dtype=float)
     lam, eigvecs = np.linalg.eig(a)
@@ -106,34 +90,33 @@ def decaying_norm_integral(a, c, cfg=None, return_history=False):
         raise UnstableGenerator(f"generator is not stable (abscissa {alpha:.3e})")
     c_norm = fro(c)
     if c_norm == 0.0:
-        return (0.0, [0.0]) if return_history else 0.0
+        return 0.0
 
     kappa = np.linalg.cond(eigvecs)
     if not np.isfinite(kappa) or kappa > 1e8:
         kappa = 1e8  # defective or near-defective: fall back to a cap
-    t_end = max(np.log(kappa * c_norm / (cfg.truncation_tol * -alpha)) / -alpha,
+    t_end = max(np.log(kappa * c_norm / (TRUNCATION_TOL * -alpha)) / -alpha,
                 1.0 / -alpha)
     # The bound can be loose the other way for strongly non-normal a;
     # extend until the integrand itself is below the tail target.
     for _ in range(60):
-        if fro(mat_exp(a * t_end) @ c) <= cfg.truncation_tol * -alpha:
+        if fro(mat_exp(a * t_end) @ c) <= TRUNCATION_TOL * -alpha:
             break
         t_end *= 1.5
 
-    panels = cfg.base_panels
+    panels = BASE_PANELS
     vals, h, step = _norm_samples(a, c, t_end, panels)
-    history = [_simpson(vals, h)]
-    for _ in range(cfg.max_doublings):
+    refined = _simpson(vals, h)
+    for _ in range(MAX_DOUBLINGS):
         panels *= 2
         vals, h, step = _norm_samples(a, c, t_end, panels, (vals, step))
-        history.append(_simpson(vals, h))
-        refined, estimate = history[-1], history[-2]
-        if abs(refined - estimate) <= cfg.rel_tol * max(abs(refined), 1e-300):
+        estimate, refined = refined, _simpson(vals, h)
+        if abs(refined - estimate) <= REL_TOL * max(abs(refined), 1e-300):
             break
-    return (history[-1], history) if return_history else history[-1]
+    return refined
 
 
-def contraction_bound(p, Pi, cfg=None):
+def contraction_bound(p, Pi):
     """Contraction constant ``beta`` of the fixed-point map for problem `p`
     with discounted Riccati solution `Pi`.
 
@@ -144,6 +127,6 @@ def contraction_bound(p, Pi, cfg=None):
     gram = p.control_gram()
     a_shift = add_diag(p.A - gram @ Pi, -0.5 * p.rho)
     q_gamma = gamma_weights(p.Q, p.Gamma, p.eta).Q_Gamma
-    left = decaying_norm_integral(a_shift, gram, cfg)
-    right = decaying_norm_integral(a_shift.T, q_gamma, cfg)
+    left = decaying_norm_integral(a_shift, gram)
+    right = decaying_norm_integral(a_shift.T, q_gamma)
     return float(left * right)

@@ -205,6 +205,8 @@ def evaluate_trajectory(sol, d, t_grid):
     ``t_prev + i*h``, at most a few ulps from its grid value; ``y2`` is
     the constant ``y2_offset``.  Returns an array of shape
     ``(len(t_grid), 2n)`` whose rows are ``exp(rho*t/2) z(t)``.
+
+    Raises ``ValueError``, naming the grid end, if a sample overflows.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.ndim != 1:
@@ -217,20 +219,27 @@ def evaluate_trajectory(sol, d, t_grid):
     w = np.concatenate([sol.y1_0, [1.0]])
     states = np.empty((t.size, n + 1))
     steps = {}
-    for lo, hi, h in _equal_step_runs(t, dt):
-        if h == 0.0:
-            states[lo:hi] = w
-        else:
-            stepper = steps.get(h)
-            if stepper is None:
-                stepper = steps[h] = mat_exp(sol.y1_generator * h)
-            np.matmul(stepper, w, out=states[lo])
-            fill_powers(stepper, states[lo:hi])
-        w = states[hi - 1]
-    y = np.empty((t.size, 2 * n))
-    y[:, :n] = states[:, :n]
-    y[:, n:] = sol.y2_offset
-    z = y @ d.U.T
+    # a growing solution overflows once its growth rate times t_end nears 709
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for lo, hi, h in _equal_step_runs(t, dt):
+                if h == 0.0:
+                    states[lo:hi] = w
+                else:
+                    stepper = steps.get(h)
+                    if stepper is None:
+                        stepper = steps[h] = mat_exp(sol.y1_generator * h)
+                    np.matmul(stepper, w, out=states[lo])
+                    fill_powers(stepper, states[lo:hi])
+                w = states[hi - 1]
+            y = np.empty((t.size, 2 * n))
+            y[:, :n] = states[:, :n]
+            y[:, n:] = sol.y2_offset
+            z = y @ d.U.T
+        except OverflowError:
+            z = None
+    if z is None or not np.isfinite(z).all():
+        raise ValueError(f"the trajectory overflows before the grid end t = {t[-1]:g}")
     # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
     zeros = np.searchsorted(t, 0.0, "right")  # the zero times lead the grid
     z[:zeros, :n], z[:zeros, n:] = sol.z1_0, sol.z2_0

@@ -126,9 +126,12 @@ class ValidationReport:
     `stabilizability_margin` is the scaled PBH margin (``inf`` when `A` is
     stable); `axis_margin` is the distance of the discount-shifted
     Hamiltonian spectrum from the imaginary axis, or ``None`` when it could
-    not be formed because `R` failed or ``B inv(R) B'`` overflows.
-    Borderline margins are reported, not rejected; hard failures flip the
-    corresponding flag.
+    not be formed because `R` failed or ``B inv(R) B'`` overflows; `axis_ok`
+    compares it with :func:`linalg.default_axis_tol` of the balanced
+    Hamiltonian.  Borderline margins are reported, not rejected; hard
+    failures flip the corresponding flag.  The thresholds are absolute, so
+    a report can fail on a problem the solvers certify: it explains a
+    failed solve, it does not decide one.
     """
 
     stabilizable: bool
@@ -137,7 +140,6 @@ class ValidationReport:
     r_min_eigenvalue: float
     axis_ok: Optional[bool]
     axis_margin: Optional[float]
-    axis_tol: float
 
     @property
     def ok(self):
@@ -164,7 +166,7 @@ def validate(p):
     margin = riccati.stabilizability_margin(p.A, p.B)
     stabilizable = bool(margin > riccati.PBH_TOL)
     r_min, r_ok = riccati.r_definiteness(p.R)
-    axis_ok, axis_margin, tol = None, None, 0.0
+    axis_ok, axis_margin = None, None
     try:
         gram = p.control_gram() if r_ok else None
     except ValueError:  # B inv(R) B' overflows: there is no Hamiltonian to test
@@ -172,9 +174,8 @@ def validate(p):
     if gram is not None:
         shifted = add_diag(p.A, -0.5 * p.rho)
         h, _ = block_balance(block_2x2(shifted, -gram, -p.Q, -shifted.T))
-        tol = default_axis_tol(h)
         axis_margin = float(np.abs(eigenvalues(h).real).min())
-        axis_ok = bool(axis_margin > tol)
+        axis_ok = bool(axis_margin > default_axis_tol(h))
     return ValidationReport(
         stabilizable=stabilizable,
         stabilizability_margin=margin,
@@ -182,5 +183,4 @@ def validate(p):
         r_min_eigenvalue=r_min,
         axis_ok=axis_ok,
         axis_margin=axis_margin,
-        axis_tol=tol,
     )

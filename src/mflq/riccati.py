@@ -97,13 +97,13 @@ def stabilizability_margin(a, b):
     return float(sigma.min() / scale)
 
 
-def require_stabilizable(a, b, pair):
-    """Raise :class:`StabilizabilityFailure`, naming the `pair`, unless the
-    PBH margin of ``(a, b)`` exceeds :data:`PBH_TOL`."""
+def require_stabilizable(a, b):
+    """Raise :class:`StabilizabilityFailure` unless the PBH margin of
+    ``(A, B) = (a, b)`` exceeds :data:`PBH_TOL`."""
     margin = stabilizability_margin(a, b)
     if not margin > PBH_TOL:
         raise StabilizabilityFailure(
-            f"{pair} fails the PBH stabilizability test (margin {margin:.3e})"
+            f"(A, B) fails the PBH stabilizability test (margin {margin:.3e})"
         )
 
 
@@ -198,9 +198,9 @@ def solve_discounted_are(A, B, Q, R, rho):
             raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
         are = solve_care_stabilizing(add_diag(A, -0.5 * rho), weighted_gram(B, R), Q)
     except MflqError:
-        require_stabilizable(A, B, "(A, B)")
+        require_stabilizable(A, B)
         raise
     if are.spectrum_margin <= 0.5 * rho:
         if not stabilizability_margin(add_diag(are.closed_loop, 0.5 * rho), B) > PBH_TOL:
-            require_stabilizable(A, B, "(A, B)")
+            require_stabilizable(A, B)
     return are

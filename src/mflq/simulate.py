@@ -23,11 +23,12 @@ __all__ = ["SimConfig", "SimResult", "simulate"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Population size, grid, replication count and initial-state sampler.
+    """Population size, grid, replication count and initial-state spread.
 
-    ``init_mean``/``init_cov`` parameterize i.i.d. Gaussian draws of the
-    agents' initial states; they default to the problem's ``x0`` and a zero
-    covariance (all agents start at the mean field).
+    The agents' initial states are i.i.d. Gaussian draws around the
+    problem's ``x0``, the initial mean field the strategy is solved from,
+    with covariance ``init_cov``; it defaults to zero (all agents start at
+    ``x0``).
     """
 
     N: int
@@ -35,7 +36,6 @@ class SimConfig:
     dt: float
     replications: int = 1
     seed: int = 0
-    init_mean: Optional[np.ndarray] = None
     init_cov: Optional[np.ndarray] = None
     store_paths: bool = field(default=False)
 
@@ -74,15 +74,14 @@ class SimResult:
 
 
 def _initial_transform(p, cfg):
-    mean = p.x0 if cfg.init_mean is None else np.asarray(cfg.init_mean, float).reshape(p.n)
     if cfg.init_cov is None:
-        return mean, np.zeros((p.n, p.n))
+        return np.zeros((p.n, p.n))
     cov = np.asarray(cfg.init_cov, dtype=float).reshape(p.n, p.n)
     cov = 0.5 * (cov + cov.T)
     w, v = np.linalg.eigh(cov)
     if w.min() < -1e-10 * max(abs(w).max(), 1.0):
         raise ValueError("init_cov must be positive semi-definite")
-    return mean, v * np.sqrt(np.clip(w, 0.0, None))
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _running_cost(p, x, u, x_mean):
@@ -109,11 +108,11 @@ def simulate(p, strategy, cfg, threads=1):
     reps = cfg.replications
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
             for r in range(reps)]
-    mean, chol = _initial_transform(p, cfg)
+    chol = _initial_transform(p, cfg)
     draws = np.empty((reps, cfg.N, p.n))
     for rng, block in zip(rngs, draws):
         rng.standard_normal(out=block)
-    x = mean + draws @ chol.T
+    x = p.x0 + draws @ chol.T
     a_cl = p.A + p.B @ strategy.K_x
     dt = float(t_grid[1] - t_grid[0])
     sq_dt = np.sqrt(dt)

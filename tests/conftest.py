@@ -51,6 +51,13 @@ def game_problem():
     )
 
 
+def growing_mean_field_problem():
+    """Scalar case a=0.9, b=q=r=1, Gamma=0.9, rho=2 whose mean field grows:
+    at rate 0.86 under the social solution and 0.67 under the game's."""
+    return ProblemData(A=[[0.9]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                       Gamma=[[0.9]], eta=[1.0], rho=2.0, x0=[1.0])
+
+
 def degenerate_boundary_problem():
     """Scalar boundary case (drift = rho/2, full tracking): the consistency
     matrix has a double zero eigenvalue and no dichotomy exists."""

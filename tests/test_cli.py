@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import PROBLEM_DIR, scalar_social_problem
-from mflq import dichotomy, social
+from conftest import PROBLEM_DIR, growing_mean_field_problem, scalar_social_problem
+from mflq import ProblemData, dichotomy, social
 from mflq.cli import (
     MAX_GRID_POINTS,
     _time_grid,
@@ -14,9 +14,10 @@ from mflq.cli import (
     problem_to_dict,
     write_trajectory_csv,
 )
-from mflq.errors import ProblemFileError
+from mflq.errors import MflqError, ProblemFileError
 from mflq.mfg import solve_mfg
 from mflq.social import sce_residual, solve_sce
+from test_problem import REJECTED
 
 SCALAR = str(PROBLEM_DIR / "ex41.json")
 TWO_STATE_STRONG = str(PROBLEM_DIR / "ex42_gamma2.json")
@@ -282,6 +283,17 @@ REPORT_SHAPES = {
                    ["discounted_riccati"]),
 }
 
+# The shipped files, two problems the solvers certify though validate fails
+# their PBH margin at its absolute threshold, and the rejected inputs.
+FORK_INPUTS = [
+    *((path.stem, load_problem_file(path)) for path in sorted(PROBLEM_DIR.glob("*.json"))),
+    ("big_A", ProblemData(A=[[1e8]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                          Gamma=[[0.0]], eta=[1.0], rho=1.0, x0=[1.0])),
+    ("tiny_B", ProblemData(A=[[3.0]], B=[[1e-9]], Q=[[1.0]], R=[[1.0]],
+                           Gamma=[[0.0]], eta=[1.0], rho=1.0, x0=[1.0])),
+    *((name, p) for name, p, _ in REJECTED),
+]
+
 
 class TestSolveReports:
     # ex42_gamma2's game matrix splits 1/3, so solve-game rejects it
@@ -302,6 +314,33 @@ class TestSolveReports:
         lam = np.linalg.eigvals(solve(load_problem_file(path)).decomposition.K)
         assert [(row["re"], row["im"]) for row in doc["spectrum"]] \
             == sorted((float(z.real), float(z.imag)) for z in lam)
+
+    @pytest.mark.parametrize("command", ["solve-social", "solve-game"])
+    @pytest.mark.parametrize("name,p", FORK_INPUTS, ids=[case[0] for case in FORK_INPUTS])
+    def test_exit_0_exactly_when_the_api_solves(self, capsys, tmp_path, command, name, p):
+        # validate's absolute PBH threshold fails big_A and tiny_B, which
+        # the solvers certify; it must not veto them
+        try:
+            REPORT_SHAPES[command][0](p)
+            solved = True
+        except MflqError:
+            solved = False
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem_to_dict(p)))
+        code = main([command, str(path), "--t-end", "1", "--dt", "0.1"])
+        out = capsys.readouterr().out
+        assert (code == 0) == solved
+        assert (out != "") == solved
+
+    @pytest.mark.parametrize("command", ["solve-social", "solve-game"])
+    def test_overflowing_trajectory_exit_4(self, capsys, tmp_path, command):
+        path = tmp_path / "growing.json"
+        path.write_text(json.dumps(problem_to_dict(growing_mean_field_problem())))
+        code = main([command, str(path), "--t-end", "2000", "--dt", "1"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "overflows before the grid end t = 2000" in err
 
 
 class TestContractionCommand:

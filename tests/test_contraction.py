@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import indefinite_social_problem
-from mflq.contraction import QuadratureConfig, contraction_bound, decaying_norm_integral
+from mflq import contraction
+from mflq.contraction import contraction_bound, decaying_norm_integral
 from mflq.errors import UnstableGenerator
 from mflq.linalg import mat_exp
 from mflq.problem import ProblemData, gamma_weights
@@ -37,12 +38,19 @@ class TestDecayingNormIntegral:
         with pytest.raises(UnstableGenerator):
             decaying_norm_integral(np.eye(2), np.eye(2))
 
-    def test_panel_doubling_converges(self):
+    def test_panel_doubling_converges(self, monkeypatch):
         p = indefinite_social_problem()
         pi = _pi_for(p)
         gram = p.control_gram()
         a_shift = p.A - gram @ pi - 0.5 * p.rho * np.eye(2)
-        _, history = decaying_norm_integral(a_shift, gram, return_history=True)
+        simpson, history = contraction._simpson, []
+
+        def recorded(vals, h):
+            history.append(simpson(vals, h))
+            return history[-1]
+
+        monkeypatch.setattr(contraction, "_simpson", recorded)
+        assert decaying_norm_integral(a_shift, gram) == history[-1]
         assert len(history) >= 2
         final, prev = history[-1], history[-2]
         assert abs(final - prev) <= 1e-6 * abs(final)
@@ -85,9 +93,3 @@ class TestContractionBound:
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
         with pytest.raises(UnstableGenerator):
             contraction_bound(p, np.zeros((1, 1)))  # not the solving Pi
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(base_panels=3)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from conftest import (PROBLEM_DIR, decaying_trajectory, random_problem,
-                      random_spectrum_matrix)
+from conftest import (PROBLEM_DIR, decaying_trajectory, growing_mean_field_problem,
+                      random_problem, random_spectrum_matrix)
 from mflq import dichotomy
 from mflq.cli import load_problem_file
 from mflq.dichotomy import (
@@ -439,6 +439,17 @@ class TestEvaluateTrajectory:
         # the grid check names the grid, and no warning comes first
         sol = solve_sce(load_problem_file(PROBLEM_DIR / "ex41.json"))
         with pytest.raises(ValueError, match="^t_grid must be finite"):
+            sol.trajectory(grid)
+
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    @pytest.mark.parametrize("grid", [[0.0, 0.0, 0.5, 2000.0],
+                                      np.arange(2001) * 1.0],
+                             ids=["one_long_step", "uniform"])
+    def test_overflow_names_the_grid_end(self, solver, grid):
+        # exp(0.67 * 2000) overflows, in the step exponential or in its
+        # powers, with no warning first
+        sol = solver(growing_mean_field_problem())
+        with pytest.raises(ValueError, match="overflows before the grid end t = 2000$"):
             sol.trajectory(grid)
 
 

@@ -1,13 +1,40 @@
-"""How ``mflq`` loads its LAPACK wrappers, checked in fresh interpreters:
-the ``scipy.linalg`` package init stays out of ``import mflq``, and the
-extension module is shared with ``scipy.linalg`` in either import order."""
+"""What ``import mflq`` exports, and how it loads its LAPACK wrappers,
+checked in fresh interpreters: the ``scipy.linalg`` package init stays out
+of ``import mflq``, and the extension module is shared with
+``scipy.linalg`` in either import order."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mflq
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_public_names():
+    # a name leaves (or joins) the public API only by an edit here
+    assert mflq.__all__ == [
+        "GammaWeights",
+        "MfgSolution",
+        "ProblemData",
+        "SceSolution",
+        "SimConfig",
+        "SimResult",
+        "StrategySpec",
+        "ValidationReport",
+        "contraction_bound",
+        "decentralized_strategy",
+        "errors",
+        "gamma_weights",
+        "sce_residual",
+        "simulate",
+        "solve_mfg",
+        "solve_sce",
+        "validate",
+    ]
+    assert all(hasattr(mflq, name) for name in mflq.__all__)
 
 
 def run_fresh(code):

@@ -148,7 +148,7 @@ def expected_cost(p, strategy, cfg, t_grid):
     dt = t_grid[1] - t_grid[0]
     uff = strategy.feedforward(t_grid)
     f = np.eye(n) + (p.A + p.B @ k_x) * dt
-    m = p.x0 if cfg.init_mean is None else np.asarray(cfg.init_mean, float)
+    m = p.x0
     cov = np.zeros((n, n)) if cfg.init_cov is None else np.asarray(cfg.init_cov, float)
     means = [m]
     total = 0.0
@@ -205,8 +205,8 @@ def reference_replication(p, strategy, cfg, rep):
     t = np.arange(steps + 1) * cfg.dt
     xbar, s = strategy.solution.trajectory(t)
     uff = s @ strategy.feedforward_gain.T
-    mean, chol = _initial_transform(p, cfg)
-    x = mean + rng.standard_normal((cfg.N, p.n)) @ chol.T
+    chol = _initial_transform(p, cfg)
+    x = p.x0 + rng.standard_normal((cfg.N, p.n)) @ chol.T
     a_cl = p.A + p.B @ strategy.K_x
     path, cost, gap = [], np.zeros(cfg.N), 0.0
     for k in range(steps + 1):

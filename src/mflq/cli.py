@@ -7,12 +7,13 @@ Commands: ``solve-social``, ``solve-game``, ``contraction``, ``simulate``,
 number ``rho``.  Reports are JSON on stdout; trajectories are CSV files
 with header ``t,xbar_1..xbar_n,s_1..s_n``.
 
-Exit codes: 0 success, 2 validation failure, 3 dichotomy or numerical
-failure, 4 I/O or parse error.  A failed command exits 2 with the
-:func:`problem.validate` verdicts when they fail too.
+Every command loads the problem, checks its own arguments, solves, then
+reports.  Exit codes: 0 success, 2 validation failure, 3 dichotomy or
+numerical failure, 4 I/O, parse or argument error, whatever the problem.
 """
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -164,15 +165,7 @@ def _spectrum_rows(matrix):
 
 
 def _validation_dict(report):
-    return {
-        "stabilizable": report.stabilizable,
-        "stabilizability_margin": report.stabilizability_margin,
-        "r_positive_definite": report.r_positive_definite,
-        "r_min_eigenvalue": report.r_min_eigenvalue,
-        "axis_ok": report.axis_ok,
-        "axis_margin": report.axis_margin,
-        "failed_checks": report.failures(),
-    }
+    return {**vars(report), "failed_checks": report.failures()}
 
 
 def _json_default(obj):
@@ -220,15 +213,34 @@ def write_trajectory_csv(path, t_grid, xbar, s):
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _solve_report(solve, own_keys, args, p, report):
+class _ExplainedFailure(Exception):
+    """A failed solve of a problem that :func:`problem.validate` fails."""
+
+
+def _solve(p, solve, *args):
+    """``solve(*args)``; on failure, :func:`problem.validate`'s verdicts on `p`
+    replace the error if they fail too.  They never veto a certified solve."""
+    try:
+        return solve(*args)
+    except (MflqError, ValueError):
+        report = validate(p)
+        if report.ok:
+            raise
+        raise _ExplainedFailure("; ".join(report.failures())
+                                + f" (margins: PBH {report.stabilizability_margin:.3e}, "
+                                  f"R {report.r_min_eigenvalue:.3e}, "
+                                  f"axis {report.axis_margin})")
+
+
+def _solve_report(solve, own_keys, args, p):
     """``solve-social`` and ``solve-game``: solve, sample the trajectory,
     write the CSV, then report the common keys around the command's own,
     which ``own_keys(sol, p, grid, xbar, s)`` returns with the residuals
     that follow the discounted Riccati one."""
-    started = time.perf_counter()
-    sol = solve(p)
-    solve_seconds = time.perf_counter() - started
     grid = _time_grid(args.t_end, args.dt)
+    started = time.perf_counter()
+    sol = _solve(p, solve, p)
+    solve_seconds = time.perf_counter() - started
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
         write_trajectory_csv(args.traj_out, grid, xbar, s)
@@ -236,7 +248,7 @@ def _solve_report(solve, own_keys, args, p, report):
     doc = {
         "command": args.command,
         "problem": problem_to_dict(p),
-        "validation": _validation_dict(report),
+        "validation": _validation_dict(validate(p)),
         "spectrum": _spectrum_rows(sol.decomposition.K),
         "Pi": sol.Pi.tolist(),
         **keys,
@@ -280,8 +292,8 @@ def _game_keys(sol, p, grid, xbar, s):
     }, {}
 
 
-def _cmd_contraction(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+def _cmd_contraction(args, p):
+    are = _solve(p, riccati.solve_discounted_are, p.A, p.B, p.Q, p.R, p.rho)
     beta = contraction_mod.contraction_bound(p, are.X)
     doc = {
         "command": "contraction",
@@ -294,15 +306,13 @@ def _cmd_contraction(args, p, report):
     return EXIT_OK
 
 
-def _cmd_simulate(args, p, report):
-    try:
-        cfg = SimConfig(N=args.agents, T=args.horizon, dt=args.dt,
-                        replications=args.reps, seed=args.seed)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from exc
+def _cmd_simulate(args, p):
+    cfg = SimConfig(N=args.agents, T=args.horizon, dt=args.dt,
+                    replications=args.reps, seed=args.seed)
     if p.D is None:
         raise ProblemFileError("simulation requires field 'D' in the problem file")
-    sol = social_mod.solve_sce(p)
+    _time_grid(cfg.T, cfg.dt)  # the solve commands' bound on the step count
+    sol = _solve(p, social_mod.solve_sce, p)
     strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)
     if args.out:
@@ -329,8 +339,8 @@ def _cmd_simulate(args, p, report):
     return EXIT_OK
 
 
-def _cmd_spectrum(args, p, report):
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+def _cmd_spectrum(args, p):
+    are = _solve(p, riccati.solve_discounted_are, p.A, p.B, p.Q, p.R, p.rho)
     if args.system == "social":
         w = gamma_weights(p.Q, p.Gamma, p.eta)
         matrix = social_mod.build_hamiltonian(are, w)
@@ -403,23 +413,16 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         p = load_problem_file(args.problem)
-        report = validate(p)
-        try:
-            return args.handler(args, p, report)
-        except (MflqError, ValueError, OSError):
-            # validate's thresholds are absolute: its report explains a
-            # failure, but does not veto what the solve certifies
-            if report.ok:
-                raise
-            _print_error("validation", "; ".join(report.failures())
-                         + f" (margins: PBH {report.stabilizability_margin:.3e}, "
-                           f"R {report.r_min_eigenvalue:.3e}, "
-                           f"axis {report.axis_margin})")
-            return EXIT_VALIDATION
-    except ProblemFileError as exc:
+        for path in (args.out, vars(args).get("traj_out")):
+            if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+                # what open(path, "w") raises, but before the solve
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        return args.handler(args, p)
+    except (ProblemFileError, ValueError) as exc:
         _print_error("input", str(exc))
         return EXIT_IO
-    except (StabilizabilityFailure, NonPositiveR, UnstableGenerator) as exc:
+    except (_ExplainedFailure, StabilizabilityFailure, NonPositiveR,
+            UnstableGenerator) as exc:
         _print_error("validation", str(exc))
         return EXIT_VALIDATION
     except (ImaginaryAxisEigenvalue, DichotomySplitFailure,
@@ -429,9 +432,6 @@ def main(argv=None):
     except MflqError as exc:
         _print_error("numerical", str(exc))
         return EXIT_DICHOTOMY
-    except ValueError as exc:
-        _print_error("input", str(exc))
-        return EXIT_IO
     except OSError as exc:
         _print_error("io", str(exc))
         return EXIT_IO

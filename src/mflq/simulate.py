@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import eigenvalues
+
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
 
@@ -46,6 +48,8 @@ class SimConfig:
             raise ValueError(f"step dt must be positive, got {self.dt}")
         if not (self.T >= self.dt and np.isfinite(self.T)):
             raise ValueError(f"horizon T must be at least dt, got T={self.T}")
+        if not np.isfinite(self.T / self.dt):
+            raise ValueError(f"step count T/dt must be finite, got T={self.T}, dt={self.dt}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
 
@@ -95,13 +99,24 @@ def simulate(p, strategy, cfg, threads=1):
 
     `strategy` must come from a solved consistency system (it supplies the
     feedback gain, the feedforward input and the deterministic mean field).
-    The problem's noise matrix `D` is required here even if zero.  All
-    replications are stepped together as one ``(replications, N, n)``
-    array; `threads` is accepted for compatibility and has no effect.
+    The problem's noise matrix `D` is required here even if zero, and the
+    Euler step ``1 + lam dt`` must decay every decaying mode `lam` of the
+    closed loop ``A + B K_x``: ``ValueError`` if ``|1 + lam dt| >= 1`` for
+    one with ``Re lam < 0``.  All replications are stepped together as one
+    ``(replications, N, n)`` array; `threads` is accepted for compatibility
+    and has no effect.
     """
     if p.D is None:
         raise ValueError("simulation requires the noise matrix D")
-    steps = max(1, int(round(cfg.T / cfg.dt)))
+    a_cl = p.A + p.B @ strategy.K_x
+    lam = eigenvalues(a_cl)
+    lam = lam[lam.real < 0]
+    growth = np.abs(1.0 + lam * cfg.dt)
+    if np.any(growth >= 1.0):
+        k = int(np.argmax(growth))
+        raise ValueError(f"step dt={cfg.dt} is too long for the closed-loop mode "
+                         f"{lam[k]:.6g}: |1 + lam dt| = {growth[k]:.6g} >= 1")
+    steps = int(round(cfg.T / cfg.dt))
     t_grid = np.arange(steps + 1) * cfg.dt
     xbar, s = strategy.solution.trajectory(t_grid)
     uff = s @ strategy.feedforward_gain.T
@@ -113,7 +128,6 @@ def simulate(p, strategy, cfg, threads=1):
     for rng, block in zip(rngs, draws):
         rng.standard_normal(out=block)
     x = p.x0 + draws @ chol.T
-    a_cl = p.A + p.B @ strategy.K_x
     dt = float(t_grid[1] - t_grid[0])
     sq_dt = np.sqrt(dt)
     discount = np.exp(-p.rho * t_grid[:-1])

@@ -148,7 +148,7 @@ def _sce_residual(sol, p, t, xbar, s):
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("t_grid must be uniform")
-    m = p.control_gram()
+    m = -sol.decomposition.K[:p.n, p.n:]  # B inv(R) B', as the solve built it
     w = gamma_weights(p.Q, p.Gamma, p.eta)
     rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T
     rhs_s = (xbar @ w.Q_Gamma.T

@@ -1,10 +1,11 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 from conftest import PROBLEM_DIR, growing_mean_field_problem, scalar_social_problem
-from mflq import ProblemData, dichotomy, social
+from mflq import ProblemData, cli, dichotomy, linalg, mfg, riccati, social
 from mflq.cli import (
     MAX_GRID_POINTS,
     _time_grid,
@@ -413,13 +414,18 @@ class TestSimulateCommand:
     def test_zero_dt_exit_4(self, capsys):
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4
 
-    @pytest.mark.parametrize("source", [SCALAR, BOUNDARY])
+    @pytest.mark.parametrize("source", [
+        SCALAR, BOUNDARY, pytest.param(REJECTED[0][1], id="slow_uncontrollable")])
     def test_missing_noise_matrix_exit_4_before_solving(self, capsys, tmp_path,
                                                         monkeypatch, source):
-        # BOUNDARY has no dichotomy: a solve would exit 3 on it
-        with open(source) as fh:
-            doc = json.load(fh)
-        del doc["D"], doc["n2"]
+        # BOUNDARY has no dichotomy: a solve would exit 3 on it; validate
+        # fails the rejected input, which must not relabel the missing D
+        if isinstance(source, str):
+            with open(source) as fh:
+                doc = json.load(fh)
+            del doc["D"], doc["n2"]
+        else:
+            doc = problem_to_dict(source)
         path = tmp_path / "no_noise.json"
         path.write_text(json.dumps(doc))
         calls = []
@@ -428,6 +434,85 @@ class TestSimulateCommand:
         assert main(["simulate", str(path)]) == 4
         assert "requires field 'D'" in capsys.readouterr().err
         assert calls == []
+
+    def test_euler_step_too_long_exit_4(self, capsys, tmp_path):
+        # the closed loop is near -1e8: at dt = 0.01 an Euler step multiplies
+        # it by about -1e6, so the statistics would be inf and NaN
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(problem_to_dict(ProblemData(
+            A=[[1e8]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.0]],
+            eta=[1.0], rho=1.0, x0=[1.0], D=[[0.1]]))))
+        code = main(["simulate", str(path), "--agents", "4", "--horizon", "0.5",
+                     "--reps", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert "step dt=0.01 is too long" in err
+
+
+# Each is wrong whatever the problem; MISSING stands for a path whose
+# directory does not exist.
+ARGUMENT_ERRORS = [
+    ["solve-social", "--dt", "0"],
+    ["solve-social", "--t-end", "1e300", "--dt", "1e-10"],
+    ["solve-social", "--out", "MISSING"],
+    ["solve-game", "--traj-out", "MISSING"],
+    ["contraction", "--out", "MISSING"],
+    ["simulate", "--agents", "0"],
+    ["simulate", "--horizon", "1e300", "--dt", "1e-10"],
+]
+
+
+class TestArgumentErrors:
+    """A bad argument, grid or output path exits 4 with empty stdout before
+    any solve: on a problem the solvers certify though validate fails it,
+    on a rejected one and on one with no dichotomy."""
+
+    @pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)
+    @pytest.mark.parametrize("name", ["big_A", "slow_uncontrollable", "ex22_degenerate"])
+    def test_exit_4_before_solving(self, capsys, monkeypatch, tmp_path, name, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved despite a bad argument")
+
+        for module, solve in ((social, "solve_sce"), (mfg, "solve_mfg"),
+                              (riccati, "solve_discounted_are")):
+            monkeypatch.setattr(module, solve, unreachable)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem_to_dict(dict(FORK_INPUTS)[name])))
+        missing = str(tmp_path / "missing" / "r.json")
+        code = main([argv[0], str(path)]
+                    + [missing if arg == "MISSING" else arg for arg in argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert "validation" not in err
+
+
+class TestValidateCalls:
+    """``validate`` runs to fill a solve report and to explain a failed
+    solve, nowhere else; each command factors `R` no more than it must."""
+
+    @pytest.mark.parametrize("argv,code,validates,factorizations", [
+        (["solve-social", TWO_STATE_STRONG], 0, 1, 2),
+        (["solve-game", GAME], 0, 1, 2),
+        (["contraction", TWO_STATE_STRONG], 0, 0, 2),
+        (["spectrum", TWO_STATE_STRONG], 0, 0, 1),
+        (["simulate", SCALAR, "--agents", "4", "--horizon", "0.5", "--reps", "2"], 0, 0, 2),
+        # the game matrix splits 1/3: a failed solve, explained once
+        (["solve-game", TWO_STATE_STRONG], 3, 1, 2),
+    ], ids=lambda v: v if isinstance(v, int) else " ".join(a.split("/")[-1] for a in v))
+    def test_calls_per_command(self, capsys, monkeypatch, argv, code, validates,
+                               factorizations):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(cli, "validate", counting("validate", cli.validate))
+        monkeypatch.setattr(linalg, "dpotrf", counting("dpotrf", linalg.dpotrf))
+        assert main(argv) == code
+        assert (calls["validate"], calls["dpotrf"]) == (validates, factorizations)
 
 
 class TestTrajectoryCsv:

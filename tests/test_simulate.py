@@ -21,6 +21,7 @@ class TestSimConfig:
         dict(N=4, T=1.0, dt=-0.1),
         dict(N=4, T=0.001, dt=0.01),
         dict(N=4, T=1.0, dt=0.01, replications=0),
+        dict(N=4, T=1e300, dt=1e-10),  # T/dt overflows
     ])
     def test_misconfiguration_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -32,6 +33,17 @@ class TestSimulate:
         p = scalar_social_problem(D=None)
         with pytest.raises(ValueError):
             simulate(p, _strategy(p), SimConfig(N=2, T=1.0, dt=0.1))
+
+    def test_euler_step_must_decay_the_closed_loop(self):
+        # a closed loop near -1e8 is multiplied by about -1e6 per step at
+        # dt = 0.01; ex41's decays at that step
+        stiff = ProblemData(A=[[1e8]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.0]],
+                            eta=[1.0], rho=1.0, x0=[1.0], D=[[0.1]])
+        cfg = SimConfig(N=2, T=0.1, dt=0.01)
+        with pytest.raises(ValueError, match="step dt=0.01 is too long"):
+            simulate(stiff, _strategy(stiff), cfg)
+        p = load_problem_file(PROBLEM_DIR / "ex41.json")
+        assert np.isfinite(simulate(p, _strategy(p), cfg).cost_mean)
 
     def test_zero_problem_zero_cost(self):
         p = ProblemData(A=[[-0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],

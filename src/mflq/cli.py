@@ -165,19 +165,14 @@ def _spectrum_rows(matrix):
 
 
 def _validation_dict(report):
-    return {**vars(report), "failed_checks": report.failures()}
-
-
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    # a stable A has no PBH test point: its margin is inf, which JSON lacks
+    margin = report.stabilizability_margin
+    return {**vars(report), "stabilizability_margin": margin if margin < np.inf else None,
+            "failed_checks": report.failures()}
 
 
 def _emit(doc, out_path=None):
-    text = json.dumps(doc, indent=2, default=_json_default)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -217,11 +212,11 @@ class _ExplainedFailure(Exception):
     """A failed solve of a problem that :func:`problem.validate` fails."""
 
 
-def _solve(p, solve, *args):
-    """``solve(*args)``; on failure, :func:`problem.validate`'s verdicts on `p`
+def _solve(p, solve):
+    """``solve(p)``; on failure, :func:`problem.validate`'s verdicts on `p`
     replace the error if they fail too.  They never veto a certified solve."""
     try:
-        return solve(*args)
+        return solve(p)
     except (MflqError, ValueError):
         report = validate(p)
         if report.ok:
@@ -239,7 +234,7 @@ def _solve_report(solve, own_keys, args, p):
     that follow the discounted Riccati one."""
     grid = _time_grid(args.t_end, args.dt)
     started = time.perf_counter()
-    sol = _solve(p, solve, p)
+    sol = _solve(p, solve)
     solve_seconds = time.perf_counter() - started
     xbar, s = sol.trajectory(grid)
     if args.traj_out:
@@ -293,7 +288,7 @@ def _game_keys(sol, p, grid, xbar, s):
 
 
 def _cmd_contraction(args, p):
-    are = _solve(p, riccati.solve_discounted_are, p.A, p.B, p.Q, p.R, p.rho)
+    are = _solve(p, riccati.solve_discounted_are)
     beta = contraction_mod.contraction_bound(p, are.X)
     doc = {
         "command": "contraction",
@@ -312,7 +307,7 @@ def _cmd_simulate(args, p):
     if p.D is None:
         raise ProblemFileError("simulation requires field 'D' in the problem file")
     _time_grid(cfg.T, cfg.dt)  # the solve commands' bound on the step count
-    sol = _solve(p, social_mod.solve_sce, p)
+    sol = _solve(p, social_mod.solve_sce)
     strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)
     if args.out:
@@ -340,10 +335,9 @@ def _cmd_simulate(args, p):
 
 
 def _cmd_spectrum(args, p):
-    are = _solve(p, riccati.solve_discounted_are, p.A, p.B, p.Q, p.R, p.rho)
+    are = _solve(p, riccati.solve_discounted_are)
     if args.system == "social":
-        w = gamma_weights(p.Q, p.Gamma, p.eta)
-        matrix = social_mod.build_hamiltonian(are, w)
+        matrix = social_mod.build_hamiltonian(are, gamma_weights(p))
     else:
         matrix = mfg_mod.build_mfg_matrix(p, are)
     doc = {

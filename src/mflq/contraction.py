@@ -22,7 +22,7 @@ truncation and refinement targets are the module constants below.
 import numpy as np
 
 from .errors import UnstableGenerator
-from .linalg import add_diag, as_square, fill_powers, fro, mat_exp
+from .linalg import add_diag, as_square, fill_powers, fro, mat_exp, weighted_gram
 from .problem import gamma_weights
 
 __all__ = ["contraction_bound", "decaying_norm_integral"]
@@ -124,9 +124,9 @@ def contraction_bound(p, Pi):
     if the shifted closed-loop drift is not stable (it always is when `Pi`
     is the stabilizing solution).
     """
-    gram = p.control_gram()
+    gram = weighted_gram(p.B, p.R)
     a_shift = add_diag(p.A - gram @ Pi, -0.5 * p.rho)
-    q_gamma = gamma_weights(p.Q, p.Gamma, p.eta).Q_Gamma
+    q_gamma = gamma_weights(p).Q_Gamma
     left = decaying_norm_integral(a_shift, gram)
     right = decaying_norm_integral(a_shift.T, q_gamma)
     return float(left * right)

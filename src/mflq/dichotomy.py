@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (add_diag, as_square, block_2x2, block_balance, fill_powers,
-                     lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear)
+from .linalg import (CONDITION_LIMIT, add_diag, as_square, block_2x2, block_balance,
+                     fill_powers, lu_factor, lu_solve, mat_exp, real_schur_ordered,
+                     solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -43,8 +44,6 @@ __all__ = [
     "sample_trajectory",
     "solve_decaying",
 ]
-
-_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def decompose_from_schur(K):
         If the stable/antistable split is not n/n.
     GraphSubspaceFailure
         If the leading n-by-n block of `U` has 1-norm condition estimate
-        > 1e12.
+        above :data:`linalg.CONDITION_LIMIT`, 1e12.
     """
     K = as_square(K)
     m = K.shape[0]
@@ -139,7 +138,7 @@ def decompose_from_schur(K):
         )
     u11 = sf.W[:n, :n]
     lu, piv, condition = lu_factor(u11)
-    if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
+    if not condition <= CONDITION_LIMIT:
         raise GraphSubspaceFailure(
             f"leading transform block has condition {condition:.3e}; "
             "the stable subspace is not a graph subspace"
@@ -280,8 +279,9 @@ def sample_trajectory(self, t_grid):
     """Sample ``(xbar(t), s(t))`` on a nonnegative grid.
 
     The ``trajectory`` method of the social and the game solutions, which
-    both carry ``bvp``, ``decomposition`` and ``n``.  Returns two arrays of
-    shape ``(len(t_grid), n)``: the undiscounted pair is the shifted form
-    that :func:`evaluate_trajectory` samples, as stored."""
+    both carry ``bvp`` and ``decomposition``.  Returns two arrays of shape
+    ``(len(t_grid), n)``: the undiscounted pair is the shifted form that
+    :func:`evaluate_trajectory` samples, as stored."""
+    n = self.decomposition.n
     z = evaluate_trajectory(self.bvp, self.decomposition, t_grid)
-    return z[:, : self.n], z[:, self.n:]
+    return z[:, :n], z[:, n:]

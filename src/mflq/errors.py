@@ -24,7 +24,7 @@ class SchurConvergenceFailure(MflqError):
 
 
 class SingularMatrix(MflqError):
-    """A linear solve hit a pivot below the singularity threshold."""
+    """A linear system's condition estimate exceeds ``linalg.CONDITION_LIMIT``."""
 
 
 class GraphSubspaceFailure(MflqError):

@@ -80,6 +80,7 @@ dsyev = _flapack.dsyev
 dtrsen = _flapack.dtrsen
 
 __all__ = [
+    "CONDITION_LIMIT",
     "OrderedSchurForm",
     "add_diag",
     "as_square",
@@ -99,6 +100,9 @@ __all__ = [
     "spectral_abscissa",
     "weighted_gram",
 ]
+
+# a matrix whose ``dgecon`` 1-norm condition estimate exceeds this is singular
+CONDITION_LIMIT = 1e12
 
 
 def as_square(a, name="matrix"):
@@ -196,27 +200,6 @@ def spectral_abscissa(a):
     return float(eigenvalues(a).real.max())
 
 
-def solve_linear(a, b):
-    """Solve ``a @ x = b`` by pivoted LU factorization (``dgetrf``, ``dgetrs``).
-
-    Raises :class:`SingularMatrix` when any pivot falls below
-    ``1e-12 * ||a||_F``, rather than returning garbage.  An empty `a` has
-    the empty solution.
-    """
-    a = as_square(a, "coefficient matrix")
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] == 0:
-        return np.zeros(b.shape)
-    nrm = fro(a)
-    lu, piv, _ = dgetrf(a)
-    pivots = np.abs(np.diag(lu))
-    if nrm == 0.0 or pivots.min() < 1e-12 * nrm:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {1e-12 * nrm:.3e}"
-        )
-    return dgetrs(lu, piv, b)[0]
-
-
 def lu_factor(a):
     """Pivoted LU factors of a square `a` (``dgetrf``) and, from them, the
     ``dgecon`` estimate of its 1-norm condition ``||a||_1 ||inv(a)||_1``.
@@ -236,6 +219,26 @@ def lu_solve(lu, piv, b, trans=0):
     """Solve ``a @ x = b``, or ``a.T @ x = b`` with ``trans=1``, on the
     factors ``lu, piv`` of `a` from :func:`lu_factor` (``dgetrs``)."""
     return dgetrs(lu, piv, b, trans=trans)[0]
+
+
+def solve_linear(a, b):
+    """Solve ``a @ x = b`` on the factors of :func:`lu_factor`.
+
+    Raises :class:`SingularMatrix`, rather than returning garbage, when the
+    ``dgecon`` estimate of the 1-norm condition of `a` exceeds
+    :data:`CONDITION_LIMIT`: the rule by which
+    :func:`dichotomy.decompose_from_schur` refuses `U11`.  An empty `a`
+    has the empty solution.
+    """
+    a = as_square(a, "coefficient matrix")
+    b = np.asarray(b, dtype=float)
+    if a.shape[0] == 0:
+        return np.zeros(b.shape)
+    lu, piv, condition = lu_factor(a)
+    if not condition <= CONDITION_LIMIT:
+        raise SingularMatrix(f"coefficient matrix has condition {condition:.3e}, "
+                             f"above {CONDITION_LIMIT:.0e}")
+    return lu_solve(lu, piv, b)
 
 
 def solve_spd(a, b):
@@ -430,8 +433,7 @@ def real_schur_ordered(k):
         raise SchurConvergenceFailure(
             f"Schur reduction did not converge (dgees info {info})"
         )
-    k_norm = fro(k)
-    on_axis = np.abs(wr) <= 1e-9 * (1.0 + k_norm)  # default_axis_tol(k)
+    on_axis = np.abs(wr) <= default_axis_tol(k)
     if on_axis.any():
         # real eigenvalues stay real, as np.linalg.eigvals reports them
         on_axis = (wr + 1j * wi if wi.any() else wr)[on_axis]
@@ -451,7 +453,7 @@ def real_schur_ordered(k):
 
     ortho_err = fro(add_diag(w.T @ w, -1.0))
     recon_err = fro(w.T @ k @ w - t)
-    if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(k_norm, 1.0):
+    if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(fro(k), 1.0):
         raise SchurConvergenceFailure(
             f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
             f"reconstruction {recon_err:.3e})"

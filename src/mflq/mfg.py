@@ -31,10 +31,6 @@ class MfgSolution:
     bvp: dichotomy.BvpSolution
     pi_residual: float
 
-    @property
-    def n(self):
-        return self.Pi.shape[0]
-
     trajectory = dichotomy.sample_trajectory
 
 
@@ -58,7 +54,7 @@ def solve_mfg(p):
     stable/antistable split is not n/n, and :class:`GraphSubspaceFailure`
     when the leading transform block is numerically singular.
     """
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+    are = riccati.solve_discounted_are(p)
     d = dichotomy.decompose_from_schur(build_mfg_matrix(p, are))
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)

@@ -4,7 +4,9 @@ An instance collects the agent dynamics ``dx_i = (A x_i + B u_i) dt + D dW_i``
 and the discounted quadratic cost with mean-field coupling
 ``Gamma * mean(x) + eta``, state weight `Q` (symmetric, possibly indefinite),
 control weight ``R > 0`` and discount rate ``rho > 0``.  ``x0`` is the
-initial mean field.
+initial mean field.  :class:`ProblemData` checks the shapes, the symmetry of
+`Q` and `R`, finiteness and ``rho > 0`` once, when it is built; the solvers
+and :func:`gamma_weights` take the checked instance and repeat none of it.
 
 :func:`validate` reports every standing assumption at once and never
 raises; the solvers do not call it, since their front end
@@ -93,10 +95,6 @@ class ProblemData:
     def n2(self):
         return None if self.D is None else self.D.shape[1]
 
-    def control_gram(self):
-        """``B @ inv(R) @ B'`` via a Cholesky solve, symmetrized."""
-        return weighted_gram(self.B, self.R)
-
 
 @dataclass(frozen=True)
 class GammaWeights:
@@ -108,14 +106,13 @@ class GammaWeights:
     eta_Gamma: np.ndarray
 
 
-def gamma_weights(Q, Gamma, eta):
-    """Compute :class:`GammaWeights` from the cost data."""
-    Q = as_square(Q, "Q")
-    Gamma = as_square(Gamma, "Gamma")
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    q_gamma = Gamma.T @ Q + Q @ Gamma - Gamma.T @ Q @ Gamma
+def gamma_weights(p):
+    """:class:`GammaWeights` of the problem `p`, from its checked `Q`,
+    `Gamma` and `eta`."""
+    q, g = p.Q, p.Gamma
+    q_gamma = g.T @ q + q @ g - g.T @ q @ g
     q_gamma = 0.5 * (q_gamma + q_gamma.T)
-    eta_gamma = add_diag(0.0 - Gamma.T, 1.0) @ (Q @ eta)  # 0 - g: I - Gamma' bit for bit
+    eta_gamma = add_diag(0.0 - g.T, 1.0) @ (q @ p.eta)  # 0 - g: I - Gamma' bit for bit
     return GammaWeights(Q_Gamma=q_gamma, eta_Gamma=eta_gamma)
 
 
@@ -168,7 +165,7 @@ def validate(p):
     r_min, r_ok = riccati.r_definiteness(p.R)
     axis_ok, axis_margin = None, None
     try:
-        gram = p.control_gram() if r_ok else None
+        gram = weighted_gram(p.B, p.R) if r_ok else None
     except ValueError:  # B inv(R) B' overflows: there is no Hamiltonian to test
         gram, axis_ok = None, False
     if gram is not None:

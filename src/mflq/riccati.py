@@ -15,8 +15,9 @@ solve's auxiliary equation) and certifies the result.
 :func:`solve_care_stabilizing` builds the Hamiltonian from the three
 blocks; no ``(A_o, M)`` PBH test runs.  The discounted equation
 ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
-``A -> A - (rho/2) I``; :func:`solve_discounted_are` is the front end of
-every solver and command.  It certifies ``(A, B)`` by the outcome: the full
+``A -> A - (rho/2) I``; :func:`solve_discounted_are`, which takes the
+checked :class:`problem.ProblemData`, is the front end of every solver and
+command.  It certifies ``(A, B)`` by the outcome: the full
 PBH test runs only on a failed solve (its verdict wins over the failure's
 own, an `R` failure included), and on an accepted one only at the modes of
 ``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.
@@ -28,8 +29,8 @@ import numpy as np
 
 from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (add_diag, as_square, as_symmetric, block_2x2, dsyev, eigenvalues,
-                     fro, lu_solve, spectral_abscissa, weighted_gram)
+from .linalg import (add_diag, as_square, block_2x2, dsyev, eigenvalues, fro, lu_solve,
+                     spectral_abscissa, weighted_gram)
 
 __all__ = [
     "StabilizingRiccatiSolution",
@@ -81,8 +82,6 @@ def stabilizability_margin(a, b):
     """
     a = as_square(a, "A")
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
     n = a.shape[0]
     scale = 1.0 + fro(a) + fro(b)
     lam = eigenvalues(a)
@@ -170,37 +169,30 @@ def solve_care_stabilizing(a_o, m, q_o):
     return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
 
 
-def solve_discounted_are(A, B, Q, R, rho):
-    """Stabilizing solution of the discounted Riccati equation, with
-    ``(A, B)`` certified stabilizable.
+def solve_discounted_are(p):
+    """Stabilizing solution of the discounted Riccati equation of the
+    checked problem `p`, with ``(A, B)`` certified stabilizable.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
     ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
     :func:`solve_care_stabilizing` to the shifted data
     ``(A - (rho/2) I, B inv(R) B', Q)``.
 
-    `R` must be symmetric positive definite (:class:`NonPositiveR` otherwise);
-    the inverse enters only through a Cholesky solve against ``B'``.  Any
-    failure, or a closed-loop mode with ``Re >= 0`` that fails the PBH test,
-    becomes a :class:`StabilizabilityFailure` when ``(A, B)`` fails it.
+    `R` must be positive definite, which `ProblemData` does not check
+    (:class:`NonPositiveR`); the inverse enters only through a Cholesky solve
+    against ``B'``.  Any failure, or a closed-loop mode with ``Re >= 0`` that
+    fails the PBH test, becomes a :class:`StabilizabilityFailure` when
+    ``(A, B)`` fails it.
     """
-    A = as_square(A, "A")
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    Q = as_symmetric(Q, "Q")
-    R = as_symmetric(R, "R")
-    if not (A.shape == (B.shape[0], B.shape[0]) == Q.shape):
-        raise ValueError("A_o, M, Q_o must share one square shape")
     try:
-        min_eig_r, r_ok = r_definiteness(R)
+        min_eig_r, r_ok = r_definiteness(p.R)
         if not r_ok:
             raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
-        are = solve_care_stabilizing(add_diag(A, -0.5 * rho), weighted_gram(B, R), Q)
+        are = solve_care_stabilizing(add_diag(p.A, -0.5 * p.rho), weighted_gram(p.B, p.R), p.Q)
     except MflqError:
-        require_stabilizable(A, B)
+        require_stabilizable(p.A, p.B)
         raise
-    if are.spectrum_margin <= 0.5 * rho:
-        if not stabilizability_margin(add_diag(are.closed_loop, 0.5 * rho), B) > PBH_TOL:
-            require_stabilizable(A, B)
+    if are.spectrum_margin <= 0.5 * p.rho:
+        if not stabilizability_margin(add_diag(are.closed_loop, 0.5 * p.rho), p.B) > PBH_TOL:
+            require_stabilizable(p.A, p.B)
     return are

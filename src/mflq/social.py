@@ -58,10 +58,6 @@ class SceSolution:
     pi_residual: float
     aux_residual: float
 
-    @property
-    def n(self):
-        return self.Pi.shape[0]
-
     trajectory = dichotomy.sample_trajectory
 
 
@@ -103,8 +99,8 @@ def solve_sce(p):
     half the discount rate under full mean-field tracking), and
     :class:`GraphSubspaceFailure` when a Riccati solution fails certification.
     """
-    are = riccati.solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-    w = gamma_weights(p.Q, p.Gamma, p.eta)
+    are = riccati.solve_discounted_are(p)
+    w = gamma_weights(p)
     h = build_hamiltonian(are, w)
     aux = riccati.stabilizing_solution(h)
     d = dichotomy.decompose_from_riccati(h, aux)
@@ -149,7 +145,7 @@ def _sce_residual(sol, p, t, xbar, s):
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("t_grid must be uniform")
     m = -sol.decomposition.K[:p.n, p.n:]  # B inv(R) B', as the solve built it
-    w = gamma_weights(p.Q, p.Gamma, p.eta)
+    w = gamma_weights(p)
     rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T
     rhs_s = (xbar @ w.Q_Gamma.T
              + s @ (p.rho * np.eye(p.n) - p.A.T + sol.Pi @ m).T

@@ -7,6 +7,7 @@ import pytest
 
 from mflq import ProblemData, validate
 from mflq.dichotomy import evaluate_trajectory
+from mflq.errors import MflqError
 from mflq.linalg import block_2x2, eigenvalues
 from mflq.problem import gamma_weights
 
@@ -63,6 +64,24 @@ def degenerate_boundary_problem():
     matrix has a double zero eigenvalue and no dichotomy exists."""
     return ProblemData(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                        Gamma=[[1.0]], eta=[1.0], rho=1.0, x0=[1.0], D=[[0.2]])
+
+
+def lq_problem(A, B, Q, R, rho):
+    """The discounted LQ data ``(A, B, Q, R, rho)`` as a :class:`ProblemData`
+    with no coupling, zero `eta` and unit `x0`: the input of
+    :func:`riccati.solve_discounted_are`."""
+    n = np.shape(A)[0]
+    return ProblemData(A=A, B=B, Q=Q, R=R, Gamma=np.zeros((n, n)), eta=np.zeros(n),
+                       rho=rho, x0=np.ones(n))
+
+
+def cost_problem(Q, Gamma, eta):
+    """The cost data ``(Q, Gamma, eta)`` as a :class:`ProblemData` with
+    ``A = 0``, one unit control and zero `x0`: the input of
+    :func:`problem.gamma_weights`."""
+    n = np.shape(Q)[0]
+    return ProblemData(A=np.zeros((n, n)), B=np.ones((n, 1)), Q=Q, R=[[1.0]],
+                       Gamma=Gamma, eta=eta, rho=1.0, x0=np.zeros(n))
 
 
 @pytest.fixture
@@ -195,10 +214,10 @@ def random_problem(rng, max_n=4, coupling="generic", with_noise=False,
         from mflq.social import build_hamiltonian
 
         try:
-            are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-        except Exception:
+            are = solve_discounted_are(p)
+        except (MflqError, ValueError):
             continue
-        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
+        h = build_hamiltonian(are, gamma_weights(p))
         lam = eigenvalues(h)
         if np.abs(lam.real).min() <= axis_margin:
             continue

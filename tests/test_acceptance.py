@@ -117,8 +117,7 @@ def test_criterion_3_game_golden():
 def test_criterion_4_contraction_bounds():
     strong = indefinite_social_problem(gamma_scale=2.0)
     weak = indefinite_social_problem(gamma_scale=0.05)
-    pi = solve_discounted_are(strong.A, strong.B, strong.Q, strong.R,
-                              strong.rho).X
+    pi = solve_discounted_are(strong).X
     beta_strong = contraction_bound(strong, pi)
     beta_weak = contraction_bound(weak, pi)
     assert beta_strong == pytest.approx(6.34694, rel=1e-2)
@@ -252,8 +251,8 @@ def test_criterion_6g_scalar_spectral_law():
         target = a_rho**2 + q * br2 * (1.0 - gam) ** 2
         p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[gam]],
                         eta=[0.0], rho=rho, x0=[1.0])
-        are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
+        are = solve_discounted_are(p)
+        h = build_hamiltonian(are, gamma_weights(p))
         for lam in eigenvalues(h):
             assert scaled_close(lam**2, target, 1e-9)
         done += 1

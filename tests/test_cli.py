@@ -17,6 +17,7 @@ from mflq.cli import (
 )
 from mflq.errors import MflqError, ProblemFileError
 from mflq.mfg import solve_mfg
+from mflq.problem import validate
 from mflq.social import sce_residual, solve_sce
 from test_problem import REJECTED
 
@@ -332,6 +333,24 @@ class TestSolveReports:
         out = capsys.readouterr().out
         assert (code == 0) == solved
         assert (out != "") == solved
+
+    @pytest.mark.parametrize("command", ["solve-social", "solve-game"])
+    def test_stable_drift_report_is_strict_json(self, capsys, tmp_path, command):
+        # a stable A has no PBH test point: validate's margin is inf, which
+        # the report writes as null, not as the non-JSON token Infinity
+        p = ProblemData(A=[[-1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.5]],
+                        eta=[0.2], rho=1.0, x0=[1.0])
+        assert validate(p).stabilizability_margin == np.inf
+        path = tmp_path / "stable.json"
+        path.write_text(json.dumps(problem_to_dict(p)))
+        assert main([command, str(path)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["validation"]["stabilizability_margin"] is None
+        assert doc["validation"]["stabilizable"] is True
 
     @pytest.mark.parametrize("command", ["solve-social", "solve-game"])
     def test_overflowing_trajectory_exit_4(self, capsys, tmp_path, command):

@@ -6,13 +6,13 @@ from conftest import indefinite_social_problem
 from mflq import contraction
 from mflq.contraction import contraction_bound, decaying_norm_integral
 from mflq.errors import UnstableGenerator
-from mflq.linalg import mat_exp
+from mflq.linalg import mat_exp, weighted_gram
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are
 
 
 def _pi_for(p):
-    return solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho).X
+    return solve_discounted_are(p).X
 
 
 class TestDecayingNormIntegral:
@@ -41,7 +41,7 @@ class TestDecayingNormIntegral:
     def test_panel_doubling_converges(self, monkeypatch):
         p = indefinite_social_problem()
         pi = _pi_for(p)
-        gram = p.control_gram()
+        gram = weighted_gram(p.B, p.R)
         a_shift = p.A - gram @ pi - 0.5 * p.rho * np.eye(2)
         simpson, history = contraction._simpson, []
 
@@ -81,9 +81,9 @@ class TestContractionBound:
         # the bound only sees the coupling weight through a norm
         p = indefinite_social_problem()
         pi = _pi_for(p)
-        gram = p.control_gram()
+        gram = weighted_gram(p.B, p.R)
         a_shift = p.A - gram @ pi - 0.5 * p.rho * np.eye(2)
-        q_gamma = gamma_weights(p.Q, p.Gamma, p.eta).Q_Gamma
+        q_gamma = gamma_weights(p).Q_Gamma
         plus = decaying_norm_integral(a_shift.T, q_gamma)
         minus = decaying_norm_integral(a_shift.T, -q_gamma)
         assert plus == pytest.approx(minus, rel=1e-12)

@@ -136,7 +136,7 @@ class TestDecomposeFromRiccati:
             assert np.array_equal(lu_solve(*d.U11_lu, b), b)
             factored = replace(d, U11_lu=lu_factor(np.eye(p.n))[:2])
             psi0 = np.concatenate([np.zeros(p.n),
-                                   gamma_weights(p.Q, p.Gamma, p.eta).eta_Gamma])
+                                   gamma_weights(p).eta_Gamma])
             ref = solve_decaying(factored, p.x0, psi0, p.rho)
             assert sol.s0.tobytes() == ref.z2_0.tobytes()
 

@@ -102,6 +102,32 @@ def test_solves_and_trajectories_build_no_identity_and_call_no_replace(monkeypat
     assert calls == []
 
 
+def test_solves_check_no_symmetry_again(monkeypatch):
+    # ProblemData made Q and R symmetric when it was built; the solves take
+    # the checked problem and repeat none of it
+    problems = _problems()
+    calls = []
+    real = linalg.as_symmetric
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mflq") and getattr(module, "as_symmetric", None) is real:
+            monkeypatch.setattr(module, "as_symmetric", counting)
+    solved = 0
+    for p in problems:
+        for solve in (solve_sce, solve_mfg):
+            try:
+                solve(p)
+                solved += 1
+            except MflqError:
+                continue
+    assert solved == 2 * len(problems) - 3
+    assert calls == []
+
+
 def test_trajectory_rebuilds_no_solution_and_shifts_no_diagonal(monkeypatch):
     # the stored generator is already the shifted one that trajectory() samples
     problems = _problems()

@@ -25,7 +25,6 @@ from mflq.linalg import (
     spectral_abscissa,
     weighted_gram,
 )
-from mflq.problem import ProblemData
 
 
 def scalar_consistency_matrix(a, b, q, r, rho, gamma):
@@ -169,6 +168,13 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(np.zeros((2, 2)), np.ones(2))
 
+    def test_condition_limit(self):
+        # both pivots are 1; the dgecon estimate decides, as it does for U11
+        with pytest.raises(SingularMatrix, match=r"condition 4\.000e\+12"):
+            solve_linear(np.array([[1.0, 2e6], [0.0, 1.0]]), np.ones(2))
+        x = solve_linear(np.array([[1.0, 5e5], [0.0, 1.0]]), np.ones(2))
+        assert np.array_equal(x, [1.0 - 5e5, 1.0])
+
     def test_empty(self):
         assert solve_linear(np.zeros((0, 0)), np.ones(0)).shape == (0,)
         assert solve_linear(np.zeros((0, 0)), np.ones((0, 3))).shape == (0, 3)
@@ -211,10 +217,6 @@ class TestCholeskyGram:
         b = np.ones((2, 2))
         with pytest.raises(np.linalg.LinAlgError):
             weighted_gram(b, np.array(r))
-        p = ProblemData(A=np.eye(2), B=b, Q=np.eye(2), R=r, Gamma=np.zeros((2, 2)),
-                        eta=np.zeros(2), rho=1.0, x0=np.zeros(2))
-        with pytest.raises(np.linalg.LinAlgError):
-            p.control_gram()
 
 
     def test_huge_b_is_scaled_exactly(self):

@@ -5,6 +5,7 @@ from conftest import PROBLEM_DIR, game_problem, random_problem, scaled_close
 from mflq import linalg, social
 from mflq.cli import load_problem_file
 from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
+from mflq.linalg import weighted_gram
 from mflq.mfg import build_mfg_matrix, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are
@@ -15,9 +16,9 @@ class TestBuildMfgMatrix:
     def test_zero_coupling_matches_social_matrix(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, coupling="zero")
-        are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+        are = solve_discounted_are(p)
         m_mfg = build_mfg_matrix(p, are)
-        h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
+        h = build_hamiltonian(are, gamma_weights(p))
         assert np.allclose(m_mfg, h, atol=1e-12)
 
     def test_generally_not_hamiltonian(self):
@@ -28,7 +29,7 @@ class TestBuildMfgMatrix:
             p = random_problem(rng, max_n=3)
             if p.n < 2:
                 continue
-            are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+            are = solve_discounted_are(p)
             m_mfg = build_mfg_matrix(p, are)
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
@@ -40,7 +41,7 @@ class TestBuildMfgMatrix:
 
     def test_lower_left_block_is_plain_product(self):
         p = game_problem()
-        are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
+        are = solve_discounted_are(p)
         m_mfg = build_mfg_matrix(p, are)
         assert np.allclose(m_mfg[2:, :2], p.Q @ p.Gamma)
 
@@ -99,7 +100,7 @@ class TestSolveMfg:
         h = 1e-4
         t = np.arange(0.0, 3.0, h)
         xbar, s = sol.trajectory(t)
-        m = p.control_gram()
+        m = weighted_gram(p.B, p.R)
         rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T
         rhs_s = (xbar @ (p.Q @ p.Gamma).T
                  + s @ (p.rho * np.eye(p.n) - p.A.T + sol.Pi @ m).T

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     PROBLEM_DIR,
+    cost_problem,
     degenerate_boundary_problem,
     indefinite_social_problem,
     scalar_social_problem,
@@ -17,7 +18,7 @@ from mflq.errors import (
     NonPositiveR,
     StabilizabilityFailure,
 )
-from mflq.linalg import default_axis_tol
+from mflq.linalg import default_axis_tol, weighted_gram
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights, validate
 from mflq.social import solve_sce
@@ -95,7 +96,7 @@ class TestProblemData:
 
     def test_control_gram(self):
         p = indefinite_social_problem()
-        assert np.allclose(p.control_gram(), np.ones((2, 2)))
+        assert np.allclose(weighted_gram(p.B, p.R), np.ones((2, 2)))
 
     @pytest.mark.parametrize("name", ["ex41", "ex43"])
     def test_solves_leave_the_problem_alone(self, name):
@@ -121,19 +122,19 @@ class TestGammaWeights:
     def test_zero_coupling(self):
         q = np.diag([1.0, 2.0])
         eta = np.array([1.0, -1.0])
-        w = gamma_weights(q, np.zeros((2, 2)), eta)
+        w = gamma_weights(cost_problem(q, np.zeros((2, 2)), eta))
         assert np.allclose(w.Q_Gamma, 0.0)
         assert np.allclose(w.eta_Gamma, q @ eta)
 
     def test_identity_coupling(self):
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
-        w = gamma_weights(q, np.eye(2), [1.0, 2.0])
+        w = gamma_weights(cost_problem(q, np.eye(2), [1.0, 2.0]))
         assert np.allclose(w.Q_Gamma, q)
         assert np.allclose(w.eta_Gamma, 0.0)
 
     def test_two_state_reference(self):
         p = indefinite_social_problem()
-        w = gamma_weights(p.Q, p.Gamma, p.eta)
+        w = gamma_weights(p)
         assert np.allclose(w.Q_Gamma, [[0.5, 0.5], [0.5, 0.0]], atol=1e-12)
         assert np.allclose(w.eta_Gamma, [-1.0, 0.0], atol=1e-12)
 
@@ -145,7 +146,7 @@ class TestGammaWeights:
             g = rng.standard_normal((n, n))
             q = 0.5 * (g + g.T)
             gam = rng.standard_normal((n, n))
-            w = gamma_weights(q, gam, np.zeros(n))
+            w = gamma_weights(cost_problem(q, gam, np.zeros(n)))
             ident = np.eye(n)
             expected = q - (ident - gam).T @ q @ (ident - gam)
             assert np.allclose(w.Q_Gamma, expected, atol=1e-12)
@@ -287,6 +288,47 @@ def outcome(solver, p):
         return solver(p), None
     except MflqError as exc:
         return None, type(exc)
+
+
+def units_scaled(p, c):
+    """`p` in control units ``1/c`` times as large: ``(B, R) -> (c B, c^2 R)``."""
+    return ProblemData(A=p.A, B=c * p.B, Q=p.Q, R=c * c * p.R, Gamma=p.Gamma,
+                       eta=p.eta, rho=p.rho, x0=p.x0)
+
+
+class TestControlUnits:
+    """``(B, R) -> (c B, c^2 R)`` leaves ``B inv(R) B'``, and with it the
+    verdict, `Pi`, `s0` and the trajectory, unchanged: bit for bit at
+    ``c = 2^k``, since :func:`linalg.weighted_gram` scales by powers of two."""
+
+    @pytest.mark.parametrize("name", ["ex22_degenerate", "ex41",
+                                      "ex42_gamma005", "ex42_gamma2", "ex43"])
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_power_of_two_units_are_exact(self, name, solver):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        base, base_error = outcome(solver, p)
+        t = np.linspace(0.0, 10.0, 101)
+        if base is not None:
+            ref = np.hstack(base.trajectory(t))
+        for k in range(-8, 9):
+            sol, error = outcome(solver, units_scaled(p, 2.0**k))
+            assert error is base_error, k
+            if sol is None:
+                continue
+            assert np.array_equal(sol.Pi, base.Pi), k
+            assert np.array_equal(sol.s0, base.s0), k
+            assert np.array_equal(np.hstack(sol.trajectory(t)), ref), k
+
+    @pytest.mark.xfail(raises=NonPositiveR, strict=True,
+                       reason="R * 1e-12 falls below the absolute definiteness "
+                              "threshold 1e-10 * max(||R||, 1) (ROADMAP item 7)")
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_micro_units_are_solved(self, solver):
+        p = load_problem_file(PROBLEM_DIR / "ex41.json")
+        base = solver(p)
+        sol = solver(units_scaled(p, 1e-6))
+        for got, want in ((sol.Pi, base.Pi), (sol.s0, base.s0)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestTimeScaling:

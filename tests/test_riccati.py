@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_care_problem
+from conftest import lq_problem, random_care_problem
 from mflq.errors import (
     DichotomySplitFailure,
     GraphSubspaceFailure,
@@ -71,7 +71,7 @@ class TestSolveCareStabilizing:
     def test_unstabilizable_raises(self):
         # the kernel runs no (A_o, M) PBH test; the front end names the pair
         with pytest.raises(StabilizabilityFailure, match=r"^\(A, B\) fails"):
-            solve_discounted_are([[1.0]], [[0.0]], [[1.0]], [[1.0]], 1.0)
+            solve_discounted_are(lq_problem([[1.0]], [[0.0]], [[1.0]], [[1.0]], 1.0))
 
     def test_core_refuses_unstabilizable_without_pbh(self):
         # the stable eigenvector of [[1, 0], [-1, -1]] is (0, 1): W11 = 0
@@ -148,7 +148,7 @@ class TestScalarMaximality:
 
 class TestSolveDiscountedAre:
     def test_scalar_reference(self):
-        sol = solve_discounted_are([[2.0]], [[1.0]], [[2.0]], [[1.0]], 1.0)
+        sol = solve_discounted_are(lq_problem([[2.0]], [[1.0]], [[2.0]], [[1.0]], 1.0))
         assert sol.X[0, 0] == pytest.approx(3.5615528128, abs=1e-9)
         # closed loop of the shifted problem is stable
         assert sol.spectrum_margin > 0.0
@@ -163,7 +163,7 @@ class TestSolveDiscountedAre:
             r = float(rng.uniform(0.2, 2.0))
             rho = float(rng.uniform(0.3, 2.0))
             expected = scalar_discounted_solution(a, b, q, r, rho)
-            sol = solve_discounted_are([[a]], [[b]], [[q]], [[r]], rho)
+            sol = solve_discounted_are(lq_problem([[a]], [[b]], [[q]], [[r]], rho))
             assert sol.X[0, 0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
             done += 1
 
@@ -178,7 +178,7 @@ class TestSolveDiscountedAre:
             r = np.eye(n)
             rho = float(rng.uniform(0.4, 1.6))
             try:
-                sol = solve_discounted_are(a, b, q, r, rho)
+                sol = solve_discounted_are(lq_problem(a, b, q, r, rho))
             except ImaginaryAxisEigenvalue:
                 continue
             pi = sol.X
@@ -193,23 +193,23 @@ class TestSolveDiscountedAre:
         import scipy.linalg as sla
 
         a, b, q, r, rho = 1.3, 0.7, 0.9, 1.1, 0.8
-        via_discount = solve_discounted_are([[a]], [[b]], [[q]], [[r]], rho)
+        via_discount = solve_discounted_are(lq_problem([[a]], [[b]], [[q]], [[r]], rho))
         b_mat = np.array([[b]])
         gram = b_mat @ sla.cho_solve(sla.cho_factor(np.array([[r]])), b_mat.T)
         direct = solve_care_stabilizing(np.array([[a - rho / 2.0]]), gram, np.array([[q]]))
         assert via_discount.X[0, 0] == direct.X[0, 0]
 
     def test_mismatched_shapes_rejected(self):
-        # solve_discounted_are compares the shapes of A, M = B inv(R) B', Q
-        with pytest.raises(ValueError, match="share one square shape"):
-            solve_discounted_are(np.eye(2), [[1.0], [0.0]], [[1.0]], [[1.0]], 1.0)
-        with pytest.raises(ValueError, match="share one square shape"):
-            solve_discounted_are(np.eye(2), [[1.0, 0.0]], np.eye(2), np.eye(2), 1.0)
+        # the front end takes a ProblemData, which compares the shapes when built
+        with pytest.raises(ValueError, match="Q and Gamma must match"):
+            lq_problem(np.eye(2), [[1.0], [0.0]], [[1.0]], [[1.0]], 1.0)
+        with pytest.raises(ValueError, match="B must have 2 rows"):
+            lq_problem(np.eye(2), [[1.0, 0.0]], np.eye(2), np.eye(2), 1.0)
 
     def test_shapes_checked_before_pbh(self):
-        # unstabilizable and R too small, but the malformed call is named first
-        with pytest.raises(ValueError, match="share one square shape"):
-            solve_discounted_are(2.0 * np.eye(2), [[0.0]], np.eye(2), [[1e-13]], 1.0)
+        # unstabilizable and R too small, but the malformed data is named first
+        with pytest.raises(ValueError, match="B must have 2 rows"):
+            lq_problem(2.0 * np.eye(2), [[0.0]], np.eye(2), [[1e-13]], 1.0)
 
     @pytest.mark.parametrize("a,b,r", [
         ([[0.2]], [[0.0]], [[1.0]]),
@@ -220,7 +220,7 @@ class TestSolveDiscountedAre:
         # the first two solve, with an uncontrollable mode 0.2 < rho/2 left
         # in the closed loop; the third fails the R check first
         with pytest.raises(StabilizabilityFailure, match=r"\(A, B\)"):
-            solve_discounted_are(a, b, np.eye(np.shape(a)[0]), r, 1.0)
+            solve_discounted_are(lq_problem(a, b, np.eye(np.shape(a)[0]), r, 1.0))
 
     @pytest.mark.parametrize("solve", ["front_end", "social", "game"])
     @pytest.mark.parametrize("s", [1e-2, 1.0, 1e2, 1e5])
@@ -232,29 +232,30 @@ class TestSolveDiscountedAre:
         a, b, q = [[0.7]], [[1e-5 * s]], [[-4e8 / s**2]]
         p = ProblemData(A=a, B=b, Q=q, R=[[1.0]], Gamma=[[0.0]], eta=[0.0],
                         rho=1.0, x0=[1.0])
-        run = {"front_end": lambda: solve_discounted_are(a, b, q, [[1.0]], 1.0),
+        run = {"front_end": lambda: solve_discounted_are(p),
                "social": lambda: solve_sce(p), "game": lambda: solve_mfg(p)}[solve]
         with pytest.raises(ImaginaryAxisEigenvalue):
             run()
 
     def test_asymmetric_q_rejected(self):
+        # by ProblemData, before any solve
         with pytest.raises(ValueError, match="Q is not symmetric"):
-            solve_discounted_are(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                 np.eye(2), 1.0)
+            lq_problem(np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2), 1.0)
 
     def test_indefinite_q_accepted(self):
         # decoupled scalar equations, each with the closed-form solution
         q = [1.0, -5.0]
-        sol = solve_discounted_are(3.0 * np.eye(2), np.eye(2), np.diag(q), np.eye(2), 1.0)
+        p = lq_problem(3.0 * np.eye(2), np.eye(2), np.diag(q), np.eye(2), 1.0)
+        sol = solve_discounted_are(p)
         expected = [scalar_discounted_solution(3.0, 1.0, qi, 1.0, 1.0) for qi in q]
         assert sol.X == pytest.approx(np.diag(expected), rel=1e-9, abs=1e-9)
         assert sol.spectrum_margin > 0.0
 
     def test_non_positive_r(self):
         with pytest.raises(NonPositiveR):
-            solve_discounted_are([[1.0]], [[1.0]], [[1.0]], [[-1.0]], 1.0)
+            solve_discounted_are(lq_problem([[1.0]], [[1.0]], [[1.0]], [[-1.0]], 1.0))
         with pytest.raises(NonPositiveR):
-            solve_discounted_are([[1.0]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+            solve_discounted_are(lq_problem([[1.0]], [[1.0]], [[1.0]], [[0.0]], 1.0))
 
 
 class TestStabilizabilityMargin:

@@ -1,7 +1,11 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mflq import ProblemData
+from mflq.social import solve_sce
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
@@ -32,3 +36,26 @@ def test_expected_differences_exit_4_without_output(records):
     assert expected
     for case in expected:
         assert (records[case]["exit"], records[case]["stdout"]) == (4, ""), case
+
+
+def test_api_records_are_deterministic_and_a_change_is_reported():
+    problems = same_outputs.api_problems(seeds=(), draws=3)
+    records = same_outputs.run_api(problems)
+    assert len(records) == 5 + 3
+    assert same_outputs.run_api(problems) == records
+    assert same_outputs.differing(records, records) == []
+
+    name = "file ex41"
+    pi = solve_sce(ProblemData(**dict(problems)[name])).Pi
+    assert records[name]["social"]["Pi"] == same_outputs._digest(pi)
+
+    def with_pi(x):
+        social = {**records[name]["social"], "Pi": same_outputs._digest(x)}
+        return {**records, name: {**records[name], "social": social}}
+
+    nudged = with_pi(np.nextafter(pi, np.inf))
+    assert same_outputs.differing(records, nudged) == [name]
+    assert not same_outputs.only_signed_zeros(records[name], nudged[name])
+    zero, minus_zero = with_pi(np.zeros(2)), with_pi(-np.zeros(2))
+    assert same_outputs.differing(zero, minus_zero) == [name]
+    assert same_outputs.only_signed_zeros(zero[name], minus_zero[name])

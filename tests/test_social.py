@@ -13,7 +13,7 @@ from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, NonPositiveR,
                          StabilizabilityFailure)
 from mflq import riccati
 from mflq.cli import main
-from mflq.linalg import eigenvalues, spectral_abscissa
+from mflq.linalg import eigenvalues, spectral_abscissa, weighted_gram
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are, stabilizability_margin
@@ -27,10 +27,8 @@ from mflq.social import (
 
 class TestBuildHamiltonian:
     def test_scalar_reference(self, scalar_social):
-        are = solve_discounted_are(scalar_social.A, scalar_social.B,
-                                   scalar_social.Q, scalar_social.R,
-                                   scalar_social.rho)
-        w = gamma_weights(scalar_social.Q, scalar_social.Gamma, scalar_social.eta)
+        are = solve_discounted_are(scalar_social)
+        w = gamma_weights(scalar_social)
         h = build_hamiltonian(are, w)
         root = np.sqrt(4.25)
         assert np.allclose(h, [[-root, -1.0], [2.0, root]], atol=1e-9)
@@ -40,8 +38,8 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(13)
         for _ in range(10):
             p = random_problem(rng)
-            are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-            h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
+            are = solve_discounted_are(p)
+            h = build_hamiltonian(are, gamma_weights(p))
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -70,7 +68,7 @@ class TestSolveSce:
             for solver in (solve_sce, solve_mfg):
                 calls.clear()
                 sol = solver(p)
-                closed = p.A - p.control_gram() @ sol.Pi
+                closed = p.A - weighted_gram(p.B, p.R) @ sol.Pi
                 hurwitz = spectral_abscissa(closed) < 0.0
                 assert len(calls) == (0 if hurwitz else 1)
                 assert all(np.allclose(a, closed) for a in calls)
@@ -163,7 +161,7 @@ class TestSolveSce:
         rng = np.random.default_rng(66)
         for _ in range(10):
             p = random_problem(rng, coupling="nonpositive", axis_margin=0.0)
-            w = gamma_weights(p.Q, p.Gamma, p.eta)
+            w = gamma_weights(p)
             assert np.linalg.eigvalsh(w.Q_Gamma).max() <= 1e-10
             sol = solve_sce(p)
             assert spectral_abscissa(sol.A_C) < 0.0
@@ -196,8 +194,8 @@ class TestSolveSce:
             target = a_rho**2 + q * (b * b / r) * (1.0 - gam) ** 2
             p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]],
                             Gamma=[[gam]], eta=[0.0], rho=rho, x0=[1.0])
-            are = solve_discounted_are(p.A, p.B, p.Q, p.R, p.rho)
-            h = build_hamiltonian(are, gamma_weights(p.Q, p.Gamma, p.eta))
+            are = solve_discounted_are(p)
+            h = build_hamiltonian(are, gamma_weights(p))
             lam = eigenvalues(h)
             assert scaled_close(lam[0] ** 2, target, 1e-9)
             assert scaled_close(lam[1] ** 2, target, 1e-9)

@@ -1,29 +1,47 @@
-"""Compare what the ``mflq`` CLI prints at a git revision and in the working tree.
+"""Compare what ``mflq`` computes at a git revision and in the working tree.
 
     python tools/same_outputs.py --base REV [--expect FILE]
 
-Runs a fixed corpus, 16 problems times 17 command lines (272 cases),
-through ``mflq.cli.main``: once with REV's ``src`` and once with the working
-tree's, each in its own subprocess.  Each case's exit code, stdout (without
-the reports' ``"timings"``), stderr and warnings are compared.  Every case
-that differs is printed with a count per exit-code change, and the tool
-exits 1 if a differing case is not listed in FILE (one case id per line;
-``#`` starts a comment).  REV's ``src`` is exported with ``git archive``
-into a temporary directory, so nothing is fetched and the repository's
-worktrees are left alone.
+Two corpora run once with REV's ``src`` and once with the working tree's,
+each tree in its own subprocess:
+
+- the CLI corpus, 16 problems times 17 command lines (272 cases), through
+  ``mflq.cli.main``: each case's exit code, stdout (without the reports'
+  ``"timings"``), stderr and warnings;
+- the API corpus, 593 problems (the 5 shipped files, the ``sweep_small``
+  inputs of ``perfbench/instances.py`` for seeds 1-3 and 300
+  ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
+  report and, for each solver, the error class and message or the bytes of
+  `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `U`, `V`, `F11`,
+  `K` and `U11_condition`, the residuals and the trajectories on two grids;
+  for the shipped files also the contraction bound `beta`.
+
+The API corpus is generated once, with the working tree's code, and both
+trees are handed the same arrays.  Every case or record that differs is
+printed; an API record whose arrays differ only in the signs of zeros is
+counted apart and does not count as a difference.  The tool exits 1 if a
+differing case or record is not listed in FILE (one id per line; ``#``
+starts a comment).  REV's ``src`` is exported with ``git archive`` into a
+temporary directory, so nothing is fetched and the repository's worktrees
+are left alone.
 """
 
 import argparse
 import collections
 import contextlib
+import hashlib
+import inspect
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,20 +152,122 @@ def run_corpus():
     return records
 
 
+# ---------------------------------------------------------------------------
+# The API corpus.
+
+FIELDS = ("A", "B", "Q", "R", "Gamma", "eta", "x0", "rho", "D")
+GRIDS = {"uniform": np.linspace(0.0, 10.0, 1001),
+         "log": np.concatenate([[0.0], np.logspace(-3.0, 1.0, 50)])}
+
+
+def api_problems(seeds=(1, 2, 3), draws=300):
+    """``[(name, fields)]``: the shipped files, the ``sweep_small`` inputs of
+    `seeds` and `draws` ``random_problem(max_n=6)`` draws from
+    ``default_rng(2026)``, made with the working tree's ``src``,
+    ``tests/conftest.py`` and ``perfbench/instances.py``."""
+    for sub in ("perfbench", "tests", "src"):
+        if str(ROOT / sub) not in sys.path:
+            sys.path.insert(0, str(ROOT / sub))
+    import instances
+    from conftest import random_problem
+
+    problems = [(f"file {path.stem}", instances.read_problem_file(str(path)))
+                for path in sorted((ROOT / "problems").glob("*.json"))]
+    for seed in seeds:
+        problems += [(f"sweep {seed}/{i} {inst.name}", inst.data)
+                     for i, inst in enumerate(instances.sweep_small(seed))]
+    rng = np.random.default_rng(2026)
+    for i in range(draws):
+        p = random_problem(rng, max_n=6)
+        problems.append((f"random {i}", {f: getattr(p, f) for f in FIELDS}))
+    return problems
+
+
+def _digest(x):
+    """The shape of `x` as float64, the digest of its bytes, and that of the
+    bytes of ``x + 0.0``, in which every -0.0 is +0.0."""
+    a = np.ascontiguousarray(x, dtype=float)
+    return {"shape": list(a.shape),
+            "bits": hashlib.sha256(a.tobytes()).hexdigest(),
+            "zero_blind": hashlib.sha256((a + 0.0).tobytes()).hexdigest()}
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # an error is an outcome to compare
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _front_end(riccati, p):
+    # before it took the problem, the front end took (A, B, Q, R, rho)
+    solve = riccati.solve_discounted_are
+    if len(inspect.signature(solve).parameters) == 1:
+        return solve(p)
+    return solve(p.A, p.B, p.Q, p.R, p.rho)
+
+
+def _solution_record(sol):
+    d = sol.decomposition
+    record = {key: _digest(getattr(sol, key))
+              for key in ("Pi", "s0", "X_plus", "A_C", "A_cl", "pi_residual",
+                          "aux_residual") if hasattr(sol, key)}
+    record.update((key, _digest(getattr(d, key)))
+                  for key in ("U", "V", "F11", "K", "U11_condition"))
+    for name, grid in GRIDS.items():
+        record[f"trajectory {name}"] = _outcome(
+            lambda: dict(zip(("xbar", "s"), map(_digest, sol.trajectory(grid)))))
+    return record
+
+
+def _api_record(name, fields):
+    from mflq import ProblemData, contraction, mfg, riccati, social, validate
+
+    try:
+        p = ProblemData(**fields)
+    except ValueError as exc:
+        return {"problem": {"error": type(exc).__name__, "message": str(exc)}}
+    record = {"validate": {key: _digest(value) if isinstance(value, float) else value
+                           for key, value in vars(validate(p)).items()}}
+    for solver, solve in (("social", social.solve_sce), ("game", mfg.solve_mfg)):
+        record[solver] = _outcome(lambda: _solution_record(solve(p)))
+    if name.startswith("file "):
+        record["beta"] = _outcome(
+            lambda: contraction.contraction_bound(p, _front_end(riccati, p).X).hex())
+    return record
+
+
+def run_api(problems):
+    """Run the API corpus `problems` (from :func:`api_problems`) through the
+    importable ``mflq``; return ``{problem name: record}``."""
+    return {name: _api_record(name, fields) for name, fields in problems}
+
+
+def _zero_blind(record):
+    if isinstance(record, dict):
+        return {key: _zero_blind(value) for key, value in record.items() if key != "bits"}
+    return record
+
+
+def only_signed_zeros(base, head):
+    """Whether two records that differ agree but for the signs of zeros."""
+    return _zero_blind(base) == _zero_blind(head)
+
+
 def differing(base, head):
     """Case ids whose records differ, in corpus order."""
     return [case for case in {**base, **head} if base.get(case) != head.get(case)]
 
 
-def _records(tree):
+def _records(tree, corpus):
     src = tree / "src"
     child = subprocess.run(
-        [sys.executable, __file__, "--record"], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        [sys.executable, __file__, "--record", str(corpus)], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
     doc = json.loads(child.stdout)
     if Path(doc["mflq"]).resolve().parent != src.resolve():
         raise RuntimeError(f"imported {doc['mflq']}, not the mflq under {src}")
-    return doc["cases"]
+    return doc["cases"], doc["api"]
 
 
 def _summary(record):
@@ -161,14 +281,16 @@ def _summary(record):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="git revision to compare the working tree with")
-    parser.add_argument("--expect", help="file of the case ids expected to differ")
-    parser.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--expect",
+                        help="file of the case and record ids expected to differ")
+    parser.add_argument("--record", metavar="CORPUS", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record:
         import mflq
 
-        json.dump({"mflq": str(Path(mflq.__file__).parent), "cases": run_corpus()},
-                  sys.stdout)
+        problems = pickle.loads(Path(args.record).read_bytes())
+        json.dump({"mflq": str(Path(mflq.__file__).parent), "cases": run_corpus(),
+                   "api": run_api(problems)}, sys.stdout)
         return 0
     if not args.base:
         parser.error("--base is required")
@@ -183,8 +305,10 @@ def main(argv=None):
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        base = _records(Path(tmp))
-    head = _records(ROOT)
+        corpus = Path(tmp) / "api_corpus.pickle"
+        corpus.write_bytes(pickle.dumps(api_problems()))
+        base, base_api = _records(Path(tmp), corpus)
+        head, head_api = _records(ROOT, corpus)
 
     changed = differing(base, head)
     by_class = collections.Counter(
@@ -197,7 +321,20 @@ def main(argv=None):
     print(f"{len(head)} cases, {len(changed)} differ")
     for (old, new), count in sorted(by_class.items(), key=str):
         print(f"  exit {old} -> {new}: {count}")
-    unexpected = [c for c in changed if c not in expected]
+
+    api_changed = differing(base_api, head_api)
+    zeros = [name for name in api_changed
+             if name in base_api and name in head_api
+             and only_signed_zeros(base_api[name], head_api[name])]
+    api_changed = [name for name in api_changed if name not in zeros]
+    for name in api_changed:
+        mark = "expected" if name in expected else "UNEXPECTED"
+        old, new = base_api.get(name, {}), head_api.get(name, {})
+        keys = [key for key in {**old, **new} if old.get(key) != new.get(key)]
+        print(f"{mark}: {name}\n  differs in: {', '.join(keys)}")
+    print(f"{len(head_api)} API records, {len(api_changed)} differ, "
+          f"{len(zeros)} more only in the signs of zeros")
+    unexpected = [c for c in changed + api_changed if c not in expected]
     if unexpected:
         print(f"{len(unexpected)} differences not listed in --expect")
         return 1

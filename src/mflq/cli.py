@@ -172,7 +172,10 @@ def _validation_dict(report):
 
 
 def _emit(doc, out_path=None):
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # the output, not the input, is at fault: exit 3
+        raise MflqError("the report has a value that is not finite") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import PROBLEM_DIR, growing_mean_field_problem, scalar_social_problem
-from mflq import ProblemData, cli, dichotomy, linalg, mfg, riccati, social
+from mflq import ProblemData, cli, contraction, dichotomy, linalg, mfg, riccati, social
 from mflq.cli import (
     MAX_GRID_POINTS,
     _time_grid,
@@ -386,6 +386,16 @@ class TestContractionCommand:
         assert code == 0
         assert out["beta"] == 0.0
         assert out["verdict"] == "contraction"
+
+    def test_non_finite_report_value_exit_3(self, capsys, monkeypatch, tmp_path):
+        # the input was fine; JSON has no inf, so the report is refused unwritten
+        monkeypatch.setattr(contraction, "contraction_bound", lambda p, pi: np.inf)
+        out_path = tmp_path / "report.json"
+        assert main(["contraction", SCALAR, "--out", str(out_path)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "mflq: numerical failure: the report has a value "
+                                  "that is not finite\n")
+        assert not out_path.exists()
 
 
 class TestSpectrumCommand:

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from conftest import (PROBLEM_DIR, decaying_trajectory, growing_mean_field_problem,
                       random_problem, random_spectrum_matrix)
-from mflq import dichotomy
+from mflq import ProblemData, dichotomy
 from mflq.cli import load_problem_file
 from mflq.dichotomy import (
     DichotomyDecomposition,
@@ -19,9 +19,10 @@ from mflq.dichotomy import (
     solve_decaying,
 )
 from mflq.errors import (DichotomySplitFailure, GraphSubspaceFailure,
-                         ImaginaryAxisEigenvalue, MflqError)
-from mflq.linalg import (add_diag, block_2x2, block_balance, eigenvalues, lu_factor,
-                         lu_solve, mat_exp, real_schur_ordered, spectral_abscissa)
+                         ImaginaryAxisEigenvalue, MflqError, SingularMatrix)
+from mflq.linalg import (CONDITION_LIMIT, add_diag, block_2x2, block_balance, eigenvalues,
+                         lu_factor, lu_solve, mat_exp, real_schur_ordered,
+                         spectral_abscissa)
 from mflq.mfg import solve_mfg
 from mflq.problem import gamma_weights
 from mflq.riccati import stabilizing_solution
@@ -240,6 +241,20 @@ class TestSolveDecaying:
         d = decompose_from_schur(np.diag([-1.0, 1.0]))
         with pytest.raises(ValueError):
             solve_decaying(d, [1.0], np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("solve", [solve_sce, solve_mfg])
+    def test_non_normal_f22_meets_the_condition_limit(self, solve):
+        # with Q tiny, F22 + (rho/2) I is close to [[1.5, c], [0, 1.5]]: its
+        # eigenvalues stay near Re 1.5 while its condition grows with c
+        def jordan_drift(c):
+            return ProblemData(A=[[-1.0, c], [0.0, -1.0]], B=np.eye(2), R=np.eye(2),
+                               Q=1e-12 * np.eye(2), Gamma=np.zeros((2, 2)),
+                               eta=[1.0, 1.0], rho=1.0, x0=[1.0, 1.0])
+
+        d = solve(jordan_drift(1.5e6)).decomposition
+        assert 1e11 < lu_factor(add_diag(d.F22, 0.5))[2] <= CONDITION_LIMIT
+        with pytest.raises(SingularMatrix, match=r"condition 7\.\d+e\+12, above 1e\+12"):
+            solve(jordan_drift(1e7))
 
     def test_linearity(self):
         rng = np.random.default_rng(41)

@@ -13,8 +13,9 @@ each tree in its own subprocess:
   ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
   report and, for each solver, the error class and message or the bytes of
   `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `U`, `V`, `F11`,
-  `K` and `U11_condition`, the residuals and the trajectories on two grids;
-  for the shipped files also the contraction bound `beta`.
+  `K` and `U11_condition`, the residuals and the trajectories on two grids.
+  (The contraction bound `beta` of the shipped files is in the CLI corpus,
+  through ``mflq contraction``.)
 
 The API corpus is generated once, with the working tree's code, and both
 trees are handed the same arrays.  Every case or record that differs is
@@ -30,7 +31,6 @@ import argparse
 import collections
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -199,14 +199,6 @@ def _outcome(compute):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _front_end(riccati, p):
-    # before it took the problem, the front end took (A, B, Q, R, rho)
-    solve = riccati.solve_discounted_are
-    if len(inspect.signature(solve).parameters) == 1:
-        return solve(p)
-    return solve(p.A, p.B, p.Q, p.R, p.rho)
-
-
 def _solution_record(sol):
     d = sol.decomposition
     record = {key: _digest(getattr(sol, key))
@@ -220,8 +212,8 @@ def _solution_record(sol):
     return record
 
 
-def _api_record(name, fields):
-    from mflq import ProblemData, contraction, mfg, riccati, social, validate
+def _api_record(fields):
+    from mflq import ProblemData, mfg, social, validate
 
     try:
         p = ProblemData(**fields)
@@ -231,16 +223,13 @@ def _api_record(name, fields):
                            for key, value in vars(validate(p)).items()}}
     for solver, solve in (("social", social.solve_sce), ("game", mfg.solve_mfg)):
         record[solver] = _outcome(lambda: _solution_record(solve(p)))
-    if name.startswith("file "):
-        record["beta"] = _outcome(
-            lambda: contraction.contraction_bound(p, _front_end(riccati, p).X).hex())
     return record
 
 
 def run_api(problems):
     """Run the API corpus `problems` (from :func:`api_problems`) through the
     importable ``mflq``; return ``{problem name: record}``."""
-    return {name: _api_record(name, fields) for name, fields in problems}
+    return {name: _api_record(fields) for name, fields in problems}
 
 
 def _zero_blind(record):

@@ -13,7 +13,7 @@ Two constructions of the transform are supported: the analytic one from a
 certified stabilizing Riccati solution (unit-triangular `U`) and the generic
 one from an ordered real Schur form (`U` orthogonal up to balancing).  The latter,
 :func:`decompose_from_schur`, is the one splitting of the package: the
-Riccati solves (:func:`riccati.stabilizing_solution`) and the game both
+Riccati solves (:func:`riccati.solve_care_stabilizing`) and the game both
 split through it, so its axis test, n/n check and condition limit are
 written once.  The improper integral behind the bounded choice is
 evaluated in closed form as a linear solve.  The solution is stored
@@ -130,29 +130,27 @@ def decompose_from_schur(K):
         raise ValueError(f"matrix dimension must be even, got {m}")
     n = m // 2
     balanced, c = block_balance(K)
-    sf = real_schur_ordered(balanced)
-    if sf.k_stable != n:
+    s, w, k_stable = real_schur_ordered(balanced)
+    if k_stable != n:
         raise DichotomySplitFailure(
-            f"stable/antistable split is {sf.k_stable}/{m - sf.k_stable}, "
-            f"need {n}/{n}"
+            f"stable/antistable split is {k_stable}/{m - k_stable}, need {n}/{n}"
         )
-    u11 = sf.W[:n, :n]
-    lu, piv, condition = lu_factor(u11)
+    lu, piv, condition = lu_factor(w[:n, :n])
     if not condition <= CONDITION_LIMIT:
         raise GraphSubspaceFailure(
             f"leading transform block has condition {condition:.3e}; "
             "the stable subspace is not a graph subspace"
         )
-    u, v = sf.W, sf.W.T
+    u, v = w, w.T
     if c != 1.0:
-        t = np.repeat([1.0, c], n)
-        u, v = u * t[:, None], v / t
+        scale = np.repeat([1.0, c], n)  # the diagonal of T
+        u, v = u * scale[:, None], v / scale
     return DichotomyDecomposition(
         U=u,
         V=v,
-        F11=sf.T[:n, :n],
-        F12=sf.T[:n, n:],
-        F22=sf.T[n:, n:],
+        F11=s[:n, :n],
+        F12=s[:n, n:],
+        F22=s[n:, n:],
         U11_lu=(lu, piv),
         U11_condition=float(condition),
         K=K,

@@ -17,7 +17,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -81,7 +80,6 @@ dtrsen = _flapack.dtrsen
 
 __all__ = [
     "CONDITION_LIMIT",
-    "OrderedSchurForm",
     "add_diag",
     "as_square",
     "as_symmetric",
@@ -374,20 +372,6 @@ def mat_exp(a):
 # Real Schur form with stable-first ordering.
 
 
-@dataclass(frozen=True)
-class OrderedSchurForm:
-    """Orthogonal similarity ``K = W @ T @ W.T`` with stable eigenvalues
-    collected in the leading diagonal blocks of the quasi-triangular `T`.
-
-    `k_stable` is the number of eigenvalues with negative real part; they
-    occupy the leading ``k_stable x k_stable`` block of `T`.
-    """
-
-    W: np.ndarray
-    T: np.ndarray
-    k_stable: int
-
-
 def _select_none(re, im):
     # dgees needs a select callback even when it is told not to sort
     return 0
@@ -414,7 +398,10 @@ def real_schur_ordered(k):
 
     Returns
     -------
-    OrderedSchurForm
+    t, w, k_stable
+        The quasi-triangular `t` and orthogonal `w` with ``k = w @ t @ w.T``,
+        and the number `k_stable` of eigenvalues with negative real part,
+        which occupy the leading ``k_stable x k_stable`` block of `t`.
 
     Raises
     ------
@@ -427,7 +414,7 @@ def real_schur_ordered(k):
     k = as_square(k)
     m = k.shape[0]
     if m == 0:
-        return OrderedSchurForm(W=k.copy(), T=k.copy(), k_stable=0)
+        return k.copy(), k.copy(), 0
     t, _, wr, wi, w, _, info = dgees(_select_none, k)
     if info != 0:
         raise SchurConvergenceFailure(
@@ -458,4 +445,4 @@ def real_schur_ordered(k):
             f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
             f"reconstruction {recon_err:.3e})"
         )
-    return OrderedSchurForm(W=w, T=t, k_stable=k_stable)
+    return t, w, k_stable

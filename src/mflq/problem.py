@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import riccati
-from .linalg import (add_diag, as_square, as_symmetric, block_2x2, block_balance,
-                     default_axis_tol, eigenvalues, weighted_gram)
+from .linalg import (add_diag, as_square, as_symmetric, block_balance, default_axis_tol,
+                     eigenvalues, weighted_gram)
 
 __all__ = [
     "GammaWeights",
@@ -48,6 +48,8 @@ class ProblemData:
     def __post_init__(self):
         a = as_square(self.A, "A")
         n = a.shape[0]
+        if n == 0:
+            raise ValueError("A must have at least one row: the problem has no state")
         b = np.asarray(self.B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
@@ -156,8 +158,8 @@ class ValidationReport:
 
 def validate(p):
     """Check stabilizability of ``(A, B)``, positive definiteness of `R`,
-    and that the discount-shifted Hamiltonian built from `Q`, balanced as in
-    the solvers, has no eigenvalues within :func:`linalg.default_axis_tol` of
+    and that :func:`riccati.discounted_hamiltonian`, balanced as in the
+    solvers, has no eigenvalues within :func:`linalg.default_axis_tol` of
     the imaginary axis.  Never raises; the report carries the verdicts and margins.
     """
     margin = riccati.stabilizability_margin(p.A, p.B)
@@ -169,8 +171,7 @@ def validate(p):
     except ValueError:  # B inv(R) B' overflows: there is no Hamiltonian to test
         gram, axis_ok = None, False
     if gram is not None:
-        shifted = add_diag(p.A, -0.5 * p.rho)
-        h, _ = block_balance(block_2x2(shifted, -gram, -p.Q, -shifted.T))
+        h, _ = block_balance(riccati.discounted_hamiltonian(p, gram))
         axis_margin = float(np.abs(eigenvalues(h).real).min())
         axis_ok = bool(axis_margin > default_axis_tol(h))
     return ValidationReport(

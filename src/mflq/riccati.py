@@ -1,25 +1,23 @@
 """Continuous-time algebraic Riccati equations via stable Schur vectors.
 
 Solves ``X A_o + A_o' X - X M X + Q_o = 0`` for the stabilizing (maximal)
-symmetric solution.  The kernels take plain arrays: square `A_o`, symmetric
-positive semi-definite `M` and symmetric, possibly indefinite, `Q_o`.  The
-Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` must have no eigenvalues on the
-imaginary axis, and ``(A_o, M)`` must be stabilizable; neither is tested
-apart from the solve, whose Schur form and certified closed loop decide
-both.  `X` is read off the basis `U` (orthogonal up to balancing) of the
-stable invariant subspace that :func:`dichotomy.decompose_from_schur`
-computes, the splitting the game uses too: ``X = U21 @ inv(U11)``.
+symmetric solution.  The kernel :func:`solve_care_stabilizing` takes the
+Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` of square `A_o`, symmetric
+positive semi-definite `M` and symmetric, possibly indefinite, `Q_o`.  It
+must have no eigenvalues on the imaginary axis, and ``(A_o, M)`` must be
+stabilizable; neither is tested apart from the solve, whose Schur form and
+certified closed loop decide both, and no ``(A_o, M)`` PBH test runs.  `X`
+is read off the basis `U` (orthogonal up to balancing) of the stable
+invariant subspace that :func:`dichotomy.decompose_from_schur` computes,
+the splitting the game uses too: ``X = U21 @ inv(U11)``.
 
-:func:`stabilizing_solution` does this on a given Hamiltonian (the social
-solve's auxiliary equation) and certifies the result.
-:func:`solve_care_stabilizing` builds the Hamiltonian from the three
-blocks; no ``(A_o, M)`` PBH test runs.  The discounted equation
-``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` reduces to it by
-``A -> A - (rho/2) I``; :func:`solve_discounted_are`, which takes the
-checked :class:`problem.ProblemData`, is the front end of every solver and
-command.  It certifies ``(A, B)`` by the outcome: the full
-PBH test runs only on a failed solve (its verdict wins over the failure's
-own, an `R` failure included), and on an accepted one only at the modes of
+The discounted equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q``
+reduces to it by ``A -> A - (rho/2) I``, with the Hamiltonian of
+:func:`discounted_hamiltonian`; :func:`solve_discounted_are`, which takes
+the checked :class:`problem.ProblemData`, is the front end of every solver
+and command.  It certifies ``(A, B)`` by the outcome: the full PBH test
+runs only on a failed solve (its verdict wins over the failure's own, an
+`R` failure included), and on an accepted one only at the modes of
 ``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.
 """
 
@@ -35,12 +33,12 @@ from .linalg import (add_diag, as_square, block_2x2, dsyev, eigenvalues, fro, lu
 __all__ = [
     "StabilizingRiccatiSolution",
     "care_residual",
+    "discounted_hamiltonian",
     "r_definiteness",
     "require_stabilizable",
     "solve_care_stabilizing",
     "solve_discounted_are",
     "stabilizability_margin",
-    "stabilizing_solution",
 ]
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
@@ -117,8 +115,9 @@ def r_definiteness(R):
     return r_min, r_min > 1e-10 * max(fro(R), 1.0)
 
 
-def stabilizing_solution(h):
-    """Certified stabilizing solution from the Hamiltonian
+def solve_care_stabilizing(h):
+    """Certified stabilizing solution of
+    ``X A_o + A_o' X - X M X + Q_o = 0`` from its Hamiltonian
     ``h = [[A_o, -M], [-Q_o, -A_o']]``: split it by
     :func:`dichotomy.decompose_from_schur`, form ``X = U21 @ inv(U11)``
     from the leading n Schur vectors, symmetrized as ``(X + X') / 2``, and
@@ -160,13 +159,13 @@ def stabilizing_solution(h):
     )
 
 
-def solve_care_stabilizing(a_o, m, q_o):
-    """Stabilizing solution of ``X A_o + A_o' X - X M X + Q_o = 0`` by
-    :func:`stabilizing_solution` on ``[[A_o, -M], [-Q_o, -A_o']]``, whose
-    failures it raises as they are: no ``(A_o, M)`` PBH test runs, since
-    the front end :func:`solve_discounted_are` names an unstabilizable
-    ``(A, B)``.  The blocks are not checked."""
-    return stabilizing_solution(block_2x2(a_o, -m, -q_o, -a_o.T))
+def discounted_hamiltonian(p, m):
+    """Hamiltonian ``[[A_o, -m], [-Q, -A_o']]`` of the discounted Riccati
+    equation of the problem `p`, with ``A_o = A - (rho/2) I`` and `m` its
+    ``B inv(R) B'``: what :func:`solve_discounted_are` splits and
+    :func:`problem.validate` tests for the axis."""
+    a_o = add_diag(p.A, -0.5 * p.rho)
+    return block_2x2(a_o, -m, -p.Q, -a_o.T)
 
 
 def solve_discounted_are(p):
@@ -175,8 +174,8 @@ def solve_discounted_are(p):
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
     ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
-    :func:`solve_care_stabilizing` to the shifted data
-    ``(A - (rho/2) I, B inv(R) B', Q)``.
+    :func:`solve_care_stabilizing` to its :func:`discounted_hamiltonian`,
+    the Hamiltonian of the shifted data ``(A - (rho/2) I, B inv(R) B', Q)``.
 
     `R` must be positive definite, which `ProblemData` does not check
     (:class:`NonPositiveR`); the inverse enters only through a Cholesky solve
@@ -188,7 +187,7 @@ def solve_discounted_are(p):
         min_eig_r, r_ok = r_definiteness(p.R)
         if not r_ok:
             raise NonPositiveR(f"R must be positive definite (min eig {min_eig_r:.3e})")
-        are = solve_care_stabilizing(add_diag(p.A, -0.5 * p.rho), weighted_gram(p.B, p.R), p.Q)
+        are = solve_care_stabilizing(discounted_hamiltonian(p, weighted_gram(p.B, p.R)))
     except MflqError:
         require_stabilizable(p.A, p.B)
         raise

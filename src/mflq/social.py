@@ -89,7 +89,7 @@ def solve_sce(p):
 
     Pipeline, the game's shape: the front end
     :func:`riccati.solve_discounted_are` for `Pi`, assemble `H`, decompose it
-    by the auxiliary solution `X_plus` (:func:`riccati.stabilizing_solution`
+    by the auxiliary solution `X_plus` (:func:`riccati.solve_care_stabilizing`
     on `H`), and extract ``s0`` and the trajectory generators.  The two
     Riccati solves' Schur forms are the axis tests.
 
@@ -102,7 +102,7 @@ def solve_sce(p):
     are = riccati.solve_discounted_are(p)
     w = gamma_weights(p)
     h = build_hamiltonian(are, w)
-    aux = riccati.stabilizing_solution(h)
+    aux = riccati.solve_care_stabilizing(h)
     d = dichotomy.decompose_from_riccati(h, aux)
     n = p.n
     psi0 = np.concatenate([np.zeros(n), w.eta_Gamma])

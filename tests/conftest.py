@@ -146,6 +146,13 @@ def random_spectrum_matrix(rng, n_stable, n_anti, rate_lo=0.3, rate_hi=1.2):
     return k_mat, stable_eigs, anti_eigs
 
 
+def hamiltonian(a_o, m, q_o):
+    """The Hamiltonian ``[[A_o, -M], [-Q_o, -A_o']]`` of the Riccati
+    equation ``X A_o + A_o' X - X M X + Q_o = 0``: the input of
+    :func:`riccati.solve_care_stabilizing`."""
+    return block_2x2(a_o, -m, -q_o, -a_o.T)
+
+
 def random_care_problem(rng, max_n=6, axis_margin=1e-3):
     """Stabilizable Riccati data ``(A_o, M, Q_o)`` with possibly indefinite
     state weight and a Hamiltonian spectrum at least `axis_margin` away
@@ -163,7 +170,7 @@ def random_care_problem(rng, max_n=6, axis_margin=1e-3):
         if stabilizability_margin(a, m) <= 1e-6:
             continue
         m = 0.5 * (m + m.T)
-        lam = eigenvalues(block_2x2(a, -m, -q, -a.T))
+        lam = eigenvalues(hamiltonian(a, m, q))
         if np.abs(lam.real).min() <= axis_margin:
             continue
         return a, m, q

@@ -18,6 +18,7 @@ from conftest import (
     decaying_trajectory,
     degenerate_boundary_problem,
     game_problem,
+    hamiltonian,
     indefinite_social_problem,
     multiset_close,
     random_care_problem,
@@ -141,7 +142,7 @@ def test_criterion_6a_care_random_suite():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         a, m, q = random_care_problem(rng, max_n=6)
-        sol = solve_care_stabilizing(a, m, q)
+        sol = solve_care_stabilizing(hamiltonian(a, m, q))
         norm_x = np.linalg.norm(sol.X, "fro")
         assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
         assert spectral_abscissa(sol.closed_loop) < 0.0

@@ -25,7 +25,7 @@ from mflq.linalg import (CONDITION_LIMIT, add_diag, block_2x2, block_balance, ei
                          spectral_abscissa)
 from mflq.mfg import solve_mfg
 from mflq.problem import gamma_weights
-from mflq.riccati import stabilizing_solution
+from mflq.riccati import solve_care_stabilizing
 from mflq.social import solve_sce
 
 
@@ -68,7 +68,7 @@ def scalar_aux_hamiltonian():
 class TestDecomposeFromRiccati:
     def test_scalar_reference(self):
         k, x_plus = scalar_aux_hamiltonian()
-        d = decompose_from_riccati(k, stabilizing_solution(k))
+        d = decompose_from_riccati(k, solve_care_stabilizing(k))
         assert np.allclose(d.U, [[1.0, 0.0], [x_plus, 1.0]])
         assert d.F11[0, 0] == pytest.approx(-1.5, abs=1e-12)
         assert d.F12[0, 0] == -1.0
@@ -79,7 +79,7 @@ class TestDecomposeFromRiccati:
     def test_zero_solution_identity_transform(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
         k = block_2x2(a, -np.eye(2), 0.0, -a.T)
-        d = decompose_from_riccati(k, stabilizing_solution(k))
+        d = decompose_from_riccati(k, solve_care_stabilizing(k))
         assert np.allclose(d.U, np.eye(4))
         assert np.allclose(d.F11, a)
         assert np.allclose(d.F22, -a.T)
@@ -94,14 +94,14 @@ class TestDecomposeFromRiccati:
         u = block_2x2(np.eye(2), 0.0, x, np.eye(2))
         k = u @ t @ block_2x2(np.eye(2), 0.0, -x, np.eye(2))
         with pytest.raises(GraphSubspaceFailure, match="closed-loop margin -"):
-            stabilizing_solution(k)
+            solve_care_stabilizing(k)
 
     def test_non_solution_rejected(self):
         # trailing block 3 is not -A_shift = 2: the graph of the stable
         # eigenvector of K does not solve the Riccati equation of its blocks
         k = np.array([[-2.0, -1.0], [-2.0, 3.0]])
         with pytest.raises(GraphSubspaceFailure, match="failed certification"):
-            stabilizing_solution(k)
+            solve_care_stabilizing(k)
 
     def test_block_identity(self):
         rng = np.random.default_rng(3)
@@ -113,7 +113,7 @@ class TestDecomposeFromRiccati:
             g = rng.standard_normal((n, n))
             k = block_2x2(a, -m, 0.5 * (g + g.T), -a.T)
             try:
-                aux = stabilizing_solution(k)
+                aux = solve_care_stabilizing(k)
             except ImaginaryAxisEigenvalue:
                 continue
             d = decompose_from_riccati(k, aux)
@@ -200,7 +200,7 @@ class TestDecomposeFromSchur:
         d = decompose_from_schur(k)
         c = 2.0**round(0.5 * np.log2(np.linalg.norm(k[n:, :n])
                                      / np.linalg.norm(k[:n, n:])))
-        w = real_schur_ordered(block_balance(k)[0]).W
+        _, w, _ = real_schur_ordered(block_balance(k)[0])
         assert np.array_equal(d.U[:n], w[:n])
         assert np.array_equal(d.U[n:], c * w[n:])
         assert np.linalg.norm(d.V @ d.U - np.eye(2 * n)) <= 1e-12
@@ -214,7 +214,7 @@ class TestDecomposeFromSchur:
 class TestSolveDecaying:
     def test_scalar_reference(self):
         k, x_plus = scalar_aux_hamiltonian()
-        d = decompose_from_riccati(k, stabilizing_solution(k))
+        d = decompose_from_riccati(k, solve_care_stabilizing(k))
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         assert sol.z2_0[0] == pytest.approx(x_plus, abs=1e-12)
         assert np.allclose(sol.y2_offset, 0.0)

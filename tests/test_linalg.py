@@ -441,15 +441,15 @@ class TestMatExp:
 
 class TestRealSchurOrdered:
     def test_already_ordered(self):
-        sf = real_schur_ordered(np.diag([-1.0, 2.0]))
-        assert sf.k_stable == 1
-        assert sf.T[0, 0] == pytest.approx(-1.0)
+        t, w, k_stable = real_schur_ordered(np.diag([-1.0, 2.0]))
+        assert k_stable == 1
+        assert t[0, 0] == pytest.approx(-1.0)
 
     def test_swap_required(self):
-        sf = real_schur_ordered(np.diag([2.0, -1.0]))
-        assert sf.k_stable == 1
-        assert sf.T[0, 0] == pytest.approx(-1.0)
-        assert sf.T[1, 1] == pytest.approx(2.0)
+        t, w, k_stable = real_schur_ordered(np.diag([2.0, -1.0]))
+        assert k_stable == 1
+        assert t[0, 0] == pytest.approx(-1.0)
+        assert t[1, 1] == pytest.approx(2.0)
 
     def test_axis_eigenvalue_rejected(self):
         # scalar boundary case: double zero eigenvalue
@@ -463,8 +463,8 @@ class TestRealSchurOrdered:
         # the tolerance is 1e-9 (1 + ||k||_F), about 2e-9 here
         with pytest.raises(ImaginaryAxisEigenvalue):
             real_schur_ordered(np.diag([-1e-9, 1.0]))
-        sf = real_schur_ordered(np.diag([-1e-6, 1.0]))
-        assert sf.k_stable == 1
+        t, w, k_stable = real_schur_ordered(np.diag([-1e-6, 1.0]))
+        assert k_stable == 1
 
     def test_default_axis_tol_scales(self):
         assert default_axis_tol(np.zeros((2, 2))) == pytest.approx(1e-9)
@@ -480,18 +480,18 @@ class TestRealSchurOrdered:
         if n_stable + n_anti == 0:
             n_stable = 2
         k, stable_eigs, anti_eigs = random_spectrum_matrix(rng, n_stable, n_anti)
-        sf = real_schur_ordered(k)
+        t, w, k_stable = real_schur_ordered(k)
         m = k.shape[0]
-        assert sf.k_stable == n_stable
-        assert np.linalg.norm(sf.W.T @ sf.W - np.eye(m), "fro") <= 1e-10 * m
+        assert k_stable == n_stable
+        assert np.linalg.norm(w.T @ w - np.eye(m), "fro") <= 1e-10 * m
         nrm = np.linalg.norm(k, "fro")
-        assert np.linalg.norm(sf.W @ sf.T @ sf.W.T - k, "fro") <= 1e-8 * nrm
+        assert np.linalg.norm(w @ t @ w.T - k, "fro") <= 1e-8 * nrm
         # eigenvalue multisets agree and are correctly partitioned
-        lam_t = np.sort_complex(eigenvalues(sf.T))
+        lam_t = np.sort_complex(eigenvalues(t))
         lam_k = np.sort_complex(eigenvalues(k))
         assert np.allclose(lam_t, lam_k, atol=1e-8 * (1.0 + nrm))
-        lead = eigenvalues(sf.T[:n_stable, :n_stable]) if n_stable else []
-        trail = eigenvalues(sf.T[n_stable:, n_stable:]) if n_anti else []
+        lead = eigenvalues(t[:n_stable, :n_stable]) if n_stable else []
+        trail = eigenvalues(t[n_stable:, n_stable:]) if n_anti else []
         assert all(z.real < 0 for z in lead)
         assert all(z.real > 0 for z in trail)
         assert np.allclose(np.sort_complex(np.asarray(lead, complex)),
@@ -509,11 +509,11 @@ class TestRealSchurOrdered:
             lam = eigenvalues(a)
             if np.abs(lam.real).min() < 1e-3:
                 continue
-            sf = real_schur_ordered(a)
+            t, w, k_stable = real_schur_ordered(a)
             _, w_ref, sdim = sla.schur(a, output="real",
                                        sort=lambda re, im: re < 0.0)
-            assert sf.k_stable == sdim
-            ours = sf.W[:, :sdim]
+            assert k_stable == sdim
+            ours = w[:, :sdim]
             ref = w_ref[:, :sdim]
             proj_gap = np.linalg.norm(ours @ ours.T - ref @ ref.T, "fro")
             assert proj_gap <= 1e-10 * m
@@ -531,15 +531,15 @@ class TestRealSchurOrdered:
             core[i, i] = -rng.uniform(0.3, 2.0)
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         a = q @ core @ q.T
-        sf = real_schur_ordered(a)
-        assert sf.k_stable == m // 2
-        assert np.linalg.norm(sf.W @ sf.T @ sf.W.T - a, "fro") <= \
+        t, w, k_stable = real_schur_ordered(a)
+        assert k_stable == m // 2
+        assert np.linalg.norm(w @ t @ w.T - a, "fro") <= \
             1e-8 * np.linalg.norm(a, "fro")
 
     def test_empty_matrix(self):
-        sf = real_schur_ordered(np.zeros((0, 0)))
-        assert sf.k_stable == 0
-        assert sf.W.shape == sf.T.shape == (0, 0)
+        t, w, k_stable = real_schur_ordered(np.zeros((0, 0)))
+        assert k_stable == 0
+        assert w.shape == t.shape == (0, 0)
 
     @pytest.mark.parametrize("routine", ["dgees", "dtrsen"])
     def test_lapack_failure_raises_convergence_failure(self, monkeypatch, routine):
@@ -558,10 +558,10 @@ class TestRealSchurOrdered:
         from conftest import random_spectrum_matrix
 
         k, _, _ = random_spectrum_matrix(rng, 3, 4)
-        sf = real_schur_ordered(k)
-        below = np.tril(sf.T, -2)
+        t, w, k_stable = real_schur_ordered(k)
+        below = np.tril(t, -2)
         assert np.abs(below).max() == 0.0
-        sub = np.diag(sf.T, -1)
+        sub = np.diag(t, -1)
         # no two consecutive nonzero subdiagonal entries (1x1/2x2 blocks only)
         nz = np.flatnonzero(sub)
         assert all(b - a >= 2 for a, b in zip(nz, nz[1:]))

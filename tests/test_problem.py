@@ -8,6 +8,7 @@ from conftest import (
     cost_problem,
     degenerate_boundary_problem,
     indefinite_social_problem,
+    random_problem,
     scalar_social_problem,
 )
 from mflq.cli import load_problem_file, main, problem_to_dict
@@ -85,6 +86,12 @@ class TestProblemData:
             ProblemData(A=[[1.0]], B=np.zeros((1, 0)), Q=[[1.0]],
                         R=np.zeros((0, 0)), Gamma=[[0.0]], eta=[0.0],
                         rho=1.0, x0=[0.0])
+
+    def test_no_state_rejected(self):
+        # validate and the solvers would fail inside numpy and LAPACK
+        with pytest.raises(ValueError, match="^A must have at least one row"):
+            ProblemData(A=np.zeros((0, 0)), B=np.zeros((0, 1)), Q=np.zeros((0, 0)),
+                        R=[[1.0]], Gamma=np.zeros((0, 0)), eta=[], x0=[], rho=1.0)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
     def test_bad_rho(self, rho):
@@ -329,6 +336,66 @@ class TestControlUnits:
         sol = solver(units_scaled(p, 1e-6))
         for got, want in ((sol.Pi, base.Pi), (sol.s0, base.s0)):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def state_transformed(p, s):
+    """`p` in the state coordinates ``y = S x``: ``A -> S A inv(S)``,
+    ``B -> S B``, ``Q -> inv(S)' Q inv(S)``, ``Gamma -> S Gamma inv(S)``,
+    ``eta -> S eta`` and ``x0 -> S x0``."""
+    s_inv = np.linalg.inv(s)
+    q = s_inv.T @ p.Q @ s_inv
+    return ProblemData(A=s @ p.A @ s_inv, B=s @ p.B, Q=0.5 * (q + q.T), R=p.R,
+                       Gamma=s @ p.Gamma @ s_inv, eta=s @ p.eta, rho=p.rho,
+                       x0=s @ p.x0)
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _shifted_gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+
+
+def _powers_of_two(rng, n):
+    return np.diag(2.0 ** rng.integers(-6, 7, size=n))
+
+
+def _similarity_problems():
+    shipped = [load_problem_file(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
+    rng = np.random.default_rng(7)
+    return shipped + [random_problem(rng, max_n=4) for _ in range(60)]
+
+
+class TestStateSimilarity:
+    """``x -> S x`` is the same problem in other state coordinates: the
+    verdict is unchanged, ``Pi -> inv(S)' Pi inv(S)`` and the costate offset
+    ``s0 -> inv(S)' s0``.  Checked back in the original coordinates, as
+    ``S' Pi_S S`` against `Pi` and ``S' s0_S`` against `s0`, relative to
+    their largest entries."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return _similarity_problems()
+
+    @pytest.mark.parametrize("similarity,tol", [(_orthogonal, 1e-10),
+                                                (_shifted_gaussian, 1e-10),
+                                                (_powers_of_two, 1e-8)])
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
+    def test_state_coordinates_do_not_matter(self, problems, solver, similarity, tol):
+        rng = np.random.default_rng(11)
+        solved = 0
+        for i, p in enumerate(problems):
+            s = similarity(rng, p.n)
+            base, base_error = outcome(solver, p)
+            sol, error = outcome(solver, state_transformed(p, s))
+            assert error is base_error, i
+            if sol is None:
+                continue
+            solved += 1
+            for got, want in ((s.T @ sol.Pi @ s, base.Pi), (s.T @ sol.s0, base.s0)):
+                assert np.abs(got - want).max() <= tol * np.abs(want).max(), i
+        assert solved > len(problems) // 2
 
 
 class TestTimeScaling:

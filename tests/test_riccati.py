@@ -1,27 +1,32 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import lq_problem, random_care_problem
+from conftest import (PROBLEM_DIR, hamiltonian, lq_problem, random_care_problem,
+                      random_problem)
+from mflq import riccati
+from mflq.cli import load_problem_file
 from mflq.errors import (
     DichotomySplitFailure,
     GraphSubspaceFailure,
     ImaginaryAxisEigenvalue,
+    MflqError,
     NonPositiveR,
     StabilizabilityFailure,
 )
-from mflq.linalg import block_2x2, spectral_abscissa
+from mflq.linalg import spectral_abscissa
 from mflq.mfg import solve_mfg
-from mflq.problem import ProblemData
+from mflq.problem import ProblemData, validate
 from mflq.riccati import (
     PBH_TOL,
     care_residual,
     solve_care_stabilizing,
     solve_discounted_are,
     stabilizability_margin,
-    stabilizing_solution,
 )
 from mflq.social import solve_sce
 
@@ -36,7 +41,8 @@ def scalar_discounted_solution(a, b, q, r, rho):
 
 def scalar_care(a_o, m, q_o):
     """:func:`solve_care_stabilizing` on 1-by-1 blocks."""
-    return solve_care_stabilizing(np.array([[a_o]]), np.array([[m]]), np.array([[q_o]]))
+    return solve_care_stabilizing(hamiltonian(np.array([[a_o]]), np.array([[m]]),
+                                              np.array([[q_o]])))
 
 
 class TestCareResidual:
@@ -77,19 +83,19 @@ class TestSolveCareStabilizing:
         # the stable eigenvector of [[1, 0], [-1, -1]] is (0, 1): W11 = 0
         h = np.array([[1.0, 0.0], [-1.0, -1.0]])
         with pytest.raises(GraphSubspaceFailure):
-            stabilizing_solution(h)
+            solve_care_stabilizing(h)
 
     def test_non_hamiltonian_split_failure(self):
         # a Hamiltonian off the axis splits n/n; this matrix splits 3/1
         with pytest.raises(DichotomySplitFailure):
-            stabilizing_solution(np.diag([-1.0, -2.0, -3.0, 4.0]))
+            solve_care_stabilizing(np.diag([-1.0, -2.0, -3.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_certified(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(10):
             a, m, q = random_care_problem(rng)
-            sol = solve_care_stabilizing(a, m, q)
+            sol = solve_care_stabilizing(hamiltonian(a, m, q))
             norm_x = np.linalg.norm(sol.X, "fro")
             assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
             assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
@@ -99,8 +105,8 @@ class TestSolveCareStabilizing:
         rng = np.random.default_rng(77)
         for _ in range(10):
             a, m, q = random_care_problem(rng)
-            sol = solve_care_stabilizing(a, m, q)
-            h = block_2x2(a, -m, -q, -a.T)
+            h = hamiltonian(a, m, q)
+            sol = solve_care_stabilizing(h)
             stack = np.vstack([np.eye(a.shape[0]), sol.X])
             lhs = h @ stack
             rhs = stack @ sol.closed_loop
@@ -126,7 +132,7 @@ class TestAgainstEstablishedSolver:
                 ref = sla.solve_continuous_are(a, b, q, np.eye(b.shape[1]))
             except np.linalg.LinAlgError:
                 continue
-            sol = solve_care_stabilizing(a, b @ b.T, q)
+            sol = solve_care_stabilizing(hamiltonian(a, b @ b.T, q))
             gap = np.linalg.norm(sol.X - ref, "fro")
             assert gap <= 1e-8 * (1.0 + np.linalg.norm(ref, "fro"))
             checked += 1
@@ -196,7 +202,8 @@ class TestSolveDiscountedAre:
         via_discount = solve_discounted_are(lq_problem([[a]], [[b]], [[q]], [[r]], rho))
         b_mat = np.array([[b]])
         gram = b_mat @ sla.cho_solve(sla.cho_factor(np.array([[r]])), b_mat.T)
-        direct = solve_care_stabilizing(np.array([[a - rho / 2.0]]), gram, np.array([[q]]))
+        direct = solve_care_stabilizing(hamiltonian(np.array([[a - rho / 2.0]]), gram,
+                                                    np.array([[q]])))
         assert via_discount.X[0, 0] == direct.X[0, 0]
 
     def test_mismatched_shapes_rejected(self):
@@ -256,6 +263,61 @@ class TestSolveDiscountedAre:
             solve_discounted_are(lq_problem([[1.0]], [[1.0]], [[1.0]], [[-1.0]], 1.0))
         with pytest.raises(NonPositiveR):
             solve_discounted_are(lq_problem([[1.0]], [[1.0]], [[1.0]], [[0.0]], 1.0))
+
+
+def _record_calls(monkeypatch, name):
+    """Record the arguments and result of every call of ``riccati.<name>``,
+    also through a name another ``mflq`` module imported."""
+    calls = []
+    real = getattr(riccati, name)
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("mflq") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _kernel_problems():
+    shipped = [load_problem_file(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
+    rng = np.random.default_rng(5)
+    return shipped + [random_problem(rng, max_n=n) for n in (1, 2, 4)]
+
+
+class TestOneKernel:
+    """Every Riccati equation is solved by the one kernel
+    :func:`riccati.solve_care_stabilizing`, on a Hamiltonian, and the
+    discounted Hamiltonian has the one builder
+    :func:`riccati.discounted_hamiltonian`."""
+
+    @pytest.mark.parametrize("solver,per_solve", [(solve_sce, 2), (solve_mfg, 1)])
+    def test_kernel_calls_per_solve(self, monkeypatch, solver, per_solve):
+        # the front end's discounted equation, and the social auxiliary one
+        calls = _record_calls(monkeypatch, "solve_care_stabilizing")
+        solved = 0
+        for p in _kernel_problems():
+            calls.clear()
+            try:
+                solver(p)
+            except MflqError:
+                continue
+            solved += 1
+            assert len(calls) == per_solve
+        assert solved >= 6
+
+    def test_validate_and_the_front_end_build_one_matrix(self, monkeypatch):
+        calls = _record_calls(monkeypatch, "discounted_hamiltonian")
+        for p in _kernel_problems():
+            calls.clear()
+            validate(p)
+            assert len(calls) == 1
+            solve_discounted_are(p)
+            assert len(calls) == 2
+            (_, tested), (_, split) = calls
+            assert np.array_equal(tested, split)
 
 
 class TestStabilizabilityMargin:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mflq
 from mflq import ProblemData
 from mflq.social import solve_sce
 
@@ -59,3 +60,10 @@ def test_api_records_are_deterministic_and_a_change_is_reported():
     zero, minus_zero = with_pi(np.zeros(2)), with_pi(-np.zeros(2))
     assert same_outputs.differing(zero, minus_zero) == [name]
     assert same_outputs.only_signed_zeros(zero[name], minus_zero[name])
+
+
+def test_src_lines_counts_the_working_tree():
+    modules = Path(mflq.__file__).parent.glob("*.py")
+    count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in modules)
+    assert count > 1000
+    assert same_outputs.src_lines(TOOL.parent.parent) == count

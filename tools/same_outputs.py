@@ -24,7 +24,8 @@ counted apart and does not count as a difference.  The tool exits 1 if a
 differing case or record is not listed in FILE (one id per line; ``#``
 starts a comment).  REV's ``src`` is exported with ``git archive`` into a
 temporary directory, so nothing is fetched and the repository's worktrees
-are left alone.
+are left alone.  Last it prints the lines of ``src/mflq/*.py`` in REV and in
+the working tree, as ``src/ lines: BASE -> TREE (DELTA)``.
 """
 
 import argparse
@@ -248,6 +249,13 @@ def differing(base, head):
     return [case for case in {**base, **head} if base.get(case) != head.get(case)]
 
 
+def src_lines(tree):
+    """Lines of the modules ``src/mflq/*.py`` under `tree`, counted as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(tree) / "src" / "mflq").glob("*.py"))
+
+
 def _records(tree, corpus):
     src = tree / "src"
     child = subprocess.run(
@@ -298,6 +306,7 @@ def main(argv=None):
         corpus.write_bytes(pickle.dumps(api_problems()))
         base, base_api = _records(Path(tmp), corpus)
         head, head_api = _records(ROOT, corpus)
+        lines = src_lines(tmp), src_lines(ROOT)
 
     changed = differing(base, head)
     by_class = collections.Counter(
@@ -323,6 +332,7 @@ def main(argv=None):
         print(f"{mark}: {name}\n  differs in: {', '.join(keys)}")
     print(f"{len(head_api)} API records, {len(api_changed)} differ, "
           f"{len(zeros)} more only in the signs of zeros")
+    print(f"src/ lines: {lines[0]} -> {lines[1]} ({lines[1] - lines[0]:+d})")
     unexpected = [c for c in changed + api_changed if c not in expected]
     if unexpected:
         print(f"{len(unexpected)} differences not listed in --expect")

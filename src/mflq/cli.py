@@ -339,14 +339,11 @@ def _cmd_simulate(args, p):
 
 def _cmd_spectrum(args, p):
     are = _solve(p, riccati.solve_discounted_are)
-    if args.system == "social":
-        matrix = social_mod.build_hamiltonian(are, gamma_weights(p))
-    else:
-        matrix = mfg_mod.build_mfg_matrix(p, are)
+    coupling = gamma_weights(p).Q_Gamma if args.system == "social" else p.Q @ p.Gamma
     doc = {
         "command": "spectrum",
         "system": args.system,
-        "eigenvalues": _spectrum_rows(matrix),
+        "eigenvalues": _spectrum_rows(riccati.consistency_matrix(are, coupling)),
     }
     _emit(doc, args.out)
     return EXIT_OK

@@ -1,13 +1,14 @@
 """Mean-field game pipeline.
 
-The game's consistency system has the same shape as the social one but with
-lower-left coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
-``Q @ eta``, so the coefficient matrix is not Hamiltonian and the analytic
-Riccati transform is unavailable.  The stable/antistable splitting is
-instead constructed generically from the ordered real Schur form; the rest
-of the machinery (the front end :func:`riccati.solve_discounted_are` for
-`Pi`, closed-form decaying solve, trajectory generators) is shared with the
-social pipeline.
+The game's consistency system has the same shape as the social one, and
+the same builder :func:`riccati.consistency_matrix`, but with lower-left
+coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
+``Q @ eta``, so the coefficient matrix `M_mfg` is not Hamiltonian and the
+analytic Riccati transform is unavailable.  The stable/antistable splitting
+is instead constructed generically from the ordered real Schur form; the
+rest of the machinery (the front end :func:`riccati.solve_discounted_are`
+for `Pi`, closed-form decaying solve, trajectory generators) is shared with
+the social pipeline.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dichotomy, riccati
-from .linalg import block_2x2
 
-__all__ = ["MfgSolution", "build_mfg_matrix", "solve_mfg"]
+__all__ = ["MfgSolution", "solve_mfg"]
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,6 @@ class MfgSolution:
     trajectory = dichotomy.sample_trajectory
 
 
-def build_mfg_matrix(p, are):
-    """Coefficient matrix ``[[As, -M], [Q Gamma, -As']]`` of the discounted
-    game system, with ``M = B inv(R) B'`` and the closed loop
-    ``As = A - (rho/2) I - M Pi`` taken from the discounted Riccati
-    solution `are`; the lower-left block is the plain product
-    ``Q @ Gamma``, not its symmetrized counterpart."""
-    return block_2x2(are.closed_loop, -are.M, p.Q @ p.Gamma, -are.closed_loop.T)
-
-
 def solve_mfg(p):
     """Solve the game consistency system via the ordered Schur splitting,
     after the front end shared with the social solver
@@ -55,7 +46,7 @@ def solve_mfg(p):
     when the leading transform block is numerically singular.
     """
     are = riccati.solve_discounted_are(p)
-    d = dichotomy.decompose_from_schur(build_mfg_matrix(p, are))
+    d = dichotomy.decompose_from_schur(riccati.consistency_matrix(are, p.Q @ p.Gamma))
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return MfgSolution(

@@ -53,7 +53,7 @@ class ProblemData:
         b = np.asarray(self.B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        if b.shape[0] != n or b.shape[1] == 0:
+        if b.ndim != 2 or b.shape[0] != n or b.shape[1] == 0:
             raise ValueError(f"B must have {n} rows and at least one column, "
                              f"got shape {b.shape}")
         q = as_symmetric(self.Q, "Q")
@@ -79,7 +79,7 @@ class ProblemData:
             d = np.asarray(d, dtype=float)
             if d.ndim == 1:
                 d = d[:, None]
-            if d.shape[0] != n or not np.isfinite(d).all():
+            if d.ndim != 2 or d.shape[0] != n or not np.isfinite(d).all():
                 raise ValueError(f"D must have {n} finite rows, got shape {d.shape}")
         for name, val in (("A", a), ("B", b), ("Q", q), ("R", r),
                           ("Gamma", gam), ("eta", eta), ("x0", x0), ("D", d)):

@@ -18,7 +18,8 @@ the checked :class:`problem.ProblemData`, is the front end of every solver
 and command.  It certifies ``(A, B)`` by the outcome: the full PBH test
 runs only on a failed solve (its verdict wins over the failure's own, an
 `R` failure included), and on an accepted one only at the modes of
-``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.
+``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.  From its
+solution, :func:`consistency_matrix` builds the matrix each solver splits.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .linalg import (add_diag, as_square, block_2x2, dsyev, eigenvalues, fro, lu
 __all__ = [
     "StabilizingRiccatiSolution",
     "care_residual",
+    "consistency_matrix",
     "discounted_hamiltonian",
     "r_definiteness",
     "require_stabilizable",
@@ -166,6 +168,13 @@ def discounted_hamiltonian(p, m):
     :func:`problem.validate` tests for the axis."""
     a_o = add_diag(p.A, -0.5 * p.rho)
     return block_2x2(a_o, -m, -p.Q, -a_o.T)
+
+
+def consistency_matrix(are, coupling):
+    """Consistency matrix ``[[As, -M], [coupling, -As']]`` from the discounted
+    Riccati solution `are`, its closed loop `As` and ``M = B inv(R) B'``: the
+    social `H` for ``coupling = Q_Gamma``, the game's `M_mfg` for ``Q @ Gamma``."""
+    return block_2x2(are.closed_loop, -are.M, coupling, -are.closed_loop.T)
 
 
 def solve_discounted_are(p):

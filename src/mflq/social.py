@@ -4,11 +4,12 @@ The consistency system for the mean field ``xbar`` and the adjoint offset
 ``s`` is a forward linear ODE pair with one free initial condition ``s(0)``.
 After discounting the unknowns by ``exp(-rho*t/2)`` the coefficient matrix
 becomes the Hamiltonian ``H = [[As, -B inv(R) B'], [Q_Gamma, -As']]`` with
-``As = A - B inv(R) B' Pi - (rho/2) I``; the stabilizing solution
-``X_plus`` of the auxiliary Riccati equation with Hamiltonian `H`
-block-triangularizes `H` through ``[[I, 0], [X_plus, I]]``, and the unique
-initial value ``s0`` keeping ``(xbar, s)`` in the admissible growth class
-follows in closed form.  The ordered Schur forms of the two Riccati solves
+``As = A - B inv(R) B' Pi - (rho/2) I``, built like the game's matrix by
+:func:`riccati.consistency_matrix`; the stabilizing solution ``X_plus`` of
+the auxiliary Riccati equation with Hamiltonian `H` block-triangularizes
+`H` through ``[[I, 0], [X_plus, I]]``, and the unique initial value ``s0``
+keeping ``(xbar, s)`` in the admissible growth class follows in closed
+form.  The ordered Schur forms of the two Riccati solves
 also decide existence: no separate validation pass runs on the solve path,
 and the auxiliary solve runs no PBH test, since ``As`` is the closed loop
 that :func:`riccati.solve_discounted_are` certified stable, along with
@@ -23,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dichotomy, riccati
-from .linalg import block_2x2, solve_spd
+from .linalg import solve_spd
 from .problem import gamma_weights
 
 __all__ = [
     "SceSolution",
     "StrategySpec",
-    "build_hamiltonian",
     "decentralized_strategy",
     "sce_residual",
     "solve_sce",
@@ -38,27 +38,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SceSolution:
-    """Closed-form solution of the social consistency system.
+    """Closed-form solution of the social consistency system: the game's
+    fields plus `aux_residual`.  The Hamiltonian `H` is ``decomposition.K``.
 
-    `A_C` is the stable matrix governing the discounted pair; the mean field
-    itself evolves by ``A_cl = A_C + (rho/2) I`` (spectral abscissa below
-    ``rho/2``), the leading block of the stored generator
-    ``bvp.y1_generator``.  The Hamiltonian `H` is ``decomposition.K``.
-    Along the whole trajectory ``s(t) = X_plus @ xbar(t) + bvp.y2_offset``
-    holds identically.
+    `X_plus`, `A_C` and `A_cl` are read where they are held: `X_plus` is
+    ``U21`` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`,
+    the stable matrix governing the discounted pair; the mean field evolves
+    by ``A_cl = A_C + (rho/2) I``, the leading block of ``bvp.y1_generator``.
+    ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds along the whole trajectory.
     """
 
     Pi: np.ndarray
-    X_plus: np.ndarray
-    A_C: np.ndarray
-    s0: np.ndarray
-    A_cl: np.ndarray
     decomposition: dichotomy.DichotomyDecomposition
+    s0: np.ndarray
     bvp: dichotomy.BvpSolution
     pi_residual: float
     aux_residual: float
 
     trajectory = dichotomy.sample_trajectory
+
+    @property
+    def X_plus(self):
+        n = self.decomposition.n
+        return self.decomposition.U[n:, :n]
+
+    @property
+    def A_C(self):
+        return self.decomposition.F11
+
+    @property
+    def A_cl(self):
+        n = self.decomposition.n
+        return self.bvp.y1_generator[:n, :n]
 
 
 @dataclass(frozen=True)
@@ -74,14 +85,6 @@ class StrategySpec:
         """Feedforward input samples, shape ``(len(t_grid), n1)``."""
         _, s = self.solution.trajectory(t_grid)
         return s @ self.feedforward_gain.T
-
-
-def build_hamiltonian(are, w):
-    """Hamiltonian ``[[As, -M], [Q_Gamma, -As']]`` of the discounted
-    consistency system, from the discounted Riccati solution `are`: its `M`
-    is ``B inv(R) B'`` and its closed loop is
-    ``As = A - (rho/2) I - M Pi``."""
-    return block_2x2(are.closed_loop, -are.M, w.Q_Gamma, -are.closed_loop.T)
 
 
 def solve_sce(p):
@@ -101,19 +104,15 @@ def solve_sce(p):
     """
     are = riccati.solve_discounted_are(p)
     w = gamma_weights(p)
-    h = build_hamiltonian(are, w)
+    h = riccati.consistency_matrix(are, w.Q_Gamma)
     aux = riccati.solve_care_stabilizing(h)
     d = dichotomy.decompose_from_riccati(h, aux)
-    n = p.n
-    psi0 = np.concatenate([np.zeros(n), w.eta_Gamma])
+    psi0 = np.concatenate([np.zeros(p.n), w.eta_Gamma])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return SceSolution(
         Pi=are.X,
-        X_plus=aux.X,
-        A_C=aux.closed_loop,
-        s0=bvp.z2_0,
-        A_cl=bvp.y1_generator[:n, :n],
         decomposition=d,
+        s0=bvp.z2_0,
         bvp=bvp,
         pi_residual=are.residual,
         aux_residual=aux.residual,

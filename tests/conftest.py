@@ -217,14 +217,13 @@ def random_problem(rng, max_n=4, coupling="generic", with_noise=False,
         if report.axis_margin < axis_margin:
             continue
         # also require the coupled consistency matrix to be splittable
-        from mflq.riccati import solve_discounted_are
-        from mflq.social import build_hamiltonian
+        from mflq.riccati import consistency_matrix, solve_discounted_are
 
         try:
             are = solve_discounted_are(p)
         except (MflqError, ValueError):
             continue
-        h = build_hamiltonian(are, gamma_weights(p))
+        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
         lam = eigenvalues(h)
         if np.abs(lam.real).min() <= axis_margin:
             continue

@@ -33,9 +33,10 @@ from mflq.errors import ImaginaryAxisEigenvalue
 from mflq.linalg import eigenvalues, mat_exp, spectral_abscissa
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import care_residual, solve_care_stabilizing, solve_discounted_are
+from mflq.riccati import (care_residual, consistency_matrix, solve_care_stabilizing,
+                           solve_discounted_are)
 from mflq.simulate import SimConfig, simulate
-from mflq.social import build_hamiltonian, decentralized_strategy, solve_sce
+from mflq.social import decentralized_strategy, solve_sce
 
 
 def as_multiset(values):
@@ -253,7 +254,7 @@ def test_criterion_6g_scalar_spectral_law():
         p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[gam]],
                         eta=[0.0], rho=rho, x0=[1.0])
         are = solve_discounted_are(p)
-        h = build_hamiltonian(are, gamma_weights(p))
+        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
         for lam in eigenvalues(h):
             assert scaled_close(lam**2, target, 1e-9)
         done += 1

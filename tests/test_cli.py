@@ -418,6 +418,20 @@ class TestSpectrumCommand:
         res = sorted(row["re"] for row in doc["eigenvalues"])
         assert np.allclose(res, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
 
+    # every shipped file and system that the matching solver accepts
+    @pytest.mark.parametrize("system,name", [
+        ("social", "ex41"), ("social", "ex42_gamma2"), ("social", "ex42_gamma005"),
+        ("social", "ex43"), ("game", "ex41"), ("game", "ex42_gamma005"), ("game", "ex43"),
+    ])
+    def test_eigenvalues_of_the_matrix_the_solver_splits(self, capsys, system, name):
+        solve = {"social": solve_sce, "game": solve_mfg}[system]
+        path = str(PROBLEM_DIR / f"{name}.json")
+        code, doc = run_json(capsys, ["spectrum", path, "--system", system])
+        assert code == 0
+        lam = np.linalg.eigvals(solve(load_problem_file(path)).decomposition.K)
+        assert [(row["re"], row["im"]) for row in doc["eigenvalues"]] \
+            == sorted((float(z.real), float(z.imag)) for z in lam)
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys, tmp_path):

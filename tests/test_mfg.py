@@ -6,10 +6,10 @@ from mflq import linalg, social
 from mflq.cli import load_problem_file
 from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
 from mflq.linalg import weighted_gram
-from mflq.mfg import build_mfg_matrix, solve_mfg
+from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import solve_discounted_are
-from mflq.social import build_hamiltonian, solve_sce
+from mflq.riccati import consistency_matrix, solve_discounted_are
+from mflq.social import solve_sce
 
 
 class TestBuildMfgMatrix:
@@ -17,8 +17,8 @@ class TestBuildMfgMatrix:
         rng = np.random.default_rng(2)
         p = random_problem(rng, coupling="zero")
         are = solve_discounted_are(p)
-        m_mfg = build_mfg_matrix(p, are)
-        h = build_hamiltonian(are, gamma_weights(p))
+        m_mfg = consistency_matrix(are, p.Q @ p.Gamma)
+        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
         assert np.allclose(m_mfg, h, atol=1e-12)
 
     def test_generally_not_hamiltonian(self):
@@ -30,7 +30,7 @@ class TestBuildMfgMatrix:
             if p.n < 2:
                 continue
             are = solve_discounted_are(p)
-            m_mfg = build_mfg_matrix(p, are)
+            m_mfg = consistency_matrix(are, p.Q @ p.Gamma)
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -42,7 +42,7 @@ class TestBuildMfgMatrix:
     def test_lower_left_block_is_plain_product(self):
         p = game_problem()
         are = solve_discounted_are(p)
-        m_mfg = build_mfg_matrix(p, are)
+        m_mfg = consistency_matrix(are, p.Q @ p.Gamma)
         assert np.allclose(m_mfg[2:, :2], p.Q @ p.Gamma)
 
 

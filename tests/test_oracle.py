@@ -190,7 +190,7 @@ def test_scaled_boundary_case_is_on_axis(cost):
     pytest.param(c, marks=pytest.mark.xfail(
         reason="the defective double eigenvalue at 0 splits by about "
                "sqrt(eps ||H||), above the axis tolerance, for some roundings; "
-               "the boundary case is then solved (ROADMAP item 2)",
+               "the boundary case is then solved (ROADMAP items 3 and 5)",
         strict=True)) if c == 1e12 else c
     for c in DEGENERATE_COSTS
 ])

@@ -44,6 +44,10 @@ class TestProblemData:
         ("R", [[1.0, 0.5], [0.0, 1.0]]),       # asymmetric R
         ("eta", [1.0, 2.0, 3.0]),               # wrong length
         ("x0", [1.0]),                          # wrong length
+        ("B", np.ones((2, 1, 1))),              # not a matrix
+        ("D", np.ones((2, 1, 1))),              # not a matrix
+        ("B", 1.0),                             # a scalar
+        ("D", 1.0),                             # a scalar
     ])
     def test_bad_two_state_fields(self, field, value):
         base = dict(A=[[1.0, 0.0], [0.0, 1.0]], B=[[1.0], [1.0]],
@@ -51,7 +55,7 @@ class TestProblemData:
                     Gamma=np.zeros((2, 2)), eta=[0.0, 0.0], rho=1.0,
                     x0=[0.0, 0.0])
         base[field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             ProblemData(**base)
 
     def test_huge_asymmetric_q_rejected(self):
@@ -328,7 +332,7 @@ class TestControlUnits:
 
     @pytest.mark.xfail(raises=NonPositiveR, strict=True,
                        reason="R * 1e-12 falls below the absolute definiteness "
-                              "threshold 1e-10 * max(||R||, 1) (ROADMAP item 7)")
+                              "threshold 1e-10 * max(||R||, 1) (ROADMAP items 7 and 15)")
     @pytest.mark.parametrize("solver", [solve_sce, solve_mfg])
     def test_micro_units_are_solved(self, solver):
         p = load_problem_file(PROBLEM_DIR / "ex41.json")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,13 @@ from conftest import (
 from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, NonPositiveR,
                          StabilizabilityFailure)
 from mflq import riccati
-from mflq.cli import main
+from mflq.cli import load_problem_file, main
 from mflq.linalg import eigenvalues, spectral_abscissa, weighted_gram
-from mflq.mfg import solve_mfg
+from mflq.mfg import MfgSolution, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import solve_discounted_are, stabilizability_margin
+from mflq.riccati import consistency_matrix, solve_discounted_are, stabilizability_margin
 from mflq.social import (
-    build_hamiltonian,
+    SceSolution,
     decentralized_strategy,
     sce_residual,
     solve_sce,
@@ -29,7 +31,7 @@ class TestBuildHamiltonian:
     def test_scalar_reference(self, scalar_social):
         are = solve_discounted_are(scalar_social)
         w = gamma_weights(scalar_social)
-        h = build_hamiltonian(are, w)
+        h = consistency_matrix(are, w.Q_Gamma)
         root = np.sqrt(4.25)
         assert np.allclose(h, [[-root, -1.0], [2.0, root]], atol=1e-9)
 
@@ -39,7 +41,7 @@ class TestBuildHamiltonian:
         for _ in range(10):
             p = random_problem(rng)
             are = solve_discounted_are(p)
-            h = build_hamiltonian(are, gamma_weights(p))
+            h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -195,11 +197,29 @@ class TestSolveSce:
             p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]],
                             Gamma=[[gam]], eta=[0.0], rho=rho, x0=[1.0])
             are = solve_discounted_are(p)
-            h = build_hamiltonian(are, gamma_weights(p))
+            h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
             lam = eigenvalues(h)
             assert scaled_close(lam[0] ** 2, target, 1e-9)
             assert scaled_close(lam[1] ** 2, target, 1e-9)
             done += 1
+
+
+class TestSolutionRecord:
+    def test_stores_no_copies(self):
+        # X_plus, A_C and A_cl are read from the decomposition and the
+        # decaying solution, not stored beside them
+        rng = np.random.default_rng(21)
+        problems = [load_problem_file(PROBLEM_DIR / "ex41.json")]
+        problems += [random_problem(rng) for _ in range(4)]
+        for p in problems:
+            sol = solve_sce(p)
+            assert sol.A_C is sol.decomposition.F11
+            assert np.shares_memory(sol.X_plus, sol.decomposition.U)
+            assert np.shares_memory(sol.A_cl, sol.bvp.y1_generator)
+
+    def test_fields_are_the_game_record_plus_aux_residual(self):
+        names = [f.name for f in dataclasses.fields(SceSolution)]
+        assert names == [f.name for f in dataclasses.fields(MfgSolution)] + ["aux_residual"]
 
 
 class TestDecentralizedStrategy:

@@ -3,9 +3,9 @@ and mean-field games, built on a Hamiltonian-matrix invariant-subspace
 decomposition, plus a fixed-point contraction-bound comparison and an
 N-agent Monte Carlo consistency simulator.
 
-The package namespace holds the solver API; the numerical kernels stay
-importable from their submodules (``mflq.linalg``, ``mflq.riccati``,
-``mflq.dichotomy``)."""
+The API is ``mflq.__all__``, :mod:`mflq.errors` and the ``mflq`` command.
+Submodule functions are internal: their kernels take float64 arrays that the
+library built from a checked :class:`ProblemData`, and check none of it."""
 
 from . import errors
 from .contraction import contraction_bound

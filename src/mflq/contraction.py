@@ -82,8 +82,6 @@ def decaying_norm_integral(a, c):
     Simpson with panel doubling until two successive estimates agree to
     :data:`REL_TOL`, or :data:`MAX_DOUBLINGS` doublings are done.
     """
-    a = as_square(a)
-    c = np.asarray(c, dtype=float)
     lam, eigvecs = np.linalg.eig(a)
     alpha = float(lam.real.max())
     if alpha >= 0.0:
@@ -120,13 +118,15 @@ def contraction_bound(p, Pi):
     """Contraction constant ``beta`` of the fixed-point map for problem `p`
     with discounted Riccati solution `Pi`.
 
-    Raises :class:`UnstableGenerator`, from :func:`decaying_norm_integral`,
-    if the shifted closed-loop drift is not stable (it always is when `Pi`
-    is the stabilizing solution).
+    ``ValueError`` if `Pi` is not a finite n-by-n matrix, or if the shifted
+    closed-loop drift or `Q_Gamma` built from it overflows.  Raises
+    :class:`UnstableGenerator`, from :func:`decaying_norm_integral`, if the
+    drift is not stable (it always is when `Pi` is the stabilizing solution).
     """
+    Pi = as_square(Pi, "Pi")
     gram = weighted_gram(p.B, p.R)
-    a_shift = add_diag(p.A - gram @ Pi, -0.5 * p.rho)
-    q_gamma = gamma_weights(p).Q_Gamma
+    a_shift = as_square(add_diag(p.A - gram @ Pi, -0.5 * p.rho), "A - M Pi - (rho/2) I")
+    q_gamma = as_square(gamma_weights(p).Q_Gamma, "Q_Gamma")
     left = decaying_norm_integral(a_shift, gram)
     right = decaying_norm_integral(a_shift.T, q_gamma)
     return float(left * right)

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (CONDITION_LIMIT, add_diag, as_square, block_2x2, block_balance,
-                     fill_powers, lu_factor, lu_solve, mat_exp, real_schur_ordered,
-                     solve_linear)
+from .linalg import (CONDITION_LIMIT, add_diag, block_2x2, block_balance, fill_powers,
+                     lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -124,16 +123,12 @@ def decompose_from_schur(K):
         If the leading n-by-n block of `U` has 1-norm condition estimate
         above :data:`linalg.CONDITION_LIMIT`, 1e12.
     """
-    K = as_square(K)
-    m = K.shape[0]
-    if m % 2:
-        raise ValueError(f"matrix dimension must be even, got {m}")
-    n = m // 2
+    n = K.shape[0] // 2
     balanced, c = block_balance(K)
     s, w, k_stable = real_schur_ordered(balanced)
     if k_stable != n:
         raise DichotomySplitFailure(
-            f"stable/antistable split is {k_stable}/{m - k_stable}, need {n}/{n}"
+            f"stable/antistable split is {k_stable}/{2 * n - k_stable}, need {n}/{n}"
         )
     lu, piv, condition = lu_factor(w[:n, :n])
     if not condition <= CONDITION_LIMIT:
@@ -172,11 +167,7 @@ def solve_decaying(d, z1_0, psi0, rho):
     shifted by ``rho/2`` (:class:`BvpSolution`): ``y2 = c`` is constant and
     the generator is ``[[F11 + (rho/2) I, F12 c + (V psi0)[:n]], [0, 0]]``.
     """
-    if rho <= 0.0:
-        raise ValueError(f"decay rate rho must be positive, got {rho}")
     n = d.n
-    z1_0 = np.asarray(z1_0, dtype=float).reshape(n)
-    psi0 = np.asarray(psi0, dtype=float).reshape(2 * n)
     v_psi = d.V @ psi0
     c = -solve_linear(add_diag(d.F22, 0.5 * rho), v_psi[n:])
     y1_0 = lu_solve(*d.U11_lu, z1_0 - d.U[:n, n:] @ c)

@@ -9,7 +9,9 @@ matrices their numpy and scipy wrappers cost more than they do.  The
 wrappers are the functions of scipy's compiled extension
 ``scipy.linalg._flapack``, the same objects ``scipy.linalg.lapack``
 re-exports, loaded without running the ``scipy.linalg`` package init (see
-:func:`_load_flapack`).  All functions are pure on float64 arrays.
+:func:`_load_flapack`).  The kernels are pure on float64 arrays that the
+library built, and check nothing that :class:`problem.ProblemData` or the
+builders guarantee; :func:`as_square` checks an array from outside.
 """
 
 import importlib.machinery
@@ -139,7 +141,7 @@ def as_symmetric(a, name="matrix"):
 
 def default_axis_tol(k):
     """Scale-invariant tolerance for 'eigenvalue on the imaginary axis'."""
-    return 1e-9 * (1.0 + fro(np.asarray(k, dtype=float)))
+    return 1e-9 * (1.0 + fro(k))
 
 
 def block_2x2(a11, a12, a21, a22):
@@ -175,18 +177,17 @@ def eigenvalues(a):
     """All eigenvalues of a real square matrix, with multiplicity (``dgeev``).
 
     Complex eigenvalues come in conjugate pairs since the input is real; the
-    array is real when all are.  Raises ``ValueError`` for non-square input
-    and ``np.linalg.LinAlgError`` if the QR iteration fails.
+    array is real when all are.  `a` must be finite.  Raises
+    ``np.linalg.LinAlgError`` if the QR iteration fails.
     """
-    a = as_square(a)
-    if a.shape[0] == 0:
-        return np.zeros(0)
     big = dlange("M", a)
     if big and not 2.0**-459 <= big <= 2.0**459:
         # scipy's bundled dgeev leaves the eigenvalues scaled when it has to
         # scale such an `a` itself; an exact power-of-two scaling avoids that
+        # (a scale-up is exact, and split in two, since 2.0**1024 overflows)
         e = int(np.frexp(big)[1])
-        return eigenvalues(np.ldexp(a, -e)) * 2.0**e
+        half = max(e, 0) // 2
+        return eigenvalues(np.ldexp(a, -e)) * 2.0**half * 2.0**(e - half)
     wr, wi, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeev did not converge (info {info})")
@@ -225,13 +226,8 @@ def solve_linear(a, b):
     Raises :class:`SingularMatrix`, rather than returning garbage, when the
     ``dgecon`` estimate of the 1-norm condition of `a` exceeds
     :data:`CONDITION_LIMIT`: the rule by which
-    :func:`dichotomy.decompose_from_schur` refuses `U11`.  An empty `a`
-    has the empty solution.
+    :func:`dichotomy.decompose_from_schur` refuses `U11`.
     """
-    a = as_square(a, "coefficient matrix")
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] == 0:
-        return np.zeros(b.shape)
     lu, piv, condition = lu_factor(a)
     if not condition <= CONDITION_LIMIT:
         raise SingularMatrix(f"coefficient matrix has condition {condition:.3e}, "
@@ -345,13 +341,12 @@ def mat_exp(a):
 
     Uses [m/m] diagonal Pade approximants with scaling and squaring; the
     degree m in {3, 5, 7, 9, 13} and the scaling power are picked from the
-    1-norm of `a`.  Raises ``OverflowError`` if the result overflows to
-    non-finite values (extreme norms).
+    1-norm of `a`.  Raises ``OverflowError`` if `a` or the result is not
+    finite (extreme norms).
     """
-    a = as_square(a)
-    if a.shape[0] == 0:
-        return a.copy()
     nrm = dlange("1", a)
+    if not nrm < np.inf:  # NaN fails too
+        raise OverflowError("matrix exponential of a matrix that is not finite")
     result = None
     for m in (3, 5, 7, 9):
         if nrm <= _PADE_THETA[m]:
@@ -411,10 +406,6 @@ def real_schur_ordered(k):
         If the QR iteration or the reordering fails, or the final factors do
         not reproduce `k` to working accuracy.
     """
-    k = as_square(k)
-    m = k.shape[0]
-    if m == 0:
-        return k.copy(), k.copy(), 0
     t, _, wr, wi, w, _, info = dgees(_select_none, k)
     if info != 0:
         raise SchurConvergenceFailure(
@@ -440,7 +431,7 @@ def real_schur_ordered(k):
 
     ortho_err = fro(add_diag(w.T @ w, -1.0))
     recon_err = fro(w.T @ k @ w - t)
-    if ortho_err > 1e-10 * m or recon_err > 1e-8 * max(fro(k), 1.0):
+    if ortho_err > 1e-10 * len(k) or recon_err > 1e-8 * max(fro(k), 1.0):
         raise SchurConvergenceFailure(
             f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
             f"reconstruction {recon_err:.3e})"

@@ -72,7 +72,10 @@ class ProblemData:
         for name, vec in (("B", b), ("eta", eta), ("x0", x0)):
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} has non-finite entries")
-        if not (np.isfinite(self.rho) and self.rho > 0.0):
+        rho = np.asarray(self.rho)
+        if rho.ndim or rho.dtype.kind not in "iuf":  # no bool, string or array
+            raise ValueError(f"discount rate rho must be a real number, got {self.rho!r}")
+        if not (np.isfinite(rho) and rho > 0.0):
             raise ValueError(f"discount rate rho must be positive, got {self.rho}")
         d = self.D
         if d is not None:
@@ -81,8 +84,8 @@ class ProblemData:
                 d = d[:, None]
             if d.ndim != 2 or d.shape[0] != n or not np.isfinite(d).all():
                 raise ValueError(f"D must have {n} finite rows, got shape {d.shape}")
-        for name, val in (("A", a), ("B", b), ("Q", q), ("R", r),
-                          ("Gamma", gam), ("eta", eta), ("x0", x0), ("D", d)):
+        for name, val in (("A", a), ("B", b), ("Q", q), ("R", r), ("Gamma", gam),
+                          ("eta", eta), ("rho", float(rho)), ("x0", x0), ("D", d)):
             object.__setattr__(self, name, val)
 
     @property
@@ -125,12 +128,12 @@ class ValidationReport:
     `stabilizability_margin` is the scaled PBH margin (``inf`` when `A` is
     stable); `axis_margin` is the distance of the discount-shifted
     Hamiltonian spectrum from the imaginary axis, or ``None`` when it could
-    not be formed because `R` failed or ``B inv(R) B'`` overflows; `axis_ok`
-    compares it with :func:`linalg.default_axis_tol` of the balanced
-    Hamiltonian.  Borderline margins are reported, not rejected; hard
-    failures flip the corresponding flag.  The thresholds are absolute, so
-    a report can fail on a problem the solvers certify: it explains a
-    failed solve, it does not decide one.
+    not be formed because `R` failed or ``B inv(R) B'`` or ``A - (rho/2) I``
+    overflows; `axis_ok` compares it with :func:`linalg.default_axis_tol` of
+    the balanced Hamiltonian.  Borderline margins are reported, not
+    rejected; hard failures flip the corresponding flag.  The thresholds
+    are absolute, so a report can fail on a problem the solvers certify: it
+    explains a failed solve, it does not decide one.
     """
 
     stabilizable: bool
@@ -166,14 +169,14 @@ def validate(p):
     stabilizable = bool(margin > riccati.PBH_TOL)
     r_min, r_ok = riccati.r_definiteness(p.R)
     axis_ok, axis_margin = None, None
-    try:
-        gram = weighted_gram(p.B, p.R) if r_ok else None
-    except ValueError:  # B inv(R) B' overflows: there is no Hamiltonian to test
-        gram, axis_ok = None, False
-    if gram is not None:
-        h, _ = block_balance(riccati.discounted_hamiltonian(p, gram))
-        axis_margin = float(np.abs(eigenvalues(h).real).min())
-        axis_ok = bool(axis_margin > default_axis_tol(h))
+    if r_ok:
+        try:
+            h, _ = block_balance(riccati.discounted_hamiltonian(p, weighted_gram(p.B, p.R)))
+        except ValueError:  # B inv(R) B' or A - (rho/2) I overflows: no Hamiltonian
+            axis_ok = False
+        else:
+            axis_margin = float(np.abs(eigenvalues(h).real).min())
+            axis_ok = bool(axis_margin > default_axis_tol(h))
     return ValidationReport(
         stabilizable=stabilizable,
         stabilizability_margin=margin,

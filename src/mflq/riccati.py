@@ -28,7 +28,7 @@ import numpy as np
 
 from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (add_diag, as_square, block_2x2, dsyev, eigenvalues, fro, lu_solve,
+from .linalg import (add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, lu_solve,
                      spectral_abscissa, weighted_gram)
 
 __all__ = [
@@ -65,7 +65,6 @@ class StabilizingRiccatiSolution:
 
 def care_residual(x, a_o, m, q_o):
     """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
-    x = np.asarray(x, dtype=float)
     r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
     return fro(r)
 
@@ -80,8 +79,6 @@ def stabilizability_margin(a, b):
     singular values, so only ``Im lam >= 0`` is tested, in one stacked SVD
     call.  Returns ``inf`` when `a` is already stable.
     """
-    a = as_square(a, "A")
-    b = np.asarray(b, dtype=float)
     n = a.shape[0]
     scale = 1.0 + fro(a) + fro(b)
     lam = eigenvalues(a)
@@ -138,6 +135,8 @@ def solve_care_stabilizing(h):
         If `U11` is numerically singular (1-norm condition estimate from
         its LU factors > 1e12): the stable subspace is not a graph
         subspace; or if certification fails.
+    ValueError
+        If the closed loop ``A_o - M X`` overflows.
     """
     d = decompose_from_schur(h)
     n = d.n
@@ -146,6 +145,8 @@ def solve_care_stabilizing(h):
     x = 0.5 * (x + x.T)
     a_o, m, q_o = h[:n, :n], -h[:n, n:], -h[n:, :n]
     closed_loop = a_o - m @ x
+    if not dlange("M", closed_loop) < np.inf:  # NaN fails too
+        raise ValueError("the closed loop A_o - M X overflows")
     residual = care_residual(x, a_o, m, q_o)
     margin_cl = -spectral_abscissa(closed_loop)
     nx = fro(x)
@@ -165,15 +166,21 @@ def discounted_hamiltonian(p, m):
     """Hamiltonian ``[[A_o, -m], [-Q, -A_o']]`` of the discounted Riccati
     equation of the problem `p`, with ``A_o = A - (rho/2) I`` and `m` its
     ``B inv(R) B'``: what :func:`solve_discounted_are` splits and
-    :func:`problem.validate` tests for the axis."""
+    :func:`problem.validate` tests for the axis.  ``ValueError`` if `A_o`
+    is not finite."""
     a_o = add_diag(p.A, -0.5 * p.rho)
+    if not dlange("M", a_o) < np.inf:
+        raise ValueError("A - (rho/2) I overflows")
     return block_2x2(a_o, -m, -p.Q, -a_o.T)
 
 
 def consistency_matrix(are, coupling):
     """Consistency matrix ``[[As, -M], [coupling, -As']]`` from the discounted
     Riccati solution `are`, its closed loop `As` and ``M = B inv(R) B'``: the
-    social `H` for ``coupling = Q_Gamma``, the game's `M_mfg` for ``Q @ Gamma``."""
+    social `H` for ``coupling = Q_Gamma``, the game's `M_mfg` for ``Q @ Gamma``.
+    ``ValueError`` if `coupling` is not finite."""
+    if not dlange("M", coupling) < np.inf:
+        raise ValueError("the coupling block overflows")
     return block_2x2(are.closed_loop, -are.M, coupling, -are.closed_loop.T)
 
 

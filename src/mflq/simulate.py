@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import eigenvalues
+from .linalg import as_square, eigenvalues
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
@@ -101,14 +101,14 @@ def simulate(p, strategy, cfg, threads=1):
     feedback gain, the feedforward input and the deterministic mean field).
     The problem's noise matrix `D` is required here even if zero, and the
     Euler step ``1 + lam dt`` must decay every decaying mode `lam` of the
-    closed loop ``A + B K_x``: ``ValueError`` if ``|1 + lam dt| >= 1`` for
-    one with ``Re lam < 0``.  All replications are stepped together as one
-    ``(replications, N, n)`` array; `threads` is accepted for compatibility
-    and has no effect.
+    closed loop ``A + B K_x``: ``ValueError`` if the closed loop is not
+    finite, or if ``|1 + lam dt| >= 1`` for a mode with ``Re lam < 0``.
+    All replications are stepped together as one ``(replications, N, n)``
+    array; `threads` is accepted for compatibility and has no effect.
     """
     if p.D is None:
         raise ValueError("simulation requires the noise matrix D")
-    a_cl = p.A + p.B @ strategy.K_x
+    a_cl = as_square(p.A + p.B @ strategy.K_x, "A + B K_x")
     lam = eigenvalues(a_cl)
     lam = lam[lam.real < 0]
     growth = np.abs(1.0 + lam * cfg.dt)

@@ -141,8 +141,8 @@ def _sce_residual(sol, p, t, xbar, s):
     if t.size < 3:
         raise ValueError("need at least three grid points")
     dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise ValueError("t_grid must be uniform")
+    if not (dt[0] > 0.0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("t_grid must be uniform with a positive step")
     m = -sol.decomposition.K[:p.n, p.n:]  # B inv(R) B', as the solve built it
     w = gamma_weights(p)
     rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T

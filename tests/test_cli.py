@@ -1,5 +1,6 @@
 import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ TWO_STATE_STRONG = str(PROBLEM_DIR / "ex42_gamma2.json")
 TWO_STATE_WEAK = str(PROBLEM_DIR / "ex42_gamma005.json")
 GAME = str(PROBLEM_DIR / "ex43.json")
 BOUNDARY = str(PROBLEM_DIR / "ex22_degenerate.json")
+
+
+def file_id(value):
+    """A test id for a problem file path: its stem, not the checkout's path."""
+    return Path(value).stem if str(value).endswith(".json") else None
 
 
 def run_json(capsys, argv):
@@ -303,7 +309,7 @@ class TestSolveReports:
         ("solve-social", SCALAR), ("solve-social", TWO_STATE_STRONG),
         ("solve-social", TWO_STATE_WEAK), ("solve-social", GAME),
         ("solve-game", SCALAR), ("solve-game", TWO_STATE_WEAK), ("solve-game", GAME),
-    ])
+    ], ids=file_id)
     def test_report_shape(self, capsys, command, path):
         solve, own_keys, residual_keys = REPORT_SHAPES[command]
         code, doc = run_json(capsys, [command, path])
@@ -458,7 +464,8 @@ class TestSimulateCommand:
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4
 
     @pytest.mark.parametrize("source", [
-        SCALAR, BOUNDARY, pytest.param(REJECTED[0][1], id="slow_uncontrollable")])
+        SCALAR, BOUNDARY, pytest.param(REJECTED[0][1], id="slow_uncontrollable")],
+        ids=file_id)
     def test_missing_noise_matrix_exit_4_before_solving(self, capsys, tmp_path,
                                                         monkeypatch, source):
         # BOUNDARY has no dichotomy: a solve would exit 3 on it; validate

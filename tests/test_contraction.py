@@ -88,6 +88,14 @@ class TestContractionBound:
         minus = decaying_norm_integral(a_shift.T, -q_gamma)
         assert plus == pytest.approx(minus, rel=1e-12)
 
+    @pytest.mark.parametrize("pi", [np.array([[np.nan]]), np.ones((1, 2))],
+                             ids=["nan", "not_square"])
+    def test_outside_pi_is_checked(self, pi):
+        p = ProblemData(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                        Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
+        with pytest.raises(ValueError, match="^Pi "):
+            contraction_bound(p, pi)
+
     def test_unstable_generator_raises(self):
         p = ProblemData(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])

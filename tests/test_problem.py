@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from mflq.errors import (
 from mflq.linalg import default_axis_tol, weighted_gram
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights, validate
+from mflq.riccati import solve_discounted_are
 from mflq.social import solve_sce
 
 
@@ -97,13 +99,23 @@ class TestProblemData:
             ProblemData(A=np.zeros((0, 0)), B=np.zeros((0, 1)), Q=np.zeros((0, 0)),
                         R=[[1.0]], Gamma=np.zeros((0, 0)), eta=[], x0=[], rho=1.0)
 
-    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, True,
+                                     pytest.param(np.array([1.0]), id="array"), "1"])
     def test_bad_rho(self, rho):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rho"):
             scalar = scalar_social_problem()
             ProblemData(A=scalar.A, B=scalar.B, Q=scalar.Q, R=scalar.R,
                         Gamma=scalar.Gamma, eta=scalar.eta, rho=rho,
                         x0=scalar.x0)
+
+    @pytest.mark.parametrize("rho", [2, np.array(2.0), np.float32(2.0)],
+                             ids=["int", "0d_array", "float32"])
+    def test_rho_is_stored_as_a_float(self, rho):
+        s = scalar_social_problem()
+        p = ProblemData(A=s.A, B=s.B, Q=s.Q, R=s.R, Gamma=s.Gamma, eta=s.eta,
+                        rho=rho, x0=s.x0)
+        assert type(p.rho) is float and p.rho == 2.0
+        assert json.loads(json.dumps(problem_to_dict(p)))["rho"] == 2.0
 
     def test_control_gram(self):
         p = indefinite_social_problem()
@@ -224,6 +236,98 @@ class TestOverflowingControlGram:
         path.write_text(json.dumps(problem_to_dict(self.problem())))
         assert main(["solve-social", str(path)]) == 2
         assert "shifted_hamiltonian_axis" in capsys.readouterr().err
+
+
+def _scalar_tracking_problem(a, b, rho=1.0):
+    return ProblemData(A=[[a]], B=[[b]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.3]],
+                       eta=[1.0], rho=rho, x0=[1.0])
+
+
+# Finite problems whose data overflow in library arithmetic, by the matrix
+# that overflows: A - (rho/2) I, the social coupling Q_Gamma, the closed loop
+# A_o - M X of the discounted solve, and the rescaled eigenvalues of A itself.
+OVERFLOWS = {
+    "shifted_drift": _scalar_tracking_problem(-1.7e308, 1.0, rho=1.7e308),
+    "coupling": ProblemData(A=np.diag([0.5, -1.0]), B=[[1.0], [0.5]], Q=np.eye(2),
+                            R=[[1.0]], Gamma=1e200 * np.eye(2), eta=np.ones(2),
+                            rho=1.0, x0=np.ones(2)),
+    "closed_loop": _scalar_tracking_problem(1e200, 1e-100),
+    "huge_drift": _scalar_tracking_problem(1e308, 1.0),
+}
+# numpy's own warning where it overflows: in add_diag, or in Gamma' Q Gamma
+ADD_OVERFLOW = "overflow encountered in add"
+MATMUL_OVERFLOW = "overflow encountered in matmul"
+CLI_COMMANDS = ["solve-social", "solve-game", "spectrum", "contraction"]
+
+
+class TestOverflowFromFiniteData:
+    """Each matrix that can overflow from finite, checked data is checked
+    where it is built, with the ``ValueError`` of a malformed argument that
+    names it; `validate` reports on every problem, the CLI exits 2, 3 or 4,
+    never 1, and no warning comes first unless numpy's own overflow."""
+
+    def test_shifted_drift(self):
+        p = OVERFLOWS["shifted_drift"]  # -1.7e308 - 0.85e308 overflows in add_diag
+        with pytest.warns(RuntimeWarning, match=ADD_OVERFLOW):
+            report = validate(p)
+        assert report.failures() == ["shifted_hamiltonian_axis"]
+        assert report.axis_ok is False and report.axis_margin is None
+        for solver in (solve_sce, solve_mfg):
+            with pytest.warns(RuntimeWarning, match=ADD_OVERFLOW), \
+                    pytest.raises(ValueError, match=r"^A - \(rho/2\) I overflows$"):
+                solver(p)
+
+    def test_coupling(self):
+        # Q_Gamma = 2e200 I - 1e400 I overflows; the game's Q Gamma does not
+        p = OVERFLOWS["coupling"]
+        assert validate(p).ok
+        with pytest.warns(RuntimeWarning, match=MATMUL_OVERFLOW), \
+                pytest.raises(ValueError, match="^the coupling block overflows$"):
+            solve_sce(p)
+        with pytest.raises(ImaginaryAxisEigenvalue):
+            solve_mfg(p)
+        pi = solve_discounted_are(p).X
+        with pytest.warns(RuntimeWarning, match=MATMUL_OVERFLOW), \
+                pytest.raises(ValueError, match="^Q_Gamma has non-finite entries$"):
+            contraction_bound(p, pi)
+
+    def test_closed_loop(self):
+        # X is about 2e400: the closed loop is refused before the residual
+        # of the Riccati equation is formed from it, which would warn
+        p = OVERFLOWS["closed_loop"]
+        assert validate(p).failures() == ["stabilizability"]
+        for solver in (solve_sce, solve_mfg):
+            with pytest.raises(ValueError, match="^the closed loop A_o - M X overflows$"):
+                solver(p)
+
+    def test_huge_drift(self):
+        # eigenvalues scales max |A| >= 2^1023 by 2^-1024, and back
+        p = OVERFLOWS["huge_drift"]
+        report = validate(p)
+        assert report.failures() == ["stabilizability"]
+        assert report.stabilizability_margin == 1e-308
+        for solver in (solve_sce, solve_mfg):
+            with pytest.raises(StabilizabilityFailure, match="margin 1.000e-308"):
+                solver(p)
+
+    @pytest.mark.parametrize("name,codes,warnings,needle", [
+        ("shifted_drift", [2, 2, 2, 2], [ADD_OVERFLOW] * 4, "shifted_hamiltonian_axis"),
+        ("coupling", [4, 3, 4, 4], [MATMUL_OVERFLOW, None, MATMUL_OVERFLOW, MATMUL_OVERFLOW],
+         "the coupling block overflows"),
+        ("closed_loop", [2, 2, 2, 2], [None] * 4, "stabilizability (margins: PBH 1.000e-300"),
+        ("huge_drift", [2, 2, 2, 2], [None] * 4, "stabilizability (margins: PBH 1.000e-308"),
+    ], ids=["shifted_drift", "coupling", "closed_loop", "huge_drift"])
+    def test_cli_exit_codes(self, capsys, tmp_path, name, codes, warnings, needle):
+        # the exit codes of CLI_COMMANDS in order, and the cause on stderr
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem_to_dict(OVERFLOWS[name])))
+        got = []
+        for command, warning in zip(CLI_COMMANDS, warnings):
+            with (pytest.warns(RuntimeWarning, match=warning) if warning
+                  else contextlib.nullcontext()):
+                got.append(main([command, str(path)]))
+        assert got == codes
+        assert needle in capsys.readouterr().err
 
 
 def scalar_problem(a, b, q, r):

@@ -45,6 +45,13 @@ class TestSimulate:
         p = load_problem_file(PROBLEM_DIR / "ex41.json")
         assert np.isfinite(simulate(p, _strategy(p), cfg).cost_mean)
 
+    def test_non_finite_gain_rejected(self):
+        # the closed-loop eigenvalues would rescale a NaN without end
+        p = scalar_social_problem(D=[[0.2]])
+        strategy = dataclasses.replace(_strategy(p), K_x=np.array([[np.nan]]))
+        with pytest.raises(ValueError, match=r"^A \+ B K_x has non-finite entries$"):
+            simulate(p, strategy, SimConfig(N=2, T=1.0, dt=0.1))
+
     def test_zero_problem_zero_cost(self):
         p = ProblemData(A=[[-0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0],

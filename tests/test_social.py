@@ -265,6 +265,12 @@ class TestSceResidual:
         sol = solve_sce(p)
         assert sce_residual(sol, p, np.arange(0.0, 1.0, 1e-3)) == 0.0
 
+    def test_zero_step_rejected(self, scalar_social):
+        # the grid is uniform, but a central difference over it divides by 0
+        sol = solve_sce(scalar_social)
+        with pytest.raises(ValueError, match="positive step"):
+            sce_residual(sol, scalar_social, np.zeros(3))
+
     def test_nonuniform_grid_rejected(self, scalar_social):
         sol = solve_sce(scalar_social)
         with pytest.raises(ValueError):

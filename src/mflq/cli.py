@@ -4,8 +4,10 @@ Commands: ``solve-social``, ``solve-game``, ``contraction``, ``simulate``,
 ``spectrum``.  Problems are JSON documents with integer fields ``n``, ``n1``
 (and ``n2`` when a noise matrix is present), row-major nested arrays ``A``,
 ``B``, ``D``, ``Q``, ``R``, ``Gamma``, vectors ``eta``, ``x0`` and the
-number ``rho``.  Reports are JSON on stdout; trajectories are CSV files
-with header ``t,xbar_1..xbar_n,s_1..s_n``.
+number ``rho``.  The reader checks only the format and that the declared
+dimensions match the arrays; :class:`ProblemData` checks the arrays as it
+checks an API caller's.  Reports are JSON on stdout; trajectories are CSV
+files with header ``t,xbar_1..xbar_n,s_1..s_n``.
 
 Every command loads the problem, checks its own arguments, solves, then
 reports.  Exit codes: 0 success, 2 validation failure, 3 dichotomy or
@@ -71,24 +73,10 @@ def _array_field(doc, name):
         raise ProblemFileError(f"field '{name}' is not numeric") from exc
 
 
-def _matrix_field(doc, name, rows, cols):
-    arr = _array_field(doc, name)
-    if arr.shape != (rows, cols):
-        raise ProblemFileError(
-            f"field '{name}' must be {rows}x{cols}, got shape {arr.shape}"
-        )
-    return arr
-
-
-def _vector_field(doc, name, size):
-    arr = _array_field(doc, name)
-    if arr.shape != (size,):
-        raise ProblemFileError(f"field '{name}' must have length {size}")
-    return arr
-
-
 def parse_problem_dict(doc):
-    """Build :class:`ProblemData` from a parsed problem document."""
+    """Build :class:`ProblemData` from a parsed problem document, checking
+    only the format: a JSON object, integers ``n, n1 >= 1`` (and ``n2``),
+    numeric arrays, and declared dimensions that match the arrays."""
     if not isinstance(doc, dict):
         raise ProblemFileError("problem document must be a JSON object")
     n = _int_field(doc, "n")
@@ -96,31 +84,19 @@ def parse_problem_dict(doc):
     if n < 1 or n1 < 1:
         raise ProblemFileError("dimensions n, n1 must be positive")
     rho = _field(doc, "rho")
-    if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-        raise ProblemFileError("field 'rho' must be a number")
-    d = None
-    if "D" in doc and doc["D"] is not None:
-        n2 = _int_field(doc, "n2") if "n2" in doc else None
-        arr = _array_field(doc, "D")
-        if arr.ndim != 2 or arr.shape[0] != n:
-            raise ProblemFileError(f"field 'D' must have {n} rows")
-        if n2 is not None and arr.shape[1] != n2:
-            raise ProblemFileError(f"field 'D' must be {n}x{n2} per declared n2")
-        d = arr
+    d = _array_field(doc, "D") if doc.get("D") is not None else None
+    n2 = _int_field(doc, "n2") if d is not None and "n2" in doc else None
+    arrays = {name: _array_field(doc, name)
+              for name in ("A", "B", "Q", "R", "Gamma", "eta", "x0")}
     try:
-        return ProblemData(
-            A=_matrix_field(doc, "A", n, n),
-            B=_matrix_field(doc, "B", n, n1),
-            Q=_matrix_field(doc, "Q", n, n),
-            R=_matrix_field(doc, "R", n1, n1),
-            Gamma=_matrix_field(doc, "Gamma", n, n),
-            eta=_vector_field(doc, "eta", n),
-            x0=_vector_field(doc, "x0", n),
-            rho=float(rho),
-            D=d,
-        )
+        p = ProblemData(**arrays, rho=rho, D=d)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
+    for name, declared, actual in (("n", n, p.n), ("n1", n1, p.n1), ("n2", n2, p.n2)):
+        if declared is not None and declared != actual:
+            raise ProblemFileError(f"field '{name}' is {declared}, "
+                                   f"but the arrays give {actual}")
+    return p
 
 
 def load_problem_file(path):
@@ -130,7 +106,7 @@ def load_problem_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ProblemFileError(f"invalid JSON in '{path}': {exc}") from exc
     return parse_problem_dict(doc)
 

@@ -4,9 +4,11 @@ An instance collects the agent dynamics ``dx_i = (A x_i + B u_i) dt + D dW_i``
 and the discounted quadratic cost with mean-field coupling
 ``Gamma * mean(x) + eta``, state weight `Q` (symmetric, possibly indefinite),
 control weight ``R > 0`` and discount rate ``rho > 0``.  ``x0`` is the
-initial mean field.  :class:`ProblemData` checks the shapes, the symmetry of
-`Q` and `R`, finiteness and ``rho > 0`` once, when it is built; the solvers
-and :func:`gamma_weights` take the checked instance and repeat none of it.
+initial mean field.  :class:`ProblemData` checks one shape per field (`B`
+is ``n x n1``, `D` ``n x n2``, `eta` and `x0` ``(n,)``, the others square),
+the symmetry of `Q` and `R`, finiteness and ``rho > 0`` once, when it is
+built; the solvers and :func:`gamma_weights` take the checked instance and
+repeat none of it.
 
 :func:`validate` reports every standing assumption at once and never
 raises; the solvers do not call it, since their front end
@@ -51,24 +53,23 @@ class ProblemData:
         if n == 0:
             raise ValueError("A must have at least one row: the problem has no state")
         b = np.asarray(self.B, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
         if b.ndim != 2 or b.shape[0] != n or b.shape[1] == 0:
             raise ValueError(f"B must have {n} rows and at least one column, "
                              f"got shape {b.shape}")
         q = as_symmetric(self.Q, "Q")
         r = as_symmetric(self.R, "R")
         gam = as_square(self.Gamma, "Gamma")
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        eta = np.asarray(self.eta, dtype=float)
+        x0 = np.asarray(self.x0, dtype=float)
         if q.shape[0] != n or gam.shape[0] != n:
             raise ValueError("Q and Gamma must match the state dimension")
         if r.shape[0] != b.shape[1]:
             raise ValueError(
                 f"R must be {b.shape[1]}x{b.shape[1]} for {b.shape[1]} controls"
             )
-        if eta.size != n or x0.size != n:
-            raise ValueError("eta and x0 must have the state dimension")
+        if eta.shape != (n,) or x0.shape != (n,):
+            raise ValueError(f"eta and x0 must have shape ({n},), "
+                             f"got {eta.shape} and {x0.shape}")
         for name, vec in (("B", b), ("eta", eta), ("x0", x0)):
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} has non-finite entries")
@@ -80,8 +81,6 @@ class ProblemData:
         d = self.D
         if d is not None:
             d = np.asarray(d, dtype=float)
-            if d.ndim == 1:
-                d = d[:, None]
             if d.ndim != 2 or d.shape[0] != n or not np.isfinite(d).all():
                 raise ValueError(f"D must have {n} finite rows, got shape {d.shape}")
         for name, val in (("A", a), ("B", b), ("Q", q), ("R", r), ("Gamma", gam),

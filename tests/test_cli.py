@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PROBLEM_DIR, growing_mean_field_problem, scalar_social_problem
+from conftest import (PROBLEM_DIR, growing_mean_field_problem, random_problem,
+                      scalar_social_problem)
 from mflq import ProblemData, cli, contraction, dichotomy, linalg, mfg, riccati, social
 from mflq.cli import (
     MAX_GRID_POINTS,
@@ -47,30 +48,43 @@ class TestProblemFiles:
             assert p.n >= 1
 
     def test_round_trip(self):
-        p = scalar_social_problem(D=[[0.2]])
-        doc = problem_to_dict(p)
-        again = parse_problem_dict(json.loads(json.dumps(doc)))
-        assert np.array_equal(again.A, p.A)
-        assert np.array_equal(again.B, p.B)
-        assert np.array_equal(again.Q, p.Q)
-        assert np.array_equal(again.R, p.R)
-        assert np.array_equal(again.Gamma, p.Gamma)
-        assert np.array_equal(again.eta, p.eta)
-        assert np.array_equal(again.x0, p.x0)
-        assert np.array_equal(again.D, p.D)
-        assert again.rho == p.rho
+        rng = np.random.default_rng(23)
+        problems = [scalar_social_problem(D=[[0.2]])] \
+            + [random_problem(rng, max_n=6, with_noise=True) for _ in range(8)]
+        for p in problems:
+            again = parse_problem_dict(json.loads(json.dumps(problem_to_dict(p))))
+            for name in ("A", "B", "Q", "R", "Gamma", "eta", "x0", "D"):
+                assert np.array_equal(getattr(again, name), getattr(p, name)), name
+            assert again.rho == p.rho
 
     @pytest.mark.parametrize("mutate,needle", [
-        (lambda d: d.pop("A"), "A"),
-        (lambda d: d.update(A=[[1.0, 2.0]]), "A"),
-        (lambda d: d.update(eta=[1.0, 2.0]), "eta"),
-        (lambda d: d.update(n="two"), "n"),
-        (lambda d: d.update(rho="fast"), "rho"),
+        (lambda d: {k: v for k, v in d.items() if k != "A"}, "A"),
+        (lambda d: {**d, "A": [[1.0, 2.0]]}, "A"),
+        (lambda d: {**d, "eta": [1.0, 2.0]}, "eta"),
+        (lambda d: {**d, "n": "two"}, "n"),
+        (lambda d: {**d, "rho": "fast"}, "rho"),
+        # the shapes are ProblemData's, and its messages name the field
+        pytest.param(lambda d: {**d, "A": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+                     "A must be square", id="A_2x3"),
+        pytest.param(lambda d: {**d, "B": [1.0]}, "B must have 1 rows",
+                     id="B_vector"),
+        pytest.param(lambda d: {**d, "eta": [[1.0]]}, "eta and x0 must have",
+                     id="eta_column"),
+        pytest.param(lambda d: {**d, "rho": None}, "rho must be a real number",
+                     id="rho_null"),
+        # the declared dimensions must match consistent arrays
+        pytest.param(lambda d: {**d, "n": 2}, "field 'n' is 2, but the arrays give 1",
+                     id="n_declared"),
+        pytest.param(lambda d: {**d, "n1": 2}, "field 'n1' is 2, but the arrays give 1",
+                     id="n1_declared"),
+        pytest.param(lambda d: {**d, "n2": 2}, "field 'n2' is 2, but the arrays give 1",
+                     id="n2_declared"),
+        pytest.param(lambda d: [d], "must be a JSON object",
+                     id="not_an_object"),
     ])
     def test_malformed_fields_name_the_field(self, mutate, needle):
         with open(SCALAR) as fh:
-            doc = json.load(fh)
-        mutate(doc)
+            doc = mutate(json.load(fh))
         with pytest.raises(ProblemFileError) as err:
             parse_problem_dict(doc)
         assert needle in str(err.value)
@@ -149,6 +163,19 @@ class TestSolveSocialCommand:
 
     def test_missing_file_exit_4(self, capsys):
         assert main(["solve-social", str(PROBLEM_DIR / "nope.json")]) == 4
+
+    @pytest.mark.parametrize("content", [
+        b'{"n": 1,',
+        b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"n": 1, "rho": "\xff"}',
+    ], ids=["truncated", "nested_too_deep", "not_utf8"])
+    def test_unparsable_file_exit_4(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code = main(["solve-social", str(bad)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert f"invalid JSON in '{bad}'" in err
 
     def test_malformed_shape_exit_4(self, capsys, tmp_path):
         with open(SCALAR) as fh:

@@ -32,10 +32,19 @@ class TestProblemData:
         p = indefinite_social_problem()
         assert (p.n, p.n1, p.n2) == (2, 1, None)
 
-    def test_vector_b_promoted(self):
-        p = ProblemData(A=[[1.0]], B=[1.0], Q=[[1.0]], R=[[1.0]],
-                        Gamma=[[0.0]], eta=[0.0], rho=1.0, x0=[0.0])
-        assert p.B.shape == (1, 1)
+    @pytest.mark.parametrize("field,value", [
+        ("B", [1.0, 1.0]),                      # a vector is not a column
+        ("D", [0.1, 0.1]),
+        ("eta", [[0.0], [0.0]]),                # a column is not a vector
+        ("x0", [[0.0], [0.0]]),
+    ])
+    def test_one_shape_per_field(self, field, value):
+        fields = dict(A=np.eye(2), B=[[1.0], [1.0]], Q=np.eye(2), R=[[1.0]],
+                      Gamma=np.zeros((2, 2)), eta=[0.0, 0.0], rho=1.0,
+                      x0=[0.0, 0.0], D=[[0.1], [0.1]])
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            ProblemData(**fields)
 
     def test_noise_dimension(self):
         p = scalar_social_problem(D=[[0.2, 0.1]])
@@ -83,7 +92,7 @@ class TestProblemData:
     def test_non_finite_vector_rejected(self, field, value):
         base = dict(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], Gamma=[[0.0]],
                     eta=[0.0], rho=1.0, x0=[0.0])
-        base[field] = [value]
+        base[field] = [[value]] if field == "B" else [value]
         with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
             ProblemData(**base)
 

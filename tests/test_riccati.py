@@ -401,10 +401,14 @@ def test_stacked_pbh_margin_matches_reference_loop(kind, data):
     a, b = data.draw(pbh_pairs(kind))
     margin = stabilizability_margin(a, b)
     ref = reference_margin(a, b)
-    if kind in ("stable", "empty"):
+    if kind == "stable":
         assert ref == np.inf
     if ref == np.inf:
         assert margin == np.inf
     else:
-        assert margin == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # each SVD is backward stable: a singular value is exact to about
+        # n eps ||[lam I - a, b]|| <= 2 n eps (1 + ||a|| + ||b||), so the two
+        # scaled margins agree to a relative 1e-12 only above that floor
+        floor = 16 * a.shape[0] * np.finfo(float).eps
+        assert margin == pytest.approx(ref, rel=1e-12, abs=floor)
     assert (margin > PBH_TOL) == (ref > PBH_TOL)

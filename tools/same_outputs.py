@@ -5,7 +5,8 @@
 Two corpora run once with REV's ``src`` and once with the working tree's,
 each tree in its own subprocess:
 
-- the CLI corpus, 16 problems times 17 command lines (272 cases), through
+- the CLI corpus, 16 problems times 17 command lines (272 cases) and 12
+  malformed documents under ``solve-social`` alone, through
   ``mflq.cli.main``: each case's exit code, stdout (without the reports'
   ``"timings"``), stderr and warnings;
 - the API corpus, 593 problems (the 5 shipped files, the ``sweep_small``
@@ -106,6 +107,32 @@ def _problem_texts():
     return texts
 
 
+# Edits of ex42_gamma2 that the file reader or ProblemData refuses.
+MALFORMED_FIELDS = {
+    "A_2x3": {"A": [[1.0, -1.0, 0.0], [0.0, 2.0, 0.0]]},
+    "n_declared": {"n": 3},
+    "n1_declared": {"n1": 2},
+    "n2_declared": {"n2": 2},
+    "B_vector": {"B": [1.0, 1.0]},
+    "D_vector": {"D": [0.1, 0.1]},
+    "eta_column": {"eta": [[1.0], [0.0]]},
+    "rho_null": {"rho": None},
+    "rho_string": {"rho": "fast"},
+}
+
+
+def _malformed_files():
+    """Documents that exit 4 whatever the command, each run under
+    ``solve-social`` alone: the problem is loaded before anything else."""
+    doc = json.loads((ROOT / "problems" / "ex42_gamma2.json").read_bytes())
+    files = {f"malformed_{name}": json.dumps({**doc, **fields}).encode()
+             for name, fields in MALFORMED_FIELDS.items()}
+    files["malformed_not_an_object"] = json.dumps([doc]).encode()
+    files["malformed_nested_too_deep"] = b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    files["malformed_not_utf8"] = b'{"n": 2, "rho": "\xff"}'
+    return files
+
+
 def _without_timings(stdout):
     if not stdout.startswith("{"):
         return stdout
@@ -148,6 +175,10 @@ def run_corpus():
                 for variant in VARIANTS:
                     argv = [variant[0], f"{name}.json", *variant[1:]]
                     records[" ".join([name, *variant])] = _run_case(main, argv)
+            for name, data in _malformed_files().items():
+                Path(f"{name}.json").write_bytes(data)
+                records[f"{name} solve-social"] = _run_case(
+                    main, ["solve-social", f"{name}.json"])
         finally:
             os.chdir(cwd)
     return records

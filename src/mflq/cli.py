@@ -28,6 +28,7 @@ from . import contraction as contraction_mod
 from . import mfg as mfg_mod
 from . import riccati
 from . import social as social_mod
+from .dichotomy import uniform_grid
 from .errors import (
     DichotomySplitFailure,
     GraphSubspaceFailure,
@@ -159,19 +160,6 @@ def _emit(doc, out_path=None):
         sys.stdout.write(text + "\n")
 
 
-# ``solve-social`` and ``solve-game`` sample at most this many grid points
-MAX_GRID_POINTS = 10**6
-
-
-def _time_grid(t_end, dt):
-    # the grid has round(t_end / dt) + 1 points
-    if not (0.0 < dt <= t_end < np.inf and t_end / dt < MAX_GRID_POINTS - 0.5):
-        raise ProblemFileError(f"invalid grid: t_end={t_end}, dt={dt} (need "
-                               f"0 < dt <= t_end, at most {MAX_GRID_POINTS} points)")
-    steps = int(round(t_end / dt))
-    return np.arange(steps + 1) * dt
-
-
 def write_trajectory_csv(path, t_grid, xbar, s):
     """Write `t,xbar_1..xbar_n,s_1..s_n` rows with 17 significant digits."""
     n = xbar.shape[1]
@@ -211,7 +199,7 @@ def _solve_report(solve, own_keys, args, p):
     write the CSV, then report the common keys around the command's own,
     which ``own_keys(sol, p, grid, xbar, s)`` returns with the residuals
     that follow the discounted Riccati one."""
-    grid = _time_grid(args.t_end, args.dt)
+    grid = uniform_grid(args.t_end, args.dt)
     started = time.perf_counter()
     sol = _solve(p, solve)
     solve_seconds = time.perf_counter() - started
@@ -285,7 +273,6 @@ def _cmd_simulate(args, p):
                     replications=args.reps, seed=args.seed)
     if p.D is None:
         raise ProblemFileError("simulation requires field 'D' in the problem file")
-    _time_grid(cfg.T, cfg.dt)  # the solve commands' bound on the step count
     sol = _solve(p, social_mod.solve_sce)
     strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)

@@ -42,7 +42,11 @@ __all__ = [
     "evaluate_trajectory",
     "sample_trajectory",
     "solve_decaying",
+    "uniform_grid",
 ]
+
+# a uniform grid (:func:`uniform_grid`) has at most this many points
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,6 @@ def evaluate_trajectory(sol, d, t_grid):
     n = d.n
     w = np.concatenate([sol.y1_0, [1.0]])
     states = np.empty((t.size, n + 1))
-    steps = {}
     # a growing solution overflows once its growth rate times t_end nears 709
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -214,9 +217,7 @@ def evaluate_trajectory(sol, d, t_grid):
                 if h == 0.0:
                     states[lo:hi] = w
                 else:
-                    stepper = steps.get(h)
-                    if stepper is None:
-                        stepper = steps[h] = mat_exp(sol.y1_generator * h)
+                    stepper = mat_exp(sol.y1_generator * h)
                     np.matmul(stepper, w, out=states[lo])
                     fill_powers(stepper, states[lo:hi])
                 w = states[hi - 1]
@@ -232,6 +233,17 @@ def evaluate_trajectory(sol, d, t_grid):
     zeros = np.searchsorted(t, 0.0, "right")  # the zero times lead the grid
     z[:zeros, :n], z[:zeros, n:] = sol.z1_0, sol.z2_0
     return z
+
+
+def uniform_grid(t_end, dt):
+    """The grid ``i * dt``, ``i = 0 ... round(t_end / dt)``, of the solve
+    commands and :func:`simulate.simulate`.  ``ValueError`` unless
+    ``0 < dt <= t_end < inf`` and it has at most :data:`MAX_GRID_POINTS`
+    points, checked before anything is allocated."""
+    if not (0.0 < dt <= t_end < np.inf and t_end / dt < MAX_GRID_POINTS - 0.5):
+        raise ValueError(f"invalid grid: t_end={t_end}, dt={dt} (need "
+                         f"0 < dt <= t_end, at most {MAX_GRID_POINTS} points)")
+    return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
 def _equal_step_runs(t, dt):

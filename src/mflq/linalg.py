@@ -281,17 +281,10 @@ def fill_powers(e, out):
 # Degree and scaling power are chosen from the 1-norm of the input, following
 # the classic theta thresholds for double precision.
 
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
+# the [m/m] numerator coefficients b_j = (2m - j)! / (j! (m - j)!), exact as doubles
+_PADE_COEFFS = {m: tuple(math.factorial(2 * m - j)
+                         / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1))
+                for m in (3, 5, 7, 9, 13)}
 
 _PADE_THETA = {
     3: 1.495585217958292e-2,
@@ -303,61 +296,48 @@ _PADE_THETA = {
 
 
 def _pade_approximant(a, m):
-    """[m/m] diagonal Pade approximant of exp at `a`."""
+    """[m/m] diagonal Pade approximant ``inv(v - u) (v + u)`` of exp at `a`:
+    `u` and `v`, the odd and even parts of its numerator, are sums over the
+    even powers ``I, a^2, a^4, ...``, each added from the highest power
+    down.  Degree 13 stops at ``a^6`` and nests its terms of degree 8 and up."""
     b = _PADE_COEFFS[m]
-    n = a.shape[0]
-    ident = np.eye(n)
-    a2 = a @ a
-    if m == 3:
-        u = a @ (b[3] * a2 + b[1] * ident)
-        v = b[2] * a2 + b[0] * ident
-    elif m == 5:
-        a4 = a2 @ a2
-        u = a @ (b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = b[4] * a4 + b[2] * a2 + b[0] * ident
-    elif m == 7:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    elif m == 9:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        a8 = a6 @ a2
-        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    else:  # m == 13
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    powers = [np.eye(a.shape[0]), a @ a]
+    while len(powers) <= (3 if m == 13 else m // 2):
+        powers.append(powers[-1] @ powers[1])
+    u = v = None
+    if m == 13:
+        a2, a4, a6 = powers[1:]
+        u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+    for j in range(len(powers) - 1, -1, -1):
+        odd, even = b[2 * j + 1] * powers[j], b[2 * j] * powers[j]
+        u, v = (odd, even) if u is None else (u + odd, v + even)
+    u = a @ u
     return np.linalg.solve(v - u, v + u)
 
 
 def mat_exp(a):
     """Matrix exponential ``exp(a)`` of a real square matrix.
 
-    Uses [m/m] diagonal Pade approximants with scaling and squaring; the
-    degree m in {3, 5, 7, 9, 13} and the scaling power are picked from the
-    1-norm of `a`.  Raises ``OverflowError`` if `a` or the result is not
-    finite (extreme norms).
+    Uses [m/m] diagonal Pade approximants with scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); the degree m in
+    {3, 5, 7, 9, 13} and the scaling power are picked from the 1-norm of
+    `a`.  The kernel is written here, not taken from ``scipy.linalg.expm``,
+    because importing that runs the ``scipy.linalg`` package init
+    (:func:`_load_flapack`) and scipy's compiled Pade kernels are private.
+    The order of evaluation fixes its bits: the products of Higham's
+    unrolled formulas, each sum added from the highest power down.  Raises
+    ``OverflowError`` if `a` or the result is not finite (extreme norms).
     """
     nrm = dlange("1", a)
     if not nrm < np.inf:  # NaN fails too
         raise OverflowError("matrix exponential of a matrix that is not finite")
-    result = None
-    for m in (3, 5, 7, 9):
-        if nrm <= _PADE_THETA[m]:
-            result = _pade_approximant(a, m)
-            break
-    if result is None:
-        s = max(0, int(np.ceil(np.log2(nrm / _PADE_THETA[13]))))
-        result = _pade_approximant(a / 2.0**s, 13)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(s):
-                result = result @ result
+    m = next((m for m in (3, 5, 7, 9) if nrm <= _PADE_THETA[m]), 13)
+    s = max(0, int(np.ceil(np.log2(nrm / _PADE_THETA[13])))) if m == 13 else 0
+    result = _pade_approximant(a / 2.0**s if s else a, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for _ in range(s):
+            result = result @ result
     if not np.isfinite(result).all():
         raise OverflowError("matrix exponential overflowed")
     return result

@@ -73,11 +73,18 @@ class ProblemData:
         for name, vec in (("B", b), ("eta", eta), ("x0", x0)):
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} has non-finite entries")
-        rho = np.asarray(self.rho)
+        rho = self.rho
+        if isinstance(rho, int) and not isinstance(rho, bool):  # no numpy int past 2**64
+            try:
+                rho = float(rho)
+            except OverflowError:
+                raise ValueError("discount rate rho must be a finite real number, got an "
+                                 f"integer of {rho.bit_length()} bits") from None
+        rho = np.asarray(rho)
         if rho.ndim or rho.dtype.kind not in "iuf":  # no bool, string or array
             raise ValueError(f"discount rate rho must be a real number, got {self.rho!r}")
         if not (np.isfinite(rho) and rho > 0.0):
-            raise ValueError(f"discount rate rho must be positive, got {self.rho}")
+            raise ValueError(f"discount rate rho must be positive, got {float(rho)}")
         d = self.D
         if d is not None:
             d = np.asarray(d, dtype=float)

@@ -16,8 +16,9 @@ reduces to it by ``A -> A - (rho/2) I``, with the Hamiltonian of
 :func:`discounted_hamiltonian`; :func:`solve_discounted_are`, which takes
 the checked :class:`problem.ProblemData`, is the front end of every solver
 and command.  It certifies ``(A, B)`` by the outcome: the full PBH test
-runs only on a failed solve (its verdict wins over the failure's own, an
-`R` failure included), and on an accepted one only at the modes of
+runs only on a solve that fails with an :class:`MflqError` (its verdict
+wins over the failure's own, an `R` failure included; an overflow's
+``ValueError`` is left as it is), and on an accepted one only at the modes of
 ``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.  From its
 solution, :func:`consistency_matrix` builds the matrix each solver splits.
 """
@@ -195,9 +196,12 @@ def solve_discounted_are(p):
 
     `R` must be positive definite, which `ProblemData` does not check
     (:class:`NonPositiveR`); the inverse enters only through a Cholesky solve
-    against ``B'``.  Any failure, or a closed-loop mode with ``Re >= 0`` that
-    fails the PBH test, becomes a :class:`StabilizabilityFailure` when
-    ``(A, B)`` fails it.
+    against ``B'``.  A failure raised as an :class:`MflqError`, `R`'s
+    included, or a closed-loop mode with ``Re >= 0`` that fails the PBH
+    test, becomes a :class:`StabilizabilityFailure` when ``(A, B)`` fails
+    it.  The ``ValueError`` of an overflow (of ``B inv(R) B'``,
+    ``A - (rho/2) I`` or the closed loop) leaves unchanged, with no PBH
+    test, even where ``(A, B)`` would fail it.
     """
     try:
         min_eig_r, r_ok = r_definiteness(p.R)

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dichotomy import uniform_grid
 from .linalg import as_square, eigenvalues
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
@@ -27,10 +28,11 @@ __all__ = ["SimConfig", "SimResult", "simulate"]
 class SimConfig:
     """Population size, grid, replication count and initial-state spread.
 
-    The agents' initial states are i.i.d. Gaussian draws around the
-    problem's ``x0``, the initial mean field the strategy is solved from,
-    with covariance ``init_cov``; it defaults to zero (all agents start at
-    ``x0``).
+    The grid is :func:`dichotomy.uniform_grid` of `T` and `dt`, whose
+    bounds are checked here.  The agents' initial states are i.i.d.
+    Gaussian draws around the problem's ``x0``, the initial mean field the
+    strategy is solved from, with covariance ``init_cov``; it defaults to
+    zero (all agents start at ``x0``).
     """
 
     N: int
@@ -44,12 +46,7 @@ class SimConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one agent, got N={self.N}")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"step dt must be positive, got {self.dt}")
-        if not (self.T >= self.dt and np.isfinite(self.T)):
-            raise ValueError(f"horizon T must be at least dt, got T={self.T}")
-        if not np.isfinite(self.T / self.dt):
-            raise ValueError(f"step count T/dt must be finite, got T={self.T}, dt={self.dt}")
+        uniform_grid(self.T, self.dt)
         if self.replications < 1:
             raise ValueError("replications must be positive")
 
@@ -116,8 +113,8 @@ def simulate(p, strategy, cfg, threads=1):
         k = int(np.argmax(growth))
         raise ValueError(f"step dt={cfg.dt} is too long for the closed-loop mode "
                          f"{lam[k]:.6g}: |1 + lam dt| = {growth[k]:.6g} >= 1")
-    steps = int(round(cfg.T / cfg.dt))
-    t_grid = np.arange(steps + 1) * cfg.dt
+    t_grid = uniform_grid(cfg.T, cfg.dt)
+    steps = t_grid.size - 1
     xbar, s = strategy.solution.trajectory(t_grid)
     uff = s @ strategy.feedforward_gain.T
     reps = cfg.replications

@@ -9,14 +9,13 @@ from conftest import (PROBLEM_DIR, growing_mean_field_problem, random_problem,
                       scalar_social_problem)
 from mflq import ProblemData, cli, contraction, dichotomy, linalg, mfg, riccati, social
 from mflq.cli import (
-    MAX_GRID_POINTS,
-    _time_grid,
     load_problem_file,
     main,
     parse_problem_dict,
     problem_to_dict,
     write_trajectory_csv,
 )
+from mflq.dichotomy import MAX_GRID_POINTS, uniform_grid
 from mflq.errors import MflqError, ProblemFileError
 from mflq.mfg import solve_mfg
 from mflq.problem import validate
@@ -72,6 +71,9 @@ class TestProblemFiles:
                      id="eta_column"),
         pytest.param(lambda d: {**d, "rho": None}, "rho must be a real number",
                      id="rho_null"),
+        pytest.param(lambda d: {**d, "rho": 10**400},
+                     "rho must be a finite real number, got an integer of 1329 bits",
+                     id="rho_integer_overflows"),
         # the declared dimensions must match consistent arrays
         pytest.param(lambda d: {**d, "n": 2}, "field 'n' is 2, but the arrays give 1",
                      id="n_declared"),
@@ -88,6 +90,17 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError) as err:
             parse_problem_dict(doc)
         assert needle in str(err.value)
+        assert len(str(err.value)) < 100
+
+    def test_integer_rho_past_numpy_integers_reads_as_its_float(self, tmp_path):
+        # json reads 100000000000000000000 as a Python int, past numpy's int64
+        # and uint64
+        with open(SCALAR) as fh:
+            doc = json.load(fh)
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({**doc, "rho": 10**20}))
+        p = load_problem_file(path)
+        assert type(p.rho) is float and p.rho == 1e20
 
 
 class TestSolveSocialCommand:
@@ -118,7 +131,7 @@ class TestSolveSocialCommand:
                                       "--t-end", "3", "--dt", "0.02"])
         assert code == 0
         p = load_problem_file(TWO_STATE_STRONG)
-        expected = sce_residual(solve_sce(p), p, _time_grid(3.0, 0.02))
+        expected = sce_residual(solve_sce(p), p, uniform_grid(3.0, 0.02))
         assert doc["residuals"]["ode_finite_difference"] == expected
 
     def test_trajectory_sampled_once(self, capsys, monkeypatch):
@@ -257,7 +270,7 @@ class TestSolveSocialCommand:
         assert "invalid grid" in err
 
     def test_largest_grid_accepted(self):
-        grid = _time_grid(float(MAX_GRID_POINTS - 1), 1.0)
+        grid = uniform_grid(float(MAX_GRID_POINTS - 1), 1.0)
         assert grid.size == MAX_GRID_POINTS
         assert grid[-1] == MAX_GRID_POINTS - 1
 

@@ -48,7 +48,7 @@ SUBMODULE_NAMES = {
     "contraction": ["contraction_bound", "decaying_norm_integral"],
     "dichotomy": ["BvpSolution", "DichotomyDecomposition", "decompose_from_riccati",
                   "decompose_from_schur", "evaluate_trajectory", "sample_trajectory",
-                  "solve_decaying"],
+                  "solve_decaying", "uniform_grid"],
     "errors": None,
     "linalg": ["CONDITION_LIMIT", "add_diag", "as_square", "as_symmetric", "block_2x2",
                "block_balance", "default_axis_tol", "eigenvalues", "fill_powers", "fro",

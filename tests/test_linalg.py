@@ -390,7 +390,86 @@ class TestAddDiag:
             assert out is not view and not np.shares_memory(out, view)
 
 
+# Higham's unrolled [m/m] Pade formulas with their hand-copied coefficients,
+# the reference that mat_exp's one evaluation over the even powers must
+# match bit for bit
+_UNROLLED_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+         960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def _unrolled_pade(a, m):
+    b = _UNROLLED_PADE_COEFFS[m]
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    if m == 3:
+        u = a @ (b[3] * a2 + b[1] * ident)
+        v = b[2] * a2 + b[0] * ident
+    elif m == 5:
+        a4 = a2 @ a2
+        u = a @ (b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = b[4] * a4 + b[2] * a2 + b[0] * ident
+    elif m == 7:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    elif m == 9:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        a8 = a6 @ a2
+        u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return np.linalg.solve(v - u, v + u)
+
+
+def _unrolled_mat_exp(a):
+    nrm = linalg.dlange("1", a)
+    for m in (3, 5, 7, 9):
+        if nrm <= linalg._PADE_THETA[m]:
+            return _unrolled_pade(a, m)
+    s = max(0, int(np.ceil(np.log2(nrm / linalg._PADE_THETA[13]))))
+    result = _unrolled_pade(a / 2.0**s, 13)
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+_THETA = [0.0, *linalg._PADE_THETA.values(), 40.0 * linalg._PADE_THETA[13]]
+
+
 class TestMatExp:
+    def test_coefficients_are_the_unrolled_ones(self):
+        assert linalg._PADE_COEFFS == _UNROLLED_PADE_COEFFS
+
+    @pytest.mark.parametrize("band", range(6), ids=["3", "5", "7", "9", "13", "scaled"])
+    def test_same_bits_as_the_unrolled_formulas(self, band):
+        # 1-norms spread log-uniformly over the band of each degree, its top
+        # included, and past theta_13, where the input is scaled and squared
+        lo, hi = max(_THETA[band], 1e-6), _THETA[band + 1]
+        rng = np.random.default_rng(band)
+        for k in range(300):
+            a = rng.standard_normal((int(rng.integers(1, 9)),) * 2)
+            target = hi if k == 0 else np.exp(rng.uniform(np.log(lo), np.log(hi)))
+            a *= target / linalg.dlange("1", a)
+            assert lo <= linalg.dlange("1", a) <= hi * (1 + 1e-15)
+            assert mat_exp(a).tobytes() == _unrolled_mat_exp(a).tobytes()
+
     def test_zero(self):
         assert np.allclose(mat_exp(np.zeros((2, 2))), np.eye(2))
 

@@ -117,14 +117,26 @@ class TestProblemData:
                         Gamma=scalar.Gamma, eta=scalar.eta, rho=rho,
                         x0=scalar.x0)
 
-    @pytest.mark.parametrize("rho", [2, np.array(2.0), np.float32(2.0)],
-                             ids=["int", "0d_array", "float32"])
-    def test_rho_is_stored_as_a_float(self, rho):
+    @pytest.mark.parametrize("rho,stored", [
+        (2, 2.0), (np.array(2.0), 2.0), (np.float32(2.0), 2.0),
+        (10**20, 1e20),  # past numpy's integers: np.asarray gives an object array
+    ], ids=["int", "0d_array", "float32", "int_past_uint64"])
+    def test_rho_is_stored_as_a_float(self, rho, stored):
         s = scalar_social_problem()
         p = ProblemData(A=s.A, B=s.B, Q=s.Q, R=s.R, Gamma=s.Gamma, eta=s.eta,
                         rho=rho, x0=s.x0)
-        assert type(p.rho) is float and p.rho == 2.0
-        assert json.loads(json.dumps(problem_to_dict(p)))["rho"] == 2.0
+        assert type(p.rho) is float and p.rho == stored
+        assert json.loads(json.dumps(problem_to_dict(p)))["rho"] == stored
+
+    @pytest.mark.parametrize("rho", [10**400, -10**400, -10**300])
+    def test_huge_integer_rho_refused_in_a_short_message(self, rho):
+        # a float() overflow, or a finite negative rate, named without echoing
+        # every digit
+        s = scalar_social_problem()
+        with pytest.raises(ValueError, match="^discount rate rho must be ") as err:
+            ProblemData(A=s.A, B=s.B, Q=s.Q, R=s.R, Gamma=s.Gamma, eta=s.eta,
+                        rho=rho, x0=s.x0)
+        assert len(str(err.value)) < 100
 
     def test_control_gram(self):
         p = indefinite_social_problem()

@@ -1,10 +1,12 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mflq
+import mflq.cli
 from mflq import ProblemData
 from mflq.social import solve_sce
 
@@ -20,7 +22,7 @@ def records():
 
 
 def test_corpus_is_deterministic_and_a_change_is_reported(records):
-    assert len(records) == 16 * 17 + 12
+    assert len(records) == 16 * 17 + 14
     assert same_outputs.run_corpus() == records
     assert same_outputs.differing(records, records) == []
 
@@ -30,13 +32,24 @@ def test_corpus_is_deterministic_and_a_change_is_reported(records):
     assert same_outputs.differing(records, changed) == [case]
 
 
-def test_expected_differences_exit_4_without_output(records):
+# the one listed document that came to be read: its integer rate is 10**20
+INTEGER_RHO = "malformed_rho_integer_1e20"
+
+
+def test_expected_differences_exit_4_without_output(records, tmp_path):
     expected = [line for line in TOOL.with_name("same_outputs_expected.txt")
                 .read_text(encoding="utf-8").splitlines()
                 if line and not line.startswith("#")]
     assert expected
     for case in expected:
-        assert (records[case]["exit"], records[case]["stdout"]) == (4, ""), case
+        if case != f"{INTEGER_RHO} solve-social":
+            assert (records[case]["exit"], records[case]["stdout"]) == (4, ""), case
+    doc = json.loads(same_outputs._malformed_files()[INTEGER_RHO])
+    assert doc["rho"] == 10**20
+    path = tmp_path / "rho_float.json"
+    path.write_text(json.dumps({**doc, "rho": 1e20}), encoding="utf-8")
+    as_float = same_outputs._run_case(mflq.cli.main, ["solve-social", str(path)])
+    assert records[f"{INTEGER_RHO} solve-social"] == as_float
 
 
 def test_api_records_are_deterministic_and_a_change_is_reported():

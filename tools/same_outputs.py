@@ -5,7 +5,7 @@
 Two corpora run once with REV's ``src`` and once with the working tree's,
 each tree in its own subprocess:
 
-- the CLI corpus, 16 problems times 17 command lines (272 cases) and 12
+- the CLI corpus, 16 problems times 17 command lines (272 cases) and 14
   malformed documents under ``solve-social`` alone, through
   ``mflq.cli.main``: each case's exit code, stdout (without the reports'
   ``"timings"``), stderr and warnings;
@@ -118,12 +118,18 @@ MALFORMED_FIELDS = {
     "eta_column": {"eta": [[1.0], [0.0]]},
     "rho_null": {"rho": None},
     "rho_string": {"rho": "fast"},
+    # integers past numpy's, which ProblemData converts with float() first:
+    # 10**20 reads as 1e20, and 10**400 overflows a float
+    "rho_integer_1e20": {"rho": 10**20},
+    "rho_integer_1e400": {"rho": 10**400},
 }
 
 
 def _malformed_files():
-    """Documents that exit 4 whatever the command, each run under
-    ``solve-social`` alone: the problem is loaded before anything else."""
+    """Documents that exit 4 whatever the command (all but
+    ``rho_integer_1e20``, which the reader refused before integer rates
+    were converted), each run under ``solve-social`` alone: the problem is
+    loaded before anything else."""
     doc = json.loads((ROOT / "problems" / "ex42_gamma2.json").read_bytes())
     files = {f"malformed_{name}": json.dumps({**doc, **fields}).encode()
              for name, fields in MALFORMED_FIELDS.items()}

@@ -39,6 +39,7 @@ from .errors import (
     StabilizabilityFailure,
     UnstableGenerator,
 )
+from .linalg import eigenvalues
 from .problem import ProblemData, gamma_weights, validate
 from .simulate import SimConfig, simulate
 
@@ -136,9 +137,8 @@ def problem_to_dict(p):
 # Output helpers.
 
 def _spectrum_rows(matrix):
-    lam = np.linalg.eigvals(matrix)
-    order = np.lexsort((lam.imag, lam.real))
-    return [{"re": float(z.real), "im": float(z.imag)} for z in lam[order]]
+    return [{"re": float(z.real), "im": float(z.imag)}
+            for z in np.sort_complex(eigenvalues(matrix))]
 
 
 def _validation_dict(report):
@@ -160,16 +160,17 @@ def _emit(doc, out_path=None):
         sys.stdout.write(text + "\n")
 
 
+def _write_csv(path, header, columns):
+    """Write `header`, then the rows of `columns` with 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+
+
 def write_trajectory_csv(path, t_grid, xbar, s):
     """Write `t,xbar_1..xbar_n,s_1..s_n` rows with 17 significant digits."""
-    n = xbar.shape[1]
-    header = "t," + ",".join(f"xbar_{i+1}" for i in range(n)) \
-        + "," + ",".join(f"s_{i+1}" for i in range(n))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k, t in enumerate(t_grid):
-            row = [t, *xbar[k], *s[k]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    names = [f"{v}_{i}" for v in ("xbar", "s") for i in range(1, xbar.shape[1] + 1)]
+    _write_csv(path, ",".join(["t", *names]), (t_grid, xbar, s))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +278,9 @@ def _cmd_simulate(args, p):
     strategy = social_mod.decentralized_strategy(sol, p)
     result = simulate(p, strategy, cfg, threads=args.threads)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("replication,per_agent_cost,mean_field_gap,tail_bound\n")
-            for r in range(cfg.replications):
-                fh.write(f"{r},{result.per_rep_cost[r]:.17g},"
-                         f"{result.per_rep_gap[r]:.17g},"
-                         f"{result.per_rep_tail[r]:.17g}\n")
+        _write_csv(args.out, "replication,per_agent_cost,mean_field_gap,tail_bound",
+                   (np.arange(cfg.replications), result.per_rep_cost,
+                    result.per_rep_gap, result.per_rep_tail))
     doc = {
         "command": "simulate",
         "agents": cfg.N,

@@ -238,12 +238,16 @@ def evaluate_trajectory(sol, d, t_grid):
 def uniform_grid(t_end, dt):
     """The grid ``i * dt``, ``i = 0 ... round(t_end / dt)``, of the solve
     commands and :func:`simulate.simulate`.  ``ValueError`` unless
-    ``0 < dt <= t_end < inf`` and it has at most :data:`MAX_GRID_POINTS`
-    points, checked before anything is allocated."""
+    ``0 < dt <= t_end < inf``, it has at most :data:`MAX_GRID_POINTS` points
+    and ``t_end / dt`` is within a relative 1e-9 of a whole number of steps,
+    checked before anything is allocated."""
     if not (0.0 < dt <= t_end < np.inf and t_end / dt < MAX_GRID_POINTS - 0.5):
         raise ValueError(f"invalid grid: t_end={t_end}, dt={dt} (need "
                          f"0 < dt <= t_end, at most {MAX_GRID_POINTS} points)")
-    return np.arange(int(round(t_end / dt)) + 1) * dt
+    steps = round(t_end / dt)
+    if abs(t_end / dt - steps) > 1e-9 * steps:
+        raise ValueError(f"invalid grid: t_end={t_end}, dt={dt} (not a whole number of steps)")
+    return np.arange(steps + 1) * dt
 
 
 def _equal_step_runs(t, dt):

@@ -3,8 +3,8 @@
 Eigenvalues, the stable-first real Schur form, a scaling-and-squaring matrix
 exponential, LU and Cholesky solves, matrix norms, 2x2 block assembly and
 spectral helpers.  LAPACK ``dgeev``, ``dgetrf``/``dgetrs``/``dgecon``,
-``dpotrf``/``dpotrs``, ``dgees``, ``dtrsen``, ``dlange`` (every matrix norm)
-and ``dsyev`` (the eigenvalues of `R`) are called directly: on small
+``dposv``, ``dgees`` (sorting), ``dlange`` (every matrix norm) and
+``dsyev`` (the eigenvalues of `R`) are called directly: on small
 matrices their numpy and scipy wrappers cost more than they do.  The
 wrappers are the functions of scipy's compiled extension
 ``scipy.linalg._flapack``, the same objects ``scipy.linalg.lapack``
@@ -75,10 +75,8 @@ dgeev = _flapack.dgeev
 dgetrf = _flapack.dgetrf
 dgetrs = _flapack.dgetrs
 dlange = _flapack.dlange
-dpotrf = _flapack.dpotrf
-dpotrs = _flapack.dpotrs
+dposv = _flapack.dposv
 dsyev = _flapack.dsyev
-dtrsen = _flapack.dtrsen
 
 __all__ = [
     "CONDITION_LIMIT",
@@ -236,12 +234,12 @@ def solve_linear(a, b):
 
 
 def solve_spd(a, b):
-    """Solve ``a @ x = b`` (matrix `b`) by Cholesky, ``dpotrf`` + ``dpotrs``;
+    """Solve ``a @ x = b`` (matrix `b`) by Cholesky, one ``dposv`` call;
     raises ``np.linalg.LinAlgError`` unless `a` is positive definite."""
-    c, info = dpotrf(a)
+    _, x, info = dposv(a, b)
     if info != 0:
-        raise np.linalg.LinAlgError(f"not positive definite (dpotrf info {info})")
-    return dpotrs(c, b)[0]
+        raise np.linalg.LinAlgError(f"not positive definite (dposv info {info})")
+    return x
 
 
 def weighted_gram(b, r):
@@ -347,20 +345,15 @@ def mat_exp(a):
 # Real Schur form with stable-first ordering.
 
 
-def _select_none(re, im):
-    # dgees needs a select callback even when it is told not to sort
-    return 0
-
-
 def real_schur_ordered(k):
     """Real Schur form of `k` with all stable eigenvalues moved first.
 
-    LAPACK ``dgees`` computes the unordered real Schur form and its
-    eigenvalues; after the axis test on those eigenvalues, ``dtrsen`` moves
-    every eigenvalue with negative real part into the leading block by
-    orthogonal swaps of adjacent 1x1/2x2 diagonal blocks (Bai & Demmel, "On
-    swapping diagonal blocks in real Schur form", Linear Algebra Appl. 186,
-    1993).
+    One LAPACK ``dgees`` call, told to sort: it computes the real Schur
+    form, then moves every eigenvalue with negative real part into the
+    leading block by orthogonal swaps of adjacent 1x1/2x2 diagonal blocks
+    (``dtrsen``; Bai & Demmel, "On swapping diagonal blocks in real Schur
+    form", Linear Algebra Appl. 186, 1993), and counts them in ``sdim``.
+    The axis test reads the eigenvalues of the ordered factor.
 
     Parameters
     ----------
@@ -381,32 +374,29 @@ def real_schur_ordered(k):
     Raises
     ------
     ImaginaryAxisEigenvalue
-        If some eigenvalue has ``|Re| <= default_axis_tol(k)``.
+        If some eigenvalue has ``|Re| <= default_axis_tol(k)``, whether or
+        not the reordering succeeded.
     SchurConvergenceFailure
         If the QR iteration or the reordering fails, or the final factors do
         not reproduce `k` to working accuracy.
     """
-    t, _, wr, wi, w, _, info = dgees(_select_none, k)
-    if info != 0:
+    t, k_stable, wr, wi, w, _, info = dgees(lambda re, im: re < 0.0, k, sort_t=1)
+    if 0 < info <= len(k):
         raise SchurConvergenceFailure(
             f"Schur reduction did not converge (dgees info {info})"
         )
     on_axis = np.abs(wr) <= default_axis_tol(k)
     if on_axis.any():
-        # real eigenvalues stay real, as np.linalg.eigvals reports them
+        # real eigenvalues stay real, as eigenvalues() reports them
         on_axis = (wr + 1j * wi if wi.any() else wr)[on_axis]
         raise ImaginaryAxisEigenvalue(
             "eigenvalue(s) on or near the imaginary axis: "
             + ", ".join(f"{z:.6g}" for z in on_axis),
             eigenvalues=on_axis,
         )
-
-    t, w, _, _, k_stable, _, _, info = dtrsen(
-        wr < 0.0, t, w, job="N", overwrite_t=1, overwrite_q=1
-    )
     if info != 0:
         raise SchurConvergenceFailure(
-            f"stable-first reordering failed (dtrsen info {info})"
+            f"stable-first reordering failed (dgees info {info})"
         )
 
     ortho_err = fro(add_diag(w.T @ w, -1.0))

@@ -269,6 +269,22 @@ class TestSolveSocialCommand:
         assert out == ""
         assert "invalid grid" in err
 
+    @pytest.mark.parametrize("command", ["solve-social", "solve-game"])
+    def test_fractional_grid_exit_4(self, capsys, monkeypatch, tmp_path, command):
+        # 1 / 0.6 steps would end the grid at 1.2, past the requested end
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved on a grid that misses its end")
+
+        for module, solve in ((social, "solve_sce"), (mfg, "solve_mfg")):
+            monkeypatch.setattr(module, solve, unreachable)
+        traj = tmp_path / "t.csv"
+        code = main([command, SCALAR, "--t-end", "1", "--dt", "0.6",
+                     "--traj-out", str(traj)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert "invalid grid" in err and "whole number of steps" in err
+        assert not traj.exists()
+
     def test_largest_grid_accepted(self):
         grid = uniform_grid(float(MAX_GRID_POINTS - 1), 1.0)
         assert grid.size == MAX_GRID_POINTS
@@ -503,6 +519,15 @@ class TestSimulateCommand:
     def test_zero_dt_exit_4(self, capsys):
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4
 
+    def test_fractional_horizon_exit_4(self, capsys, tmp_path):
+        out = tmp_path / "reps.csv"
+        code = main(["simulate", SCALAR, "--agents", "4", "--horizon", "1",
+                     "--dt", "0.6", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (4, "")
+        assert "whole number of steps" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", [
         SCALAR, BOUNDARY, pytest.param(REJECTED[0][1], id="slow_uncontrollable")],
         ids=file_id)
@@ -600,9 +625,9 @@ class TestValidateCalls:
             return counted
 
         monkeypatch.setattr(cli, "validate", counting("validate", cli.validate))
-        monkeypatch.setattr(linalg, "dpotrf", counting("dpotrf", linalg.dpotrf))
+        monkeypatch.setattr(linalg, "dposv", counting("dposv", linalg.dposv))
         assert main(argv) == code
-        assert (calls["validate"], calls["dpotrf"]) == (validates, factorizations)
+        assert (calls["validate"], calls["dposv"]) == (validates, factorizations)
 
 
 class TestTrajectoryCsv:
@@ -618,3 +643,49 @@ class TestTrajectoryCsv:
         assert lines[0] == "t,xbar_1,xbar_2,s_1,s_2"
         assert lines[1] == "0,1,2,5,6"
         assert len(lines) == 3
+
+    def test_same_bytes_as_the_per_row_writers(self, tmp_path):
+        rng = np.random.default_rng(8)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310,
+                            np.finfo(float).tiny, 1e300, -1e-300, 0.1, 1.0 / 3.0])
+        path = tmp_path / "t.csv"
+        for n in (1, 3):  # a one-state problem has one xbar and one s column
+            t = np.sort(rng.uniform(0.0, 10.0, len(special)))
+            xbar = rng.permuted(np.tile(special, (n, 1)).T, axis=0)
+            s = rng.standard_normal((len(special), n)) * 10.0 ** rng.integers(-300, 300)
+            write_trajectory_csv(str(path), t, xbar, s)
+            assert path.read_bytes() == per_row_trajectory_csv(t, xbar, s)
+        columns = special, special[::-1], rng.permuted(special)
+        cli._write_csv(str(path), "replication,per_agent_cost,mean_field_gap,tail_bound",
+                       (np.arange(len(special)), *columns))
+        assert path.read_bytes() == per_row_replication_csv(*columns)
+
+    def test_replication_table_holds_the_simulated_costs(self, tmp_path):
+        from mflq.simulate import SimConfig, simulate
+
+        out = tmp_path / "reps.csv"
+        assert main(["simulate", SCALAR, "--agents", "4", "--horizon", "0.5",
+                     "--reps", "3", "--seed", "5", "--out", str(out)]) == 0
+        p = load_problem_file(SCALAR)
+        result = simulate(p, social.decentralized_strategy(solve_sce(p), p),
+                          SimConfig(N=4, T=0.5, dt=0.01, replications=3, seed=5))
+        assert out.read_bytes() == per_row_replication_csv(
+            result.per_rep_cost, result.per_rep_gap, result.per_rep_tail)
+
+
+# The writers the two CSV tables had before they came to be written by
+# np.savetxt, kept as the byte-for-byte reference.
+
+def per_row_trajectory_csv(t_grid, xbar, s):
+    n = xbar.shape[1]
+    header = "t," + ",".join(f"xbar_{i+1}" for i in range(n)) \
+        + "," + ",".join(f"s_{i+1}" for i in range(n))
+    rows = [",".join(f"{v:.17g}" for v in [t, *xbar[k], *s[k]])
+            for k, t in enumerate(t_grid)]
+    return "".join(line + "\n" for line in [header, *rows]).encode()
+
+
+def per_row_replication_csv(cost, gap, tail):
+    header = "replication,per_agent_cost,mean_field_gap,tail_bound"
+    rows = [f"{r},{cost[r]:.17g},{gap[r]:.17g},{tail[r]:.17g}" for r in range(len(cost))]
+    return "".join(line + "\n" for line in [header, *rows]).encode()

@@ -17,6 +17,7 @@ from mflq.dichotomy import (
     decompose_from_schur,
     evaluate_trajectory,
     solve_decaying,
+    uniform_grid,
 )
 from mflq.errors import (DichotomySplitFailure, GraphSubspaceFailure,
                          ImaginaryAxisEigenvalue, MflqError, SingularMatrix)
@@ -515,6 +516,22 @@ DRIFTING = np.arange(4000) * 1e-3 + 1.7e-15 * np.arange(4000) ** 2
 def test_equal_step_runs_match_reference(t):
     runs = dichotomy._equal_step_runs(t, np.diff(t, prepend=0.0))
     assert runs == list(_reference_equal_step_runs(t))
+
+
+@pytest.mark.parametrize("t_end,dt", [(10.0, 0.01), (5.0, 0.005), (3.0, 0.02),
+                                      (2000.0, 1.0), (0.5, 0.01), (5.0, 1e-3),
+                                      (1.0, 0.1), (1.0, 1.0 / 3.0)])
+def test_uniform_grid_ends_at_t_end(t_end, dt):
+    grid = uniform_grid(t_end, dt)
+    assert grid[0] == 0.0 and grid[-1] == pytest.approx(t_end, rel=1e-12)
+    assert len(grid) == round(t_end / dt) + 1
+
+
+@pytest.mark.parametrize("t_end,dt", [(1.0, 0.6), (1.0, 0.3), (10.0, 0.03),
+                                      (1.0 + 1e-6, 0.01)])
+def test_uniform_grid_refuses_a_fractional_last_step(t_end, dt):
+    with pytest.raises(ValueError, match="invalid grid.*not a whole number of steps"):
+        uniform_grid(t_end, dt)
 
 
 def test_decomposition_dataclass_roundtrip():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -197,6 +198,16 @@ class TestCholeskyGram:
         m = weighted_gram(b, r)
         assert np.array_equal(m, m.T)
         assert np.allclose(m, b @ np.linalg.inv(r) @ b.T, rtol=1e-12)
+
+    def test_same_bits_as_dpotrf_then_dpotrs(self):
+        rng = np.random.default_rng(7)
+        for m in range(1, 9):
+            g = rng.standard_normal((m, m))
+            r = g @ g.T + 0.1 * np.eye(m)
+            b = rng.standard_normal((m, 3))
+            c, info = lapack.dpotrf(r)
+            assert info == 0
+            assert np.array_equal(solve_spd(r, b), lapack.dpotrs(c, b)[0])
 
     @pytest.mark.parametrize("r", [[[1.0, 0.0], [0.0, -1.0]],
                                    [[1.0, 2.0], [2.0, 1.0]],
@@ -512,6 +523,41 @@ class TestMatExp:
             mat_exp(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
+def antistable_leading(m=24):
+    """A similarity whose unordered reduction tends to put the antistable
+    block first, so the reordering must move every stable block past the
+    whole antistable block."""
+    rng = np.random.default_rng(51)
+    core = np.triu(rng.standard_normal((m, m)), 1)
+    for i in range(m // 2):
+        core[i, i] = rng.uniform(0.3, 2.0)
+    for i in range(m // 2, m):
+        core[i, i] = -rng.uniform(0.3, 2.0)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return q @ core @ q.T
+
+
+def unsorted_dgees_then_dtrsen(k):
+    """The reference ordering in two LAPACK calls: the unsorted real Schur
+    form, then ``dtrsen`` moves the eigenvalues with ``Re < 0`` first."""
+    t, _, wr, _, w, _, info = lapack.dgees(lambda re, im: 0, k)
+    assert info == 0
+    t, w, _, _, k_stable, _, _, info = lapack.dtrsen(wr < 0.0, t, w, job="N")
+    assert info == 0
+    return t, w, k_stable
+
+
+def dgees_reports(monkeypatch, info):
+    """Make ``linalg.dgees`` return its factors with `info` as its status."""
+    real = linalg.dgees
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, info)
+
+    monkeypatch.setattr(linalg, "dgees", failing)
+
+
 class TestRealSchurOrdered:
     def test_already_ordered(self):
         t, w, k_stable = real_schur_ordered(np.diag([-1.0, 2.0]))
@@ -592,34 +638,36 @@ class TestRealSchurOrdered:
             assert proj_gap <= 1e-10 * m
 
     def test_many_swaps_antistable_leading(self):
-        # construct a similarity whose unordered reduction tends to put the
-        # antistable block first, so the reordering must move every stable
-        # block past the whole antistable block
-        rng = np.random.default_rng(51)
-        m = 24
-        core = np.triu(rng.standard_normal((m, m)), 1)
-        for i in range(m // 2):
-            core[i, i] = rng.uniform(0.3, 2.0)
-        for i in range(m // 2, m):
-            core[i, i] = -rng.uniform(0.3, 2.0)
-        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        a = q @ core @ q.T
+        a = antistable_leading()
+        m = len(a)
         t, w, k_stable = real_schur_ordered(a)
         assert k_stable == m // 2
         assert np.linalg.norm(w @ t @ w.T - a, "fro") <= \
             1e-8 * np.linalg.norm(a, "fro")
 
-    @pytest.mark.parametrize("routine", ["dgees", "dtrsen"])
-    def test_lapack_failure_raises_convergence_failure(self, monkeypatch, routine):
-        real = getattr(linalg, routine)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_unsorted_dgees_then_dtrsen(self, seed):
+        # the sorting dgees runs the same dtrsen pass on the same factors
+        rng = np.random.default_rng(seed)
+        cases = [rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 3)
+                 for m in range(2, 65, 2)]
+        for k in cases + [antistable_leading()]:
+            t, w, k_stable = real_schur_ordered(k)
+            t_ref, w_ref, k_ref = unsorted_dgees_then_dtrsen(k)
+            assert k_stable == k_ref
+            assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref), len(k)
 
-        def failing(*args, **kwargs):
-            *out, _ = real(*args, **kwargs)
-            return (*out, 1)
-
-        monkeypatch.setattr(linalg, routine, failing)
-        with pytest.raises(SchurConvergenceFailure, match=routine):
+    @pytest.mark.parametrize("info", [1, 3, 4], ids=["1", "n+1", "n+2"])
+    def test_lapack_failure_raises_convergence_failure(self, monkeypatch, info):
+        # 1..n: the QR iteration failed; n+1, n+2: the reordering did
+        dgees_reports(monkeypatch, info)
+        with pytest.raises(SchurConvergenceFailure, match=f"dgees info {info}"):
             real_schur_ordered(np.diag([2.0, -1.0]))
+
+    def test_axis_eigenvalue_named_when_the_reordering_also_fails(self, monkeypatch):
+        dgees_reports(monkeypatch, 3)
+        with pytest.raises(ImaginaryAxisEigenvalue):
+            real_schur_ordered(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_quasi_triangular_structure(self):
         rng = np.random.default_rng(33)

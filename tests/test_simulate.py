@@ -23,6 +23,7 @@ class TestSimConfig:
         dict(N=4, T=1.0, dt=0.01, replications=0),
         dict(N=4, T=1e300, dt=1e-10),  # T/dt overflows
         dict(N=1, T=1e3, dt=1e-6),     # 10^9 points, past the grid bound
+        dict(N=4, T=1.0, dt=0.6),      # the grid would end at 1.2
     ])
     def test_misconfiguration_rejected(self, kwargs):
         with pytest.raises(ValueError):

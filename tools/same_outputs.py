@@ -5,10 +5,12 @@
 Two corpora run once with REV's ``src`` and once with the working tree's,
 each tree in its own subprocess:
 
-- the CLI corpus, 16 problems times 17 command lines (272 cases) and 14
+- the CLI corpus, 16 problems times 22 command lines (352 cases) and 14
   malformed documents under ``solve-social`` alone, through
   ``mflq.cli.main``: each case's exit code, stdout (without the reports'
-  ``"timings"``), stderr and warnings;
+  ``"timings"``), stderr, warnings and the digest of every file it writes
+  (the trajectory CSV of ``solve-social`` and ``solve-game``, the
+  replication CSV of ``simulate``);
 - the API corpus, 593 problems (the 5 shipped files, the ``sweep_small``
   inputs of ``perfbench/instances.py`` for seeds 1-3 and 300
   ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
@@ -78,6 +80,8 @@ EXTRA_PROBLEMS = {
 
 # relative to the directory the cases run in, where it does not exist
 MISSING_OUT = "missing/r.json"
+# relative to the same directory; emptied after each case
+OUT_DIR = "out"
 
 VARIANTS = [
     ["solve-social"],
@@ -85,14 +89,22 @@ VARIANTS = [
     ["solve-social", "--t-end", "1e300", "--dt", "1e-10"],
     ["solve-social", "--t-end", "2000", "--dt", "1"],
     ["solve-social", "--out", MISSING_OUT],
+    ["solve-social", "--t-end", "3", "--dt", "0.02", "--traj-out", f"{OUT_DIR}/traj.csv"],
+    # 1 / 0.6 is not a whole number of steps
+    ["solve-social", "--t-end", "1", "--dt", "0.6", "--traj-out", f"{OUT_DIR}/traj.csv"],
     ["solve-game"],
     ["solve-game", "--dt", "0"],
     ["solve-game", "--t-end", "2000", "--dt", "1"],
+    ["solve-game", "--t-end", "3", "--dt", "0.02", "--traj-out", f"{OUT_DIR}/traj.csv"],
     ["contraction"],
     ["contraction", "--out", MISSING_OUT],
     ["spectrum", "--system", "social"],
     ["spectrum", "--system", "game"],
     ["simulate", "--agents", "4", "--horizon", "0.5", "--reps", "2"],
+    ["simulate", "--agents", "4", "--horizon", "0.5", "--reps", "3",
+     "--out", f"{OUT_DIR}/reps.csv"],
+    ["simulate", "--agents", "4", "--horizon", "1", "--dt", "0.6", "--reps", "2",
+     "--out", f"{OUT_DIR}/reps.csv"],
     ["simulate", "--agents", "0"],
     ["simulate", "--horizon", "1e300", "--dt", "1e-10"],
     ["simulate", "--horizon", "1e14", "--dt", "1e-3"],
@@ -147,7 +159,9 @@ def _without_timings(stdout):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _run_case(main, argv):
+def _run_case(main, argv, out_dir=None):
+    """Run one command line; the record holds the digest of every file the
+    command wrote into `out_dir`, which is emptied for the next case."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -158,11 +172,16 @@ def _run_case(main, argv):
         except Exception as exc:  # the CLI would exit 1 with a traceback
             code = 1
             err.write(f"uncaught {type(exc).__name__}: {exc}\n")
+    files = {}
+    for path in sorted(Path(out_dir).iterdir()) if out_dir else ():
+        files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        path.unlink()
     return {
         "exit": code,
         "stdout": _without_timings(out.getvalue()),
         "stderr": err.getvalue(),
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "files": files,
     }
 
 
@@ -175,16 +194,17 @@ def run_corpus():
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        os.mkdir(OUT_DIR)
         try:
             for name, text in _problem_texts().items():
                 Path(f"{name}.json").write_text(text, encoding="utf-8")
                 for variant in VARIANTS:
                     argv = [variant[0], f"{name}.json", *variant[1:]]
-                    records[" ".join([name, *variant])] = _run_case(main, argv)
+                    records[" ".join([name, *variant])] = _run_case(main, argv, OUT_DIR)
             for name, data in _malformed_files().items():
                 Path(f"{name}.json").write_bytes(data)
                 records[f"{name} solve-social"] = _run_case(
-                    main, ["solve-social", f"{name}.json"])
+                    main, ["solve-social", f"{name}.json"], OUT_DIR)
         finally:
             os.chdir(cwd)
     return records
@@ -308,8 +328,9 @@ def _summary(record):
     if record is None:
         return "absent"
     first = (record["stderr"].splitlines() or [""])[0]
+    files = ", ".join(f"{name} {digest[:12]}" for name, digest in record["files"].items())
     return f"exit {record['exit']}, stdout {len(record['stdout'])} chars, " \
-           f"stderr {first!r}, {len(record['warnings'])} warnings"
+           f"stderr {first!r}, {len(record['warnings'])} warnings, files [{files}]"
 
 
 def main(argv=None):

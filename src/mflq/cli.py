@@ -239,20 +239,13 @@ def _social_keys(sol, p, grid, xbar, s):
 
 
 def _game_keys(sol, p, grid, xbar, s):
-    n = p.n
     d = sol.decomposition
-    u = d.U
     return {
         "M_mfg": d.K.tolist(),
-        "U11": u[:n, :n].tolist(),
-        "U12": u[:n, n:].tolist(),
-        "U21": u[n:, :n].tolist(),
-        "U22": u[n:, n:].tolist(),
-        "U11_condition": d.U11_condition,
-        "det_U11": float(np.linalg.det(u[:n, :n])),
+        "Y": d.Y.tolist(),
         "F11": d.F11.tolist(),
         "y2_offset": sol.bvp.y2_offset.tolist(),
-    }, {}
+    }, {"auxiliary_riccati": sol.aux_residual}
 
 
 def _cmd_contraction(args, p):

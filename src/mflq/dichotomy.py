@@ -1,29 +1,30 @@
 """Decaying solutions of linear ODEs with an exponential dichotomy.
 
 The systems handled here have the form ``dz/dt = K z + psi0 * exp(-rho*t/2)``
-with ``z`` of dimension 2n and `K` admitting an invertible transform `U` such
-that ``inv(U) K U`` is block upper triangular with a stable leading block
-`F11` and an antistable trailing block `F22`.  Under that splitting there is
-exactly one choice of the trailing half ``z2(0)`` of the initial state, for a
-given leading half ``z1(0)``, that keeps the solution bounded (indeed
-exponentially decaying) on ``[0, inf)``; every other choice blows up at the
-antistable rate.
-
-Two constructions of the transform are supported: the analytic one from a
-certified stabilizing Riccati solution (unit-triangular `U`) and the generic
-one from an ordered real Schur form (`U` orthogonal up to balancing).  The latter,
-:func:`decompose_from_schur`, is the one splitting of the package: the
+with ``z`` of dimension 2n and `K` splitting n/n across the imaginary axis.
+Its stable invariant subspace is the graph ``[I; Y]`` of an n-by-n `Y`,
+the solution of the Riccati equation
+``K21 + K22 Y - Y K11 - Y K12 Y = 0`` with a stable ``K11 + K12 Y``; for
+a Hamiltonian `K` it is the symmetric stabilizing solution, for the game's
+matrix a non-symmetric one.  :func:`decompose_from_schur` computes `Y`
+from the ordered real Schur form, the one splitting of the package: the
 Riccati solves (:func:`riccati.solve_care_stabilizing`) and the game both
-split through it, so its axis test, n/n check and condition limit are
-written once.  The improper integral behind the bounded choice is
-evaluated in closed form as a linear solve.  The solution is stored
-shifted by ``rho/2``: it is ``exp(-rho*t/2)`` times a solution whose
-trailing transformed half is constant, which is the undiscounted form the
-callers sample, and no ``exp(rho*t/2)`` factor can overflow on a long
-horizon.  Trajectory samples come from an augmented matrix exponential, not
-ODE stepping: one exponential per run of equal grid steps, with the states
-along the run filled by repeated squaring, so a uniform grid of N points
-costs one exponential and about ``log2(N)`` small products.
+go through it, so its axis test, n/n check and condition limit are written
+once, and :func:`riccati.certify_graph` certifies every `Y` it returns.
+The certified graph gives the one transform, ``U = [[I, 0], [Y, I]]``
+(:func:`decompose_from_riccati`), under which there is exactly one choice
+of the trailing half ``z2(0) = Y z1(0) + c`` of the initial state that
+keeps the solution bounded (indeed exponentially decaying) on
+``[0, inf)``; every other choice blows up at the antistable rate.  The
+improper integral behind `c` is evaluated in closed form as a linear
+solve.  The solution is stored shifted by ``rho/2``: it is
+``exp(-rho*t/2)`` times a solution with ``z2 = Y z1 + c`` at every time,
+which is the undiscounted form the callers sample, and no
+``exp(rho*t/2)`` factor can overflow on a long horizon.  Trajectory
+samples come from an augmented matrix exponential, not ODE stepping: one
+exponential per run of equal grid steps, with the states along the run
+filled by repeated squaring, so a uniform grid of N points costs one
+exponential and about ``log2(N)`` small products.
 """
 
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (CONDITION_LIMIT, add_diag, block_2x2, block_balance, fill_powers,
-                     lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear)
+from .linalg import (CONDITION_LIMIT, add_diag, block_balance, fill_powers, lu_factor,
+                     lu_solve, mat_exp, real_schur_ordered, solve_linear)
 
 __all__ = [
     "BvpSolution",
@@ -51,21 +52,15 @@ MAX_GRID_POINTS = 10**6
 
 @dataclass(frozen=True)
 class DichotomyDecomposition:
-    """Invertible `U` (with inverse `V`) block-triangularizing the source
-    matrix `K`: ``V K U = [[F11, F12], [0, F22]]`` with `F11` stable and
-    `-F22` stable.  The leading n-by-n block `U11` of `U` is invertible;
-    `U11_lu` holds its pivoted LU factors ``(lu, piv)`` and
-    `U11_condition` the ``dgecon`` estimate of its 1-norm condition
-    (:func:`linalg.lu_factor`), exactly 1 for the Riccati transform."""
+    """The graph transform of the source matrix `K`: with
+    ``U = [[I, 0], [Y, I]]`` and its inverse ``V = [[I, 0], [-Y, I]]``,
+    ``V K U = [[F11, K12], [0, F22]]``, where ``F11 = K11 + K12 Y`` is
+    stable and ``F22 = K22 - Y K12`` antistable."""
 
-    U: np.ndarray
-    V: np.ndarray
-    F11: np.ndarray
-    F12: np.ndarray
-    F22: np.ndarray
-    U11_lu: tuple
-    U11_condition: float
     K: np.ndarray
+    Y: np.ndarray
+    F11: np.ndarray
+    F22: np.ndarray
 
     @property
     def n(self):
@@ -78,44 +73,36 @@ class BvpSolution:
     by ``rho/2``: the decaying solution is ``exp(-rho*t/2)`` times the one
     described here.
 
-    In transformed coordinates ``y = V z`` the trailing half is the constant
-    ``y2 = y2_offset`` and the leading half is propagated by
-    ``exp(y1_generator * t)`` acting on ``(y1_0, 1)``, where the shifted
-    generator is ``[[F11 + (rho/2) I, forcing], [0, 0]]``.
+    In transformed coordinates ``y = V z`` the leading half is ``z1`` and
+    the trailing half is the constant ``y2 = y2_offset``; the leading half
+    is propagated by ``exp(y1_generator * t)`` acting on ``(z1_0, 1)``,
+    where the shifted generator is ``[[F11 + (rho/2) I, forcing], [0, 0]]``.
     """
 
     z1_0: np.ndarray
     z2_0: np.ndarray
-    y1_0: np.ndarray
     y2_offset: np.ndarray
     y1_generator: np.ndarray
 
 
-def decompose_from_riccati(K, aux):
-    """Dichotomy transform of ``K = [[A_shift, -M], [Q_coupling, -A_shift']]``
-    from `aux`, the certified solution (a
-    :class:`riccati.StabilizingRiccatiSolution`) of its Riccati equation
-    ``X A_shift + A_shift' X - X M X - Q_coupling = 0``.
-
-    ``U = [[I, 0], [X, I]]`` triangularizes `K` exactly, with
-    ``F11 = A_shift - M X`` (the certified stable closed loop),
-    ``F12 = -M`` and ``F22 = -F11'``; nothing is checked again here, and
-    ``U11 = I`` is its own LU factorization (no pivoting).
-    """
-    n = aux.X.shape[0]
-    ident = add_diag(np.zeros((n, n)), 1.0)
-    return DichotomyDecomposition(
-        U=block_2x2(ident, 0.0, aux.X, ident), V=block_2x2(ident, 0.0, -aux.X, ident),
-        F11=aux.closed_loop, F12=K[:n, n:], F22=-aux.closed_loop.T,
-        U11_lu=(ident, np.arange(n, dtype=np.int32)), U11_condition=1.0, K=K,
-    )
+def decompose_from_riccati(K, graph):
+    """The dichotomy transform of `K` from `graph`, the certified graph of
+    its stable invariant subspace (a :class:`riccati.StabilizingRiccatiSolution`
+    from :func:`riccati.certify_graph`): ``Y = graph.X``, ``F11`` its
+    certified stable closed loop ``K11 + K12 Y``, and
+    ``F22 = K22 - Y K12``.  Nothing is checked again here."""
+    n = graph.X.shape[0]
+    return DichotomyDecomposition(K=K, Y=graph.X, F11=graph.closed_loop,
+                                  F22=K[n:, n:] - graph.X @ K[:n, n:])
 
 
 def decompose_from_schur(K):
-    """Dichotomy transform of a generic 2n-by-2n matrix from the ordered
-    real Schur form ``W S W'`` of ``inv(T) K T`` (:func:`linalg.block_balance`):
-    ``U = T W`` and ``V = W' inv(T)``, exact scalings of the orthogonal `W`.
-    The axis tolerance is that of the balanced matrix.
+    """The graph ``Y = U21 inv(U11)`` of the stable invariant subspace of a
+    2n-by-2n matrix, from the ordered real Schur form ``W S W'`` of
+    ``inv(T) K T`` (:func:`linalg.block_balance`): ``U = T W``, an exact
+    scaling of the orthogonal `W`.  The axis tolerance is that of the
+    balanced matrix.  `Y` is solved on the LU factors of ``U11 = W11``;
+    :func:`riccati.certify_graph` checks it.
 
     Raises
     ------
@@ -124,12 +111,12 @@ def decompose_from_schur(K):
     DichotomySplitFailure
         If the stable/antistable split is not n/n.
     GraphSubspaceFailure
-        If the leading n-by-n block of `U` has 1-norm condition estimate
-        above :data:`linalg.CONDITION_LIMIT`, 1e12.
+        If `U11` has 1-norm condition estimate above
+        :data:`linalg.CONDITION_LIMIT`, 1e12.
     """
     n = K.shape[0] // 2
     balanced, c = block_balance(K)
-    s, w, k_stable = real_schur_ordered(balanced)
+    _, w, k_stable = real_schur_ordered(balanced)
     if k_stable != n:
         raise DichotomySplitFailure(
             f"stable/antistable split is {k_stable}/{2 * n - k_stable}, need {n}/{n}"
@@ -140,47 +127,29 @@ def decompose_from_schur(K):
             f"leading transform block has condition {condition:.3e}; "
             "the stable subspace is not a graph subspace"
         )
-    u, v = w, w.T
-    if c != 1.0:
-        scale = np.repeat([1.0, c], n)  # the diagonal of T
-        u, v = u * scale[:, None], v / scale
-    return DichotomyDecomposition(
-        U=u,
-        V=v,
-        F11=s[:n, :n],
-        F12=s[:n, n:],
-        F22=s[n:, n:],
-        U11_lu=(lu, piv),
-        U11_condition=float(condition),
-        K=K,
-    )
+    # Y U11 = U21 with U21 = c W21, solved as U11' Y' = U21' on the factors of U11
+    return lu_solve(lu, piv, c * w[n:, :n].T, trans=1).T
 
 
 def solve_decaying(d, z1_0, psi0, rho):
     """Unique decaying solution of ``dz/dt = K z + psi0 exp(-rho*t/2)``.
 
     Given the leading initial half ``z1(0)``, computes the only trailing
-    half ``z2(0)`` for which the solution stays bounded on ``[0, inf)``.
-    The trailing transformed component must equal
-    ``y2(t) = c * exp(-rho*t/2)`` with
-    ``c = -inv(F22 + (rho/2) I) @ (V @ psi0)[n:]``,
+    half ``z2(0) = Y z1(0) + c`` for which the solution stays bounded on
+    ``[0, inf)``.  The trailing transformed component
+    ``y2 = z2 - Y z1`` must equal ``c * exp(-rho*t/2)`` with
+    ``c = -inv(F22 + (rho/2) I) @ (psi0[n:] - Y psi0[:n])``,
     the closed form of ``-int_0^inf exp(-F22*s) (V psi)(s) ds`` (convergent
-    because ``-F22`` is stable and ``rho > 0``); the leading transformed
-    initial value then follows from ``U11 y1(0) = z1(0) - U12 c``, solved
-    on the factors `U11_lu` of the decomposition.  The result is stored
+    because ``-F22`` is stable and ``rho > 0``).  The result is stored
     shifted by ``rho/2`` (:class:`BvpSolution`): ``y2 = c`` is constant and
-    the generator is ``[[F11 + (rho/2) I, F12 c + (V psi0)[:n]], [0, 0]]``.
+    the generator is ``[[F11 + (rho/2) I, K12 c + psi0[:n]], [0, 0]]``.
     """
     n = d.n
-    v_psi = d.V @ psi0
-    c = -solve_linear(add_diag(d.F22, 0.5 * rho), v_psi[n:])
-    y1_0 = lu_solve(*d.U11_lu, z1_0 - d.U[:n, n:] @ c)
-    z2_0 = d.U[n:, :n] @ y1_0 + d.U[n:, n:] @ c
-    forcing = d.F12 @ c + v_psi[:n]
+    c = -solve_linear(add_diag(d.F22, 0.5 * rho), psi0[n:] - d.Y @ psi0[:n])
     generator = np.zeros((n + 1, n + 1))
     generator[:n, :n] = add_diag(d.F11, 0.5 * rho)
-    generator[:n, n] = forcing
-    return BvpSolution(z1_0=z1_0, z2_0=z2_0, y1_0=y1_0, y2_offset=c,
+    generator[:n, n] = d.K[:n, n:] @ c + psi0[:n]
+    return BvpSolution(z1_0=z1_0, z2_0=d.Y @ z1_0 + c, y2_offset=c,
                        y1_generator=generator)
 
 
@@ -191,12 +160,12 @@ def evaluate_trajectory(sol, d, t_grid):
     The grid is cut into maximal runs of equal steps.  A run of `L` steps
     from ``t_prev`` takes one matrix exponential ``E = exp(y1_generator*h)``
     with ``h = (t_last - t_prev) / L`` and fills the augmented states
-    ``E^1 w ... E^L w`` of ``w = (y1, theta)`` by doubling, so a uniform
+    ``E^1 w ... E^L w`` of ``w = (z1, theta)`` by doubling, so a uniform
     grid costs one exponential and about ``log2(L)`` small products, with
     no integration drift.  The i-th point of a run is evaluated at
-    ``t_prev + i*h``, at most a few ulps from its grid value; ``y2`` is
-    the constant ``y2_offset``.  Returns an array of shape
-    ``(len(t_grid), 2n)`` whose rows are ``exp(rho*t/2) z(t)``.
+    ``t_prev + i*h``, at most a few ulps from its grid value.  Returns the
+    halves ``(z1, z2)`` of ``exp(rho*t/2) z(t)``, two arrays of shape
+    ``(len(t_grid), n)``, with ``z2 = z1 Y' + y2_offset``.
 
     Raises ``ValueError``, naming the grid end, if a sample overflows.
     """
@@ -208,8 +177,9 @@ def evaluate_trajectory(sol, d, t_grid):
     if t.size and not (dt.min() >= 0.0 and t[-1] < np.inf):  # NaN fails both
         raise ValueError("t_grid must be finite, nonnegative and nondecreasing")
     n = d.n
-    w = np.concatenate([sol.y1_0, [1.0]])
+    w = np.concatenate([sol.z1_0, [1.0]])
     states = np.empty((t.size, n + 1))
+    z1 = states[:, :n]
     # a growing solution overflows once its growth rate times t_end nears 709
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -221,18 +191,14 @@ def evaluate_trajectory(sol, d, t_grid):
                     np.matmul(stepper, w, out=states[lo])
                     fill_powers(stepper, states[lo:hi])
                 w = states[hi - 1]
-            y = np.empty((t.size, 2 * n))
-            y[:, :n] = states[:, :n]
-            y[:, n:] = sol.y2_offset
-            z = y @ d.U.T
+            z2 = z1 @ d.Y.T + sol.y2_offset
         except OverflowError:
-            z = None
-    if z is None or not np.isfinite(z).all():
+            z2 = None
+    if z2 is None or not (np.isfinite(z1).all() and np.isfinite(z2).all()):
         raise ValueError(f"the trajectory overflows before the grid end t = {t[-1]:g}")
-    # z(0) is (z1_0, z2_0) by construction; bypass the transform roundoff
-    zeros = np.searchsorted(t, 0.0, "right")  # the zero times lead the grid
-    z[:zeros, :n], z[:zeros, n:] = sol.z1_0, sol.z2_0
-    return z
+    # z2(0) is z2_0 by construction; bypass the product's roundoff
+    z2[:np.searchsorted(t, 0.0, "right")] = sol.z2_0  # the zero times lead the grid
+    return z1, z2
 
 
 def uniform_grid(t_end, dt):
@@ -287,6 +253,4 @@ def sample_trajectory(self, t_grid):
     both carry ``bvp`` and ``decomposition``.  Returns two arrays of shape
     ``(len(t_grid), n)``: the undiscounted pair is the shifted form that
     :func:`evaluate_trajectory` samples, as stored."""
-    n = self.decomposition.n
-    z = evaluate_trajectory(self.bvp, self.decomposition, t_grid)
-    return z[:, :n], z[:, n:]
+    return evaluate_trajectory(self.bvp, self.decomposition, t_grid)

@@ -29,7 +29,8 @@ class SingularMatrix(MflqError):
 
 class GraphSubspaceFailure(MflqError):
     """The stable invariant subspace is not (numerically) a graph subspace:
-    the leading block of the basis matrix is singular or near-singular."""
+    the leading block of the basis matrix is singular or near-singular, or
+    the graph fails certification."""
 
 
 class StabilizabilityFailure(MflqError):

@@ -4,11 +4,11 @@ The game's consistency system has the same shape as the social one, and
 the same builder :func:`riccati.consistency_matrix`, but with lower-left
 coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
 ``Q @ eta``, so the coefficient matrix `M_mfg` is not Hamiltonian and the
-analytic Riccati transform is unavailable.  The stable/antistable splitting
-is instead constructed generically from the ordered real Schur form; the
-rest of the machinery (the front end :func:`riccati.solve_discounted_are`
-for `Pi`, closed-form decaying solve, trajectory generators) is shared with
-the social pipeline.
+graph `Y` of its stable invariant subspace solves a non-symmetric
+algebraic Riccati equation (Guo & Laub, SIAM J. Matrix Anal. Appl. 22,
+2000).  Otherwise the pipeline is the social one: the graph of the
+ordered Schur form, certified by :func:`riccati.certify_graph`, gives the
+one graph transform, the decaying solve and the trajectory.
 """
 
 from dataclasses import dataclass
@@ -23,30 +23,35 @@ __all__ = ["MfgSolution", "solve_mfg"]
 @dataclass(frozen=True)
 class MfgSolution:
     """Solved game consistency system with its splitting transform; the
-    coefficient matrix `M_mfg` is ``decomposition.K``."""
+    coefficient matrix `M_mfg` is ``decomposition.K`` and `aux_residual` is
+    the Riccati residual of its graph ``decomposition.Y``."""
 
     Pi: np.ndarray
     decomposition: dichotomy.DichotomyDecomposition
     s0: np.ndarray
     bvp: dichotomy.BvpSolution
     pi_residual: float
+    aux_residual: float
 
     trajectory = dichotomy.sample_trajectory
 
 
 def solve_mfg(p):
-    """Solve the game consistency system via the ordered Schur splitting,
-    after the front end shared with the social solver
+    """Solve the game consistency system by the certified graph of its
+    ordered Schur splitting, after the social solver's front end
     (:func:`riccati.solve_discounted_are`).
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
     standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when a
     spectrum touches the axis, :class:`DichotomySplitFailure` when the
     stable/antistable split is not n/n, and :class:`GraphSubspaceFailure`
-    when the leading transform block is numerically singular.
+    when the leading transform block is numerically singular or the graph
+    fails certification.
     """
     are = riccati.solve_discounted_are(p)
-    d = dichotomy.decompose_from_schur(riccati.consistency_matrix(are, p.Q @ p.Gamma))
+    k = riccati.consistency_matrix(are, p.Q @ p.Gamma)
+    graph = riccati.certify_graph(k, dichotomy.decompose_from_schur(k))
+    d = dichotomy.decompose_from_riccati(k, graph)
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return MfgSolution(
@@ -55,4 +60,5 @@ def solve_mfg(p):
         s0=bvp.z2_0,
         bvp=bvp,
         pi_residual=are.residual,
+        aux_residual=graph.residual,
     )

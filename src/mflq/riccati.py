@@ -7,9 +7,9 @@ positive semi-definite `M` and symmetric, possibly indefinite, `Q_o`.  It
 must have no eigenvalues on the imaginary axis, and ``(A_o, M)`` must be
 stabilizable; neither is tested apart from the solve, whose Schur form and
 certified closed loop decide both, and no ``(A_o, M)`` PBH test runs.  `X`
-is read off the basis `U` (orthogonal up to balancing) of the stable
-invariant subspace that :func:`dichotomy.decompose_from_schur` computes,
-the splitting the game uses too: ``X = U21 @ inv(U11)``.
+is the graph ``U21 @ inv(U11)`` of the stable invariant subspace that
+:func:`dichotomy.decompose_from_schur` computes, and :func:`certify_graph`
+certifies it, as it certifies the game's non-symmetric graph.
 
 The discounted equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q``
 reduces to it by ``A -> A - (rho/2) I``, with the Hamiltonian of
@@ -29,12 +29,13 @@ import numpy as np
 
 from .dichotomy import decompose_from_schur
 from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, lu_solve,
-                     spectral_abscissa, weighted_gram)
+from .linalg import (add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, spectral_abscissa,
+                     weighted_gram)
 
 __all__ = [
     "StabilizingRiccatiSolution",
     "care_residual",
+    "certify_graph",
     "consistency_matrix",
     "discounted_hamiltonian",
     "r_definiteness",
@@ -50,8 +51,9 @@ PBH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class StabilizingRiccatiSolution:
-    """Symmetric solution with a certified stable closed loop
-    ``closed_loop = A_o - M X``, and the `M` the solve used.
+    """Certified graph `X` of a stable invariant subspace
+    (:func:`certify_graph`), symmetric for a Hamiltonian, with its stable
+    closed loop ``closed_loop = A_o - M X``, and the `M` the solve used.
 
     `residual` is the Frobenius norm of the equation evaluated at `X`;
     `spectrum_margin` is ``-max Re eig(closed_loop) > 0``.
@@ -115,52 +117,46 @@ def r_definiteness(R):
     return r_min, r_min > 1e-10 * max(fro(R), 1.0)
 
 
-def solve_care_stabilizing(h):
-    """Certified stabilizing solution of
-    ``X A_o + A_o' X - X M X + Q_o = 0`` from its Hamiltonian
-    ``h = [[A_o, -M], [-Q_o, -A_o']]``: split it by
-    :func:`dichotomy.decompose_from_schur`, form ``X = U21 @ inv(U11)``
-    from the leading n Schur vectors, symmetrized as ``(X + X') / 2``, and
-    certify the stability of ``A_o - M X`` and the residual relative to
-    ``||Q_o|| + 2||A_o|| ||X|| + ||M|| ||X||^2`` (Sun 1997).  No PBH test.
-
-    Raises
-    ------
-    ImaginaryAxisEigenvalue
-        If the Hamiltonian spectrum touches the imaginary axis, i.e. the
-        exponential dichotomy needed by the method does not exist.
-    DichotomySplitFailure
-        If the split is not n/n; a Hamiltonian off the axis always splits
-        n/n, so only a non-Hamiltonian `h` gets here.
-    GraphSubspaceFailure
-        If `U11` is numerically singular (1-norm condition estimate from
-        its LU factors > 1e12): the stable subspace is not a graph
-        subspace; or if certification fails.
-    ValueError
-        If the closed loop ``A_o - M X`` overflows.
-    """
-    d = decompose_from_schur(h)
-    n = d.n
-    # X U11 = U21, solved as U11' X' = U21' on the factors of U11
-    x = lu_solve(*d.U11_lu, d.U[n:, :n].T, trans=1).T
-    x = 0.5 * (x + x.T)
-    a_o, m, q_o = h[:n, :n], -h[:n, n:], -h[n:, :n]
-    closed_loop = a_o - m @ x
+def certify_graph(k, y):
+    """The one check of a graph ``[I; Y]`` of the stable invariant subspace
+    of `k`, symmetric or not: :class:`GraphSubspaceFailure` unless the
+    closed loop ``K11 + K12 Y`` is stable and the residual
+    ``K21 + K22 Y - Y K11 - Y K12 Y`` of the subspace's Riccati equation is
+    within 1e-7 of ``||K21|| + (||K11|| + ||K22||) ||Y|| + ||K12|| ||Y||^2``
+    (Sun 1997), which for a Hamiltonian is the residual of
+    ``X A_o + A_o' X - X M X + Q_o = 0`` and its scale.  Returns the
+    :class:`StabilizingRiccatiSolution` with ``M = -K12``; ``ValueError``
+    if the closed loop overflows."""
+    n = len(y)
+    k11, k12, k21, k22 = k[:n, :n], k[:n, n:], k[n:, :n], k[n:, n:]
+    closed_loop = k11 + k12 @ y
     if not dlange("M", closed_loop) < np.inf:  # NaN fails too
         raise ValueError("the closed loop A_o - M X overflows")
-    residual = care_residual(x, a_o, m, q_o)
+    residual = fro(y @ k11 - k22 @ y + y @ k12 @ y - k21)
     margin_cl = -spectral_abscissa(closed_loop)
-    nx = fro(x)
-    scale = fro(q_o) + nx * (2.0 * fro(a_o) + fro(m) * nx)
+    ny = fro(y)
+    scale = fro(k21) + ny * (fro(k11) + fro(k22) + fro(k12) * ny)
     if margin_cl <= 0.0 or residual > 1e-7 * scale:
         raise GraphSubspaceFailure(
             f"solution failed certification (residual {residual:.3e}, "
             f"closed-loop margin {margin_cl:.3e})"
         )
     return StabilizingRiccatiSolution(
-        X=x, M=m, closed_loop=closed_loop, residual=residual,
+        X=y, M=-k12, closed_loop=closed_loop, residual=residual,
         spectrum_margin=margin_cl,
     )
+
+
+def solve_care_stabilizing(h):
+    """Certified stabilizing solution of
+    ``X A_o + A_o' X - X M X + Q_o = 0`` from its Hamiltonian
+    ``h = [[A_o, -M], [-Q_o, -A_o']]``: the graph ``X = U21 @ inv(U11)``
+    of its stable Schur vectors (:func:`dichotomy.decompose_from_schur`,
+    whose errors it raises: an axis eigenvalue means that the dichotomy
+    the method needs does not exist), symmetrized as ``(X + X') / 2`` and
+    certified by :func:`certify_graph`.  No PBH test."""
+    x = decompose_from_schur(h)
+    return certify_graph(h, 0.5 * (x + x.T))
 
 
 def discounted_hamiltonian(p, m):
@@ -169,7 +165,8 @@ def discounted_hamiltonian(p, m):
     ``B inv(R) B'``: what :func:`solve_discounted_are` splits and
     :func:`problem.validate` tests for the axis.  ``ValueError`` if `A_o`
     is not finite."""
-    a_o = add_diag(p.A, -0.5 * p.rho)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        a_o = add_diag(p.A, -0.5 * p.rho)
     if not dlange("M", a_o) < np.inf:
         raise ValueError("A - (rho/2) I overflows")
     return block_2x2(a_o, -m, -p.Q, -a_o.T)

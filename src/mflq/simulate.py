@@ -13,6 +13,7 @@ then one noise block per step, from a generator seeded by
 ``SeedSequence(seed, spawn_key=(r,))``, whatever runs beside it.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +23,10 @@ from .dichotomy import uniform_grid
 from .linalg import as_square, eigenvalues
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
+
+# an array of the population (replications x agents x the widest of n, n1
+# and n2), or of stored mean paths, has at most this many entries
+MAX_POPULATION_ENTRIES = 10**8
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,20 @@ def simulate(p, strategy, cfg, threads=1):
     finite, or if ``|1 + lam dt| >= 1`` for a mode with ``Re lam < 0``.
     All replications are stepped together as one ``(replications, N, n)``
     array; `threads` is accepted for compatibility and has no effect.
+    ``ValueError``, before anything is allocated, if that array (as wide
+    as the widest of n, n1, n2) or the stored mean paths would have more
+    than :data:`MAX_POPULATION_ENTRIES` entries.
     """
     if p.D is None:
         raise ValueError("simulation requires the noise matrix D")
+    reps = cfg.replications
+    shapes = [(reps, cfg.N, max(p.n, p.n1, p.n2))]
+    if cfg.store_paths:
+        shapes.append((reps, round(cfg.T / cfg.dt) + 1, p.n))
+    for shape in shapes:
+        if math.prod(shape) > MAX_POPULATION_ENTRIES:
+            raise ValueError(f"simulation too large: an array of shape {shape} has more "
+                             f"than {MAX_POPULATION_ENTRIES} entries")
     a_cl = as_square(p.A + p.B @ strategy.K_x, "A + B K_x")
     lam = eigenvalues(a_cl)
     lam = lam[lam.real < 0]
@@ -117,7 +133,6 @@ def simulate(p, strategy, cfg, threads=1):
     steps = t_grid.size - 1
     xbar, s = strategy.solution.trajectory(t_grid)
     uff = s @ strategy.feedforward_gain.T
-    reps = cfg.replications
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
             for r in range(reps)]
     chol = _initial_transform(p, cfg)

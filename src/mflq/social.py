@@ -6,8 +6,9 @@ After discounting the unknowns by ``exp(-rho*t/2)`` the coefficient matrix
 becomes the Hamiltonian ``H = [[As, -B inv(R) B'], [Q_Gamma, -As']]`` with
 ``As = A - B inv(R) B' Pi - (rho/2) I``, built like the game's matrix by
 :func:`riccati.consistency_matrix`; the stabilizing solution ``X_plus`` of
-the auxiliary Riccati equation with Hamiltonian `H` block-triangularizes
-`H` through ``[[I, 0], [X_plus, I]]``, and the unique initial value ``s0``
+the auxiliary Riccati equation with Hamiltonian `H` is the graph of its
+stable invariant subspace, and ``[[I, 0], [X_plus, I]]`` block-triangularizes
+`H`, as the game's graph does its matrix; the unique initial value ``s0``
 keeping ``(xbar, s)`` in the admissible growth class follows in closed
 form.  The ordered Schur forms of the two Riccati solves
 also decide existence: no separate validation pass runs on the solve path,
@@ -38,11 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SceSolution:
-    """Closed-form solution of the social consistency system: the game's
-    fields plus `aux_residual`.  The Hamiltonian `H` is ``decomposition.K``.
+    """Closed-form solution of the social consistency system, with the
+    game's fields.  The Hamiltonian `H` is ``decomposition.K``.
 
     `X_plus`, `A_C` and `A_cl` are read where they are held: `X_plus` is
-    ``U21`` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`,
+    the graph `Y` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`,
     the stable matrix governing the discounted pair; the mean field evolves
     by ``A_cl = A_C + (rho/2) I``, the leading block of ``bvp.y1_generator``.
     ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds along the whole trajectory.
@@ -59,8 +60,7 @@ class SceSolution:
 
     @property
     def X_plus(self):
-        n = self.decomposition.n
-        return self.decomposition.U[n:, :n]
+        return self.decomposition.Y
 
     @property
     def A_C(self):

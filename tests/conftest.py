@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mflq import ProblemData, validate
-from mflq.dichotomy import evaluate_trajectory
+from mflq.dichotomy import decompose_from_riccati, decompose_from_schur, evaluate_trajectory
 from mflq.errors import MflqError
 from mflq.linalg import block_2x2, eigenvalues
 from mflq.problem import gamma_weights
+from mflq.riccati import certify_graph
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -258,4 +259,21 @@ def decaying_trajectory(sol, d, rho, t_grid):
     """The decaying solution ``z(t)`` itself: the stored shifted form that
     :func:`dichotomy.evaluate_trajectory` samples, times ``exp(-rho*t/2)``."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return evaluate_trajectory(sol, d, t) * np.exp(-0.5 * rho * t)[:, None]
+    return np.hstack(evaluate_trajectory(sol, d, t)) * np.exp(-0.5 * rho * t)[:, None]
+
+
+def graph_decomposition(k):
+    """The splitting of a generic 2n-by-2n `k`, as the game splits its
+    matrix: the certified graph of the ordered Schur form's stable
+    subspace, and its transform."""
+    return decompose_from_riccati(k, certify_graph(k, decompose_from_schur(k)))
+
+
+def graph_transform(d):
+    """``(U, V, T)`` of the decomposition `d`: ``U = [[I, 0], [Y, I]]``, its
+    inverse ``V = [[I, 0], [-Y, I]]`` and the block triangular
+    ``T = [[F11, K12], [0, F22]]`` that ``V K U`` equals."""
+    n = d.n
+    ident = np.eye(n)
+    return (block_2x2(ident, 0.0, d.Y, ident), block_2x2(ident, 0.0, -d.Y, ident),
+            block_2x2(d.F11, d.K[:n, n:], 0.0, d.F22))

@@ -18,6 +18,8 @@ from conftest import (
     decaying_trajectory,
     degenerate_boundary_problem,
     game_problem,
+    graph_decomposition,
+    graph_transform,
     hamiltonian,
     indefinite_social_problem,
     multiset_close,
@@ -28,7 +30,7 @@ from conftest import (
 )
 from mflq.cli import main
 from mflq.contraction import contraction_bound
-from mflq.dichotomy import decompose_from_schur, solve_decaying
+from mflq.dichotomy import solve_decaying
 from mflq.errors import ImaginaryAxisEigenvalue
 from mflq.linalg import eigenvalues, mat_exp, spectral_abscissa
 from mflq.mfg import solve_mfg
@@ -172,7 +174,7 @@ def _bvp_instances(count, seed=2026):
     while len(out) < count:
         n = int(rng.integers(1, 4))
         k, _, _ = random_spectrum_matrix(rng, n, n)
-        d = decompose_from_schur(k)
+        d = graph_decomposition(k)
         rho = float(rng.uniform(0.6, 1.6))
         z1_0 = rng.standard_normal(n)
         psi0 = rng.standard_normal(2 * n)
@@ -202,7 +204,8 @@ def test_criterion_6d_initial_value_uniqueness_blowup():
         lam_plus = float(eigenvalues(d.F22).real.min())
         t_end = np.log(1e5) / lam_plus
         delta = 1e-3
-        proj_anti = d.U[:, n:] @ d.V[n:, :]
+        u, v, _ = graph_transform(d)
+        proj_anti = u[:, n:] @ v[n:, :]
         _, _, vt = np.linalg.svd(proj_anti[:, n:])
         v = vt[0]
         z_end = decaying_trajectory(sol, d, rho, [t_end])[0]

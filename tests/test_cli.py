@@ -310,7 +310,9 @@ class TestSolveGameCommand:
         assert np.allclose(doc["s0"], [2.31075, -4.11538], atol=1e-3)
         res = sorted(row["re"] for row in doc["spectrum"])
         assert np.allclose(res, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
-        assert doc["U11_condition"] < 1e12
+        sol = solve_mfg(load_problem_file(GAME))
+        assert doc["Y"] == sol.decomposition.Y.tolist()
+        assert doc["residuals"]["auxiliary_riccati"] == sol.aux_residual
 
     def test_zero_coupling_matches_social(self, capsys, tmp_path):
         with open(SCALAR) as fh:
@@ -342,9 +344,8 @@ COMMON_TAIL = ["s0", "residuals", "timings"]
 REPORT_SHAPES = {
     "solve-social": (solve_sce, ["Xplus", "A_C", "A_cl", "c"],
                      ["discounted_riccati", "auxiliary_riccati", "ode_finite_difference"]),
-    "solve-game": (solve_mfg, ["M_mfg", "U11", "U12", "U21", "U22", "U11_condition",
-                               "det_U11", "F11", "y2_offset"],
-                   ["discounted_riccati"]),
+    "solve-game": (solve_mfg, ["M_mfg", "Y", "F11", "y2_offset"],
+                   ["discounted_riccati", "auxiliary_riccati"]),
 }
 
 # The shipped files, two problems the solvers certify though validate fails
@@ -518,6 +519,14 @@ class TestSimulateCommand:
 
     def test_zero_dt_exit_4(self, capsys):
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4
+
+    def test_population_past_the_bound_exit_4(self, capsys):
+        # numpy would refuse the (8, 10^12, 1) array with a traceback
+        code = main(["simulate", SCALAR, "--agents", "1000000000000"])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (4, "")
+        assert err == ("mflq: input failure: simulation too large: an array of shape "
+                       "(8, 1000000000000, 1) has more than 100000000 entries\n")
 
     def test_fractional_horizon_exit_4(self, capsys, tmp_path):
         out = tmp_path / "reps.csv"

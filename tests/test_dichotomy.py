@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from conftest import (PROBLEM_DIR, decaying_trajectory, growing_mean_field_problem,
-                      random_problem, random_spectrum_matrix)
+from conftest import (PROBLEM_DIR, decaying_trajectory, graph_decomposition,
+                      graph_transform, growing_mean_field_problem, random_spectrum_matrix)
 from mflq import ProblemData, dichotomy
 from mflq.cli import load_problem_file
 from mflq.dichotomy import (
@@ -25,7 +23,6 @@ from mflq.linalg import (CONDITION_LIMIT, add_diag, block_2x2, block_balance, ei
                          lu_factor, lu_solve, mat_exp, real_schur_ordered,
                          spectral_abscissa)
 from mflq.mfg import solve_mfg
-from mflq.problem import gamma_weights
 from mflq.riccati import solve_care_stabilizing
 from mflq.social import solve_sce
 
@@ -34,7 +31,7 @@ def random_dichotomy_instance(rng, max_n=3):
     """Splittable matrix, its decomposition, and random problem data."""
     n = int(rng.integers(1, max_n + 1))
     k, _, _ = random_spectrum_matrix(rng, n, n)
-    d = decompose_from_schur(k)
+    d = graph_decomposition(k)
     rho = float(rng.uniform(0.6, 1.6))
     z1_0 = rng.standard_normal(n)
     psi0 = rng.standard_normal(2 * n)
@@ -70,18 +67,17 @@ class TestDecomposeFromRiccati:
     def test_scalar_reference(self):
         k, x_plus = scalar_aux_hamiltonian()
         d = decompose_from_riccati(k, solve_care_stabilizing(k))
-        assert np.allclose(d.U, [[1.0, 0.0], [x_plus, 1.0]])
+        assert np.allclose(d.Y, [[x_plus]])
         assert d.F11[0, 0] == pytest.approx(-1.5, abs=1e-12)
-        assert d.F12[0, 0] == -1.0
+        assert graph_transform(d)[2][0, 1] == -1.0
         assert d.F22[0, 0] == pytest.approx(1.5, abs=1e-12)
-        assert d.U11_condition == 1.0
         assert d.K is k
 
     def test_zero_solution_identity_transform(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
         k = block_2x2(a, -np.eye(2), 0.0, -a.T)
         d = decompose_from_riccati(k, solve_care_stabilizing(k))
-        assert np.allclose(d.U, np.eye(4))
+        assert np.allclose(d.Y, 0.0)
         assert np.allclose(d.F11, a)
         assert np.allclose(d.F22, -a.T)
 
@@ -98,9 +94,15 @@ class TestDecomposeFromRiccati:
             solve_care_stabilizing(k)
 
     def test_non_solution_rejected(self):
-        # trailing block 3 is not -A_shift = 2: the graph of the stable
-        # eigenvector of K does not solve the Riccati equation of its blocks
-        k = np.array([[-2.0, -1.0], [-2.0, 3.0]])
+        # K = U T inv(U) is not Hamiltonian: its stable subspace is the graph
+        # of a non-symmetric X, and the symmetrized graph, whose closed loop
+        # diag(-1.5, -2.5) is stable, does not solve the Riccati equation of
+        # the blocks of K
+        x = np.array([[1.0, 0.5], [-0.5, 1.0]])
+        f12 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        t = np.block([[-2.0 * np.eye(2), f12], [np.zeros((2, 2)), np.eye(2)]])
+        u = block_2x2(np.eye(2), 0.0, x, np.eye(2))
+        k = u @ t @ block_2x2(np.eye(2), 0.0, -x, np.eye(2))
         with pytest.raises(GraphSubspaceFailure, match="failed certification"):
             solve_care_stabilizing(k)
 
@@ -118,44 +120,27 @@ class TestDecomposeFromRiccati:
             except ImaginaryAxisEigenvalue:
                 continue
             d = decompose_from_riccati(k, aux)
-            tri = np.block([[d.F11, d.F12],
-                            [np.zeros((n, n)), d.F22]])
+            u, v, tri = graph_transform(d)
             nrm = np.linalg.norm(d.K, "fro")
-            assert np.linalg.norm(d.V @ d.U - np.eye(2 * n), "fro") <= 1e-8 * 2 * n
-            assert np.linalg.norm(d.V @ d.K @ d.U - tri, "fro") <= 1e-6 * (1.0 + nrm)
+            assert np.linalg.norm(v @ u - np.eye(2 * n), "fro") <= 1e-8 * 2 * n
+            assert np.linalg.norm(v @ d.K @ u - tri, "fro") <= 1e-6 * (1.0 + nrm)
             assert spectral_abscissa(d.F11) < 0.0
             assert spectral_abscissa(-d.F22) < 0.0
-
-    def test_identity_factors_are_built(self):
-        # U11 = I is its own LU factorization with no pivoting: the built
-        # factors solve exactly, and give the s0 of dgetrf's factors bit for bit
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            p = random_problem(rng)
-            sol = solve_sce(p)
-            d = sol.decomposition
-            b = rng.standard_normal(p.n)
-            assert np.array_equal(lu_solve(*d.U11_lu, b), b)
-            factored = replace(d, U11_lu=lu_factor(np.eye(p.n))[:2])
-            psi0 = np.concatenate([np.zeros(p.n),
-                                   gamma_weights(p).eta_Gamma])
-            ref = solve_decaying(factored, p.x0, psi0, p.rho)
-            assert sol.s0.tobytes() == ref.z2_0.tobytes()
 
 
 class TestDecomposeFromSchur:
     def test_diagonal_already_split(self):
-        d = decompose_from_schur(np.diag([-1.0, -2.0, 3.0, 4.0]))
+        d = graph_decomposition(np.diag([-1.0, -2.0, 3.0, 4.0]))
         lam = np.sort(eigenvalues(d.F11).real)
         assert np.allclose(lam, [-2.0, -1.0])
-        assert np.allclose(np.abs(d.U), np.eye(4), atol=1e-12)
+        assert np.allclose(d.Y, 0.0, atol=1e-12)
 
     def test_constructed_spectrum_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(12):
             n = int(rng.integers(1, 4))
             k, stable_eigs, _ = random_spectrum_matrix(rng, n, n)
-            d = decompose_from_schur(k)
+            d = graph_decomposition(k)
             got = np.sort_complex(eigenvalues(d.F11))
             want = np.sort_complex(np.array(stable_eigs))
             assert np.allclose(got, want, atol=1e-8 * (1 + np.abs(want).max()))
@@ -178,33 +163,34 @@ class TestDecomposeFromSchur:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             k, _, _ = random_spectrum_matrix(rng, n, n)
-            d = decompose_from_schur(k)
-            tri = np.block([[d.F11, d.F12], [np.zeros((n, n)), d.F22]])
-            assert np.linalg.norm(d.V @ d.U - np.eye(2 * n), "fro") <= 1e-8 * 2 * n
-            assert np.linalg.norm(d.V @ d.K @ d.U - tri, "fro") <= \
+            d = graph_decomposition(k)
+            u, v, tri = graph_transform(d)
+            assert np.linalg.norm(v @ u - np.eye(2 * n), "fro") <= 1e-8 * 2 * n
+            assert np.linalg.norm(v @ d.K @ u - tri, "fro") <= \
                 1e-7 * np.linalg.norm(d.K, "fro")
-            assert d.U11_condition <= 1e12
 
 
     @pytest.mark.parametrize("e", [-40, 30])
     def test_balanced_transform(self, e):
-        # off-diagonal blocks 2^e apart: U = diag(I, cI) W, V = inv(U), and
-        # the leading block is that of the balanced matrix's Schur vectors
+        # off-diagonal blocks 2^e apart: Y is c times the graph of the
+        # balanced matrix's Schur vectors, exactly, and the transform
+        # reduces the balanced matrix diag(I, I/c) K diag(I, cI)
         rng = np.random.default_rng(28)
         n = 2
         k, _, _ = random_spectrum_matrix(rng, n, n)
         k[n:, :n] *= 2.0**e
-        d = decompose_from_schur(k)
+        y = decompose_from_schur(k)
         c = 2.0**round(0.5 * np.log2(np.linalg.norm(k[n:, :n])
                                      / np.linalg.norm(k[:n, n:])))
         _, w, _ = real_schur_ordered(block_balance(k)[0])
-        assert np.array_equal(d.U[:n], w[:n])
-        assert np.array_equal(d.U[n:], c * w[n:])
-        assert np.linalg.norm(d.V @ d.U - np.eye(2 * n)) <= 1e-12
-        tri = np.block([[d.F11, d.F12], [np.zeros((n, n)), d.F22]])
+        lu, piv, _ = lu_factor(w[:n, :n])
+        assert np.array_equal(y, c * lu_solve(lu, piv, w[n:, :n].T, trans=1).T)
+        u, v, tri = graph_transform(graph_decomposition(k))
+        assert np.linalg.norm(v @ u - np.eye(2 * n)) <= 1e-12
         t = np.diag(np.r_[np.ones(n), np.full(n, c)])
-        balanced = np.linalg.inv(t) @ k @ t
-        assert np.linalg.norm(d.V @ k @ d.U - tri) <= \
+        t_inv = np.linalg.inv(t)
+        balanced = t_inv @ k @ t
+        assert np.linalg.norm(t_inv @ (v @ k @ u - tri) @ t) <= \
             1e-12 * np.linalg.norm(balanced)
 
 
@@ -221,7 +207,7 @@ class TestSolveDecaying:
         for _ in range(5):
             n = int(rng.integers(1, 4))
             k, _, _ = random_spectrum_matrix(rng, n, n)
-            d = decompose_from_schur(k)
+            d = graph_decomposition(k)
             rho = float(rng.uniform(0.5, 1.5))
             v = rng.standard_normal(n)
             closed = np.linalg.solve(d.F22 + 0.5 * rho * np.eye(n), v)
@@ -290,9 +276,9 @@ class TestEvaluateTrajectory:
         rng = np.random.default_rng(52)
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
-        z = evaluate_trajectory(sol, d, [0.0])
-        assert np.allclose(z[0, : d.n], sol.z1_0, atol=1e-12)
-        assert np.allclose(z[0, d.n:], sol.z2_0, atol=1e-12)
+        z1, z2 = evaluate_trajectory(sol, d, [0.0])
+        assert np.allclose(z1[0], sol.z1_0, atol=1e-12)
+        assert np.allclose(z2[0], sol.z2_0, atol=1e-12)
 
     def test_against_adaptive_rk_oracle(self):
         rng = np.random.default_rng(63)
@@ -347,7 +333,8 @@ class TestEvaluateTrajectory:
         t_end = np.log(1e5) / lam_plus
         delta = 1e-3
         # perturbation direction with the largest antistable content
-        proj_anti = d.U[:, n:] @ d.V[n:, :]
+        u, v, _ = graph_transform(d)
+        proj_anti = u[:, n:] @ v[n:, :]
         _, _, vt = np.linalg.svd(proj_anti[:, n:])
         v = vt[0]
         z_end = decaying_trajectory(sol, d, rho, [t_end])[0]
@@ -362,8 +349,8 @@ class TestEvaluateTrajectory:
         sol = solve_decaying(d, z1_0, psi0, rho)
         distinct = np.array([0.0, 0.5, 1.0, 2.5])
         repeated = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.5, 2.5])
-        ref = evaluate_trajectory(sol, d, distinct)
-        z = evaluate_trajectory(sol, d, repeated)
+        ref = np.hstack(evaluate_trajectory(sol, d, distinct))
+        z = np.hstack(evaluate_trajectory(sol, d, repeated))
         rows = np.searchsorted(distinct, repeated)
         np.testing.assert_allclose(z, ref[rows], rtol=1e-14, atol=1e-14)
 
@@ -372,16 +359,16 @@ class TestEvaluateTrajectory:
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
         full = np.array([0.0, 0.75, 1.5, 3.0])
-        ref = evaluate_trajectory(sol, d, full)
-        z = evaluate_trajectory(sol, d, full[1:])
+        ref = np.hstack(evaluate_trajectory(sol, d, full))
+        z = np.hstack(evaluate_trajectory(sol, d, full[1:]))
         np.testing.assert_allclose(z, ref[1:], rtol=1e-14, atol=1e-14)
 
     def test_empty_grid(self):
         rng = np.random.default_rng(129)
         d, z1_0, psi0, rho = random_dichotomy_instance(rng)
         sol = solve_decaying(d, z1_0, psi0, rho)
-        z = evaluate_trajectory(sol, d, [])
-        assert z.shape == (0, 2 * d.n)
+        z1, z2 = evaluate_trajectory(sol, d, [])
+        assert z1.shape == z2.shape == (0, d.n)
 
     @pytest.mark.parametrize("t", [
         np.linspace(0.0, 5.0, 1001),
@@ -418,7 +405,7 @@ class TestEvaluateTrajectory:
         for _ in range(3):
             d, sol, _ = _random_solution(rng)
             n = d.n
-            w0 = np.concatenate([sol.y1_0, [1.0]])
+            w0 = np.concatenate([sol.z1_0, [1.0]])
             # every point, or about 1000 evenly spaced ones on long grids
             rows = np.unique(np.r_[np.arange(0, t.size, max(1, t.size // 1000)),
                                    t.size - 1])
@@ -426,13 +413,13 @@ class TestEvaluateTrajectory:
                            for ti in t[rows]])[:, :n]
             # the stored form is shifted: y2 is constant
             y2 = np.broadcast_to(sol.y2_offset, (rows.size, n))
-            ref = np.hstack([y1, y2]) @ d.U.T
+            ref = np.hstack([y1, y2]) @ graph_transform(d)[0].T
             ref[t[rows] == 0.0] = np.concatenate([sol.z1_0, sol.z2_0])
-            z = evaluate_trajectory(sol, d, t)[rows]
+            z = np.hstack(evaluate_trajectory(sol, d, t))[rows]
             assert np.abs(z - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_negative_time_rejected(self):
-        d = decompose_from_schur(np.diag([-1.0, 1.0]))
+        d = graph_decomposition(np.diag([-1.0, 1.0]))
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         with pytest.raises(ValueError):
             evaluate_trajectory(sol, d, [-1.0, 0.0])
@@ -535,25 +522,19 @@ def test_uniform_grid_refuses_a_fractional_last_step(t_end, dt):
 
 
 def test_decomposition_dataclass_roundtrip():
-    # remixing the stable and antistable basis blocks by orthogonal factors
-    # keeps the structure valid and the decaying solve invariant
+    # the graph of a stable basis remixed by an orthogonal factor, and the
+    # blocks built from it by hand, give the same decaying solve
     rng = np.random.default_rng(107)
     d, z1_0, psi0, rho = random_dichotomy_instance(rng, max_n=3)
     n = d.n
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    mix = np.block([[q1, np.zeros((n, n))], [np.zeros((n, n)), q2]])
-    u2 = d.U @ mix
-    v2 = mix.T @ d.V
-    remixed = DichotomyDecomposition(
-        U=u2, V=v2,
-        F11=q1.T @ d.F11 @ q1,
-        F12=q1.T @ d.F12 @ q2,
-        F22=q2.T @ d.F22 @ q2,
-        U11_lu=lu_factor(u2[:n, :n])[:2],
-        U11_condition=float(np.linalg.cond(u2[:n, :n])),
-        K=d.K,
-    )
+    _, w, _ = real_schur_ordered(d.K)
+    basis = w[:, :n] @ q1
+    y = np.linalg.solve(basis[:n].T, basis[n:].T).T
+    k11, k12, k21, k22 = d.K[:n, :n], d.K[:n, n:], d.K[n:, :n], d.K[n:, n:]
+    assert np.linalg.norm(k21 + k22 @ y - y @ k11 - y @ k12 @ y) <= \
+        1e-10 * np.linalg.norm(d.K)
+    remixed = DichotomyDecomposition(K=d.K, Y=y, F11=k11 + k12 @ y, F22=k22 - y @ k12)
     base = solve_decaying(d, z1_0, psi0, rho)
     other = solve_decaying(remixed, z1_0, psi0, rho)
     assert np.abs(base.z2_0 - other.z2_0).max() <= \

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import random_problem
 from mflq import linalg
-from mflq.errors import ImaginaryAxisEigenvalue, SchurConvergenceFailure, SingularMatrix
+from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, SchurConvergenceFailure,
+                         SingularMatrix)
 from mflq.linalg import (
     add_diag,
     as_square,
@@ -26,6 +28,7 @@ from mflq.linalg import (
     spectral_abscissa,
     weighted_gram,
 )
+from mflq.mfg import solve_mfg
 
 
 def scalar_consistency_matrix(a, b, q, r, rho, gamma):
@@ -178,6 +181,23 @@ class TestLuFactor:
         assert np.allclose(lu_solve(lu, piv, b), np.linalg.solve(a, b))
         assert np.allclose(lu_solve(lu, piv, b, trans=1), np.linalg.solve(a.T, b))
         assert condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
+
+    def test_condition_estimates_the_one_norm_condition(self):
+        # dgecon's estimate is a lower bound, and within a small factor, on
+        # the leading blocks of the ordered Schur bases the games split by
+        rng = np.random.default_rng(31)
+        solved = 0
+        while solved < 20:
+            p = random_problem(rng, max_n=6)
+            try:
+                k = solve_mfg(p).decomposition.K
+            except MflqError:
+                continue
+            solved += 1
+            _, w, _ = real_schur_ordered(block_balance(k)[0])
+            u11 = w[:p.n, :p.n]
+            exact = np.linalg.cond(u11, 1)
+            assert exact / 3.0 <= lu_factor(u11)[2] <= exact * (1.0 + 1e-10)
 
     def test_exactly_singular_is_infinite(self):
         assert lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))[2] == np.inf

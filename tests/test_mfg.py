@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PROBLEM_DIR, game_problem, random_problem, scaled_close
 from mflq import linalg, social
 from mflq.cli import load_problem_file
-from mflq.errors import DichotomySplitFailure, ImaginaryAxisEigenvalue, MflqError
+from mflq.errors import (DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue,
+                         MflqError)
 from mflq.linalg import weighted_gram
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import consistency_matrix, solve_discounted_are
+from mflq.riccati import certify_graph, consistency_matrix, solve_discounted_are
 from mflq.social import solve_sce
 
 
@@ -52,21 +56,8 @@ class TestSolveMfg:
         assert np.allclose(sol.s0, [2.31075, -4.11538], atol=1e-3)
         lam = np.sort(np.linalg.eigvals(sol.decomposition.K).real)
         assert np.allclose(lam, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
-        assert sol.decomposition.U11_condition <= 1e12
-
-    def test_u11_condition_estimates_the_one_norm_condition(self):
-        # dgecon's estimate is a lower bound, and within a small factor
-        rng = np.random.default_rng(31)
-        solved = 0
-        while solved < 20:
-            p = random_problem(rng, max_n=6)
-            try:
-                d = solve_mfg(p).decomposition
-            except MflqError:
-                continue
-            solved += 1
-            exact = np.linalg.cond(d.U[:p.n, :p.n], 1)
-            assert exact / 3.0 <= d.U11_condition <= exact * (1.0 + 1e-10)
+        assert np.sort(np.linalg.eigvals(sol.decomposition.F11).real) == \
+            pytest.approx(lam[:2], abs=1e-9)
 
     def test_zero_coupling_coincides_with_social(self):
         rng = np.random.default_rng(12)
@@ -138,9 +129,9 @@ def test_one_cholesky_of_r_per_solve(monkeypatch, solve):
 
 @pytest.mark.parametrize("solve,count", [(solve_mfg, 3), (solve_sce, 3)])
 def test_lu_factorizations_per_solve(monkeypatch, solve, count):
-    # the game splits through decompose_from_schur and solves for y1(0) on
-    # the factors of U11 it kept; the social transform's U11 is the identity,
-    # whose factors are built, not computed
+    # one factorization of U11 per split (the front end's and the game's or
+    # the auxiliary one) and one of F22 + (rho/2) I: the graph transform's
+    # U11 is the identity, and the decaying solve factors nothing more
     calls = []
     real = linalg.dgetrf
 
@@ -154,15 +145,18 @@ def test_lu_factorizations_per_solve(monkeypatch, solve, count):
 
 
 def direct_s0(sol, p):
-    """Initial adjoint from the transform blocks: with ``ratio = U21 inv(U11)``,
-    ``s0 = ratio x0 + (ratio U12 - U22) inv(F22 + rho/2 I) V22 Q eta``."""
+    """Initial adjoint from an ordered Schur basis ``U = Z`` of the game's
+    matrix, computed by ``scipy.linalg.schur(K, sort="lhp")`` apart from the
+    library's splitting: with ``ratio = U21 inv(U11)``,
+    ``s0 = ratio x0 + (ratio U12 - U22) inv(F22 + rho/2 I) V22 Q eta``,
+    where ``V = Z'`` and `F22` is the trailing block of the Schur form."""
     n = p.n
-    d = sol.decomposition
-    u11, u12 = d.U[:n, :n], d.U[:n, n:]
-    u21, u22 = d.U[n:, :n], d.U[n:, n:]
+    t, z, _ = scipy.linalg.schur(sol.decomposition.K, sort="lhp")
+    u11, u12 = z[:n, :n], z[:n, n:]
+    u21, u22 = z[n:, :n], z[n:, n:]
     ratio = np.linalg.solve(u11.T, u21.T).T
-    integral = np.linalg.solve(d.F22 + 0.5 * p.rho * np.eye(n),
-                               d.V[n:, n:] @ (p.Q @ p.eta))
+    integral = np.linalg.solve(t[n:, n:] + 0.5 * p.rho * np.eye(n),
+                               z.T[n:, n:] @ (p.Q @ p.eta))
     return ratio @ p.x0 + (ratio @ u12 - u22) @ integral
 
 
@@ -189,3 +183,31 @@ class TestS0Oracle:
             self.assert_matches(sol, p)
             solved += 1
         assert solved >= 15
+
+
+class TestGraphCertification:
+    """The game's graph is certified like a Riccati solution."""
+
+    def test_wrong_graph_fails_certification(self):
+        p = load_problem_file(PROBLEM_DIR / "ex43.json")
+        k = consistency_matrix(solve_discounted_are(p), p.Q @ p.Gamma)
+        certify_graph(k, solve_mfg(p).decomposition.Y)
+        with pytest.raises(GraphSubspaceFailure, match="failed certification"):
+            certify_graph(k, np.zeros((p.n, p.n)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_accepted_graph_has_small_residual_and_stable_closed_loop(self, seed):
+        p = random_problem(np.random.default_rng(seed), max_n=6)
+        try:
+            sol = solve_mfg(p)
+        except MflqError:
+            return
+        d, n = sol.decomposition, p.n
+        k11, k12, k21, k22 = d.K[:n, :n], d.K[:n, n:], d.K[n:, :n], d.K[n:, n:]
+        y, norm = d.Y, np.linalg.norm
+        residual = norm(k21 + k22 @ y - y @ k11 - y @ k12 @ y)
+        scale = norm(k21) + norm(y) * (norm(k11) + norm(k22) + norm(k12) * norm(y))
+        assert residual <= 1e-7 * scale
+        assert np.linalg.eigvals(d.F11).real.max() < 0.0
+        assert np.allclose(d.F11, k11 + k12 @ y, rtol=1e-12, atol=1e-12 * norm(d.F11))

@@ -6,7 +6,7 @@ import pytest
 from conftest import PROBLEM_DIR, random_problem, scalar_social_problem
 from mflq.cli import load_problem_file
 from mflq.problem import ProblemData
-from mflq.simulate import SimConfig, _initial_transform, simulate
+from mflq.simulate import MAX_POPULATION_ENTRIES, SimConfig, _initial_transform, simulate
 from mflq.social import decentralized_strategy, solve_sce
 
 
@@ -117,6 +117,24 @@ class TestSimulate:
         assert gaps[0] > gaps[-1]
         slope = np.polyfit(np.log([2, 8, 32, 128]), np.log(gaps), 1)[0]
         assert -0.8 <= slope <= -0.2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(N=10**12, T=1.0, dt=0.01),
+        dict(N=4, T=1.0, dt=0.01, replications=10**12),
+        dict(N=1, T=5e3, dt=0.01, replications=300, store_paths=True),
+    ], ids=["agents", "replications", "stored_paths"])
+    def test_size_past_the_bound_refused_before_allocating(self, monkeypatch, kwargs):
+        p = scalar_social_problem(D=[[0.2]])
+        strat = _strategy(p)
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "empty", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        with pytest.raises(ValueError, match=r"^simulation too large: an array of shape "
+                           rf"\(.+\) has more than {MAX_POPULATION_ENTRIES} entries$"):
+            simulate(p, strat, SimConfig(**kwargs))
 
     def test_tail_bound_reported(self):
         p = scalar_social_problem(D=[[0.2]])

@@ -214,12 +214,12 @@ class TestSolutionRecord:
         for p in problems:
             sol = solve_sce(p)
             assert sol.A_C is sol.decomposition.F11
-            assert np.shares_memory(sol.X_plus, sol.decomposition.U)
+            assert sol.X_plus is sol.decomposition.Y
             assert np.shares_memory(sol.A_cl, sol.bvp.y1_generator)
 
-    def test_fields_are_the_game_record_plus_aux_residual(self):
+    def test_fields_are_the_game_records(self):
         names = [f.name for f in dataclasses.fields(SceSolution)]
-        assert names == [f.name for f in dataclasses.fields(MfgSolution)] + ["aux_residual"]
+        assert names == [f.name for f in dataclasses.fields(MfgSolution)]
 
 
 class TestDecentralizedStrategy:

@@ -11,19 +11,22 @@ each tree in its own subprocess:
   ``"timings"``), stderr, warnings and the digest of every file it writes
   (the trajectory CSV of ``solve-social`` and ``solve-game``, the
   replication CSV of ``simulate``);
-- the API corpus, 593 problems (the 5 shipped files, the ``sweep_small``
-  inputs of ``perfbench/instances.py`` for seeds 1-3 and 300
+- the API corpus, 625 problems (the 5 shipped files, the 4 solvable ones
+  with ``rho·10^k`` for 8 powers k up to 20, the ``sweep_small`` inputs of
+  ``perfbench/instances.py`` for seeds 1-3 and 300
   ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
   report and, for each solver, the error class and message or the bytes of
-  `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `U`, `V`, `F11`,
-  `K` and `U11_condition`, the residuals and the trajectories on two grids.
-  (The contraction bound `beta` of the shipped files is in the CLI corpus,
+  `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `Y`, `F11`,
+  `F22` and `K`, the residuals and the trajectories on two grids.  (The
+  contraction bound `beta` of the shipped files is in the CLI corpus,
   through ``mflq contraction``.)
 
 The API corpus is generated once, with the working tree's code, and both
-trees are handed the same arrays.  Every case or record that differs is
-printed; an API record whose arrays differ only in the signs of zeros is
-counted apart and does not count as a difference.  The tool exits 1 if a
+trees are handed the same arrays.  A solution field that only one tree
+has is named and left out of the comparison.  Every case or record that
+differs is printed; an API record whose arrays differ only in the signs
+of zeros is counted apart and does not count as a difference.  The tool
+exits 1 if a
 differing case or record is not listed in FILE (one id per line; ``#``
 starts a comment).  REV's ``src`` is exported with ``git archive`` into a
 temporary directory, so nothing is fetched and the repository's worktrees
@@ -214,12 +217,17 @@ def run_corpus():
 # The API corpus.
 
 FIELDS = ("A", "B", "Q", "R", "Gamma", "eta", "x0", "rho", "D")
+# the shipped files that a solver solves, and the powers k of their rho·10^k
+# family, which reaches the scales where a graph can fail certification
+SOLVABLE_FILES = ("ex41", "ex42_gamma005", "ex42_gamma2", "ex43")
+RHO_POWERS = (0, 4, 8, 12, 15, 16, 18, 20)
 GRIDS = {"uniform": np.linspace(0.0, 10.0, 1001),
          "log": np.concatenate([[0.0], np.logspace(-3.0, 1.0, 50)])}
 
 
 def api_problems(seeds=(1, 2, 3), draws=300):
-    """``[(name, fields)]``: the shipped files, the ``sweep_small`` inputs of
+    """``[(name, fields)]``: the shipped files, the solvable ones with
+    ``rho·10^k`` for k in :data:`RHO_POWERS`, the ``sweep_small`` inputs of
     `seeds` and `draws` ``random_problem(max_n=6)`` draws from
     ``default_rng(2026)``, made with the working tree's ``src``,
     ``tests/conftest.py`` and ``perfbench/instances.py``."""
@@ -229,8 +237,11 @@ def api_problems(seeds=(1, 2, 3), draws=300):
     import instances
     from conftest import random_problem
 
-    problems = [(f"file {path.stem}", instances.read_problem_file(str(path)))
-                for path in sorted((ROOT / "problems").glob("*.json"))]
+    files = {path.stem: instances.read_problem_file(str(path))
+             for path in sorted((ROOT / "problems").glob("*.json"))}
+    problems = [(f"file {stem}", data) for stem, data in files.items()]
+    problems += [(f"rho 1e{k} {stem}", {**files[stem], "rho": files[stem]["rho"] * 10.0**k})
+                 for stem in SOLVABLE_FILES for k in RHO_POWERS]
     for seed in seeds:
         problems += [(f"sweep {seed}/{i} {inst.name}", inst.data)
                      for i, inst in enumerate(instances.sweep_small(seed))]
@@ -258,12 +269,14 @@ def _outcome(compute):
 
 
 def _solution_record(sol):
+    """The digests of the solution's fields and of its decomposition's, of
+    those in the lists that the tree's records have."""
     d = sol.decomposition
     record = {key: _digest(getattr(sol, key))
               for key in ("Pi", "s0", "X_plus", "A_C", "A_cl", "pi_residual",
                           "aux_residual") if hasattr(sol, key)}
     record.update((key, _digest(getattr(d, key)))
-                  for key in ("U", "V", "F11", "K", "U11_condition"))
+                  for key in ("Y", "F11", "F22", "K") if hasattr(d, key))
     for name, grid in GRIDS.items():
         record[f"trajectory {name}"] = _outcome(
             lambda: dict(zip(("xbar", "s"), map(_digest, sol.trajectory(grid)))))
@@ -294,6 +307,26 @@ def _zero_blind(record):
     if isinstance(record, dict):
         return {key: _zero_blind(value) for key, value in record.items() if key != "bits"}
     return record
+
+
+def shared_fields(base, head):
+    """The API records `base` and `head` with each pair of solution records
+    cut to the fields that both trees record, and the names of the fields
+    cut from each; an error outcome is compared whole."""
+    cut = {"base": set(), "head": set()}
+    base, head = dict(base), dict(head)
+    for name in base.keys() & head.keys():
+        old, new = dict(base[name]), dict(head[name])
+        for solver in ("social", "game"):
+            a, b = old.get(solver), new.get(solver)
+            if a is None or b is None or "error" in a or "error" in b:
+                continue
+            cut["base"].update(a.keys() - b.keys())
+            cut["head"].update(b.keys() - a.keys())
+            old[solver] = {key: value for key, value in a.items() if key in b}
+            new[solver] = {key: value for key, value in b.items() if key in a}
+        base[name], head[name] = old, new
+    return base, head, cut
 
 
 def only_signed_zeros(base, head):
@@ -378,6 +411,11 @@ def main(argv=None):
     for (old, new), count in sorted(by_class.items(), key=str):
         print(f"  exit {old} -> {new}: {count}")
 
+    base_api, head_api, cut = shared_fields(base_api, head_api)
+    for tree, keys in cut.items():
+        if keys:
+            print(f"solution fields recorded in the {tree} tree only, not compared: "
+                  f"{', '.join(sorted(keys))}")
     api_changed = differing(base_api, head_api)
     zeros = [name for name in api_changed
              if name in base_api and name in head_api

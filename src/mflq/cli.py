@@ -250,7 +250,7 @@ def _game_keys(sol, p, grid, xbar, s):
 
 def _cmd_contraction(args, p):
     are = _solve(p, riccati.solve_discounted_are)
-    beta = contraction_mod.contraction_bound(p, are.X)
+    beta = contraction_mod.contraction_bound(p, are.Y)
     doc = {
         "command": "contraction",
         "problem": problem_to_dict(p),

@@ -124,6 +124,8 @@ def contraction_bound(p, Pi):
     drift is not stable (it always is when `Pi` is the stabilizing solution).
     """
     Pi = as_square(Pi, "Pi")
+    if Pi.shape != (p.n, p.n):
+        raise ValueError(f"Pi must have shape {(p.n, p.n)}, got {Pi.shape}")
     gram = weighted_gram(p.B, p.R)
     a_shift = as_square(add_diag(p.A - gram @ Pi, -0.5 * p.rho), "A - M Pi - (rho/2) I")
     q_gamma = as_square(gamma_weights(p).Q_Gamma, "Q_Gamma")

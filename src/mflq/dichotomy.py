@@ -10,9 +10,9 @@ matrix a non-symmetric one.  :func:`decompose_from_schur` computes `Y`
 from the ordered real Schur form, the one splitting of the package: the
 Riccati solves (:func:`riccati.solve_care_stabilizing`) and the game both
 go through it, so its axis test, n/n check and condition limit are written
-once, and :func:`riccati.certify_graph` certifies every `Y` it returns.
-The certified graph gives the one transform, ``U = [[I, 0], [Y, I]]``
-(:func:`decompose_from_riccati`), under which there is exactly one choice
+once.  :func:`decompose_from_riccati` certifies every `Y` it returns and
+builds the one record of the certified graph, with the one transform
+``U = [[I, 0], [Y, I]]``, under which there is exactly one choice
 of the trailing half ``z2(0) = Y z1(0) + c`` of the initial state that
 keeps the solution bounded (indeed exponentially decaying) on
 ``[0, inf)``; every other choice blows up at the antistable rate.  The
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DichotomySplitFailure, GraphSubspaceFailure
-from .linalg import (CONDITION_LIMIT, add_diag, block_balance, fill_powers, lu_factor,
-                     lu_solve, mat_exp, real_schur_ordered, solve_linear)
+from .linalg import (CONDITION_LIMIT, add_diag, block_balance, dlange, fill_powers, fro,
+                     lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear,
+                     spectral_abscissa)
 
 __all__ = [
     "BvpSolution",
@@ -52,15 +53,22 @@ MAX_GRID_POINTS = 10**6
 
 @dataclass(frozen=True)
 class DichotomyDecomposition:
-    """The graph transform of the source matrix `K`: with
-    ``U = [[I, 0], [Y, I]]`` and its inverse ``V = [[I, 0], [-Y, I]]``,
-    ``V K U = [[F11, K12], [0, F22]]``, where ``F11 = K11 + K12 Y`` is
-    stable and ``F22 = K22 - Y K12`` antistable."""
+    """The certified graph ``[I; Y]`` of the stable invariant subspace of
+    the source matrix `K` (:func:`decompose_from_riccati`) and its
+    transform: with ``U = [[I, 0], [Y, I]]`` and its inverse
+    ``V = [[I, 0], [-Y, I]]``, ``V K U = [[F11, K12], [0, F22]]``, where
+    ``F11 = K11 + K12 Y`` is stable and ``F22 = K22 - Y K12`` antistable.
+
+    `residual` is the Frobenius norm of the graph's Riccati equation at `Y`;
+    `spectrum_margin` is ``-max Re eig(F11) > 0``.
+    """
 
     K: np.ndarray
     Y: np.ndarray
     F11: np.ndarray
     F22: np.ndarray
+    residual: float
+    spectrum_margin: float
 
     @property
     def n(self):
@@ -85,15 +93,34 @@ class BvpSolution:
     y1_generator: np.ndarray
 
 
-def decompose_from_riccati(K, graph):
-    """The dichotomy transform of `K` from `graph`, the certified graph of
-    its stable invariant subspace (a :class:`riccati.StabilizingRiccatiSolution`
-    from :func:`riccati.certify_graph`): ``Y = graph.X``, ``F11`` its
-    certified stable closed loop ``K11 + K12 Y``, and
-    ``F22 = K22 - Y K12``.  Nothing is checked again here."""
-    n = graph.X.shape[0]
-    return DichotomyDecomposition(K=K, Y=graph.X, F11=graph.closed_loop,
-                                  F22=K[n:, n:] - graph.X @ K[:n, n:])
+def decompose_from_riccati(K, Y):
+    """The one check of a graph ``[I; Y]`` of the stable invariant subspace
+    of `K`, symmetric or not, and the one constructor of its
+    :class:`DichotomyDecomposition`.
+
+    :class:`GraphSubspaceFailure` unless the closed loop
+    ``F11 = K11 + K12 Y`` is stable and the residual
+    ``K21 + K22 Y - Y K11 - Y K12 Y`` of the subspace's Riccati equation is
+    within 1e-7 of ``||K21|| + (||K11|| + ||K22||) ||Y|| + ||K12|| ||Y||^2``
+    (Sun 1997), which for a Hamiltonian is the residual of
+    ``X A_o + A_o' X - X M X + Q_o = 0`` and its scale; ``ValueError`` if
+    the closed loop overflows."""
+    n = len(Y)
+    k11, k12, k21, k22 = K[:n, :n], K[:n, n:], K[n:, :n], K[n:, n:]
+    f11 = k11 + k12 @ Y
+    if not dlange("M", f11) < np.inf:  # NaN fails too
+        raise ValueError("the closed loop A_o - M X overflows")
+    residual = fro(Y @ k11 - k22 @ Y + Y @ k12 @ Y - k21)
+    margin = -spectral_abscissa(f11)
+    ny = fro(Y)
+    scale = fro(k21) + ny * (fro(k11) + fro(k22) + fro(k12) * ny)
+    if margin <= 0.0 or residual > 1e-7 * scale:
+        raise GraphSubspaceFailure(
+            f"solution failed certification (residual {residual:.3e}, "
+            f"closed-loop margin {margin:.3e})"
+        )
+    return DichotomyDecomposition(K=K, Y=Y, F11=f11, F22=k22 - Y @ k12,
+                                  residual=residual, spectrum_margin=margin)
 
 
 def decompose_from_schur(K):
@@ -102,7 +129,8 @@ def decompose_from_schur(K):
     ``inv(T) K T`` (:func:`linalg.block_balance`): ``U = T W``, an exact
     scaling of the orthogonal `W`.  The axis tolerance is that of the
     balanced matrix.  `Y` is solved on the LU factors of ``U11 = W11``;
-    :func:`riccati.certify_graph` checks it.
+    :func:`decompose_from_riccati` checks it, symmetrized first by
+    :func:`riccati.solve_care_stabilizing` for a Hamiltonian.
 
     Raises
     ------

@@ -20,7 +20,8 @@ class ImaginaryAxisEigenvalue(MflqError):
 
 
 class SchurConvergenceFailure(MflqError):
-    """QR iteration or a diagonal-block swap failed to converge."""
+    """QR iteration or a diagonal-block swap failed to converge, or the
+    ordered Schur factors do not reproduce the matrix to working accuracy."""
 
 
 class SingularMatrix(MflqError):

@@ -7,8 +7,8 @@ coupling block ``Q @ Gamma`` (generally asymmetric) and forcing
 graph `Y` of its stable invariant subspace solves a non-symmetric
 algebraic Riccati equation (Guo & Laub, SIAM J. Matrix Anal. Appl. 22,
 2000).  Otherwise the pipeline is the social one: the graph of the
-ordered Schur form, certified by :func:`riccati.certify_graph`, gives the
-one graph transform, the decaying solve and the trajectory.
+ordered Schur form, certified by :func:`dichotomy.decompose_from_riccati`
+as the one graph transform, gives the decaying solve and the trajectory.
 """
 
 from dataclasses import dataclass
@@ -50,15 +50,14 @@ def solve_mfg(p):
     """
     are = riccati.solve_discounted_are(p)
     k = riccati.consistency_matrix(are, p.Q @ p.Gamma)
-    graph = riccati.certify_graph(k, dichotomy.decompose_from_schur(k))
-    d = dichotomy.decompose_from_riccati(k, graph)
+    d = dichotomy.decompose_from_riccati(k, dichotomy.decompose_from_schur(k))
     psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return MfgSolution(
-        Pi=are.X,
+        Pi=are.Y,
         decomposition=d,
         s0=bvp.z2_0,
         bvp=bvp,
         pi_residual=are.residual,
-        aux_residual=graph.residual,
+        aux_residual=d.residual,
     )

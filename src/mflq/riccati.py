@@ -8,8 +8,11 @@ must have no eigenvalues on the imaginary axis, and ``(A_o, M)`` must be
 stabilizable; neither is tested apart from the solve, whose Schur form and
 certified closed loop decide both, and no ``(A_o, M)`` PBH test runs.  `X`
 is the graph ``U21 @ inv(U11)`` of the stable invariant subspace that
-:func:`dichotomy.decompose_from_schur` computes, and :func:`certify_graph`
-certifies it, as it certifies the game's non-symmetric graph.
+:func:`dichotomy.decompose_from_schur` computes, and
+:func:`dichotomy.decompose_from_riccati` certifies it, as it certifies the
+game's non-symmetric graph: the solution is that graph's
+:class:`dichotomy.DichotomyDecomposition`, with ``Y = X`` and the closed
+loop ``F11 = A_o - M X``.
 
 The discounted equation ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q``
 reduces to it by ``A -> A - (rho/2) I``, with the Hamiltonian of
@@ -23,19 +26,13 @@ wins over the failure's own, an `R` failure included; an overflow's
 solution, :func:`consistency_matrix` builds the matrix each solver splits.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dichotomy import decompose_from_schur
-from .errors import GraphSubspaceFailure, MflqError, NonPositiveR, StabilizabilityFailure
-from .linalg import (add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, spectral_abscissa,
-                     weighted_gram)
+from .dichotomy import decompose_from_riccati, decompose_from_schur
+from .errors import MflqError, NonPositiveR, StabilizabilityFailure
+from .linalg import add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, weighted_gram
 
 __all__ = [
-    "StabilizingRiccatiSolution",
-    "care_residual",
-    "certify_graph",
     "consistency_matrix",
     "discounted_hamiltonian",
     "r_definiteness",
@@ -47,29 +44,6 @@ __all__ = [
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
 PBH_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class StabilizingRiccatiSolution:
-    """Certified graph `X` of a stable invariant subspace
-    (:func:`certify_graph`), symmetric for a Hamiltonian, with its stable
-    closed loop ``closed_loop = A_o - M X``, and the `M` the solve used.
-
-    `residual` is the Frobenius norm of the equation evaluated at `X`;
-    `spectrum_margin` is ``-max Re eig(closed_loop) > 0``.
-    """
-
-    X: np.ndarray
-    M: np.ndarray
-    closed_loop: np.ndarray
-    residual: float
-    spectrum_margin: float
-
-
-def care_residual(x, a_o, m, q_o):
-    """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
-    r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
-    return fro(r)
 
 
 def stabilizability_margin(a, b):
@@ -117,46 +91,18 @@ def r_definiteness(R):
     return r_min, r_min > 1e-10 * max(fro(R), 1.0)
 
 
-def certify_graph(k, y):
-    """The one check of a graph ``[I; Y]`` of the stable invariant subspace
-    of `k`, symmetric or not: :class:`GraphSubspaceFailure` unless the
-    closed loop ``K11 + K12 Y`` is stable and the residual
-    ``K21 + K22 Y - Y K11 - Y K12 Y`` of the subspace's Riccati equation is
-    within 1e-7 of ``||K21|| + (||K11|| + ||K22||) ||Y|| + ||K12|| ||Y||^2``
-    (Sun 1997), which for a Hamiltonian is the residual of
-    ``X A_o + A_o' X - X M X + Q_o = 0`` and its scale.  Returns the
-    :class:`StabilizingRiccatiSolution` with ``M = -K12``; ``ValueError``
-    if the closed loop overflows."""
-    n = len(y)
-    k11, k12, k21, k22 = k[:n, :n], k[:n, n:], k[n:, :n], k[n:, n:]
-    closed_loop = k11 + k12 @ y
-    if not dlange("M", closed_loop) < np.inf:  # NaN fails too
-        raise ValueError("the closed loop A_o - M X overflows")
-    residual = fro(y @ k11 - k22 @ y + y @ k12 @ y - k21)
-    margin_cl = -spectral_abscissa(closed_loop)
-    ny = fro(y)
-    scale = fro(k21) + ny * (fro(k11) + fro(k22) + fro(k12) * ny)
-    if margin_cl <= 0.0 or residual > 1e-7 * scale:
-        raise GraphSubspaceFailure(
-            f"solution failed certification (residual {residual:.3e}, "
-            f"closed-loop margin {margin_cl:.3e})"
-        )
-    return StabilizingRiccatiSolution(
-        X=y, M=-k12, closed_loop=closed_loop, residual=residual,
-        spectrum_margin=margin_cl,
-    )
-
-
 def solve_care_stabilizing(h):
     """Certified stabilizing solution of
     ``X A_o + A_o' X - X M X + Q_o = 0`` from its Hamiltonian
-    ``h = [[A_o, -M], [-Q_o, -A_o']]``: the graph ``X = U21 @ inv(U11)``
-    of its stable Schur vectors (:func:`dichotomy.decompose_from_schur`,
-    whose errors it raises: an axis eigenvalue means that the dichotomy
-    the method needs does not exist), symmetrized as ``(X + X') / 2`` and
-    certified by :func:`certify_graph`.  No PBH test."""
+    ``h = [[A_o, -M], [-Q_o, -A_o']]``, as the
+    :class:`dichotomy.DichotomyDecomposition` of `h` with ``Y = X`` and
+    closed loop ``F11 = A_o - M X``: the graph ``X = U21 @ inv(U11)`` of its
+    stable Schur vectors (:func:`dichotomy.decompose_from_schur`, whose
+    errors it raises: an axis eigenvalue means that the dichotomy the method
+    needs does not exist), symmetrized as ``(X + X') / 2`` and certified by
+    :func:`dichotomy.decompose_from_riccati`.  No PBH test."""
     x = decompose_from_schur(h)
-    return certify_graph(h, 0.5 * (x + x.T))
+    return decompose_from_riccati(h, 0.5 * (x + x.T))
 
 
 def discounted_hamiltonian(p, m):
@@ -174,17 +120,19 @@ def discounted_hamiltonian(p, m):
 
 def consistency_matrix(are, coupling):
     """Consistency matrix ``[[As, -M], [coupling, -As']]`` from the discounted
-    Riccati solution `are`, its closed loop `As` and ``M = B inv(R) B'``: the
-    social `H` for ``coupling = Q_Gamma``, the game's `M_mfg` for ``Q @ Gamma``.
+    Riccati solution `are`, its closed loop ``As = are.F11`` and the block
+    ``-M = -B inv(R) B'`` of its Hamiltonian: the social `H` for
+    ``coupling = Q_Gamma``, the game's `M_mfg` for ``Q @ Gamma``.
     ``ValueError`` if `coupling` is not finite."""
     if not dlange("M", coupling) < np.inf:
         raise ValueError("the coupling block overflows")
-    return block_2x2(are.closed_loop, -are.M, coupling, -are.closed_loop.T)
+    return block_2x2(are.F11, are.K[:are.n, are.n:], coupling, -are.F11.T)
 
 
 def solve_discounted_are(p):
-    """Stabilizing solution of the discounted Riccati equation of the
-    checked problem `p`, with ``(A, B)`` certified stabilizable.
+    """Stabilizing solution ``Pi = Y`` of the discounted Riccati equation
+    of the checked problem `p`, with ``(A, B)`` certified stabilizable, as
+    the certified graph of its Hamiltonian.
 
     Solves ``rho*Pi = Pi A + A' Pi - Pi B inv(R) B' Pi + Q`` such that
     ``A - B inv(R) B' Pi - (rho/2) I`` is stable, by applying
@@ -209,6 +157,6 @@ def solve_discounted_are(p):
         require_stabilizable(p.A, p.B)
         raise
     if are.spectrum_margin <= 0.5 * p.rho:
-        if not stabilizability_margin(add_diag(are.closed_loop, 0.5 * p.rho), p.B) > PBH_TOL:
+        if not stabilizability_margin(add_diag(are.F11, 0.5 * p.rho), p.B) > PBH_TOL:
             require_stabilizable(p.A, p.B)
     return are

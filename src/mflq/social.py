@@ -93,7 +93,8 @@ def solve_sce(p):
     Pipeline, the game's shape: the front end
     :func:`riccati.solve_discounted_are` for `Pi`, assemble `H`, decompose it
     by the auxiliary solution `X_plus` (:func:`riccati.solve_care_stabilizing`
-    on `H`), and extract ``s0`` and the trajectory generators.  The two
+    on `H`, which returns the decomposition), and extract ``s0`` and the
+    trajectory generators.  The two
     Riccati solves' Schur forms are the axis tests.
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
@@ -105,17 +106,16 @@ def solve_sce(p):
     are = riccati.solve_discounted_are(p)
     w = gamma_weights(p)
     h = riccati.consistency_matrix(are, w.Q_Gamma)
-    aux = riccati.solve_care_stabilizing(h)
-    d = dichotomy.decompose_from_riccati(h, aux)
+    d = riccati.solve_care_stabilizing(h)
     psi0 = np.concatenate([np.zeros(p.n), w.eta_Gamma])
     bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
     return SceSolution(
-        Pi=are.X,
+        Pi=are.Y,
         decomposition=d,
         s0=bvp.z2_0,
         bvp=bvp,
         pi_residual=are.residual,
-        aux_residual=aux.residual,
+        aux_residual=d.residual,
     )
 
 

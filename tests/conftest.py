@@ -8,9 +8,8 @@ import pytest
 from mflq import ProblemData, validate
 from mflq.dichotomy import decompose_from_riccati, decompose_from_schur, evaluate_trajectory
 from mflq.errors import MflqError
-from mflq.linalg import block_2x2, eigenvalues
+from mflq.linalg import block_2x2, eigenvalues, fro
 from mflq.problem import gamma_weights
-from mflq.riccati import certify_graph
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -154,6 +153,12 @@ def hamiltonian(a_o, m, q_o):
     return block_2x2(a_o, -m, -q_o, -a_o.T)
 
 
+def care_residual(x, a_o, m, q_o):
+    """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
+    r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
+    return fro(r)
+
+
 def random_care_problem(rng, max_n=6, axis_margin=1e-3):
     """Stabilizable Riccati data ``(A_o, M, Q_o)`` with possibly indefinite
     state weight and a Hamiltonian spectrum at least `axis_margin` away
@@ -266,7 +271,7 @@ def graph_decomposition(k):
     """The splitting of a generic 2n-by-2n `k`, as the game splits its
     matrix: the certified graph of the ordered Schur form's stable
     subspace, and its transform."""
-    return decompose_from_riccati(k, certify_graph(k, decompose_from_schur(k)))
+    return decompose_from_riccati(k, decompose_from_schur(k))
 
 
 def graph_transform(d):

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import (
     PROBLEM_DIR,
+    care_residual,
     decaying_trajectory,
     degenerate_boundary_problem,
     game_problem,
@@ -35,8 +36,7 @@ from mflq.errors import ImaginaryAxisEigenvalue
 from mflq.linalg import eigenvalues, mat_exp, spectral_abscissa
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import (care_residual, consistency_matrix, solve_care_stabilizing,
-                           solve_discounted_are)
+from mflq.riccati import consistency_matrix, solve_care_stabilizing, solve_discounted_are
 from mflq.simulate import SimConfig, simulate
 from mflq.social import decentralized_strategy, solve_sce
 
@@ -121,7 +121,7 @@ def test_criterion_3_game_golden():
 def test_criterion_4_contraction_bounds():
     strong = indefinite_social_problem(gamma_scale=2.0)
     weak = indefinite_social_problem(gamma_scale=0.05)
-    pi = solve_discounted_are(strong).X
+    pi = solve_discounted_are(strong).Y
     beta_strong = contraction_bound(strong, pi)
     beta_weak = contraction_bound(weak, pi)
     assert beta_strong == pytest.approx(6.34694, rel=1e-2)
@@ -146,10 +146,10 @@ def test_criterion_6a_care_random_suite():
     for _ in range(200):
         a, m, q = random_care_problem(rng, max_n=6)
         sol = solve_care_stabilizing(hamiltonian(a, m, q))
-        norm_x = np.linalg.norm(sol.X, "fro")
-        assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
-        assert spectral_abscissa(sol.closed_loop) < 0.0
-        assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
+        norm_x = np.linalg.norm(sol.Y, "fro")
+        assert care_residual(sol.Y, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
+        assert spectral_abscissa(sol.F11) < 0.0
+        assert np.linalg.norm(sol.Y - sol.Y.T, "fro") <= 1e-8 * (1.0 + norm_x)
 
 
 def test_criterion_6b_hamiltonian_spectrum_symmetry():

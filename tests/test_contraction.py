@@ -12,7 +12,7 @@ from mflq.riccati import solve_discounted_are
 
 
 def _pi_for(p):
-    return solve_discounted_are(p).X
+    return solve_discounted_are(p).Y
 
 
 class TestDecayingNormIntegral:
@@ -88,12 +88,16 @@ class TestContractionBound:
         minus = decaying_norm_integral(a_shift.T, -q_gamma)
         assert plus == pytest.approx(minus, rel=1e-12)
 
-    @pytest.mark.parametrize("pi", [np.array([[np.nan]]), np.ones((1, 2))],
-                             ids=["nan", "not_square"])
-    def test_outside_pi_is_checked(self, pi):
+    @pytest.mark.parametrize("pi,match", [
+        (np.array([[np.nan]]), "^Pi "),
+        (np.ones((1, 2)), "^Pi "),
+        # square, but of the wrong size: refused before any product with it
+        (np.eye(2), r"^Pi must have shape \(1, 1\), got \(2, 2\)$"),
+    ], ids=["nan", "not_square", "wrong_size"])
+    def test_outside_pi_is_checked(self, pi, match):
         p = ProblemData(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
-        with pytest.raises(ValueError, match="^Pi "):
+        with pytest.raises(ValueError, match=match):
             contraction_bound(p, pi)
 
     def test_unstable_generator_raises(self):

@@ -10,7 +10,6 @@ from conftest import (PROBLEM_DIR, decaying_trajectory, graph_decomposition,
 from mflq import ProblemData, dichotomy
 from mflq.cli import load_problem_file
 from mflq.dichotomy import (
-    DichotomyDecomposition,
     decompose_from_riccati,
     decompose_from_schur,
     evaluate_trajectory,
@@ -66,7 +65,7 @@ def scalar_aux_hamiltonian():
 class TestDecomposeFromRiccati:
     def test_scalar_reference(self):
         k, x_plus = scalar_aux_hamiltonian()
-        d = decompose_from_riccati(k, solve_care_stabilizing(k))
+        d = solve_care_stabilizing(k)
         assert np.allclose(d.Y, [[x_plus]])
         assert d.F11[0, 0] == pytest.approx(-1.5, abs=1e-12)
         assert graph_transform(d)[2][0, 1] == -1.0
@@ -76,7 +75,7 @@ class TestDecomposeFromRiccati:
     def test_zero_solution_identity_transform(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
         k = block_2x2(a, -np.eye(2), 0.0, -a.T)
-        d = decompose_from_riccati(k, solve_care_stabilizing(k))
+        d = solve_care_stabilizing(k)
         assert np.allclose(d.Y, 0.0)
         assert np.allclose(d.F11, a)
         assert np.allclose(d.F22, -a.T)
@@ -116,10 +115,9 @@ class TestDecomposeFromRiccati:
             g = rng.standard_normal((n, n))
             k = block_2x2(a, -m, 0.5 * (g + g.T), -a.T)
             try:
-                aux = solve_care_stabilizing(k)
+                d = solve_care_stabilizing(k)
             except ImaginaryAxisEigenvalue:
                 continue
-            d = decompose_from_riccati(k, aux)
             u, v, tri = graph_transform(d)
             nrm = np.linalg.norm(d.K, "fro")
             assert np.linalg.norm(v @ u - np.eye(2 * n), "fro") <= 1e-8 * 2 * n
@@ -197,7 +195,7 @@ class TestDecomposeFromSchur:
 class TestSolveDecaying:
     def test_scalar_reference(self):
         k, x_plus = scalar_aux_hamiltonian()
-        d = decompose_from_riccati(k, solve_care_stabilizing(k))
+        d = solve_care_stabilizing(k)
         sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
         assert sol.z2_0[0] == pytest.approx(x_plus, abs=1e-12)
         assert np.allclose(sol.y2_offset, 0.0)
@@ -534,7 +532,7 @@ def test_decomposition_dataclass_roundtrip():
     k11, k12, k21, k22 = d.K[:n, :n], d.K[:n, n:], d.K[n:, :n], d.K[n:, n:]
     assert np.linalg.norm(k21 + k22 @ y - y @ k11 - y @ k12 @ y) <= \
         1e-10 * np.linalg.norm(d.K)
-    remixed = DichotomyDecomposition(K=d.K, Y=y, F11=k11 + k12 @ y, F22=k22 - y @ k12)
+    remixed = decompose_from_riccati(d.K, y)
     base = solve_decaying(d, z1_0, psi0, rho)
     other = solve_decaying(remixed, z1_0, psi0, rho)
     assert np.abs(base.z2_0 - other.z2_0).max() <= \

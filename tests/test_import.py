@@ -57,8 +57,7 @@ SUBMODULE_NAMES = {
     "mfg": ["MfgSolution", "solve_mfg"],
     "problem": ["GammaWeights", "ProblemData", "ValidationReport", "gamma_weights",
                 "validate"],
-    "riccati": ["StabilizingRiccatiSolution", "care_residual", "certify_graph",
-                "consistency_matrix", "discounted_hamiltonian", "r_definiteness",
+    "riccati": ["consistency_matrix", "discounted_hamiltonian", "r_definiteness",
                 "require_stabilizable", "solve_care_stabilizing", "solve_discounted_are",
                 "stabilizability_margin"],
     "simulate": ["SimConfig", "SimResult", "simulate"],

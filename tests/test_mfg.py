@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from conftest import PROBLEM_DIR, game_problem, random_problem, scaled_close
 from mflq import linalg, social
 from mflq.cli import load_problem_file
+from mflq.dichotomy import decompose_from_riccati
 from mflq.errors import (DichotomySplitFailure, GraphSubspaceFailure, ImaginaryAxisEigenvalue,
                          MflqError)
 from mflq.linalg import weighted_gram
 from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, gamma_weights
-from mflq.riccati import certify_graph, consistency_matrix, solve_discounted_are
+from mflq.riccati import consistency_matrix, solve_discounted_are
 from mflq.social import solve_sce
 
 
@@ -191,9 +192,9 @@ class TestGraphCertification:
     def test_wrong_graph_fails_certification(self):
         p = load_problem_file(PROBLEM_DIR / "ex43.json")
         k = consistency_matrix(solve_discounted_are(p), p.Q @ p.Gamma)
-        certify_graph(k, solve_mfg(p).decomposition.Y)
+        decompose_from_riccati(k, solve_mfg(p).decomposition.Y)
         with pytest.raises(GraphSubspaceFailure, match="failed certification"):
-            certify_graph(k, np.zeros((p.n, p.n)))
+            decompose_from_riccati(k, np.zeros((p.n, p.n)))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))

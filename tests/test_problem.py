@@ -311,7 +311,7 @@ class TestOverflowFromFiniteData:
             solve_sce(p)
         with pytest.raises(ImaginaryAxisEigenvalue):
             solve_mfg(p)
-        pi = solve_discounted_are(p).X
+        pi = solve_discounted_are(p).Y
         with pytest.warns(RuntimeWarning, match=MATMUL_OVERFLOW), \
                 pytest.raises(ValueError, match="^Q_Gamma has non-finite entries$"):
             contraction_bound(p, pi)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (PROBLEM_DIR, hamiltonian, lq_problem, random_care_problem,
-                      random_problem)
+from conftest import (PROBLEM_DIR, care_residual, hamiltonian, lq_problem,
+                      random_care_problem, random_problem)
 from mflq import riccati
 from mflq.cli import load_problem_file
 from mflq.errors import (
@@ -23,7 +23,6 @@ from mflq.mfg import solve_mfg
 from mflq.problem import ProblemData, validate
 from mflq.riccati import (
     PBH_TOL,
-    care_residual,
     solve_care_stabilizing,
     solve_discounted_are,
     stabilizability_margin,
@@ -59,16 +58,16 @@ class TestCareResidual:
 class TestSolveCareStabilizing:
     def test_scalar_unit(self):
         sol = scalar_care(0.0, 1.0, 1.0)
-        assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert sol.closed_loop[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert sol.Y[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert sol.F11[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert sol.spectrum_margin == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_negative_weight(self):
         # shifted scalar data with sign-flipped coupling weight
         a_o = 2.0 - scalar_discounted_solution(2.0, 1.0, 2.0, 1.0, 1.0) - 0.5
         sol = scalar_care(a_o, 1.0, -2.0)
-        assert sol.X[0, 0] == pytest.approx(-0.5615528128, abs=1e-9)
-        assert sol.closed_loop[0, 0] == pytest.approx(-1.5, abs=1e-9)
+        assert sol.Y[0, 0] == pytest.approx(-0.5615528128, abs=1e-9)
+        assert sol.F11[0, 0] == pytest.approx(-1.5, abs=1e-9)
 
     def test_axis_eigenvalue_raises(self):
         with pytest.raises(ImaginaryAxisEigenvalue):
@@ -96,10 +95,10 @@ class TestSolveCareStabilizing:
         for _ in range(10):
             a, m, q = random_care_problem(rng)
             sol = solve_care_stabilizing(hamiltonian(a, m, q))
-            norm_x = np.linalg.norm(sol.X, "fro")
-            assert np.linalg.norm(sol.X - sol.X.T, "fro") <= 1e-8 * (1.0 + norm_x)
-            assert care_residual(sol.X, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
-            assert spectral_abscissa(sol.closed_loop) < 0.0
+            norm_x = np.linalg.norm(sol.Y, "fro")
+            assert np.linalg.norm(sol.Y - sol.Y.T, "fro") <= 1e-8 * (1.0 + norm_x)
+            assert care_residual(sol.Y, a, m, q) <= 1e-7 * (1.0 + norm_x**2)
+            assert spectral_abscissa(sol.F11) < 0.0
 
     def test_graph_subspace_identity(self):
         rng = np.random.default_rng(77)
@@ -107,10 +106,10 @@ class TestSolveCareStabilizing:
             a, m, q = random_care_problem(rng)
             h = hamiltonian(a, m, q)
             sol = solve_care_stabilizing(h)
-            stack = np.vstack([np.eye(a.shape[0]), sol.X])
+            stack = np.vstack([np.eye(a.shape[0]), sol.Y])
             lhs = h @ stack
-            rhs = stack @ sol.closed_loop
-            scale = 1.0 + np.linalg.norm(h, "fro") * (1.0 + np.linalg.norm(sol.X))
+            rhs = stack @ sol.F11
+            scale = 1.0 + np.linalg.norm(h, "fro") * (1.0 + np.linalg.norm(sol.Y))
             assert np.linalg.norm(lhs - rhs, "fro") <= 1e-7 * scale
 
 
@@ -133,7 +132,7 @@ class TestAgainstEstablishedSolver:
             except np.linalg.LinAlgError:
                 continue
             sol = solve_care_stabilizing(hamiltonian(a, b @ b.T, q))
-            gap = np.linalg.norm(sol.X - ref, "fro")
+            gap = np.linalg.norm(sol.Y - ref, "fro")
             assert gap <= 1e-8 * (1.0 + np.linalg.norm(ref, "fro"))
             checked += 1
 
@@ -149,13 +148,13 @@ class TestScalarMaximality:
                 continue
             roots = np.roots([m, -2.0 * a, -q])
             sol = scalar_care(a, m, q)
-            assert sol.X[0, 0] == pytest.approx(max(roots.real), abs=1e-9)
+            assert sol.Y[0, 0] == pytest.approx(max(roots.real), abs=1e-9)
 
 
 class TestSolveDiscountedAre:
     def test_scalar_reference(self):
         sol = solve_discounted_are(lq_problem([[2.0]], [[1.0]], [[2.0]], [[1.0]], 1.0))
-        assert sol.X[0, 0] == pytest.approx(3.5615528128, abs=1e-9)
+        assert sol.Y[0, 0] == pytest.approx(3.5615528128, abs=1e-9)
         # closed loop of the shifted problem is stable
         assert sol.spectrum_margin > 0.0
 
@@ -170,7 +169,7 @@ class TestSolveDiscountedAre:
             rho = float(rng.uniform(0.3, 2.0))
             expected = scalar_discounted_solution(a, b, q, r, rho)
             sol = solve_discounted_are(lq_problem([[a]], [[b]], [[q]], [[r]], rho))
-            assert sol.X[0, 0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert sol.Y[0, 0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
             done += 1
 
     def test_discounted_equation_residual(self):
@@ -187,7 +186,7 @@ class TestSolveDiscountedAre:
                 sol = solve_discounted_are(lq_problem(a, b, q, r, rho))
             except ImaginaryAxisEigenvalue:
                 continue
-            pi = sol.X
+            pi = sol.Y
             res = (pi @ a + a.T @ pi - pi @ b @ b.T @ pi + q - rho * pi)
             assert np.linalg.norm(res, "fro") <= 1e-7 * (
                 1.0 + np.linalg.norm(pi, "fro") ** 2
@@ -204,7 +203,7 @@ class TestSolveDiscountedAre:
         gram = b_mat @ sla.cho_solve(sla.cho_factor(np.array([[r]])), b_mat.T)
         direct = solve_care_stabilizing(hamiltonian(np.array([[a - rho / 2.0]]), gram,
                                                     np.array([[q]])))
-        assert via_discount.X[0, 0] == direct.X[0, 0]
+        assert via_discount.Y[0, 0] == direct.Y[0, 0]
 
     def test_mismatched_shapes_rejected(self):
         # the front end takes a ProblemData, which compares the shapes when built
@@ -255,7 +254,7 @@ class TestSolveDiscountedAre:
         p = lq_problem(3.0 * np.eye(2), np.eye(2), np.diag(q), np.eye(2), 1.0)
         sol = solve_discounted_are(p)
         expected = [scalar_discounted_solution(3.0, 1.0, qi, 1.0, 1.0) for qi in q]
-        assert sol.X == pytest.approx(np.diag(expected), rel=1e-9, abs=1e-9)
+        assert sol.Y == pytest.approx(np.diag(expected), rel=1e-9, abs=1e-9)
         assert sol.spectrum_margin > 0.0
 
     def test_non_positive_r(self):
@@ -289,7 +288,8 @@ def _kernel_problems():
 
 class TestOneKernel:
     """Every Riccati equation is solved by the one kernel
-    :func:`riccati.solve_care_stabilizing`, on a Hamiltonian, and the
+    :func:`riccati.solve_care_stabilizing`, on a Hamiltonian, every graph
+    is checked once, by :func:`dichotomy.decompose_from_riccati`, and the
     discounted Hamiltonian has the one builder
     :func:`riccati.discounted_hamiltonian`."""
 
@@ -306,6 +306,30 @@ class TestOneKernel:
                 continue
             solved += 1
             assert len(calls) == per_solve
+        assert solved >= 6
+
+    @pytest.mark.parametrize("solver,per_solve", [
+        (solve_discounted_are, 1), (solve_sce, 2), (solve_mfg, 2)])
+    def test_graph_checks_per_solve(self, monkeypatch, solver, per_solve):
+        # one check per graph: the front end's, and the social or game one;
+        # the solution's Pi and pi_residual are the front end's record
+        calls = _record_calls(monkeypatch, "decompose_from_riccati")
+        solved = 0
+        for p in _kernel_problems():
+            calls.clear()
+            try:
+                sol = solver(p)
+            except MflqError:
+                continue
+            solved += 1
+            assert len(calls) == per_solve
+            are = calls[0][1]
+            if solver is solve_discounted_are:
+                assert sol is are
+            else:
+                assert sol.Pi is are.Y
+                assert sol.pi_residual == are.residual
+                assert sol.decomposition is calls[1][1]
         assert solved >= 6
 
     def test_validate_and_the_front_end_build_one_matrix(self, monkeypatch):

@@ -318,10 +318,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, out_help="write the report here instead of stdout"):
         sp.add_argument("problem", help="path to a JSON problem file")
-        sp.add_argument("--out", default=None, help="write the report here "
-                        "instead of stdout")
+        sp.add_argument("--out", default=None, help=out_help)
 
     for name, solve, own_keys in (("solve-social", social_mod.solve_sce, _social_keys),
                                   ("solve-game", mfg_mod.solve_mfg, _game_keys)):
@@ -340,7 +339,8 @@ def _build_parser():
     sp.set_defaults(handler=_cmd_contraction)
 
     sp = sub.add_parser("simulate")
-    add_common(sp)
+    add_common(sp, "write the per-replication CSV here; the report still "
+                   "goes to stdout")
     sp.add_argument("--agents", type=int, default=32)
     sp.add_argument("--horizon", type=float, default=5.0)
     sp.add_argument("--dt", type=float, default=0.01)

@@ -496,6 +496,39 @@ class TestSpectrumCommand:
             == sorted((float(z.real), float(z.imag)) for z in lam)
 
 
+class TestOutFile:
+    """``--out`` writes exactly what stdout would hold, and nothing to
+    stdout; the solve reports are compared without their ``timings``."""
+
+    @pytest.mark.parametrize("argv,timed", [
+        (["contraction", TWO_STATE_WEAK], False),
+        (["spectrum", GAME, "--system", "game"], False),
+        (["solve-social", TWO_STATE_STRONG], True),
+        (["solve-game", GAME], True),
+    ], ids=["contraction", "spectrum", "solve-social", "solve-game"])
+    def test_file_holds_the_stdout_report(self, capsys, tmp_path, argv, timed):
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        out_path = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out_path.read_bytes().decode("utf-8")
+        if timed:
+            shown, written = (json.loads(text) for text in (shown, written))
+            assert shown.pop("timings").keys() == written.pop("timings").keys()
+        assert written == shown
+
+    @pytest.mark.parametrize("command,says", [
+        ("contraction", "write the report here instead of stdout"),
+        # simulate still prints its report; --out takes the replication CSV
+        ("simulate", "write the per-replication CSV here; the report still goes to stdout"),
+    ])
+    def test_help_says_what_out_writes(self, capsys, command, says):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert says in " ".join(capsys.readouterr().out.split())
+
+
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys, tmp_path):
         out_a = tmp_path / "a.csv"

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import indefinite_social_problem
+from conftest import PROBLEM_DIR, indefinite_social_problem
 from mflq import contraction
+from mflq.cli import load_problem_file
 from mflq.contraction import contraction_bound, decaying_norm_integral
-from mflq.errors import UnstableGenerator
+from mflq.errors import MflqError, UnstableGenerator
 from mflq.linalg import mat_exp, weighted_gram
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are
@@ -30,6 +31,18 @@ class TestDecayingNormIntegral:
         oracle = quad(lambda t: np.linalg.norm(mat_exp(a * t) @ c, "fro"),
                       0.0, np.inf, limit=400)[0]
         assert value == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[-1.0, 1.0], [0.0, -1.0]]),
+        -np.eye(3) + np.eye(3, k=1),
+    ], ids=["defective_2x2", "jordan_3x3"])
+    def test_defective_drift_oracle(self, a):
+        # no eigenvector basis: the horizon must not rest on one
+        c = np.eye(len(a))
+        value = decaying_norm_integral(a, c)
+        oracle = quad(lambda t: np.linalg.norm(mat_exp(a * t) @ c, "fro"),
+                      0.0, np.inf, limit=400, epsabs=0.0, epsrel=1e-11)[0]
+        assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_zero_integrand(self):
         assert decaying_norm_integral(-np.eye(2), np.zeros((2, 2))) == 0.0
@@ -105,3 +118,40 @@ class TestContractionBound:
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
         with pytest.raises(UnstableGenerator):
             contraction_bound(p, np.zeros((1, 1)))  # not the solving Pi
+
+
+def _scaled(p, c_cost=1.0, c_control=1.0, c_time=1.0):
+    """`p` with ``(Q, R)`` times `c_cost`, ``(B, R)`` times ``(c_control,
+    c_control**2)`` and ``(A, B, Q, R, rho)`` times `c_time`."""
+    return ProblemData(A=c_time * p.A, B=c_time * c_control * p.B,
+                       Q=c_time * c_cost * p.Q,
+                       R=c_time * c_cost * c_control**2 * p.R,
+                       Gamma=p.Gamma, eta=p.eta, rho=c_time * p.rho, x0=p.x0)
+
+
+class TestUnits:
+    """``beta`` is a number without units: it keeps every bit when the
+    costs, the controls or time are measured in units a power of two (of
+    four, for time) apart, which scales every matrix the integrals see by
+    exact powers of two."""
+
+    @pytest.mark.parametrize("name", ["ex22_degenerate", "ex41",
+                                      "ex42_gamma005", "ex42_gamma2", "ex43"])
+    @pytest.mark.parametrize("family", [
+        lambda p, k: _scaled(p, c_cost=2.0**k),
+        lambda p, k: _scaled(p, c_control=2.0**k),
+        lambda p, k: _scaled(p, c_time=4.0**k),
+    ], ids=["cost", "control", "time"])
+    def test_power_of_two_units_are_exact(self, name, family):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        beta = contraction_bound(p, _pi_for(p))
+        solved = 0
+        for k in (-20, -8, 8, 20):
+            scaled = family(p, k)
+            try:
+                pi = _pi_for(scaled)
+            except MflqError:
+                continue
+            solved += 1
+            assert contraction_bound(scaled, pi) == beta, k
+        assert solved >= 1

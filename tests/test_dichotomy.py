@@ -422,6 +422,12 @@ class TestEvaluateTrajectory:
         with pytest.raises(ValueError):
             evaluate_trajectory(sol, d, [-1.0, 0.0])
 
+    def test_two_dimensional_grid_rejected(self):
+        d = graph_decomposition(np.diag([-1.0, 1.0]))
+        sol = solve_decaying(d, [1.0], np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="^t_grid must be one-dimensional$"):
+            evaluate_trajectory(sol, d, [[0.0, 1.0], [2.0, 3.0]])
+
     @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
                                       [np.nan], [0.0, np.inf, np.inf],
                                       [-np.inf, 0.0]],

@@ -32,7 +32,7 @@ def _problems():
 
 def _count_wrapper_calls(monkeypatch):
     calls = []
-    for name in ("norm", "eigvalsh"):
+    for name in ("norm", "eigvalsh", "eig", "cond"):
         real = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):

@@ -684,6 +684,24 @@ class TestRealSchurOrdered:
         with pytest.raises(SchurConvergenceFailure, match=f"dgees info {info}"):
             real_schur_ordered(np.diag([2.0, -1.0]))
 
+    @pytest.mark.parametrize("change,check", [
+        # off orthogonal by 2e-9, yet w' k w is within 1e-8 of t
+        (lambda w: w * (1.0 + 1e-9), "orthogonality 2"),
+        # orthogonal, but its columns in the wrong order
+        (lambda w: w[:, ::-1], "reconstruction [1-9]"),
+    ], ids=["not_orthogonal", "wrong_basis"])
+    def test_inaccurate_factors_raise_convergence_failure(self, monkeypatch, change, check):
+        real = linalg.dgees
+
+        def perturbed(*args, **kwargs):
+            t, sdim, wr, wi, w, work, info = real(*args, **kwargs)
+            return t, sdim, wr, wi, change(w), work, info
+
+        monkeypatch.setattr(linalg, "dgees", perturbed)
+        with pytest.raises(SchurConvergenceFailure,
+                           match=f"^ordered Schur factors inaccurate .*{check}"):
+            real_schur_ordered(np.array([[2.0, 3.0], [0.0, -1.0]]))
+
     def test_axis_eigenvalue_named_when_the_reordering_also_fails(self, monkeypatch):
         dgees_reports(monkeypatch, 3)
         with pytest.raises(ImaginaryAxisEigenvalue):

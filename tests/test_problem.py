@@ -70,6 +70,12 @@ class TestProblemData:
         with pytest.raises(ValueError, match=field):
             ProblemData(**base)
 
+    def test_r_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^R must be 1x1 for 1 controls$"):
+            ProblemData(A=np.eye(2), B=[[1.0], [1.0]], Q=np.eye(2), R=np.eye(2),
+                        Gamma=np.zeros((2, 2)), eta=[0.0, 0.0], rho=1.0,
+                        x0=[0.0, 0.0])
+
     def test_huge_asymmetric_q_rejected(self):
         # the squares of these entries overflow; the symmetry test must not
         with pytest.raises(ValueError, match="Q is not symmetric"):

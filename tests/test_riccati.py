@@ -263,6 +263,17 @@ class TestSolveDiscountedAre:
         with pytest.raises(NonPositiveR):
             solve_discounted_are(lq_problem([[1.0]], [[1.0]], [[1.0]], [[0.0]], 1.0))
 
+    def test_r_eigenvalue_failure_raises_linalg_error(self, monkeypatch):
+        real = riccati.dsyev
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 2)
+
+        monkeypatch.setattr(riccati, "dsyev", failing)
+        with pytest.raises(np.linalg.LinAlgError, match=r"^dsyev did not converge \(info 2\)$"):
+            riccati.r_definiteness(np.eye(2))
+
 
 def _record_calls(monkeypatch, name):
     """Record the arguments and result of every call of ``riccati.<name>``,

@@ -271,6 +271,12 @@ class TestSceResidual:
         with pytest.raises(ValueError, match="positive step"):
             sce_residual(sol, scalar_social, np.zeros(3))
 
+    def test_two_points_rejected(self, scalar_social):
+        # a central difference needs a point on each side
+        sol = solve_sce(scalar_social)
+        with pytest.raises(ValueError, match="^need at least three grid points$"):
+            sce_residual(sol, scalar_social, np.array([0.0, 0.1]))
+
     def test_nonuniform_grid_rejected(self, scalar_social):
         sol = solve_sce(scalar_social)
         with pytest.raises(ValueError):

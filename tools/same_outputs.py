@@ -5,12 +5,12 @@
 Two corpora run once with REV's ``src`` and once with the working tree's,
 each tree in its own subprocess:
 
-- the CLI corpus, 16 problems times 22 command lines (352 cases) and 14
+- the CLI corpus, 16 problems times 23 command lines (368 cases) and 15
   malformed documents under ``solve-social`` alone, through
   ``mflq.cli.main``: each case's exit code, stdout (without the reports'
   ``"timings"``), stderr, warnings and the digest of every file it writes
   (the trajectory CSV of ``solve-social`` and ``solve-game``, the
-  replication CSV of ``simulate``);
+  replication CSV of ``simulate``, the report of ``spectrum --out``);
 - the API corpus, 625 problems (the 5 shipped files, the 4 solvable ones
   with ``rho·10^k`` for 8 powers k up to 20, the ``sweep_small`` inputs of
   ``perfbench/instances.py`` for seeds 1-3 and 300
@@ -103,6 +103,7 @@ VARIANTS = [
     ["contraction", "--out", MISSING_OUT],
     ["spectrum", "--system", "social"],
     ["spectrum", "--system", "game"],
+    ["spectrum", "--system", "game", "--out", f"{OUT_DIR}/report.json"],
     ["simulate", "--agents", "4", "--horizon", "0.5", "--reps", "2"],
     ["simulate", "--agents", "4", "--horizon", "0.5", "--reps", "3",
      "--out", f"{OUT_DIR}/reps.csv"],
@@ -137,6 +138,7 @@ MALFORMED_FIELDS = {
     # 10**20 reads as 1e20, and 10**400 overflows a float
     "rho_integer_1e20": {"rho": 10**20},
     "rho_integer_1e400": {"rho": 10**400},
+    "R_wrong_size": {"R": [[1.0, 0.0], [0.0, 1.0]]},
 }
 
 

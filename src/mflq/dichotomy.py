@@ -110,7 +110,8 @@ def decompose_from_riccati(K, Y):
     f11 = k11 + k12 @ Y
     if not dlange("M", f11) < np.inf:  # NaN fails too
         raise ValueError("the closed loop A_o - M X overflows")
-    residual = fro(Y @ k11 - k22 @ Y + Y @ k12 @ Y - k21)
+    y_k12 = Y @ k12  # for the residual and for F22
+    residual = fro(Y @ k11 - k22 @ Y + y_k12 @ Y - k21)
     margin = -spectral_abscissa(f11)
     ny = fro(Y)
     scale = fro(k21) + ny * (fro(k11) + fro(k22) + fro(k12) * ny)
@@ -119,7 +120,7 @@ def decompose_from_riccati(K, Y):
             f"solution failed certification (residual {residual:.3e}, "
             f"closed-loop margin {margin:.3e})"
         )
-    return DichotomyDecomposition(K=K, Y=Y, F11=f11, F22=k22 - Y @ k12,
+    return DichotomyDecomposition(K=K, Y=Y, F11=f11, F22=k22 - y_k12,
                                   residual=residual, spectrum_margin=margin)
 
 
@@ -175,7 +176,8 @@ def solve_decaying(d, z1_0, psi0, rho):
     n = d.n
     c = -solve_linear(add_diag(d.F22, 0.5 * rho), psi0[n:] - d.Y @ psi0[:n])
     generator = np.zeros((n + 1, n + 1))
-    generator[:n, :n] = add_diag(d.F11, 0.5 * rho)
+    generator[:n, :n] = d.F11
+    generator.reshape(-1)[:n * (n + 2):n + 2] += 0.5 * rho  # the diagonal of F11
     generator[:n, n] = d.K[:n, n:] @ c + psi0[:n]
     return BvpSolution(z1_0=z1_0, z2_0=d.Y @ z1_0 + c, y2_offset=c,
                        y1_generator=generator)

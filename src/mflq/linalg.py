@@ -171,13 +171,9 @@ def block_balance(k):
     return out, c
 
 
-def eigenvalues(a):
-    """All eigenvalues of a real square matrix, with multiplicity (``dgeev``).
-
-    Complex eigenvalues come in conjugate pairs since the input is real; the
-    array is real when all are.  `a` must be finite.  Raises
-    ``np.linalg.LinAlgError`` if the QR iteration fails.
-    """
+def _dgeev(a):
+    """The real and imaginary parts ``(wr, wi)`` of the eigenvalues of `a`
+    (``dgeev``), for :func:`eigenvalues` and :func:`spectral_abscissa`."""
     big = dlange("M", a)
     if big and not 2.0**-459 <= big <= 2.0**459:
         # scipy's bundled dgeev leaves the eigenvalues scaled when it has to
@@ -185,16 +181,27 @@ def eigenvalues(a):
         # (a scale-up is exact, and split in two, since 2.0**1024 overflows)
         e = int(np.frexp(big)[1])
         half = max(e, 0) // 2
-        return eigenvalues(np.ldexp(a, -e)) * 2.0**half * 2.0**(e - half)
+        return [part * 2.0**half * 2.0**(e - half) for part in _dgeev(np.ldexp(a, -e))]
     wr, wi, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeev did not converge (info {info})")
+    return wr, wi
+
+
+def eigenvalues(a):
+    """All eigenvalues of a real square matrix, with multiplicity (``dgeev``).
+
+    Complex eigenvalues come in conjugate pairs since the input is real; the
+    array is real when all are.  `a` must be finite.  Raises
+    ``np.linalg.LinAlgError`` if the QR iteration fails.
+    """
+    wr, wi = _dgeev(a)
     return wr + 1j * wi if wi.any() else wr
 
 
 def spectral_abscissa(a):
-    """max Re(lambda) over the eigenvalues of `a`."""
-    return float(eigenvalues(a).real.max())
+    """max Re(lambda) over the eigenvalues of `a`: the largest of ``dgeev``'s real parts."""
+    return float(_dgeev(a)[0].max())
 
 
 def lu_factor(a):
@@ -385,7 +392,8 @@ def real_schur_ordered(k):
         raise SchurConvergenceFailure(
             f"Schur reduction did not converge (dgees info {info})"
         )
-    on_axis = np.abs(wr) <= default_axis_tol(k)
+    norm = fro(k)  # one norm for the axis tolerance and the reconstruction bound
+    on_axis = np.abs(wr) <= 1e-9 * (1.0 + norm)  # default_axis_tol(k)
     if on_axis.any():
         # real eigenvalues stay real, as eigenvalues() reports them
         on_axis = (wr + 1j * wi if wi.any() else wr)[on_axis]
@@ -399,9 +407,12 @@ def real_schur_ordered(k):
             f"stable-first reordering failed (dgees info {info})"
         )
 
-    ortho_err = fro(add_diag(w.T @ w, -1.0))
-    recon_err = fro(w.T @ k @ w - t)
-    if ortho_err > 1e-10 * len(k) or recon_err > 1e-8 * max(fro(k), 1.0):
+    gram = w.T @ w
+    gram.reshape(-1)[::len(k) + 1] -= 1.0  # W'W - I, in place on the fresh product
+    recon = w.T @ k @ w
+    recon -= t
+    ortho_err, recon_err = fro(gram), fro(recon)
+    if ortho_err > 1e-10 * len(k) or recon_err > 1e-8 * max(norm, 1.0):
         raise SchurConvergenceFailure(
             f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
             f"reconstruction {recon_err:.3e})"

@@ -121,7 +121,8 @@ def gamma_weights(p):
     """:class:`GammaWeights` of the problem `p`, from its checked `Q`,
     `Gamma` and `eta`."""
     q, g = p.Q, p.Gamma
-    q_gamma = g.T @ q + q @ g - g.T @ q @ g
+    gq = g.T @ q
+    q_gamma = gq + q @ g - gq @ g
     q_gamma = 0.5 * (q_gamma + q_gamma.T)
     eta_gamma = add_diag(0.0 - g.T, 1.0) @ (q @ p.eta)  # 0 - g: I - Gamma' bit for bit
     return GammaWeights(Q_Gamma=q_gamma, eta_Gamma=eta_gamma)

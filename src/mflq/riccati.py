@@ -64,7 +64,7 @@ def stabilizability_margin(a, b):
         return np.inf
     tests = np.empty((lam.size, n, n + b.shape[1]), dtype=complex)
     tests[:, :, :n] = 0.0 - a  # lam I - a, as 0 - a_ij off the diagonal
-    tests[:, range(n), range(n)] += lam[:, None]
+    tests.reshape(lam.size, -1)[:, ::n + b.shape[1] + 1] += lam[:, None]  # the diagonals
     tests[:, :, n:] = b
     sigma = np.linalg.svd(tests, compute_uv=False)[:, -1]
     return float(sigma.min() / scale)
@@ -157,6 +157,7 @@ def solve_discounted_are(p):
         require_stabilizable(p.A, p.B)
         raise
     if are.spectrum_margin <= 0.5 * p.rho:
-        if not stabilizability_margin(add_diag(are.F11, 0.5 * p.rho), p.B) > PBH_TOL:
+        # A - M Pi as A + K12 Pi: F11 + (rho/2) I would carry an error of eps rho/2
+        if not stabilizability_margin(p.A + are.K[:p.n, p.n:] @ are.Y, p.B) > PBH_TOL:
             require_stabilizable(p.A, p.B)
     return are

@@ -85,7 +85,7 @@ def _initial_transform(p, cfg):
     cov = np.asarray(cfg.init_cov, dtype=float).reshape(p.n, p.n)
     cov = 0.5 * (cov + cov.T)
     w, v = np.linalg.eigh(cov)
-    if w.min() < -1e-10 * max(abs(w).max(), 1.0):
+    if w.min() < -1e-10 * abs(w).max():
         raise ValueError("init_cov must be positive semi-definite")
     return v * np.sqrt(np.clip(w, 0.0, None))
 

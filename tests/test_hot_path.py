@@ -5,8 +5,11 @@ in place (:func:`linalg.add_diag`) rather than building identities, and
 builds its solutions with their constructors, not ``dataclasses.replace``.
 These tests fail if a wrapper, an identity or a ``replace`` comes back onto
 that path; the Pade approximant of :func:`linalg.mat_exp` is the one place
-that builds an identity.  ``trajectory()`` samples the stored shifted
-solution as it is, with no rebuilt solution and no shifted copy."""
+that builds an identity.  A certified splitting reads its closed-loop
+spectrum as ``dgeev``'s real parts (:func:`linalg.spectral_abscissa`), so
+:func:`linalg.eigenvalues`, which builds the complex spectrum, is called
+by the solves only for the PBH test.  ``trajectory()`` samples the stored
+shifted solution as it is, with no rebuilt solution and no shifted copy."""
 
 import dataclasses
 import sys
@@ -14,7 +17,7 @@ import sys
 import numpy as np
 
 from conftest import PROBLEM_DIR, random_problem
-from mflq import dichotomy, linalg
+from mflq import dichotomy, linalg, riccati
 from mflq.cli import load_problem_file
 from mflq.contraction import contraction_bound
 from mflq.errors import MflqError
@@ -100,6 +103,33 @@ def test_solves_and_trajectories_build_no_identity_and_call_no_replace(monkeypat
     solutions = _validate_solve_and_sample(problems)
     assert len(solutions) == 2 * len(problems) - 3
     assert calls == []
+
+
+def test_solves_call_eigenvalues_only_for_the_pbh_test(monkeypatch):
+    problems = _problems()
+    callers = []
+    real = linalg.eigenvalues
+
+    def eigenvalues(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mflq") and getattr(module, "eigenvalues", None) is real:
+            monkeypatch.setattr(module, "eigenvalues", eigenvalues)
+    grid = np.linspace(0.0, 5.0, 101)
+    solved = 0
+    for p in problems:
+        for solve in (solve_sce, solve_mfg):
+            try:
+                solve(p).trajectory(grid)
+                solved += 1
+            except MflqError:
+                continue
+    assert solved == 2 * len(problems) - 3
+    pbh = riccati.stabilizability_margin.__code__
+    assert pbh in callers  # the degenerate file's failed solves run the PBH test
+    assert [code.co_name for code in callers if code is not pbh] == []
 
 
 def test_solves_check_no_symmetry_again(monkeypatch):

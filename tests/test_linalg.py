@@ -74,10 +74,14 @@ class TestEigenvalues:
         lam = np.sort(eigenvalues(a * scale))
         assert np.allclose(lam / scale, np.sort(np.linalg.eigvals(a)),
                            rtol=1e-14, atol=0.0)
+        # the abscissa reads the same rescaled real parts, a real and a complex spectrum
+        for m in (a * scale, np.array([[1.0, 2.0], [-3.0, 0.5]]) * scale):
+            assert spectral_abscissa(m) == float(eigenvalues(m).real.max())
 
     def test_scale_past_2_to_1023_is_exact(self):
         # the input is scaled by 2^-1024, and 2.0**1024 overflows
         assert np.array_equal(eigenvalues(np.array([[1e308]])), [1e308])
+        assert spectral_abscissa(np.array([[1e308]])) == 1e308
 
     def test_lapack_failure_raises_linalg_error(self, monkeypatch):
         real = linalg.dgeev
@@ -102,6 +106,19 @@ class TestEigenvalues:
 class TestSpectralAbscissa:
     def test_diagonal(self):
         assert spectral_abscissa(np.diag([-1.0, -3.0])) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("spectrum", ["real", "complex"])
+    def test_equals_max_real_part_of_eigenvalues(self, spectrum):
+        # one dgeev pass, no complex array: the same float as eigenvalues()
+        rng = np.random.default_rng(29)
+        kinds = set()
+        for n in range(1, 9):
+            g = rng.standard_normal((n, n))
+            a = g + g.T if spectrum == "real" else g - g.T + 0.1 * g
+            lam = eigenvalues(a)
+            kinds.add("complex" if np.iscomplexobj(lam) else "real")
+            assert spectral_abscissa(a) == float(lam.real.max())
+        assert spectrum in kinds
 
     def test_shift_property(self):
         rng = np.random.default_rng(5)

@@ -228,6 +228,22 @@ class TestSolveDiscountedAre:
         with pytest.raises(StabilizabilityFailure, match=r"\(A, B\)"):
             solve_discounted_are(lq_problem(a, b, np.eye(np.shape(a)[0]), r, 1.0))
 
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg], ids=["social", "game"])
+    @pytest.mark.parametrize("rho", [3.0, 1e6, 1e10])
+    def test_uncontrollable_mode_caught_at_large_rho(self, solver, rho):
+        # mode 0.7 of A is uncontrollable and stays in A - M Pi.  The PBH
+        # test runs on A - M Pi itself: F11 + (rho/2) I would carry an
+        # absolute error near eps rho/2, and at rho = 1e10 its margin
+        # (3.5e-8) cleared PBH_TOL
+        c, s = np.cos(0.6), np.sin(0.6)
+        rot = np.array([[c, -s], [s, c]])
+        p = ProblemData(A=rot @ np.diag([0.7, 2.0]) @ rot.T, B=rot @ [[0.0], [1.0]],
+                        Q=np.eye(2), R=[[1.0]], Gamma=np.zeros((2, 2)), eta=[0.0, 0.0],
+                        rho=rho, x0=[1.0, 1.0])
+        assert not validate(p).stabilizable
+        with pytest.raises(StabilizabilityFailure, match=r"\(A, B\)"):
+            solver(p)
+
     @pytest.mark.parametrize("solve", ["front_end", "social", "game"])
     @pytest.mark.parametrize("s", [1e-2, 1.0, 1e2, 1e5])
     def test_axis_failure_not_blamed_on_stabilizability(self, solve, s):

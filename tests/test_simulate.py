@@ -48,10 +48,14 @@ class TestSimulate:
         assert np.isfinite(simulate(p, _strategy(p), cfg).cost_mean)
 
     def test_indefinite_initial_covariance_rejected(self):
+        # the bound is relative to the largest |eigenvalue|: no floor of 1
+        # lets a small negative covariance through as 0
         p = scalar_social_problem(D=[[0.2]])
-        cfg = SimConfig(N=2, T=1.0, dt=0.1, init_cov=[[-0.5]])
-        with pytest.raises(ValueError, match="^init_cov must be positive semi-definite$"):
-            simulate(p, _strategy(p), cfg)
+        for cov in (-0.5, -1e-12):
+            cfg = SimConfig(N=2, T=1.0, dt=0.1, init_cov=[[cov]])
+            with pytest.raises(ValueError,
+                               match="^init_cov must be positive semi-definite$"):
+                simulate(p, _strategy(p), cfg)
 
     def test_non_finite_gain_rejected(self):
         # the closed-loop eigenvalues would rescale a NaN without end

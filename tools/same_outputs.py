@@ -17,9 +17,9 @@ each tree in its own subprocess:
   ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
   report and, for each solver, the error class and message or the bytes of
   `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `Y`, `F11`,
-  `F22` and `K`, the residuals and the trajectories on two grids.  (The
-  contraction bound `beta` of the shipped files is in the CLI corpus,
-  through ``mflq contraction``.)
+  `F22`, `K` and `spectrum_margin`, the residuals and the trajectories on
+  two grids.  (The contraction bound `beta` of the shipped files is in the
+  CLI corpus, through ``mflq contraction``.)
 
 The API corpus is generated once, with the working tree's code, and both
 trees are handed the same arrays.  A solution field that only one tree
@@ -278,7 +278,8 @@ def _solution_record(sol):
               for key in ("Pi", "s0", "X_plus", "A_C", "A_cl", "pi_residual",
                           "aux_residual") if hasattr(sol, key)}
     record.update((key, _digest(getattr(d, key)))
-                  for key in ("Y", "F11", "F22", "K") if hasattr(d, key))
+                  for key in ("Y", "F11", "F22", "K", "spectrum_margin")
+                  if hasattr(d, key))
     for name, grid in GRIDS.items():
         record[f"trajectory {name}"] = _outcome(
             lambda: dict(zip(("xbar", "s"), map(_digest, sol.trajectory(grid)))))

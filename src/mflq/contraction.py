@@ -22,7 +22,7 @@ the module constants below.
 
 import numpy as np
 
-from .errors import UnstableGenerator
+from .errors import MflqError, UnstableGenerator
 from .linalg import (add_diag, as_square, fill_powers, fro, mat_exp,
                      spectral_abscissa, weighted_gram)
 from .problem import gamma_weights
@@ -80,8 +80,9 @@ def decaying_norm_integral(a, c):
     The domain is truncated at the first ``T = 2**j / -alpha`` (``alpha``
     the spectral abscissa, at most 60 doublings) with ``||exp(a*T)||_F <=``
     :data:`TRUNCATION_TOL`, then integrated by composite Simpson with panel
-    doubling until two successive estimates agree to :data:`REL_TOL`, or
-    :data:`MAX_DOUBLINGS` doublings are done.  With ``q = ||exp(a*T)||_F``,
+    doubling until two successive estimates agree to :data:`REL_TOL`;
+    :class:`MflqError`, naming the last relative change, if they do not
+    within :data:`MAX_DOUBLINGS` doublings.  With ``q = ||exp(a*T)||_F``,
     ``||exp(a*(k*T + u)) @ c||_F <= q**k * ||exp(a*u) @ c||_F``, so the
     discarded tail is at most ``q / (1 - q)`` of the kept integral, whatever
     the scale of `c` or of time.
@@ -105,8 +106,11 @@ def decaying_norm_integral(a, c):
         vals, h, step = _norm_samples(a, c, t_end, panels, (vals, step))
         estimate, refined = refined, _simpson(vals, h)
         if abs(refined - estimate) <= REL_TOL * max(abs(refined), 1e-300):
-            break
-    return refined
+            return refined
+    change = abs(refined - estimate) / max(abs(refined), 1e-300)
+    raise MflqError(f"the integral of ||exp(a t) c||_F did not converge in "
+                    f"{MAX_DOUBLINGS} panel doublings (last relative change "
+                    f"{change:.3e}, tolerance {REL_TOL:g})")
 
 
 def contraction_bound(p, Pi):
@@ -116,7 +120,8 @@ def contraction_bound(p, Pi):
     ``ValueError`` if `Pi` is not a finite n-by-n matrix, or if the shifted
     closed-loop drift or `Q_Gamma` built from it overflows.  Raises
     :class:`UnstableGenerator`, from :func:`decaying_norm_integral`, if the
-    drift is not stable (it always is when `Pi` is the stabilizing solution).
+    drift is not stable (it always is when `Pi` is the stabilizing solution),
+    and :class:`MflqError` if a quadrature does not converge.
     """
     Pi = as_square(Pi, "Pi")
     if Pi.shape != (p.n, p.n):

@@ -20,7 +20,8 @@ improper integral behind `c` is evaluated in closed form as a linear
 solve.  The solution is stored shifted by ``rho/2``: it is
 ``exp(-rho*t/2)`` times a solution with ``z2 = Y z1 + c`` at every time,
 which is the undiscounted form the callers sample, and no
-``exp(rho*t/2)`` factor can overflow on a long horizon.  Trajectory
+``exp(rho*t/2)`` factor can overflow on a long horizon; both solvers
+fill the one record :class:`ConsistencySolution` with it.  Trajectory
 samples come from an augmented matrix exponential, not ODE stepping: one
 exponential per run of equal grid steps, with the states along the run
 filled by repeated squaring, so a uniform grid of N points costs one
@@ -38,6 +39,7 @@ from .linalg import (CONDITION_LIMIT, add_diag, block_balance, dlange, fill_powe
 
 __all__ = [
     "BvpSolution",
+    "ConsistencySolution",
     "DichotomyDecomposition",
     "decompose_from_riccati",
     "decompose_from_schur",
@@ -91,6 +93,30 @@ class BvpSolution:
     z2_0: np.ndarray
     y2_offset: np.ndarray
     y1_generator: np.ndarray
+
+
+@dataclass(frozen=True)
+class ConsistencySolution:
+    """A solved consistency system, social or game: the Riccati solution
+    `Pi`, the certified graph of the consistency matrix ``decomposition.K``,
+    the decaying solution `bvp` with ``s0 = bvp.z2_0``, and the Riccati
+    residuals of `Pi` and of the graph ``decomposition.Y``."""
+
+    Pi: np.ndarray
+    decomposition: DichotomyDecomposition
+    s0: np.ndarray
+    bvp: BvpSolution
+    pi_residual: float
+    aux_residual: float
+
+    @classmethod
+    def from_split(cls, p, are, d, forcing):
+        """The record of the problem `p` from the decompositions `are` of its
+        Riccati equation and `d` of its consistency matrix, and the forcing
+        ``(0, forcing)`` of :func:`solve_decaying` from ``x0``."""
+        bvp = solve_decaying(d, p.x0, np.concatenate([np.zeros(p.n), forcing]), p.rho)
+        return cls(Pi=are.Y, decomposition=d, s0=bvp.z2_0, bvp=bvp,
+                   pi_residual=are.residual, aux_residual=d.residual)
 
 
 def decompose_from_riccati(K, Y):
@@ -279,8 +305,8 @@ def _equal_step_runs(t, dt):
 def sample_trajectory(self, t_grid):
     """Sample ``(xbar(t), s(t))`` on a nonnegative grid.
 
-    The ``trajectory`` method of the social and the game solutions, which
-    both carry ``bvp`` and ``decomposition``.  Returns two arrays of shape
+    The ``trajectory`` method of the social and the game solutions, each
+    a :class:`ConsistencySolution`.  Returns two arrays of shape
     ``(len(t_grid), n)``: the undiscounted pair is the shifted form that
     :func:`evaluate_trajectory` samples, as stored."""
     return evaluate_trajectory(self.bvp, self.decomposition, t_grid)

@@ -8,30 +8,18 @@ graph `Y` of its stable invariant subspace solves a non-symmetric
 algebraic Riccati equation (Guo & Laub, SIAM J. Matrix Anal. Appl. 22,
 2000).  Otherwise the pipeline is the social one: the graph of the
 ordered Schur form, certified by :func:`dichotomy.decompose_from_riccati`
-as the one graph transform, gives the decaying solve and the trajectory.
+as the one graph transform, gives the decaying solve, the trajectory and
+the shared record (:meth:`dichotomy.ConsistencySolution.from_split`).
 """
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import dichotomy, riccati
 
 __all__ = ["MfgSolution", "solve_mfg"]
 
 
-@dataclass(frozen=True)
-class MfgSolution:
-    """Solved game consistency system with its splitting transform; the
-    coefficient matrix `M_mfg` is ``decomposition.K`` and `aux_residual` is
-    the Riccati residual of its graph ``decomposition.Y``."""
-
-    Pi: np.ndarray
-    decomposition: dichotomy.DichotomyDecomposition
-    s0: np.ndarray
-    bvp: dichotomy.BvpSolution
-    pi_residual: float
-    aux_residual: float
+class MfgSolution(dichotomy.ConsistencySolution):
+    """Solved game consistency system, in the social record; the
+    coefficient matrix `M_mfg` is ``decomposition.K``."""
 
     trajectory = dichotomy.sample_trajectory
 
@@ -51,13 +39,4 @@ def solve_mfg(p):
     are = riccati.solve_discounted_are(p)
     k = riccati.consistency_matrix(are, p.Q @ p.Gamma)
     d = dichotomy.decompose_from_riccati(k, dichotomy.decompose_from_schur(k))
-    psi0 = np.concatenate([np.zeros(p.n), p.Q @ p.eta])
-    bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
-    return MfgSolution(
-        Pi=are.Y,
-        decomposition=d,
-        s0=bvp.z2_0,
-        bvp=bvp,
-        pi_residual=are.residual,
-        aux_residual=d.residual,
-    )
+    return MfgSolution.from_split(p, are, d, p.Q @ p.eta)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dichotomy import uniform_grid
-from .linalg import as_square, eigenvalues
+from .linalg import as_square, as_symmetric, dsyev, eigenvalues
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
@@ -36,8 +36,9 @@ class SimConfig:
     The grid is :func:`dichotomy.uniform_grid` of `T` and `dt`, whose
     bounds are checked here.  The agents' initial states are i.i.d.
     Gaussian draws around the problem's ``x0``, the initial mean field the
-    strategy is solved from, with covariance ``init_cov``; it defaults to
-    zero (all agents start at ``x0``).
+    strategy is solved from, with covariance ``init_cov``, a finite,
+    symmetric, positive semi-definite n-by-n matrix that :func:`simulate`
+    checks; it defaults to zero (all agents start at ``x0``).
     """
 
     N: int
@@ -80,12 +81,18 @@ class SimResult:
 
 
 def _initial_transform(p, cfg):
+    """A square root ``L`` of ``init_cov = L L'``, from ``dsyev`` on its lower
+    triangle.  ``ValueError`` unless ``init_cov`` is checked like `Q`
+    (:func:`linalg.as_symmetric`), is n-by-n and positive semi-definite."""
     if cfg.init_cov is None:
         return np.zeros((p.n, p.n))
-    cov = np.asarray(cfg.init_cov, dtype=float).reshape(p.n, p.n)
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    if w.min() < -1e-10 * abs(w).max():
+    cov = as_symmetric(cfg.init_cov, "init_cov")
+    if cov.shape != (p.n, p.n):
+        raise ValueError(f"init_cov must have shape {(p.n, p.n)}, got {cov.shape}")
+    w, v, info = dsyev(cov, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyev did not converge (info {info})")
+    if w[0] < -1e-10 * abs(w).max():
         raise ValueError("init_cov must be positive semi-definite")
     return v * np.sqrt(np.clip(w, 0.0, None))
 
@@ -151,7 +158,8 @@ def simulate(p, strategy, cfg, threads=1):
         x_mean = x.mean(axis=1)
         if paths is not None:
             paths[:, k] = x_mean
-        gaps = np.maximum(gaps, np.linalg.norm(x_mean - xbar[k], axis=1))
+        dev = x_mean - xbar[k]
+        gaps = np.maximum(gaps, np.sqrt((dev * dev).sum(axis=1)))  # norm(dev, axis=1), bit for bit
         u = x @ strategy.K_x.T + uff[k]
         if k == steps:
             break

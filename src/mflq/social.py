@@ -14,7 +14,8 @@ form.  The ordered Schur forms of the two Riccati solves
 also decide existence: no separate validation pass runs on the solve path,
 and the auxiliary solve runs no PBH test, since ``As`` is the closed loop
 that :func:`riccati.solve_discounted_are` certified stable, along with
-``(A, B)`` stabilizable.
+``(A, B)`` stabilizable.  The game fills the same record
+(:class:`dichotomy.ConsistencySolution`).
 
 The induced decentralized strategy for every agent is the linear feedback
 ``u_i(t) = K_x x_i(t) - inv(R) B' s(t)`` with ``K_x = -inv(R) B' Pi``.
@@ -37,10 +38,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SceSolution:
-    """Closed-form solution of the social consistency system, with the
-    game's fields.  The Hamiltonian `H` is ``decomposition.K``.
+class SceSolution(dichotomy.ConsistencySolution):
+    """Closed-form solution of the social consistency system, in the game's
+    record.  The Hamiltonian `H` is ``decomposition.K``.
 
     `X_plus`, `A_C` and `A_cl` are read where they are held: `X_plus` is
     the graph `Y` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`,
@@ -48,13 +48,6 @@ class SceSolution:
     by ``A_cl = A_C + (rho/2) I``, the leading block of ``bvp.y1_generator``.
     ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds along the whole trajectory.
     """
-
-    Pi: np.ndarray
-    decomposition: dichotomy.DichotomyDecomposition
-    s0: np.ndarray
-    bvp: dichotomy.BvpSolution
-    pi_residual: float
-    aux_residual: float
 
     trajectory = dichotomy.sample_trajectory
 
@@ -107,16 +100,7 @@ def solve_sce(p):
     w = gamma_weights(p)
     h = riccati.consistency_matrix(are, w.Q_Gamma)
     d = riccati.solve_care_stabilizing(h)
-    psi0 = np.concatenate([np.zeros(p.n), w.eta_Gamma])
-    bvp = dichotomy.solve_decaying(d, p.x0, psi0, p.rho)
-    return SceSolution(
-        Pi=are.Y,
-        decomposition=d,
-        s0=bvp.z2_0,
-        bvp=bvp,
-        pi_residual=are.residual,
-        aux_residual=d.residual,
-    )
+    return SceSolution.from_split(p, are, d, w.eta_Gamma)
 
 
 def decentralized_strategy(sol, p):

@@ -450,6 +450,21 @@ class TestContractionCommand:
         assert out["beta"] == 0.0
         assert out["verdict"] == "contraction"
 
+    def test_unconverged_quadrature_exit_3(self, capsys, tmp_path):
+        # the shifted drift is about diag(-1e-3, -1e3) and B inv(R) B' =
+        # diag(0, 1): Simpson on the slow mode's horizon read beta = 61.04
+        # where quad gives 0.75, so the verdict was wrong, not just inexact
+        doc = {"n": 2, "n1": 1, "rho": 1e-3, "A": [[-5e-4, 0.0], [0.0, -999.9995]],
+               "B": [[0.0], [1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+               "Gamma": [[0.5, 0.0], [0.0, 0.5]], "eta": [1.0, 1.0], "x0": [1.0, 1.0]}
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        assert main(["contraction", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("mflq: numerical failure: the integral of ||exp(a t) c||_F "
+                              "did not converge")
+
     def test_non_finite_report_value_exit_3(self, capsys, monkeypatch, tmp_path):
         # the input was fine; JSON has no inf, so the report is refused unwritten
         monkeypatch.setattr(contraction, "contraction_bound", lambda p, pi: np.inf)

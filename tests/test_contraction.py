@@ -47,6 +47,14 @@ class TestDecayingNormIntegral:
     def test_zero_integrand(self):
         assert decaying_norm_integral(-np.eye(2), np.zeros((2, 2))) == 0.0
 
+    def test_unconverged_quadrature_raises(self):
+        # a fast mode decays within the first panels of the slow mode's
+        # horizon; the last estimate is 3.3e-5 off quad, so none is returned
+        with pytest.raises(MflqError, match=r"^the integral of \|\|exp\(a t\) c\|\|_F "
+                           r"did not converge in 6 panel doublings \(last relative "
+                           r"change 3\.\d{3}e-05, tolerance 1e-06\)$"):
+            decaying_norm_integral(np.diag([-1e-3, -1e3]), np.eye(2))
+
     def test_unstable_rejected(self):
         with pytest.raises(UnstableGenerator):
             decaying_norm_integral(np.eye(2), np.eye(2))

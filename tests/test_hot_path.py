@@ -1,7 +1,8 @@
 """The solve and trajectory path takes its norms and the eigenvalues of `R`
-from LAPACK directly (:func:`linalg.fro`, ``dlange``, ``dsyev``); on small
-matrices numpy's wrappers cost more than the routines.  It shifts diagonals
-in place (:func:`linalg.add_diag`) rather than building identities, and
+from LAPACK directly (:func:`linalg.fro`, ``dlange``, ``dsyev``), and so
+does the simulator's factor of ``init_cov``; on small matrices numpy's
+wrappers cost more than the routines.  It shifts diagonals in place
+(:func:`linalg.add_diag`) rather than building identities, and
 builds its solutions with their constructors, not ``dataclasses.replace``.
 These tests fail if a wrapper, an identity or a ``replace`` comes back onto
 that path; the Pade approximant of :func:`linalg.mat_exp` is the one place
@@ -23,7 +24,8 @@ from mflq.contraction import contraction_bound
 from mflq.errors import MflqError
 from mflq.mfg import solve_mfg
 from mflq.problem import validate
-from mflq.social import solve_sce
+from mflq.simulate import SimConfig, simulate
+from mflq.social import decentralized_strategy, solve_sce
 
 
 def _problems():
@@ -35,7 +37,7 @@ def _problems():
 
 def _count_wrapper_calls(monkeypatch):
     calls = []
-    for name in ("norm", "eigvalsh", "eig", "cond"):
+    for name in ("norm", "eigvalsh", "eig", "eigh", "cond"):
         real = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
@@ -72,8 +74,9 @@ def _count_identities_and_replaces(monkeypatch):
 
 
 def _validate_solve_and_sample(problems):
-    """Validate, solve both ways, sample each solution and take one
-    contraction bound; returns the solutions."""
+    """Validate, solve both ways, sample each solution, take one
+    contraction bound and simulate one spread population; returns the
+    solutions."""
     grid = np.linspace(0.0, 5.0, 101)
     solutions = []
     for p in problems:
@@ -85,6 +88,9 @@ def _validate_solve_and_sample(problems):
                 continue
             solutions[-1].trajectory(grid)
     contraction_bound(problems[-1], solutions[-1].Pi)
+    p = next(p for p in problems if p.n == 2)  # a shipped file, with D
+    cfg = SimConfig(N=4, T=0.5, dt=0.1, init_cov=[[0.2, 0.1], [0.1, 0.3]])
+    simulate(p, decentralized_strategy(solve_sce(p), p), cfg)
     return solutions
 
 

@@ -46,9 +46,9 @@ def test_public_names():
 SUBMODULE_NAMES = {
     "cli": ["load_problem_file", "main", "parse_problem_dict", "problem_to_dict"],
     "contraction": ["contraction_bound", "decaying_norm_integral"],
-    "dichotomy": ["BvpSolution", "DichotomyDecomposition", "decompose_from_riccati",
-                  "decompose_from_schur", "evaluate_trajectory", "sample_trajectory",
-                  "solve_decaying", "uniform_grid"],
+    "dichotomy": ["BvpSolution", "ConsistencySolution", "DichotomyDecomposition",
+                  "decompose_from_riccati", "decompose_from_schur", "evaluate_trajectory",
+                  "sample_trajectory", "solve_decaying", "uniform_grid"],
     "errors": None,
     "linalg": ["CONDITION_LIMIT", "add_diag", "as_square", "as_symmetric", "block_2x2",
                "block_balance", "default_axis_tol", "eigenvalues", "fill_powers", "fro",

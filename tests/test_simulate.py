@@ -57,6 +57,20 @@ class TestSimulate:
                                match="^init_cov must be positive semi-definite$"):
                 simulate(p, _strategy(p), cfg)
 
+    @pytest.mark.parametrize("cov, match", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "^init_cov has non-finite entries$"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "^init_cov has non-finite entries$"),
+        ([1.0, 0.0, 0.0, 1.0], r"^init_cov must be square, got shape \(4,\)$"),
+        ([[1.0, 0.2], [0.0, 1.0]], "^init_cov is not symmetric"),
+        (np.eye(3), r"^init_cov must have shape \(2, 2\), got \(3, 3\)$"),
+    ], ids=["nan", "inf", "flat", "asymmetric", "wrong_size"])
+    def test_malformed_initial_covariance_rejected(self, cov, match):
+        # checked as a problem's Q is, and named, before anything is drawn
+        p = _shipped("ex43")
+        cfg = SimConfig(N=2, T=1.0, dt=0.1, init_cov=cov)
+        with pytest.raises(ValueError, match=match):
+            simulate(p, _strategy(p), cfg)
+
     def test_non_finite_gain_rejected(self):
         # the closed-loop eigenvalues would rescale a NaN without end
         p = scalar_social_problem(D=[[0.2]])

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PROBLEM_DIR,
@@ -220,6 +222,38 @@ class TestSolutionRecord:
     def test_fields_are_the_game_records(self):
         names = [f.name for f in dataclasses.fields(SceSolution)]
         assert names == [f.name for f in dataclasses.fields(MfgSolution)]
+
+    @pytest.mark.parametrize("solve", [solve_sce, solve_mfg])
+    def test_fields_cannot_be_assigned(self, solve):
+        sol = solve(load_problem_file(PROBLEM_DIR / "ex43.json"))
+        for f in dataclasses.fields(sol):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, f.name, getattr(sol, f.name))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zero_coupling_makes_the_two_systems_one(self, seed):
+        # with Gamma = 0 both consistency matrices are [[F, -M], [0, -F']],
+        # F = A - M Pi - (rho/2) I, and both forcings are Q eta: one system
+        p = random_problem(np.random.default_rng(seed), max_n=6)
+        p = dataclasses.replace(p, Gamma=np.zeros((p.n, p.n)))
+        outcomes = []
+        for solve in (solve_sce, solve_mfg):
+            try:
+                outcomes.append(solve(p))
+            except MflqError as exc:
+                outcomes.append(type(exc))
+        social, game = outcomes
+        if isinstance(social, type) or isinstance(game, type):
+            assert social is game
+            return
+        assert np.array_equal(social.Pi, game.Pi)
+        assert np.array_equal(social.decomposition.K, game.decomposition.K)
+        grid = np.linspace(0.0, 5.0, 51)
+        pairs = [(social.s0, game.s0),
+                 *zip(social.trajectory(grid), game.trajectory(grid))]
+        for a, b in pairs:
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
 class TestDecentralizedStrategy:

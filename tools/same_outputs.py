@@ -17,9 +17,10 @@ each tree in its own subprocess:
   ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
   report and, for each solver, the error class and message or the bytes of
   `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `Y`, `F11`,
-  `F22`, `K` and `spectrum_margin`, the residuals and the trajectories on
-  two grids.  (The contraction bound `beta` of the shipped files is in the
-  CLI corpus, through ``mflq contraction``.)
+  `F22`, `K` and `spectrum_margin`, the decaying solution's `y2_offset`
+  and `y1_generator`, the residuals and the trajectories on two grids.
+  (The contraction bound `beta` of the shipped files is in the CLI
+  corpus, through ``mflq contraction``.)
 
 The API corpus is generated once, with the working tree's code, and both
 trees are handed the same arrays.  A solution field that only one tree
@@ -271,15 +272,18 @@ def _outcome(compute):
 
 
 def _solution_record(sol):
-    """The digests of the solution's fields and of its decomposition's, of
-    those in the lists that the tree's records have."""
-    d = sol.decomposition
+    """The digests of the solution's fields, of its decomposition's and of
+    its decaying solution's, of those in the lists that the tree's records
+    have."""
+    d, bvp = sol.decomposition, getattr(sol, "bvp", None)
     record = {key: _digest(getattr(sol, key))
               for key in ("Pi", "s0", "X_plus", "A_C", "A_cl", "pi_residual",
                           "aux_residual") if hasattr(sol, key)}
     record.update((key, _digest(getattr(d, key)))
                   for key in ("Y", "F11", "F22", "K", "spectrum_margin")
                   if hasattr(d, key))
+    record.update((f"bvp.{key}", _digest(getattr(bvp, key)))
+                  for key in ("y2_offset", "y1_generator") if hasattr(bvp, key))
     for name, grid in GRIDS.items():
         record[f"trajectory {name}"] = _outcome(
             lambda: dict(zip(("xbar", "s"), map(_digest, sol.trajectory(grid)))))

@@ -54,6 +54,10 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 # Problem files.
 
+# the arrays every problem document holds, in the order the echo writes them
+_ARRAY_FIELDS = ("A", "B", "Q", "R", "Gamma", "eta", "x0")
+
+
 def _field(doc, name):
     if name not in doc:
         raise ProblemFileError(f"missing field '{name}'")
@@ -88,8 +92,7 @@ def parse_problem_dict(doc):
     rho = _field(doc, "rho")
     d = _array_field(doc, "D") if doc.get("D") is not None else None
     n2 = _int_field(doc, "n2") if d is not None and "n2" in doc else None
-    arrays = {name: _array_field(doc, name)
-              for name in ("A", "B", "Q", "R", "Gamma", "eta", "x0")}
+    arrays = {name: _array_field(doc, name) for name in _ARRAY_FIELDS}
     try:
         p = ProblemData(**arrays, rho=rho, D=d)
     except ValueError as exc:
@@ -119,14 +122,8 @@ def problem_to_dict(p):
         "n": p.n,
         "n1": p.n1,
         "rho": p.rho,
-        "A": p.A.tolist(),
-        "B": p.B.tolist(),
-        "Q": p.Q.tolist(),
-        "R": p.R.tolist(),
-        "Gamma": p.Gamma.tolist(),
-        "eta": p.eta.tolist(),
-        "x0": p.x0.tolist(),
     }
+    doc.update((name, getattr(p, name).tolist()) for name in _ARRAY_FIELDS)
     if p.D is not None:
         doc["n2"] = p.n2
         doc["D"] = p.D.tolist()

@@ -17,7 +17,8 @@ by composite Simpson quadrature on ``[0, T]``, with `T` doubled from
 refined by panel doubling to a relative tolerance; each doubling reuses the
 coarse samples and computes only the new midpoints, as powers of one step
 exponential filled by doubling.  The truncation and refinement targets are
-the module constants below.
+the module constants below.  When `G` or `Q_Gamma` is exactly zero, ``beta``
+is exactly 0 and the other factor, which might not converge, is not integrated.
 """
 
 import numpy as np
@@ -33,24 +34,6 @@ TRUNCATION_TOL = 1e-10  # bound on ||exp(a*T)||_F: tail <= tol/(1 - tol) of the 
 BASE_PANELS = 2048      # Simpson panels before the first doubling (even)
 REL_TOL = 1e-6          # two successive estimates must agree to this
 MAX_DOUBLINGS = 6
-
-
-def _norm_samples(a, c, t_end, panels, coarse=None):
-    """||exp(a*k*h) @ c||_F for k = 0..panels, h = t_end/panels.
-
-    Returns the samples, `h` and the step ``exp(a*h)``.  With
-    ``coarse = (samples, step)`` from ``panels/2`` panels, the even samples
-    are taken from it and only the odd ones are computed, from
-    ``exp(a*h) @ c`` by powers of the coarse step ``exp(2a*h)``.
-    """
-    h = t_end / panels
-    step = mat_exp(a * h)
-    if coarse is None:
-        return _power_norms(step, c, panels + 1), h, step
-    vals = np.empty(panels + 1)
-    vals[::2] = coarse[0]
-    vals[1::2] = _power_norms(coarse[1], step @ c, panels // 2)
-    return vals, h, step
 
 
 def _power_norms(step, c, count):
@@ -98,12 +81,16 @@ def decaying_norm_integral(a, c):
             break
         t_end *= 2.0
 
-    panels = BASE_PANELS
-    vals, h, step = _norm_samples(a, c, t_end, panels)
+    h = t_end / BASE_PANELS
+    step = mat_exp(a * h)
+    vals = _power_norms(step, c, BASE_PANELS + 1)
     refined = _simpson(vals, h)
     for _ in range(MAX_DOUBLINGS):
-        panels *= 2
-        vals, h, step = _norm_samples(a, c, t_end, panels, (vals, step))
+        h /= 2.0
+        coarse, step = step, mat_exp(a * h)
+        even, vals = vals, np.empty(2 * len(vals) - 1)
+        vals[::2] = even
+        vals[1::2] = _power_norms(coarse, step @ c, len(even) - 1)
         estimate, refined = refined, _simpson(vals, h)
         if abs(refined - estimate) <= REL_TOL * max(abs(refined), 1e-300):
             return refined
@@ -121,7 +108,8 @@ def contraction_bound(p, Pi):
     closed-loop drift or `Q_Gamma` built from it overflows.  Raises
     :class:`UnstableGenerator`, from :func:`decaying_norm_integral`, if the
     drift is not stable (it always is when `Pi` is the stabilizing solution),
-    and :class:`MflqError` if a quadrature does not converge.
+    and :class:`MflqError` if a quadrature does not converge.  ``beta`` is
+    0.0, with no quadrature run, if ``B inv(R) B'`` or `Q_Gamma` is zero.
     """
     Pi = as_square(Pi, "Pi")
     if Pi.shape != (p.n, p.n):
@@ -129,6 +117,9 @@ def contraction_bound(p, Pi):
     gram = weighted_gram(p.B, p.R)
     a_shift = as_square(add_diag(p.A - gram @ Pi, -0.5 * p.rho), "A - M Pi - (rho/2) I")
     q_gamma = as_square(gamma_weights(p).Q_Gamma, "Q_Gamma")
-    left = decaying_norm_integral(a_shift, gram)
-    right = decaying_norm_integral(a_shift.T, q_gamma)
+    factors = ((a_shift, gram), (a_shift.T, q_gamma))
+    for a, c in factors:
+        if fro(c) == 0.0:
+            return decaying_norm_integral(a, c)
+    left, right = (decaying_norm_integral(a, c) for a, c in factors)
     return float(left * right)

@@ -14,6 +14,7 @@ then one noise block per step, from a generator seeded by
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +39,9 @@ class SimConfig:
     Gaussian draws around the problem's ``x0``, the initial mean field the
     strategy is solved from, with covariance ``init_cov``, a finite,
     symmetric, positive semi-definite n-by-n matrix that :func:`simulate`
-    checks; it defaults to zero (all agents start at ``x0``).
+    checks; it defaults to zero (all agents start at ``x0``).  `N`,
+    `replications` and `seed` are Python or numpy integers, not ``bool``;
+    ``N, replications >= 1`` and ``seed >= 0``.
     """
 
     N: int
@@ -50,11 +53,17 @@ class SimConfig:
     store_paths: bool = field(default=False)
 
     def __post_init__(self):
+        for name in ("N", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 1:
             raise ValueError(f"need at least one agent, got N={self.N}")
         uniform_grid(self.T, self.dt)
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

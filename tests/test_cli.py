@@ -465,6 +465,19 @@ class TestContractionCommand:
         assert err.startswith("mflq: numerical failure: the integral of ||exp(a t) c||_F "
                               "did not converge")
 
+    def test_zero_factor_on_stiff_drift_exit_0(self, capsys, tmp_path):
+        # the drift above with B = 0: beta is exactly 0, so the quadrature
+        # that cannot converge on this drift is not run
+        doc = {"n": 2, "n1": 1, "rho": 1e-3, "A": [[-5e-4, 0.0], [0.0, -999.9995]],
+               "B": [[0.0], [0.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+               "Gamma": [[0.5, 0.0], [0.0, 0.5]], "eta": [1.0, 1.0], "x0": [1.0, 1.0]}
+        path = tmp_path / "stiff_no_control.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["contraction", str(path)])
+        assert code == 0
+        assert out["beta"] == 0.0
+        assert out["verdict"] == "contraction"
+
     def test_non_finite_report_value_exit_3(self, capsys, monkeypatch, tmp_path):
         # the input was fine; JSON has no inf, so the report is refused unwritten
         monkeypatch.setattr(contraction, "contraction_bound", lambda p, pi: np.inf)
@@ -564,6 +577,12 @@ class TestSimulateCommand:
                                       "--horizon", "0.5", "--reps", "1"])
         assert code == 0
         assert np.isfinite(doc["per_agent_cost_mean"])
+
+    def test_negative_seed_exit_4(self, capsys):
+        code = main(["simulate", SCALAR, "--seed", "-1"])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (4, "")
+        assert err == "mflq: input failure: seed must be non-negative, got -1\n"
 
     def test_zero_dt_exit_4(self, capsys):
         assert main(["simulate", SCALAR, "--dt", "0"]) == 4

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import PROBLEM_DIR, indefinite_social_problem
+from conftest import PROBLEM_DIR, indefinite_social_problem, random_problem
 from mflq import contraction
 from mflq.cli import load_problem_file
 from mflq.contraction import contraction_bound, decaying_norm_integral
 from mflq.errors import MflqError, UnstableGenerator
-from mflq.linalg import mat_exp, weighted_gram
+from mflq.linalg import mat_exp, spectral_abscissa, weighted_gram
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import solve_discounted_are
 
@@ -124,6 +128,46 @@ class TestContractionBound:
     def test_unstable_generator_raises(self):
         p = ProblemData(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
+        with pytest.raises(UnstableGenerator):
+            contraction_bound(p, np.zeros((1, 1)))  # not the solving Pi
+
+
+def _stiff(B, gamma):
+    # the shifted drift is diag(-1e-3, -1e3): too stiff for the quadrature
+    return ProblemData(A=np.diag([-5e-4, -999.9995]), B=B, Q=np.eye(2), R=[[1.0]],
+                       Gamma=gamma * np.eye(2), eta=[1.0, 1.0], rho=1e-3,
+                       x0=[1.0, 1.0])
+
+
+class TestZeroFactor:
+    """A factor whose matrix is exactly zero makes ``beta`` exactly 0; the
+    other factor's quadrature does not run, so it cannot refuse."""
+
+    @pytest.mark.parametrize("p", [_stiff([[0.0], [0.0]], 0.5),
+                                   _stiff([[0.0], [1.0]], 0.0)],
+                             ids=["no_control", "no_coupling"])
+    def test_stiff_drift_gives_exact_zero(self, p):
+        assert contraction_bound(p, _pi_for(p)) == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), zero=st.sampled_from(["Gamma", "B"]))
+    def test_zero_factor_gives_exact_zero(self, seed, zero):
+        p = random_problem(np.random.default_rng(seed), max_n=6)
+        pi = _pi_for(p)
+        p = dataclasses.replace(p, **{zero: np.zeros_like(getattr(p, zero))})
+        # with B = 0 the drift is A - (rho/2) I, which may be unstable
+        a_shift = p.A - weighted_gram(p.B, p.R) @ pi - 0.5 * p.rho * np.eye(p.n)
+        if spectral_abscissa(a_shift) >= 0.0:
+            with pytest.raises(UnstableGenerator):
+                contraction_bound(p, pi)
+        else:
+            assert contraction_bound(p, pi) == 0.0
+
+    @pytest.mark.parametrize("zero", ["Gamma", "B"])
+    def test_unstable_drift_still_raises(self, zero):
+        p = ProblemData(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                        Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
+        p = dataclasses.replace(p, **{zero: [[0.0]]})
         with pytest.raises(UnstableGenerator):
             contraction_bound(p, np.zeros((1, 1)))  # not the solving Pi
 

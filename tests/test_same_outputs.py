@@ -22,7 +22,7 @@ def records():
 
 
 def test_corpus_is_deterministic_and_a_change_is_reported(records):
-    assert len(records) == 16 * 23 + 15
+    assert len(records) == 18 * 23 + 15
     assert same_outputs.run_corpus() == records
     assert same_outputs.differing(records, records) == []
 

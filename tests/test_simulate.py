@@ -29,6 +29,27 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("N", 2.5), ("N", True), ("N", 2.0), ("replications", 2.0),
+        ("replications", np.True_), ("seed", 1.0), ("seed", False), ("seed", "3"),
+    ], ids=["N_float", "N_bool", "N_whole_float", "replications_float",
+            "replications_numpy_bool", "seed_float", "seed_bool", "seed_string"])
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = {"N": 2, "T": 1.0, "dt": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SimConfig(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            SimConfig(N=2, T=1.0, dt=0.1, seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        p = scalar_social_problem(D=[[0.1]])
+        cfg = SimConfig(N=np.int64(2), T=0.5, dt=0.1, replications=np.int32(2),
+                        seed=np.uint64(5))
+        result = simulate(p, _strategy(p), cfg)
+        assert result.per_rep_cost.shape == (2,)
+
 
 class TestSimulate:
     def test_requires_noise_matrix(self):

@@ -5,7 +5,7 @@
 Two corpora run once with REV's ``src`` and once with the working tree's,
 each tree in its own subprocess:
 
-- the CLI corpus, 16 problems times 23 command lines (368 cases) and 15
+- the CLI corpus, 18 problems times 23 command lines (414 cases) and 15
   malformed documents under ``solve-social`` alone, through
   ``mflq.cli.main``: each case's exit code, stdout (without the reports'
   ``"timings"``), stderr, warnings and the digest of every file it writes
@@ -61,9 +61,18 @@ def _scalar(a, b, q, r, **extra):
 
 NOISE = {"n2": 1, "D": [[0.1]]}
 
+
+def _stiff(b, gamma):
+    # the shifted drift is diag(-1e-3, -1e3), too stiff for the quadrature
+    return {"n": 2, "n1": 1, "rho": 1e-3, "A": [[-5e-4, 0.0], [0.0, -999.9995]],
+            "B": b, "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+            "Gamma": [[gamma, 0.0], [0.0, gamma]], "eta": [1.0, 1.0], "x0": [1.0, 1.0]}
+
+
 # Besides the shipped files: problems the solvers certify though validate's
 # absolute thresholds fail them, the control-Gram overflow, a mean field
-# that grows, and the rejected inputs of each error class.
+# that grows, stiff drifts whose contraction bound is exactly 0 by a zero
+# factor, and the rejected inputs of each error class.
 EXTRA_PROBLEMS = {
     "big_A": _scalar(1e8, 1.0, 1.0, 1.0),
     "big_A_noisy": _scalar(1e8, 1.0, 1.0, 1.0, **NOISE),
@@ -80,6 +89,8 @@ EXTRA_PROBLEMS = {
     "shifted_axis": _scalar(0.5, 1.0, -1.0, 1.0),
     "tiny_R": _scalar(-1.0, 1.0, 1.0, 1e-13),
     "unstabilizable_and_tiny_R": _scalar(2.0, 0.0, 1.0, 1e-13),
+    "stiff_no_control": _stiff([[0.0], [0.0]], 0.5),
+    "stiff_no_coupling": _stiff([[0.0], [1.0]], 0.0),
 }
 
 # relative to the directory the cases run in, where it does not exist

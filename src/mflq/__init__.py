@@ -3,9 +3,10 @@ and mean-field games, built on a Hamiltonian-matrix invariant-subspace
 decomposition, plus a fixed-point contraction-bound comparison and an
 N-agent Monte Carlo consistency simulator.
 
-The API is ``mflq.__all__``, :mod:`mflq.errors` and the ``mflq`` command.
-Submodule functions are internal: their kernels take float64 arrays that the
-library built from a checked :class:`ProblemData`, and check none of it."""
+The API is ``mflq.__all__``, :mod:`mflq.errors` and the ``mflq`` command;
+no submodule declares an ``__all__`` of its own.  Submodule functions are
+internal: their kernels take float64 arrays that the library built from a
+checked :class:`ProblemData`, and check none of it."""
 
 from . import errors
 from .contraction import contraction_bound

@@ -43,8 +43,6 @@ from .linalg import eigenvalues
 from .problem import ProblemData, gamma_weights, validate
 from .simulate import SimConfig, simulate
 
-__all__ = ["load_problem_file", "main", "parse_problem_dict", "problem_to_dict"]
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DICHOTOMY = 3
@@ -266,7 +264,7 @@ def _cmd_simulate(args, p):
         raise ProblemFileError("simulation requires field 'D' in the problem file")
     sol = _solve(p, social_mod.solve_sce)
     strategy = social_mod.decentralized_strategy(sol, p)
-    result = simulate(p, strategy, cfg, threads=args.threads)
+    result = simulate(p, strategy, cfg)
     if args.out:
         _write_csv(args.out, "replication,per_agent_cost,mean_field_gap,tail_bound",
                    (np.arange(cfg.replications), result.per_rep_cost,
@@ -343,8 +341,7 @@ def _build_parser():
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--reps", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="accepted for compatibility; has no effect")
+    sp.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = sub.add_parser("spectrum")

@@ -28,8 +28,6 @@ from .linalg import (add_diag, as_square, fill_powers, fro, mat_exp,
                      spectral_abscissa, weighted_gram)
 from .problem import gamma_weights
 
-__all__ = ["contraction_bound", "decaying_norm_integral"]
-
 TRUNCATION_TOL = 1e-10  # bound on ||exp(a*T)||_F: tail <= tol/(1 - tol) of the rest
 BASE_PANELS = 2048      # Simpson panels before the first doubling (even)
 REL_TOL = 1e-6          # two successive estimates must agree to this

@@ -37,18 +37,6 @@ from .linalg import (CONDITION_LIMIT, add_diag, block_balance, dlange, fill_powe
                      lu_factor, lu_solve, mat_exp, real_schur_ordered, solve_linear,
                      spectral_abscissa)
 
-__all__ = [
-    "BvpSolution",
-    "ConsistencySolution",
-    "DichotomyDecomposition",
-    "decompose_from_riccati",
-    "decompose_from_schur",
-    "evaluate_trajectory",
-    "sample_trajectory",
-    "solve_decaying",
-    "uniform_grid",
-]
-
 # a uniform grid (:func:`uniform_grid`) has at most this many points
 MAX_GRID_POINTS = 10**6
 

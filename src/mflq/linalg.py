@@ -78,27 +78,6 @@ dlange = _flapack.dlange
 dposv = _flapack.dposv
 dsyev = _flapack.dsyev
 
-__all__ = [
-    "CONDITION_LIMIT",
-    "add_diag",
-    "as_square",
-    "as_symmetric",
-    "block_2x2",
-    "block_balance",
-    "default_axis_tol",
-    "eigenvalues",
-    "fill_powers",
-    "fro",
-    "lu_factor",
-    "lu_solve",
-    "mat_exp",
-    "real_schur_ordered",
-    "solve_linear",
-    "solve_spd",
-    "spectral_abscissa",
-    "weighted_gram",
-]
-
 # a matrix whose ``dgecon`` 1-norm condition estimate exceeds this is singular
 CONDITION_LIMIT = 1e12
 

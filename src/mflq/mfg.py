@@ -14,8 +14,6 @@ the shared record (:meth:`dichotomy.ConsistencySolution.from_split`).
 
 from . import dichotomy, riccati
 
-__all__ = ["MfgSolution", "solve_mfg"]
-
 
 class MfgSolution(dichotomy.ConsistencySolution):
     """Solved game consistency system, in the social record; the

@@ -25,13 +25,6 @@ from . import riccati
 from .linalg import (add_diag, as_square, as_symmetric, block_balance, default_axis_tol,
                      eigenvalues, weighted_gram)
 
-__all__ = [
-    "GammaWeights",
-    "ProblemData",
-    "ValidationReport",
-    "gamma_weights",
-    "validate",
-]
 
 @dataclass(frozen=True)
 class ProblemData:

@@ -32,16 +32,6 @@ from .dichotomy import decompose_from_riccati, decompose_from_schur
 from .errors import MflqError, NonPositiveR, StabilizabilityFailure
 from .linalg import add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, weighted_gram
 
-__all__ = [
-    "consistency_matrix",
-    "discounted_hamiltonian",
-    "r_definiteness",
-    "require_stabilizable",
-    "solve_care_stabilizing",
-    "solve_discounted_are",
-    "stabilizability_margin",
-]
-
 # a pair whose scaled PBH margin is at or below this is unstabilizable
 PBH_TOL = 1e-8
 

@@ -23,8 +23,6 @@ import numpy as np
 from .dichotomy import uniform_grid
 from .linalg import as_square, as_symmetric, dsyev, eigenvalues
 
-__all__ = ["SimConfig", "SimResult", "simulate"]
-
 # an array of the population (replications x agents x the widest of n, n1
 # and n2), or of stored mean paths, has at most this many entries
 MAX_POPULATION_ENTRIES = 10**8

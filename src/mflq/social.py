@@ -29,14 +29,6 @@ from . import dichotomy, riccati
 from .linalg import solve_spd
 from .problem import gamma_weights
 
-__all__ = [
-    "SceSolution",
-    "StrategySpec",
-    "decentralized_strategy",
-    "sce_residual",
-    "solve_sce",
-]
-
 
 class SceSolution(dichotomy.ConsistencySolution):
     """Closed-form solution of the social consistency system, in the game's

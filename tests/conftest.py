@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,78 @@ def random_problem(rng, max_n=4, coupling="generic", with_noise=False,
         if np.abs(lam.real).min() <= axis_margin:
             continue
         return p
+
+
+# ---------------------------------------------------------------------------
+# Scalar problems with an exact verdict.  For n = 1, with a_o = a - rho/2 and
+# m = b^2/r, the discounted Hamiltonian has eigenvalues +-sqrt(d1),
+# d1 = a_o^2 + m q, and its closed loop is -sqrt(d1); the consistency matrix
+# [[-sqrt(d1), -m], [c, sqrt(d1)]] then has eigenvalues +-sqrt(d1 - m c), with
+# c = Q_Gamma = q gamma (2 - gamma) for the social solve and q gamma for the
+# game.  With b != 0 a solver must solve iff d1 > 0 and its own d2 > 0.
+# Every double is a dyadic rational, so Fraction decides both signs exactly.
+
+# a gap sqrt(|d|) above this times the scale is decided: more than 1,000 times
+# the axis tolerance 1e-9 (1 + ||K||_F) of either matrix
+DECIDED = 1e-5
+
+
+def scalar_discriminants(p):
+    """``(d1, {"social": d2, "game": d2}, scale)`` of the scalar problem
+    `p`, in rationals from its doubles; `scale` is ``1 + |a_o| + m + |q|``."""
+    a, b, q, r, g, rho = (Fraction(float(x)) for x in
+                          (p.A[0, 0], p.B[0, 0], p.Q[0, 0], p.R[0, 0], p.Gamma[0, 0], p.rho))
+    a_o, m = a - rho / 2, b * b / r
+    d1 = a_o * a_o + m * q
+    d2 = {"social": a_o * a_o + m * q * (1 - g) ** 2, "game": a_o * a_o + m * q * (1 - g)}
+    return d1, d2, 1 + abs(a_o) + m + abs(q)
+
+
+def scalar_decided(p, solver, rel):
+    """Whether ``sqrt(|d1|)`` and ``sqrt(|d2|)`` of `solver` ("social" or
+    "game") both exceed ``rel * scale`` (:func:`scalar_discriminants`)."""
+    d1, d2, scale = scalar_discriminants(p)
+    bound = (Fraction(rel) * scale) ** 2
+    return abs(d1) > bound and abs(d2[solver]) > bound
+
+
+def random_scalar_problem(rng):
+    """Scalar problem with ``a, q ~ U(-3, 3)``, ``|b|`` uniform in
+    ``[1e-2, 2]`` of either sign, ``r ~ U(0.1, 3)``, ``gamma ~ U(-1, 3)``,
+    ``rho ~ U(0.2, 3)`` and ``eta, x0 ~ U(-2, 2)``."""
+    a, q = rng.uniform(-3.0, 3.0, 2)
+    b = rng.choice([-1.0, 1.0]) * rng.uniform(1e-2, 2.0)
+    eta, x0 = rng.uniform(-2.0, 2.0, 2)
+    return ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[rng.uniform(0.1, 3.0)]],
+                       Gamma=[[rng.uniform(-1.0, 3.0)]], eta=[eta],
+                       rho=rng.uniform(0.2, 3.0), x0=[x0])
+
+
+def full_tracking_problem(rng):
+    """Scalar full-tracking boundary: ``gamma = 1``, ``rho = k/8`` for k in
+    2..23 and ``a = rho/2``, so ``a_o = 0`` and ``d2 = 0`` for both solvers
+    exactly; ``b, q, r`` log-uniform in ``[1e-2, 1e2]``, ``eta, x0 ~ U(-2, 2)``."""
+    rho = int(rng.integers(2, 24)) / 8
+    b, q, r = 10.0 ** rng.uniform(-2.0, 2.0, 3)
+    eta, x0 = rng.uniform(-2.0, 2.0, 2)
+    return ProblemData(A=[[rho / 2]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[1.0]],
+                       eta=[eta], rho=rho, x0=[x0])
+
+
+def degenerate_cost_problem(rng, k):
+    """Scalar problem with ``Q = -a_o^2/m``, so ``d1 = 0`` exactly and no
+    stabilizing solution exists, in the state units ``x -> 2^k x``.  The
+    dyadic ``a_o = +-i/8`` (i in 1..16), ``rho = j/8`` (j in 2..23) and
+    ``m = 2^e`` (e in -4..4) keep every product exact: ``B = 2^k``,
+    ``R = 1/m``, ``Q = -a_o^2/(m 4^k)``; ``gamma ~ U(-1, 3)`` and ``eta, x0``
+    are ``U(-2, 2)`` times ``2^k``."""
+    a_o = rng.choice([-1.0, 1.0]) * int(rng.integers(1, 17)) / 8
+    rho = int(rng.integers(2, 24)) / 8
+    m = 2.0 ** int(rng.integers(-4, 5))
+    eta, x0 = np.ldexp(rng.uniform(-2.0, 2.0, 2), k)
+    return ProblemData(A=[[a_o + rho / 2]], B=[[2.0**k]], Q=[[-a_o * a_o / m / 4.0**k]],
+                       R=[[1 / m]], Gamma=[[rng.uniform(-1.0, 3.0)]], eta=[eta],
+                       rho=rho, x0=[x0])
 
 
 def multiset_close(a, b, tol):

@@ -11,10 +11,11 @@ each tree in its own subprocess:
   ``"timings"``), stderr, warnings and the digest of every file it writes
   (the trajectory CSV of ``solve-social`` and ``solve-game``, the
   replication CSV of ``simulate``, the report of ``spectrum --out``);
-- the API corpus, 625 problems (the 5 shipped files, the 4 solvable ones
+- the API corpus, 645 problems (the 5 shipped files, the 4 solvable ones
   with ``rho·10^k`` for 8 powers k up to 20, the ``sweep_small`` inputs of
-  ``perfbench/instances.py`` for seeds 1-3 and 300
-  ``random_problem(max_n=6)`` draws of ``tests/conftest.py``): `validate`'s
+  ``perfbench/instances.py`` for seeds 1-3, 300 ``random_problem(max_n=6)``
+  draws of ``tests/conftest.py`` and 20 scalar problems of its exact-verdict
+  family: 10 decided draws and 5 on each exact boundary): `validate`'s
   report and, for each solver, the error class and message or the bytes of
   `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `Y`, `F11`,
   `F22`, `K` and `spectrum_margin`, the decaying solution's `y2_offset`
@@ -235,16 +236,38 @@ FIELDS = ("A", "B", "Q", "R", "Gamma", "eta", "x0", "rho", "D")
 # family, which reaches the scales where a graph can fail certification
 SOLVABLE_FILES = ("ex41", "ex42_gamma005", "ex42_gamma2", "ex43")
 RHO_POWERS = (0, 4, 8, 12, 15, 16, 18, 20)
+# the state units 2^k of the exact-verdict family's degenerate-cost records
+STATE_POWERS = (-20, -8, 0, 8, 20)
 GRIDS = {"uniform": np.linspace(0.0, 10.0, 1001),
          "log": np.concatenate([[0.0], np.logspace(-3.0, 1.0, 50)])}
+
+
+def _exact_verdict_problems(rng):
+    """``[(name, problem)]``: 10 scalar draws whose verdict is decided
+    exactly (``tests/test_verdicts.py``) and 5 from each of its two exact
+    boundaries, the degenerate cost in state units ``2^k`` for k in
+    :data:`STATE_POWERS`."""
+    from conftest import (DECIDED, degenerate_cost_problem, full_tracking_problem,
+                          random_scalar_problem, scalar_decided)
+
+    problems = []
+    while len(problems) < 10:
+        p = random_scalar_problem(rng)
+        if all(scalar_decided(p, solver, DECIDED) for solver in ("social", "game")):
+            problems.append((f"exact {len(problems)}", p))
+    problems += [(f"full tracking {i}", full_tracking_problem(rng)) for i in range(5)]
+    problems += [(f"degenerate cost {i} 2^{k}", degenerate_cost_problem(rng, k))
+                 for i, k in enumerate(STATE_POWERS)]
+    return problems
 
 
 def api_problems(seeds=(1, 2, 3), draws=300):
     """``[(name, fields)]``: the shipped files, the solvable ones with
     ``rho·10^k`` for k in :data:`RHO_POWERS`, the ``sweep_small`` inputs of
-    `seeds` and `draws` ``random_problem(max_n=6)`` draws from
-    ``default_rng(2026)``, made with the working tree's ``src``,
-    ``tests/conftest.py`` and ``perfbench/instances.py``."""
+    `seeds`, `draws` ``random_problem(max_n=6)`` draws from
+    ``default_rng(2026)`` and 20 scalar problems of the exact-verdict
+    family from ``default_rng(2036)``, made with the working tree's
+    ``src``, ``tests/conftest.py`` and ``perfbench/instances.py``."""
     for sub in ("perfbench", "tests", "src"):
         if str(ROOT / sub) not in sys.path:
             sys.path.insert(0, str(ROOT / sub))
@@ -263,6 +286,8 @@ def api_problems(seeds=(1, 2, 3), draws=300):
     for i in range(draws):
         p = random_problem(rng, max_n=6)
         problems.append((f"random {i}", {f: getattr(p, f) for f in FIELDS}))
+    problems += [(name, {f: getattr(p, f) for f in FIELDS})
+                 for name, p in _exact_verdict_problems(np.random.default_rng(2036))]
     return problems
 
 

@@ -11,14 +11,13 @@ checked :class:`ProblemData`, and check none of it."""
 from . import errors
 from .contraction import contraction_bound
 from .mfg import MfgSolution, solve_mfg
-from .problem import GammaWeights, ProblemData, ValidationReport, gamma_weights, validate
+from .problem import ProblemData, ValidationReport, gamma_weights, validate
 from .simulate import SimConfig, SimResult, simulate
 from .social import SceSolution, StrategySpec, decentralized_strategy, sce_residual, solve_sce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaWeights",
     "MfgSolution",
     "ProblemData",
     "SceSolution",

@@ -225,10 +225,10 @@ def _social_keys(sol, p, grid, xbar, s):
     return {
         "Xplus": sol.X_plus.tolist(),
         "A_C": sol.A_C.tolist(),
-        "A_cl": sol.A_cl.tolist(),
+        "A_cl": sol.bvp.y1_generator[:p.n, :p.n].tolist(),  # A_C + (rho/2) I
         "c": sol.bvp.y2_offset.tolist(),
     }, {
-        "auxiliary_riccati": sol.aux_residual,
+        "auxiliary_riccati": sol.decomposition.residual,
         "ode_finite_difference": social_mod._sce_residual(sol, p, grid, xbar, s),
     }
 
@@ -240,7 +240,7 @@ def _game_keys(sol, p, grid, xbar, s):
         "Y": d.Y.tolist(),
         "F11": d.F11.tolist(),
         "y2_offset": sol.bvp.y2_offset.tolist(),
-    }, {"auxiliary_riccati": sol.aux_residual}
+    }, {"auxiliary_riccati": d.residual}
 
 
 def _cmd_contraction(args, p):
@@ -288,7 +288,7 @@ def _cmd_simulate(args, p):
 
 def _cmd_spectrum(args, p):
     are = _solve(p, riccati.solve_discounted_are)
-    coupling = gamma_weights(p).Q_Gamma if args.system == "social" else p.Q @ p.Gamma
+    coupling = gamma_weights(p)[0] if args.system == "social" else p.Q @ p.Gamma
     doc = {
         "command": "spectrum",
         "system": args.system,

@@ -114,7 +114,7 @@ def contraction_bound(p, Pi):
         raise ValueError(f"Pi must have shape {(p.n, p.n)}, got {Pi.shape}")
     gram = weighted_gram(p.B, p.R)
     a_shift = as_square(add_diag(p.A - gram @ Pi, -0.5 * p.rho), "A - M Pi - (rho/2) I")
-    q_gamma = as_square(gamma_weights(p).Q_Gamma, "Q_Gamma")
+    q_gamma = as_square(gamma_weights(p)[0], "Q_Gamma")
     factors = ((a_shift, gram), (a_shift.T, q_gamma))
     for a, c in factors:
         if fro(c) == 0.0:

@@ -88,14 +88,13 @@ class ConsistencySolution:
     """A solved consistency system, social or game: the Riccati solution
     `Pi`, the certified graph of the consistency matrix ``decomposition.K``,
     the decaying solution `bvp` with ``s0 = bvp.z2_0``, and the Riccati
-    residuals of `Pi` and of the graph ``decomposition.Y``."""
+    residual of `Pi` (that of the graph is ``decomposition.residual``)."""
 
     Pi: np.ndarray
     decomposition: DichotomyDecomposition
     s0: np.ndarray
     bvp: BvpSolution
     pi_residual: float
-    aux_residual: float
 
     @classmethod
     def from_split(cls, p, are, d, forcing):
@@ -104,7 +103,7 @@ class ConsistencySolution:
         ``(0, forcing)`` of :func:`solve_decaying` from ``x0``."""
         bvp = solve_decaying(d, p.x0, np.concatenate([np.zeros(p.n), forcing]), p.rho)
         return cls(Pi=are.Y, decomposition=d, s0=bvp.z2_0, bvp=bvp,
-                   pi_residual=are.residual, aux_residual=d.residual)
+                   pi_residual=are.residual)
 
 
 def decompose_from_riccati(K, Y):

@@ -100,25 +100,17 @@ class ProblemData:
         return None if self.D is None else self.D.shape[1]
 
 
-@dataclass(frozen=True)
-class GammaWeights:
-    """Coupling-adjusted weights entering the mean-field equations:
-    ``Q_Gamma = Gamma' Q + Q Gamma - Gamma' Q Gamma`` and
-    ``eta_Gamma = (I - Gamma') Q eta``."""
-
-    Q_Gamma: np.ndarray
-    eta_Gamma: np.ndarray
-
-
 def gamma_weights(p):
-    """:class:`GammaWeights` of the problem `p`, from its checked `Q`,
-    `Gamma` and `eta`."""
+    """The coupling-adjusted weights ``(Q_Gamma, eta_Gamma)`` of the
+    mean-field equations of the problem `p`, from its checked `Q`, `Gamma`
+    and `eta`: ``Q_Gamma = Gamma' Q + Q Gamma - Gamma' Q Gamma`` and
+    ``eta_Gamma = (I - Gamma') Q eta``."""
     q, g = p.Q, p.Gamma
     gq = g.T @ q
     q_gamma = gq + q @ g - gq @ g
     q_gamma = 0.5 * (q_gamma + q_gamma.T)
     eta_gamma = add_diag(0.0 - g.T, 1.0) @ (q @ p.eta)  # 0 - g: I - Gamma' bit for bit
-    return GammaWeights(Q_Gamma=q_gamma, eta_Gamma=eta_gamma)
+    return q_gamma, eta_gamma
 
 
 @dataclass(frozen=True)

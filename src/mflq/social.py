@@ -34,10 +34,10 @@ class SceSolution(dichotomy.ConsistencySolution):
     """Closed-form solution of the social consistency system, in the game's
     record.  The Hamiltonian `H` is ``decomposition.K``.
 
-    `X_plus`, `A_C` and `A_cl` are read where they are held: `X_plus` is
-    the graph `Y` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`,
-    the stable matrix governing the discounted pair; the mean field evolves
-    by ``A_cl = A_C + (rho/2) I``, the leading block of ``bvp.y1_generator``.
+    `X_plus` and `A_C` are read where they are held: `X_plus` is the graph
+    `Y` of the transform ``U = [[I, 0], [X_plus, I]]``; `A_C` is `F11`, the
+    stable matrix governing the discounted pair; the mean field evolves by
+    ``A_C + (rho/2) I``, the leading block of ``bvp.y1_generator``.
     ``s(t) = X_plus @ xbar(t) + bvp.y2_offset`` holds along the whole trajectory.
     """
 
@@ -51,25 +51,15 @@ class SceSolution(dichotomy.ConsistencySolution):
     def A_C(self):
         return self.decomposition.F11
 
-    @property
-    def A_cl(self):
-        n = self.decomposition.n
-        return self.bvp.y1_generator[:n, :n]
-
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Decentralized strategy ``u_i(t, x) = K_x @ x + feedforward(t)`` where
-    ``feedforward(t) = feedforward_gain @ s(t)``."""
+    """Decentralized strategy ``u_i(t, x) = K_x @ x + feedforward_gain @ s(t)``,
+    with ``s`` the offset of ``solution.trajectory``."""
 
     K_x: np.ndarray
     feedforward_gain: np.ndarray
     solution: SceSolution
-
-    def feedforward(self, t_grid):
-        """Feedforward input samples, shape ``(len(t_grid), n1)``."""
-        _, s = self.solution.trajectory(t_grid)
-        return s @ self.feedforward_gain.T
 
 
 def solve_sce(p):
@@ -89,10 +79,9 @@ def solve_sce(p):
     :class:`GraphSubspaceFailure` when a Riccati solution fails certification.
     """
     are = riccati.solve_discounted_are(p)
-    w = gamma_weights(p)
-    h = riccati.consistency_matrix(are, w.Q_Gamma)
-    d = riccati.solve_care_stabilizing(h)
-    return SceSolution.from_split(p, are, d, w.eta_Gamma)
+    q_gamma, eta_gamma = gamma_weights(p)
+    d = riccati.solve_care_stabilizing(riccati.consistency_matrix(are, q_gamma))
+    return SceSolution.from_split(p, are, d, eta_gamma)
 
 
 def decentralized_strategy(sol, p):
@@ -120,11 +109,11 @@ def _sce_residual(sol, p, t, xbar, s):
     if not (dt[0] > 0.0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)):
         raise ValueError("t_grid must be uniform with a positive step")
     m = -sol.decomposition.K[:p.n, p.n:]  # B inv(R) B', as the solve built it
-    w = gamma_weights(p)
+    q_gamma, eta_gamma = gamma_weights(p)
     rhs_x = xbar @ (p.A - m @ sol.Pi).T - s @ m.T
-    rhs_s = (xbar @ w.Q_Gamma.T
+    rhs_s = (xbar @ q_gamma.T
              + s @ (p.rho * np.eye(p.n) - p.A.T + sol.Pi @ m).T
-             + w.eta_Gamma)
+             + eta_gamma)
     fd_x = (xbar[2:] - xbar[:-2]) / (2.0 * dt[0])
     fd_s = (s[2:] - s[:-2]) / (2.0 * dt[0])
     res_x = np.abs(fd_x - rhs_x[1:-1]).max()

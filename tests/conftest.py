@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from mflq import ProblemData, validate
 from mflq.dichotomy import decompose_from_riccati, decompose_from_schur, evaluate_trajectory
 from mflq.errors import MflqError
-from mflq.linalg import block_2x2, eigenvalues, fro
+from mflq.linalg import add_diag, block_2x2, eigenvalues, fro, weighted_gram
 from mflq.problem import gamma_weights
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -154,6 +155,14 @@ def hamiltonian(a_o, m, q_o):
     return block_2x2(a_o, -m, -q_o, -a_o.T)
 
 
+def data_only_matrix(p, q_c):
+    """ROADMAP item 3's ``G_c = [[A_o, -M], [-(Q - q_c), -A_o']]`` of the
+    problem `p`, with ``A_o = A - (rho/2) I`` and ``M = B inv(R) B'``: the
+    consistency matrix before the front end's transform, with
+    ``q_c = Q_Gamma`` for the social problem and ``Q Gamma`` for the game."""
+    return hamiltonian(add_diag(p.A, -0.5 * p.rho), weighted_gram(p.B, p.R), p.Q - q_c)
+
+
 def care_residual(x, a_o, m, q_o):
     """Frobenius norm of ``X A_o + A_o' X - X M X + Q_o`` at ``X = x``."""
     r = x @ a_o + a_o.T @ x - x @ m @ x + q_o
@@ -230,11 +239,19 @@ def random_problem(rng, max_n=4, coupling="generic", with_noise=False,
             are = solve_discounted_are(p)
         except (MflqError, ValueError):
             continue
-        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
+        h = consistency_matrix(are, gamma_weights(p)[0])
         lam = eigenvalues(h)
         if np.abs(lam.real).min() <= axis_margin:
             continue
         return p
+
+
+@pytest.fixture(scope="session")
+def random_draws():
+    """300 ``random_problem(max_n=6)`` draws from ``default_rng(2026)``,
+    the draws of the API corpus of ``tools/same_outputs.py``."""
+    rng = np.random.default_rng(2026)
+    return [random_problem(rng, max_n=6) for _ in range(300)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +279,11 @@ def scalar_discriminants(p):
     return d1, d2, 1 + abs(a_o) + m + abs(q)
 
 
-def scalar_decided(p, solver, rel):
+def scalar_decided(discriminants, solver, rel):
     """Whether ``sqrt(|d1|)`` and ``sqrt(|d2|)`` of `solver` ("social" or
-    "game") both exceed ``rel * scale`` (:func:`scalar_discriminants`)."""
-    d1, d2, scale = scalar_discriminants(p)
+    "game") both exceed ``rel * scale``, from the
+    :func:`scalar_discriminants` of a scalar problem."""
+    d1, d2, scale = discriminants
     bound = (Fraction(rel) * scale) ** 2
     return abs(d1) > bound and abs(d2[solver]) > bound
 
@@ -307,6 +325,30 @@ def degenerate_cost_problem(rng, k):
     return ProblemData(A=[[a_o + rho / 2]], B=[[2.0**k]], Q=[[-a_o * a_o / m / 4.0**k]],
                        R=[[1 / m]], Gamma=[[rng.uniform(-1.0, 3.0)]], eta=[eta],
                        rho=rho, x0=[x0])
+
+
+def direct_sum_problem(rng, emax):
+    """``(p, blocks, S)``: the direct sum of 1-3 :func:`random_scalar_problem`
+    blocks, which share the first block's `rho`, in the coordinates
+    ``x -> S x`` with ``S = diag(2^e) P``, `P` a random permutation and `e`
+    integers with ``|e| <= emax``.  ``A -> S A inv(S)``, ``B -> S B``,
+    ``Q -> inv(S)' Q inv(S)``, ``Gamma -> S Gamma inv(S)``, ``eta -> S eta``
+    and ``x0 -> S x0``; `R` does not change.  Every product has one nonzero
+    term that is a power of two times a block's entry, so it is exact, and
+    the verdict is the AND of the blocks'; ``S' s0`` stacks the blocks' `s0`."""
+    k = int(rng.integers(1, 4))
+    blocks = [random_scalar_problem(rng) for _ in range(k)]
+    blocks = [dataclasses.replace(b, rho=blocks[0].rho) for b in blocks]
+    e = rng.integers(-emax, emax + 1, k)
+    s = np.ldexp(np.eye(k)[rng.permutation(k)], e[:, None])
+    s_inv = np.ldexp(s.T, -2 * e[None, :])  # P' diag(2^-e)
+    a, b, q, r, g, eta, x0 = (np.array([getattr(blk, name).flat[0] for blk in blocks])
+                              for name in ("A", "B", "Q", "R", "Gamma", "eta", "x0"))
+    p = ProblemData(A=s @ np.diag(a) @ s_inv, B=s @ np.diag(b),
+                    Q=s_inv.T @ np.diag(q) @ s_inv, R=np.diag(r),
+                    Gamma=s @ np.diag(g) @ s_inv, eta=s @ eta, rho=blocks[0].rho,
+                    x0=s @ x0)
+    return p, blocks, s
 
 
 def multiset_close(a, b, tol):

@@ -257,7 +257,7 @@ def test_criterion_6g_scalar_spectral_law():
         p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]], Gamma=[[gam]],
                         eta=[0.0], rho=rho, x0=[1.0])
         are = solve_discounted_are(p)
-        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
+        h = consistency_matrix(are, gamma_weights(p)[0])
         for lam in eigenvalues(h):
             assert scaled_close(lam**2, target, 1e-9)
         done += 1

@@ -134,6 +134,16 @@ class TestSolveSocialCommand:
         expected = sce_residual(solve_sce(p), p, uniform_grid(3.0, 0.02))
         assert doc["residuals"]["ode_finite_difference"] == expected
 
+    def test_report_reads_held_values(self, capsys):
+        # A_cl is the leading block of the decaying solution's generator and
+        # the auxiliary residual is that of the certified graph
+        code, doc = run_json(capsys, ["solve-social", TWO_STATE_STRONG])
+        assert code == 0
+        p = load_problem_file(TWO_STATE_STRONG)
+        sol = solve_sce(p)
+        assert doc["A_cl"] == linalg.add_diag(sol.decomposition.F11, 0.5 * p.rho).tolist()
+        assert doc["residuals"]["auxiliary_riccati"] == sol.decomposition.residual
+
     def test_trajectory_sampled_once(self, capsys, monkeypatch):
         calls = []
         real = dichotomy.evaluate_trajectory
@@ -312,7 +322,7 @@ class TestSolveGameCommand:
         assert np.allclose(res, [-8.9356, -2.0950, 1.7783, 9.2522], atol=1e-3)
         sol = solve_mfg(load_problem_file(GAME))
         assert doc["Y"] == sol.decomposition.Y.tolist()
-        assert doc["residuals"]["auxiliary_riccati"] == sol.aux_residual
+        assert doc["residuals"]["auxiliary_riccati"] == sol.decomposition.residual
 
     def test_zero_coupling_matches_social(self, capsys, tmp_path):
         with open(SCALAR) as fh:

@@ -108,7 +108,7 @@ class TestContractionBound:
         pi = _pi_for(p)
         gram = weighted_gram(p.B, p.R)
         a_shift = p.A - gram @ pi - 0.5 * p.rho * np.eye(2)
-        q_gamma = gamma_weights(p).Q_Gamma
+        q_gamma = gamma_weights(p)[0]
         plus = decaying_norm_integral(a_shift.T, q_gamma)
         minus = decaying_norm_integral(a_shift.T, -q_gamma)
         assert plus == pytest.approx(minus, rel=1e-12)

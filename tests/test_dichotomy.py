@@ -249,7 +249,7 @@ class TestSolveDecaying:
                              ids=lambda path: path.stem)
     def test_generator_stored_shifted(self, path):
         # [[F11 + (rho/2) I, forcing], [0, 0]] bit for bit, signed zeros
-        # included; the social A_cl is that leading block
+        # included; the social report's A_cl is that leading block
         p = load_problem_file(path)
         solved = 0
         for solve in (solve_sce, solve_mfg):
@@ -263,8 +263,6 @@ class TestSolveDecaying:
             assert gen[n].tobytes() == np.zeros(n + 1).tobytes()
             lead = add_diag(sol.decomposition.F11, 0.5 * p.rho)
             assert gen[:n, :n].tobytes() == lead.tobytes()
-            if solve is solve_sce:
-                assert sol.A_cl.tobytes() == lead.tobytes()
         # the degenerate file fails both solvers
         assert solved or path.stem == "ex22_degenerate"
 

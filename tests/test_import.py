@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_public_names():
     # a name leaves (or joins) the public API only by an edit here
     assert mflq.__all__ == [
-        "GammaWeights",
         "MfgSolution",
         "ProblemData",
         "SceSolution",

@@ -4,7 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROBLEM_DIR, game_problem, random_problem, scaled_close
+from conftest import (PROBLEM_DIR, data_only_matrix, game_problem, random_problem,
+                      scaled_close)
 from mflq import linalg, social
 from mflq.cli import load_problem_file
 from mflq.dichotomy import decompose_from_riccati
@@ -23,7 +24,7 @@ class TestBuildMfgMatrix:
         p = random_problem(rng, coupling="zero")
         are = solve_discounted_are(p)
         m_mfg = consistency_matrix(are, p.Q @ p.Gamma)
-        h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
+        h = consistency_matrix(are, gamma_weights(p)[0])
         assert np.allclose(m_mfg, h, atol=1e-12)
 
     def test_generally_not_hamiltonian(self):
@@ -184,6 +185,20 @@ class TestS0Oracle:
             self.assert_matches(sol, p)
             solved += 1
         assert solved >= 15
+
+
+def test_pi_plus_y_is_the_graph_of_g_game(random_draws):
+    # ROADMAP item 3: Pi + Y is the graph of G_game = data_only_matrix(p, Q Gamma),
+    # certified by the one check of a graph; the game refuses 3 of the draws
+    certified = 0
+    for p in random_draws:
+        try:
+            sol = solve_mfg(p)
+        except MflqError:
+            continue
+        decompose_from_riccati(data_only_matrix(p, p.Q @ p.Gamma), sol.Pi + sol.decomposition.Y)
+        certified += 1
+    assert certified == len(random_draws) - 3
 
 
 class TestGraphCertification:

@@ -173,21 +173,21 @@ class TestGammaWeights:
     def test_zero_coupling(self):
         q = np.diag([1.0, 2.0])
         eta = np.array([1.0, -1.0])
-        w = gamma_weights(cost_problem(q, np.zeros((2, 2)), eta))
-        assert np.allclose(w.Q_Gamma, 0.0)
-        assert np.allclose(w.eta_Gamma, q @ eta)
+        q_gamma, eta_gamma = gamma_weights(cost_problem(q, np.zeros((2, 2)), eta))
+        assert np.allclose(q_gamma, 0.0)
+        assert np.allclose(eta_gamma, q @ eta)
 
     def test_identity_coupling(self):
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
-        w = gamma_weights(cost_problem(q, np.eye(2), [1.0, 2.0]))
-        assert np.allclose(w.Q_Gamma, q)
-        assert np.allclose(w.eta_Gamma, 0.0)
+        q_gamma, eta_gamma = gamma_weights(cost_problem(q, np.eye(2), [1.0, 2.0]))
+        assert np.allclose(q_gamma, q)
+        assert np.allclose(eta_gamma, 0.0)
 
     def test_two_state_reference(self):
         p = indefinite_social_problem()
-        w = gamma_weights(p)
-        assert np.allclose(w.Q_Gamma, [[0.5, 0.5], [0.5, 0.0]], atol=1e-12)
-        assert np.allclose(w.eta_Gamma, [-1.0, 0.0], atol=1e-12)
+        q_gamma, eta_gamma = gamma_weights(p)
+        assert np.allclose(q_gamma, [[0.5, 0.5], [0.5, 0.0]], atol=1e-12)
+        assert np.allclose(eta_gamma, [-1.0, 0.0], atol=1e-12)
 
     def test_difference_identity(self):
         # Q_Gamma == Q - (I - Gamma)' Q (I - Gamma) for any Gamma
@@ -197,10 +197,10 @@ class TestGammaWeights:
             g = rng.standard_normal((n, n))
             q = 0.5 * (g + g.T)
             gam = rng.standard_normal((n, n))
-            w = gamma_weights(cost_problem(q, gam, np.zeros(n)))
+            q_gamma, _ = gamma_weights(cost_problem(q, gam, np.zeros(n)))
             ident = np.eye(n)
             expected = q - (ident - gam).T @ q @ (ident - gam)
-            assert np.allclose(w.Q_Gamma, expected, atol=1e-12)
+            assert np.allclose(q_gamma, expected, atol=1e-12)
 
 
 class TestValidate:

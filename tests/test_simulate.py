@@ -230,7 +230,7 @@ def expected_cost(p, strategy, cfg, t_grid):
     """
     n, k_x, gam = p.n, strategy.K_x, p.Gamma
     dt = t_grid[1] - t_grid[0]
-    uff = strategy.feedforward(t_grid)
+    uff = strategy.solution.trajectory(t_grid)[1] @ strategy.feedforward_gain.T
     f = np.eye(n) + (p.A + p.B @ k_x) * dt
     m = p.x0
     cov = np.zeros((n, n)) if cfg.init_cov is None else np.asarray(cfg.init_cov, float)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     PROBLEM_DIR,
+    data_only_matrix,
     degenerate_boundary_problem,
     indefinite_social_problem,
+    multiset_close,
     random_problem,
     scalar_social_problem,
     scaled_close,
@@ -17,7 +19,7 @@ from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, NonPositiveR,
                          StabilizabilityFailure)
 from mflq import riccati
 from mflq.cli import load_problem_file, main
-from mflq.linalg import eigenvalues, spectral_abscissa, weighted_gram
+from mflq.linalg import eigenvalues, fro, spectral_abscissa, weighted_gram
 from mflq.mfg import MfgSolution, solve_mfg
 from mflq.problem import ProblemData, gamma_weights
 from mflq.riccati import consistency_matrix, solve_discounted_are, stabilizability_margin
@@ -32,8 +34,7 @@ from mflq.social import (
 class TestBuildHamiltonian:
     def test_scalar_reference(self, scalar_social):
         are = solve_discounted_are(scalar_social)
-        w = gamma_weights(scalar_social)
-        h = consistency_matrix(are, w.Q_Gamma)
+        h = consistency_matrix(are, gamma_weights(scalar_social)[0])
         root = np.sqrt(4.25)
         assert np.allclose(h, [[-root, -1.0], [2.0, root]], atol=1e-9)
 
@@ -43,7 +44,7 @@ class TestBuildHamiltonian:
         for _ in range(10):
             p = random_problem(rng)
             are = solve_discounted_are(p)
-            h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
+            h = consistency_matrix(are, gamma_weights(p)[0])
             n = p.n
             j = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-np.eye(n), np.zeros((n, n))]])
@@ -108,8 +109,8 @@ class TestSolveSce:
         assert sol.Pi[0, 0] == pytest.approx(1.5 + root, abs=1e-9)
         assert sol.X_plus[0, 0] == pytest.approx(1.5 - root, abs=1e-9)
         assert sol.A_C[0, 0] == pytest.approx(-1.5, abs=1e-9)
-        assert sol.A_cl[0, 0] == pytest.approx(-1.0, abs=1e-9)
-        assert spectral_abscissa(sol.A_cl) == pytest.approx(-1.0, abs=1e-9)
+        # the mean field evolves by A_C + (rho/2) I, the generator's leading block
+        assert sol.bvp.y1_generator[0, 0] == pytest.approx(-1.0, abs=1e-9)
         assert sol.bvp.y2_offset[0] == pytest.approx(0.0, abs=1e-12)
         assert sol.s0[0] == pytest.approx(1.5 - root, abs=1e-9)
         # s0 = X_plus x0 + offset
@@ -165,8 +166,7 @@ class TestSolveSce:
         rng = np.random.default_rng(66)
         for _ in range(10):
             p = random_problem(rng, coupling="nonpositive", axis_margin=0.0)
-            w = gamma_weights(p)
-            assert np.linalg.eigvalsh(w.Q_Gamma).max() <= 1e-10
+            assert np.linalg.eigvalsh(gamma_weights(p)[0]).max() <= 1e-10
             sol = solve_sce(p)
             assert spectral_abscissa(sol.A_C) < 0.0
 
@@ -199,17 +199,31 @@ class TestSolveSce:
             p = ProblemData(A=[[a]], B=[[b]], Q=[[q]], R=[[r]],
                             Gamma=[[gam]], eta=[0.0], rho=rho, x0=[1.0])
             are = solve_discounted_are(p)
-            h = consistency_matrix(are, gamma_weights(p).Q_Gamma)
+            h = consistency_matrix(are, gamma_weights(p)[0])
             lam = eigenvalues(h)
             assert scaled_close(lam[0] ** 2, target, 1e-9)
             assert scaled_close(lam[1] ** 2, target, 1e-9)
             done += 1
 
 
+class TestDataOnlyMatrix:
+    # ROADMAP item 3: the Riccati transform [[I, 0], [Pi, I]] takes
+    # G_social = data_only_matrix(p, Q_Gamma), the discounted Hamiltonian of
+    # the weight (I - Gamma)' Q (I - Gamma), to H.  On these draws the
+    # identity held to 1.1e-9 relative (median 9.0e-16) and the spectra to
+    # 1.9e-10; the tolerances leave a margin over both.
+    def test_pi_plus_x_plus_is_p_gamma(self, random_draws):
+        for i, p in enumerate(random_draws):
+            sol = solve_sce(p)
+            g = data_only_matrix(p, gamma_weights(p)[0])
+            p_gamma = riccati.solve_care_stabilizing(g).Y
+            assert fro(sol.Pi + sol.X_plus - p_gamma) <= 1e-8 * fro(p_gamma), i
+            assert multiset_close(eigenvalues(sol.decomposition.K), eigenvalues(g), 1e-8), i
+
+
 class TestSolutionRecord:
     def test_stores_no_copies(self):
-        # X_plus, A_C and A_cl are read from the decomposition and the
-        # decaying solution, not stored beside them
+        # X_plus and A_C are read from the decomposition, not stored beside it
         rng = np.random.default_rng(21)
         problems = [load_problem_file(PROBLEM_DIR / "ex41.json")]
         problems += [random_problem(rng) for _ in range(4)]
@@ -217,7 +231,6 @@ class TestSolutionRecord:
             sol = solve_sce(p)
             assert sol.A_C is sol.decomposition.F11
             assert sol.X_plus is sol.decomposition.Y
-            assert np.shares_memory(sol.A_cl, sol.bvp.y1_generator)
 
     def test_fields_are_the_game_records(self):
         names = [f.name for f in dataclasses.fields(SceSolution)]
@@ -261,7 +274,7 @@ class TestDecentralizedStrategy:
         sol = solve_sce(scalar_social)
         strat = decentralized_strategy(sol, scalar_social)
         assert strat.K_x[0, 0] == pytest.approx(-(1.5 + np.sqrt(4.25)), abs=1e-9)
-        ff = strat.feedforward(np.array([0.0]))
+        ff = sol.trajectory(np.array([0.0]))[1] @ strat.feedforward_gain.T
         assert ff[0, 0] == pytest.approx(-sol.s0[0], abs=1e-12)
 
     def test_zero_b_gives_zero_gain(self):
@@ -277,7 +290,7 @@ class TestDecentralizedStrategy:
                         Gamma=[[0.5]], eta=[0.0], rho=1.0, x0=[0.0])
         sol = solve_sce(p)
         strat = decentralized_strategy(sol, p)
-        ff = strat.feedforward(np.linspace(0.0, 3.0, 10))
+        ff = sol.trajectory(np.linspace(0.0, 3.0, 10))[1] @ strat.feedforward_gain.T
         assert np.abs(ff).max() <= 1e-13
 
 

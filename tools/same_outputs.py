@@ -11,15 +11,17 @@ each tree in its own subprocess:
   ``"timings"``), stderr, warnings and the digest of every file it writes
   (the trajectory CSV of ``solve-social`` and ``solve-game``, the
   replication CSV of ``simulate``, the report of ``spectrum --out``);
-- the API corpus, 645 problems (the 5 shipped files, the 4 solvable ones
+- the API corpus, 665 problems (the 5 shipped files, the 4 solvable ones
   with ``rho·10^k`` for 8 powers k up to 20, the ``sweep_small`` inputs of
   ``perfbench/instances.py`` for seeds 1-3, 300 ``random_problem(max_n=6)``
-  draws of ``tests/conftest.py`` and 20 scalar problems of its exact-verdict
-  family: 10 decided draws and 5 on each exact boundary): `validate`'s
-  report and, for each solver, the error class and message or the bytes of
-  `Pi`, `s0`, `X_plus`, `A_C`, `A_cl`, the decomposition's `Y`, `F11`,
-  `F22`, `K` and `spectrum_margin`, the decaying solution's `y2_offset`
-  and `y1_generator`, the residuals and the trajectories on two grids.
+  draws of ``tests/conftest.py``, 20 scalar problems of its exact-verdict
+  family, 10 decided draws and 5 on each exact boundary, and 20 of its
+  exact direct sums, 10 in state units ``2^e`` with ``|e| <= 4`` and 10
+  with ``|e| <= 20``): `validate`'s report and, for each solver, the error
+  class and message or the bytes of `Pi`, `s0`, `X_plus`, `A_C`,
+  `pi_residual`, the decomposition's `Y`, `F11`, `F22`, `K`, `residual`
+  and `spectrum_margin`, the decaying solution's `y2_offset` and
+  `y1_generator`, and the trajectories on two grids.
   (The contraction bound `beta` of the shipped files is in the CLI
   corpus, through ``mflq contraction``.)
 
@@ -248,12 +250,13 @@ def _exact_verdict_problems(rng):
     boundaries, the degenerate cost in state units ``2^k`` for k in
     :data:`STATE_POWERS`."""
     from conftest import (DECIDED, degenerate_cost_problem, full_tracking_problem,
-                          random_scalar_problem, scalar_decided)
+                          random_scalar_problem, scalar_decided, scalar_discriminants)
 
     problems = []
     while len(problems) < 10:
         p = random_scalar_problem(rng)
-        if all(scalar_decided(p, solver, DECIDED) for solver in ("social", "game")):
+        disc = scalar_discriminants(p)
+        if all(scalar_decided(disc, solver, DECIDED) for solver in ("social", "game")):
             problems.append((f"exact {len(problems)}", p))
     problems += [(f"full tracking {i}", full_tracking_problem(rng)) for i in range(5)]
     problems += [(f"degenerate cost {i} 2^{k}", degenerate_cost_problem(rng, k))
@@ -265,14 +268,16 @@ def api_problems(seeds=(1, 2, 3), draws=300):
     """``[(name, fields)]``: the shipped files, the solvable ones with
     ``rho·10^k`` for k in :data:`RHO_POWERS`, the ``sweep_small`` inputs of
     `seeds`, `draws` ``random_problem(max_n=6)`` draws from
-    ``default_rng(2026)`` and 20 scalar problems of the exact-verdict
-    family from ``default_rng(2036)``, made with the working tree's
-    ``src``, ``tests/conftest.py`` and ``perfbench/instances.py``."""
+    ``default_rng(2026)``, 20 scalar problems of the exact-verdict family
+    from ``default_rng(2036)`` and its direct sums at ``|e| <= 4`` and
+    ``|e| <= 20``, 10 each, from ``default_rng(2038)``, made with the
+    working tree's ``src``, ``tests/conftest.py`` and
+    ``perfbench/instances.py``."""
     for sub in ("perfbench", "tests", "src"):
         if str(ROOT / sub) not in sys.path:
             sys.path.insert(0, str(ROOT / sub))
     import instances
-    from conftest import random_problem
+    from conftest import direct_sum_problem, random_problem
 
     files = {path.stem: instances.read_problem_file(str(path))
              for path in sorted((ROOT / "problems").glob("*.json"))}
@@ -288,6 +293,11 @@ def api_problems(seeds=(1, 2, 3), draws=300):
         problems.append((f"random {i}", {f: getattr(p, f) for f in FIELDS}))
     problems += [(name, {f: getattr(p, f) for f in FIELDS})
                  for name, p in _exact_verdict_problems(np.random.default_rng(2036))]
+    rng = np.random.default_rng(2038)
+    for emax in (4, 20):
+        problems += [(f"direct sum |e|<={emax} {i}",
+                      {f: getattr(direct_sum_problem(rng, emax)[0], f) for f in FIELDS})
+                     for i in range(10)]
     return problems
 
 
@@ -313,10 +323,9 @@ def _solution_record(sol):
     have."""
     d, bvp = sol.decomposition, getattr(sol, "bvp", None)
     record = {key: _digest(getattr(sol, key))
-              for key in ("Pi", "s0", "X_plus", "A_C", "A_cl", "pi_residual",
-                          "aux_residual") if hasattr(sol, key)}
+              for key in ("Pi", "s0", "X_plus", "A_C", "pi_residual") if hasattr(sol, key)}
     record.update((key, _digest(getattr(d, key)))
-                  for key in ("Y", "F11", "F22", "K", "spectrum_margin")
+                  for key in ("Y", "F11", "F22", "K", "residual", "spectrum_margin")
                   if hasattr(d, key))
     record.update((f"bvp.{key}", _digest(getattr(bvp, key)))
                   for key in ("y2_offset", "y1_generator") if hasattr(bvp, key))

@@ -25,7 +25,7 @@ class MfgSolution(dichotomy.ConsistencySolution):
 def solve_mfg(p):
     """Solve the game consistency system by the certified graph of its
     ordered Schur splitting, after the social solver's front end
-    (:func:`riccati.solve_discounted_are`).
+    (:func:`riccati.solve_discounted_are`, reused right after `solve_sce`).
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
     standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when a

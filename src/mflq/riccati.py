@@ -22,8 +22,9 @@ and command.  It certifies ``(A, B)`` by the outcome: the full PBH test
 runs only on a solve that fails with an :class:`MflqError` (its verdict
 wins over the failure's own, an `R` failure included; an overflow's
 ``ValueError`` is left as it is), and on an accepted one only at the modes of
-``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.  From its
-solution, :func:`consistency_matrix` builds the matrix each solver splits.
+``A - M Pi`` with ``Re >= 0``, since feedback keeps the PBH rank.  A call on
+the data of its last certified solution returns that read-only record, and
+:func:`consistency_matrix` builds from it the matrix each solver splits.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from .linalg import add_diag, block_2x2, dlange, dsyev, eigenvalues, fro, weight
 
 # a pair whose scaled PBH margin is at or below this is unstabilizable
 PBH_TOL = 1e-8
+_last = [None, None]  # key and solution of the last certified solve_discounted_are
 
 
 def stabilizability_margin(a, b):
@@ -136,8 +138,16 @@ def solve_discounted_are(p):
     test, becomes a :class:`StabilizabilityFailure` when ``(A, B)`` fails
     it.  The ``ValueError`` of an overflow (of ``B inv(R) B'``,
     ``A - (rho/2) I`` or the closed loop) leaves unchanged, with no PBH
-    test, even where ``(A, B)`` would fail it.
+    test, even where ``(A, B)`` would fail it.  A failure is not kept; the
+    last certified solution is, with the key `rho` and the shape, strides and
+    bytes of `A`, `B`, `Q` and `R`, and a call with an equal key returns it:
+    ``solve_mfg(p)`` right after ``solve_sce(p)`` shares its `Pi`.  The
+    record's `K`, `Y`, `F11` and `F22` are read-only.
     """
+    key = (p.rho, *((x.shape, x.strides, x.tobytes()) for x in (p.A, p.B, p.Q, p.R)))
+    last_key, last = _last  # one read, so a hit returns the record of its key
+    if last_key == key:
+        return last
     try:
         min_eig_r, r_ok = r_definiteness(p.R)
         if not r_ok:
@@ -150,4 +160,7 @@ def solve_discounted_are(p):
         # A - M Pi as A + K12 Pi: F11 + (rho/2) I would carry an error of eps rho/2
         if not stabilizability_margin(p.A + are.K[:p.n, p.n:] @ are.Y, p.B) > PBH_TOL:
             require_stabilizable(p.A, p.B)
+    for x in (are.K, are.Y, are.F11, are.F22):
+        x.flags.writeable = False
+    _last[:] = key, are
     return are

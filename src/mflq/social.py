@@ -69,8 +69,8 @@ def solve_sce(p):
     :func:`riccati.solve_discounted_are` for `Pi`, assemble `H`, decompose it
     by the auxiliary solution `X_plus` (:func:`riccati.solve_care_stabilizing`
     on `H`, which returns the decomposition), and extract ``s0`` and the
-    trajectory generators.  The two
-    Riccati solves' Schur forms are the axis tests.
+    trajectory generators.  The two Riccati solves' Schur forms are the axis
+    tests; a front end on the last certified data is reused, with its `Pi`.
 
     Raises :class:`StabilizabilityFailure` or :class:`NonPositiveR` when the
     standing assumptions fail, :class:`ImaginaryAxisEigenvalue` when no

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflq import ProblemData, validate
+from mflq import ProblemData, riccati, validate
 from mflq.dichotomy import decompose_from_riccati, decompose_from_schur, evaluate_trajectory
 from mflq.errors import MflqError
 from mflq.linalg import add_diag, block_2x2, eigenvalues, fro, weighted_gram
@@ -84,6 +84,18 @@ def cost_problem(Q, Gamma, eta):
     n = np.shape(Q)[0]
     return ProblemData(A=np.zeros((n, n)), B=np.ones((n, 1)), Q=Q, R=[[1.0]],
                        Gamma=Gamma, eta=eta, rho=1.0, x0=np.zeros(n))
+
+
+def forget_front_end():
+    """Drop the certified front end that :func:`riccati.solve_discounted_are`
+    keeps and reuses on equal data, so that the next solve is cold."""
+    riccati._last[:] = None, None
+
+
+@pytest.fixture(autouse=True)
+def cold_front_end():
+    """Every test starts with no certified front end kept."""
+    forget_front_end()
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (PROBLEM_DIR, care_residual, hamiltonian, lq_problem,
-                      random_care_problem, random_problem)
-from mflq import riccati
+from conftest import (PROBLEM_DIR, care_residual, forget_front_end, hamiltonian,
+                      lq_problem, random_care_problem, random_problem)
+from mflq import linalg, riccati
 from mflq.cli import load_problem_file
 from mflq.errors import (
     DichotomySplitFailure,
@@ -291,11 +291,11 @@ class TestSolveDiscountedAre:
             riccati.r_definiteness(np.eye(2))
 
 
-def _record_calls(monkeypatch, name):
-    """Record the arguments and result of every call of ``riccati.<name>``,
+def _record_calls(monkeypatch, name, source=riccati):
+    """Record the arguments and result of every call of ``<source>.<name>``,
     also through a name another ``mflq`` module imported."""
     calls = []
-    real = getattr(riccati, name)
+    real = getattr(source, name)
 
     def recording(*args):
         calls.append((args, real(*args)))
@@ -307,10 +307,25 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+def _same_front_end(p, q):
+    """Whether `p` and `q` hold the same ``(A, B, Q, R, rho)``: all that
+    :func:`riccati.solve_discounted_are` reads, in shapes and bytes."""
+    return p.rho == q.rho and all(
+        (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+        for x, y in zip((p.A, p.B, p.Q, p.R), (q.A, q.B, q.Q, q.R)))
+
+
 def _kernel_problems():
+    """The shipped files and three random draws, each with whether it holds
+    the front end's data of the problem before it, whose certified front end
+    a solve then reuses: ``ex42_gamma2`` alone, which differs from
+    ``ex42_gamma005`` only in `Gamma`."""
     shipped = [load_problem_file(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
     rng = np.random.default_rng(5)
-    return shipped + [random_problem(rng, max_n=n) for n in (1, 2, 4)]
+    problems = shipped + [random_problem(rng, max_n=n) for n in (1, 2, 4)]
+    reused = [False] + [_same_front_end(p, q) for p, q in zip(problems[1:], problems)]
+    assert reused.count(True) == 1
+    return list(zip(problems, reused))
 
 
 class TestOneKernel:
@@ -318,57 +333,196 @@ class TestOneKernel:
     :func:`riccati.solve_care_stabilizing`, on a Hamiltonian, every graph
     is checked once, by :func:`dichotomy.decompose_from_riccati`, and the
     discounted Hamiltonian has the one builder
-    :func:`riccati.discounted_hamiltonian`."""
+    :func:`riccati.discounted_hamiltonian`.  A front end on the data of the
+    last certified one is not solved again."""
 
     @pytest.mark.parametrize("solver,per_solve", [(solve_sce, 2), (solve_mfg, 1)])
     def test_kernel_calls_per_solve(self, monkeypatch, solver, per_solve):
-        # the front end's discounted equation, and the social auxiliary one
+        # the front end's discounted equation, unless reused, and the social
+        # auxiliary one
         calls = _record_calls(monkeypatch, "solve_care_stabilizing")
-        solved = 0
-        for p in _kernel_problems():
+        solved, last = 0, None
+        for p, reused in _kernel_problems():
             calls.clear()
             try:
-                solver(p)
+                sol = solver(p)
             except MflqError:
+                last = None
                 continue
             solved += 1
-            assert len(calls) == per_solve
+            assert len(calls) == per_solve - reused
+            if reused:
+                assert sol.Pi is last.Pi
+            last = sol
         assert solved >= 6
 
     @pytest.mark.parametrize("solver,per_solve", [
         (solve_discounted_are, 1), (solve_sce, 2), (solve_mfg, 2)])
     def test_graph_checks_per_solve(self, monkeypatch, solver, per_solve):
-        # one check per graph: the front end's, and the social or game one;
-        # the solution's Pi and pi_residual are the front end's record
+        # one check per graph: the front end's, unless reused, and the social
+        # or game one; the solution's Pi and pi_residual are the front end's
+        # record
         calls = _record_calls(monkeypatch, "decompose_from_riccati")
-        solved = 0
-        for p in _kernel_problems():
+        solved, are = 0, None
+        for p, reused in _kernel_problems():
             calls.clear()
             try:
                 sol = solver(p)
             except MflqError:
                 continue
             solved += 1
-            assert len(calls) == per_solve
-            are = calls[0][1]
+            assert len(calls) == per_solve - reused
+            if not reused:
+                are = calls[0][1]
             if solver is solve_discounted_are:
                 assert sol is are
             else:
                 assert sol.Pi is are.Y
                 assert sol.pi_residual == are.residual
-                assert sol.decomposition is calls[1][1]
+                assert sol.decomposition is calls[-1][1]
         assert solved >= 6
 
     def test_validate_and_the_front_end_build_one_matrix(self, monkeypatch):
+        # a reused front end builds none
         calls = _record_calls(monkeypatch, "discounted_hamiltonian")
-        for p in _kernel_problems():
+        are = None
+        for p, reused in _kernel_problems():
             calls.clear()
             validate(p)
             assert len(calls) == 1
-            solve_discounted_are(p)
-            assert len(calls) == 2
-            (_, tested), (_, split) = calls
-            assert np.array_equal(tested, split)
+            last, are = are, solve_discounted_are(p)
+            assert len(calls) == 2 - reused
+            if reused:
+                assert are is last
+            else:
+                (_, tested), (_, split) = calls
+                assert np.array_equal(tested, split)
+
+    def test_the_game_after_the_social_solve_shares_its_front_end(self, monkeypatch):
+        # three splits and three graph checks for the pair, not four of each:
+        # the front end, the social auxiliary equation and the game
+        schur_forms = _record_calls(monkeypatch, "real_schur_ordered", linalg)
+        checks = _record_calls(monkeypatch, "decompose_from_riccati")
+        pairs = 0
+        for p, _ in _kernel_problems():
+            forget_front_end()
+            schur_forms.clear()
+            checks.clear()
+            try:
+                sce, mfg = solve_sce(p), solve_mfg(p)
+            except MflqError:
+                continue
+            pairs += 1
+            assert (len(schur_forms), len(checks)) == (3, 3)
+            assert mfg.Pi is sce.Pi
+        assert pairs >= 5
+
+
+# a problem none of the others shares its front end with
+UNRELATED = lq_problem([[1.0]], [[1.0]], [[3.0]], [[1.0]], 1.0)
+GRID = np.linspace(0.0, 5.0, 51)
+
+
+def _shipped(stem):
+    return load_problem_file(PROBLEM_DIR / f"{stem}.json")
+
+
+def _bits(sol):
+    """The bytes of `Pi`, `s0`, the graph `Y` and a trajectory of `sol`."""
+    return [x.tobytes() for x in (sol.Pi, sol.s0, sol.decomposition.Y,
+                                  *sol.trajectory(GRID))]
+
+
+def _cold(solver, p):
+    """`solver` on `p` after an unrelated solve, so with a front end of its own."""
+    solve_discounted_are(UNRELATED)
+    return solver(p)
+
+
+class TestFrontEndReuse:
+    """:func:`riccati.solve_discounted_are` keeps its last certified record,
+    keyed by the data it reads, and returns it, read-only, on equal data; a
+    failure is not kept."""
+
+    @pytest.mark.parametrize("first,second", [(solve_sce, solve_mfg), (solve_mfg, solve_sce)],
+                             ids=["game after social", "social after game"])
+    def test_a_reused_front_end_gives_the_same_bits(self, first, second):
+        rng = np.random.default_rng(39)
+        problems = [_shipped(stem) for stem in ("ex41", "ex42_gamma005", "ex43")]
+        problems += [random_problem(rng, max_n=6) for _ in range(20)]
+        checked = 0
+        for p in problems:
+            try:
+                cold = _bits(_cold(second, p))
+                earlier = _cold(first, p)
+            except MflqError:
+                continue
+            warm = second(p)
+            assert warm.Pi is earlier.Pi
+            assert _bits(warm) == cold
+            checked += 1
+        assert checked >= 15
+
+    def test_the_key_is_the_data_not_the_problem(self):
+        # ProblemData is frozen, its arrays are not: a write into one is new data
+        for name in "ABQR":
+            p = _shipped("ex43")
+            sce = solve_sce(p)
+            getattr(p, name)[...] *= 1.0625  # keeps Q and R symmetric
+            mfg = solve_mfg(p)
+            assert mfg.Pi is not sce.Pi
+            copy = ProblemData(**{f: np.copy(getattr(p, f)) for f in
+                                  ("A", "B", "Q", "R", "Gamma", "eta", "rho", "x0")})
+            assert _bits(mfg) == _bits(_cold(solve_mfg, copy))
+
+    def test_problems_that_differ_in_gamma_share_the_front_end(self, monkeypatch):
+        low, high = _shipped("ex42_gamma005"), _shipped("ex42_gamma2")
+        cold = [_bits(_cold(solve_sce, p)) for p in (low, high)]
+        forget_front_end()
+        builds = _record_calls(monkeypatch, "discounted_hamiltonian")
+        first = solve_sce(low)
+        assert len(builds) == 1
+        second = solve_sce(high)
+        assert len(builds) == 1  # no second front end
+        assert second.Pi is first.Pi
+        assert [_bits(first), _bits(second)] == cold
+
+    @pytest.mark.parametrize("solver", [solve_sce, solve_mfg], ids=["social", "game"])
+    def test_failures_are_not_kept(self, monkeypatch, solver):
+        solvable = _shipped("ex41")
+        cold = _bits(solver(solvable))
+        forget_front_end()
+        builds = _record_calls(monkeypatch, "discounted_hamiltonian")
+        unstabilizable = lq_problem([[2.0]], [[0.0]], [[1.0]], [[1.0]], 1.0)
+        for p, error in ((_shipped("ex22_degenerate"), ImaginaryAxisEigenvalue),
+                         (unstabilizable, StabilizabilityFailure)):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(error) as info:
+                    solver(p)
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1]
+        # ex22's front end is certified and reused, the rejected one is not kept
+        assert len(builds) == 1 + 2
+        builds.clear()
+        assert _bits(solver(solvable)) == cold
+        assert len(builds) == 1
+
+    def test_the_record_is_read_only(self):
+        p = _shipped("ex41")
+        miss = solve_sce(p)
+        hit = solve_mfg(p)
+        assert hit.Pi is miss.Pi
+        for sol in (miss, hit):
+            with pytest.raises(ValueError):
+                sol.Pi[0, 0] = 0.0
+        are = solve_discounted_are(p)
+        forget_front_end()
+        for record in (are, solve_discounted_are(p)):
+            for x in (record.K, record.Y, record.F11, record.F22):
+                with pytest.raises(ValueError):
+                    x[...] = 0.0
+        assert np.array_equal(miss.Pi, are.Y)
 
 
 class TestStabilizabilityMargin:

@@ -58,6 +58,13 @@ def test_api_records_are_deterministic_and_a_change_is_reported():
     assert len(records) == 5 + 4 * 8 + 3 + 20 + 20
     assert same_outputs.run_api(problems) == records
     assert same_outputs.differing(records, records) == []
+    # three solves a record: the game cold, the social problem and the game
+    # again, both on the game's certified front end, to the same bits
+    solved = [r for r in records.values() if "problem" not in r]
+    assert solved and all(list(r)[1:] == ["game_first", "social", "game"] for r in solved)
+    assert same_outputs.game_first_differs(records) == []
+    moved = {**records, "file ex41": {**records["file ex41"], "game": {"error": "E"}}}
+    assert same_outputs.game_first_differs(moved) == ["file ex41"]
 
     name = "file ex41"
     pi = solve_sce(ProblemData(**dict(problems)[name])).Pi

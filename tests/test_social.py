@@ -9,6 +9,7 @@ from conftest import (
     PROBLEM_DIR,
     data_only_matrix,
     degenerate_boundary_problem,
+    forget_front_end,
     indefinite_social_problem,
     multiset_close,
     random_problem,
@@ -58,7 +59,9 @@ class TestSolveSce:
     def test_pbh_tests_only_name_failures(self, monkeypatch):
         # a Hurwitz A - M Pi proves (A, B) stabilizable, so an accepted solve
         # runs no PBH test; a closed loop with a mode at Re >= 0 is tested
-        # once, as (A - M Pi, B), and a rejection runs at least one to name it
+        # once, as (A - M Pi, B), and not again by the other solver, which
+        # reuses the certified front end; a rejection runs at least one to
+        # name it, on every call
         calls = []
 
         def counted(a, b):
@@ -70,13 +73,16 @@ class TestSolveSce:
         seen = set()
         for _ in range(12):
             p = random_problem(rng)  # draws until validate accepts
-            for solver in (solve_sce, solve_mfg):
+            for first, second in ((solve_sce, solve_mfg), (solve_mfg, solve_sce)):
+                forget_front_end()
                 calls.clear()
-                sol = solver(p)
+                sol = first(p)
                 closed = p.A - weighted_gram(p.B, p.R) @ sol.Pi
                 hurwitz = spectral_abscissa(closed) < 0.0
                 assert len(calls) == (0 if hurwitz else 1)
                 assert all(np.allclose(a, closed) for a in calls)
+                assert second(p).Pi is sol.Pi
+                assert len(calls) == (0 if hurwitz else 1)
                 seen.add(hurwitz)
         assert seen == {True, False}
         for p in (ProblemData(A=[[0.25]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],

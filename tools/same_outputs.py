@@ -17,11 +17,17 @@ each tree in its own subprocess:
   draws of ``tests/conftest.py``, 20 scalar problems of its exact-verdict
   family, 10 decided draws and 5 on each exact boundary, and 20 of its
   exact direct sums, 10 in state units ``2^e`` with ``|e| <= 4`` and 10
-  with ``|e| <= 20``): `validate`'s report and, for each solver, the error
+  with ``|e| <= 20``): `validate`'s report and, for each solve, the error
   class and message or the bytes of `Pi`, `s0`, `X_plus`, `A_C`,
   `pi_residual`, the decomposition's `Y`, `F11`, `F22`, `K`, `residual`
   and `spectrum_margin`, the decaying solution's `y2_offset` and
-  `y1_generator`, and the trajectories on two grids.
+  `y1_generator`, and the trajectories on two grids.  The solves run in
+  the order ``game_first``, ``social``, ``game``: ``game_first`` is the
+  game with a cold front end, and ``social`` and ``game`` reuse its
+  certified discounted Riccati solution where the tree keeps it
+  (``riccati.solve_discounted_are`` on equal data), so within one tree
+  each ``game`` record is a reuse checked against the cold
+  ``game_first``.
   (The contraction bound `beta` of the shipped files is in the CLI
   corpus, through ``mflq contraction``.)
 
@@ -30,9 +36,10 @@ trees are handed the same arrays.  A solution field that only one tree
 has is named and left out of the comparison.  Every case or record that
 differs is printed; an API record whose arrays differ only in the signs
 of zeros is counted apart and does not count as a difference.  The tool
-exits 1 if a
-differing case or record is not listed in FILE (one id per line; ``#``
-starts a comment).  REV's ``src`` is exported with ``git archive`` into a
+exits 1 if a differing case or record is not listed in FILE (one id per
+line; ``#`` starts a comment), or if in either tree a ``game_first``
+record differs from its ``game`` record and ``<name> game_first`` is not
+listed.  REV's ``src`` is exported with ``git archive`` into a
 temporary directory, so nothing is fetched and the repository's worktrees
 are left alone.  Last it prints the lines of ``src/mflq/*.py`` in REV and in
 the working tree, as ``src/ lines: BASE -> TREE (DELTA)``.
@@ -240,6 +247,8 @@ SOLVABLE_FILES = ("ex41", "ex42_gamma005", "ex42_gamma2", "ex43")
 RHO_POWERS = (0, 4, 8, 12, 15, 16, 18, 20)
 # the state units 2^k of the exact-verdict family's degenerate-cost records
 STATE_POWERS = (-20, -8, 0, 8, 20)
+# the solves of an API record, in order: the game first, with a cold front end
+SOLVES = ("game_first", "social", "game")
 GRIDS = {"uniform": np.linspace(0.0, 10.0, 1001),
          "log": np.concatenate([[0.0], np.logspace(-3.0, 1.0, 50)])}
 
@@ -336,7 +345,7 @@ def _solution_record(sol):
 
 
 def _api_record(fields):
-    from mflq import ProblemData, mfg, social, validate
+    from mflq import ProblemData, mfg, riccati, social, validate
 
     try:
         p = ProblemData(**fields)
@@ -344,7 +353,10 @@ def _api_record(fields):
         return {"problem": {"error": type(exc).__name__, "message": str(exc)}}
     record = {"validate": {key: _digest(value) if isinstance(value, float) else value
                            for key, value in vars(validate(p)).items()}}
-    for solver, solve in (("social", social.solve_sce), ("game", mfg.solve_mfg)):
+    if hasattr(riccati, "_last"):  # the front end kept from the last record
+        riccati._last[:] = None, None
+    for solver in SOLVES:
+        solve = social.solve_sce if solver == "social" else mfg.solve_mfg
         record[solver] = _outcome(lambda: _solution_record(solve(p)))
     return record
 
@@ -369,7 +381,7 @@ def shared_fields(base, head):
     base, head = dict(base), dict(head)
     for name in base.keys() & head.keys():
         old, new = dict(base[name]), dict(head[name])
-        for solver in ("social", "game"):
+        for solver in SOLVES:
             a, b = old.get(solver), new.get(solver)
             if a is None or b is None or "error" in a or "error" in b:
                 continue
@@ -384,6 +396,13 @@ def shared_fields(base, head):
 def only_signed_zeros(base, head):
     """Whether two records that differ agree but for the signs of zeros."""
     return _zero_blind(base) == _zero_blind(head)
+
+
+def game_first_differs(api):
+    """Names of the API records whose ``game_first`` (a cold front end)
+    differs from their ``game`` (after the social solve), in corpus order."""
+    return [name for name, record in api.items()
+            if record.get("game_first") != record.get("game")]
 
 
 def differing(base, head):
@@ -480,6 +499,13 @@ def main(argv=None):
         print(f"{mark}: {name}\n  differs in: {', '.join(keys)}")
     print(f"{len(head_api)} API records, {len(api_changed)} differ, "
           f"{len(zeros)} more only in the signs of zeros")
+    for tree, api in (("base", base_api), ("head", head_api)):
+        reuses = [f"{name} game_first" for name in game_first_differs(api)]
+        for case in reuses:
+            mark = "expected" if case in expected else "UNEXPECTED"
+            print(f"{mark}: {case} differs from game in the {tree} tree")
+        print(f"{len(reuses)} {tree} API records whose game_first differs from game")
+        api_changed += reuses
     print(f"src/ lines: {lines[0]} -> {lines[1]} ({lines[1] - lines[0]:+d})")
     unexpected = [c for c in changed + api_changed if c not in expected]
     if unexpected:

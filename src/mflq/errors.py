@@ -20,8 +20,7 @@ class ImaginaryAxisEigenvalue(MflqError):
 
 
 class SchurConvergenceFailure(MflqError):
-    """QR iteration or a diagonal-block swap failed to converge, or the
-    ordered Schur factors do not reproduce the matrix to working accuracy."""
+    """QR iteration or a diagonal-block swap failed to converge (``dgees`` ``info``)."""
 
 
 class SingularMatrix(MflqError):

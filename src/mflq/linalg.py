@@ -363,16 +363,17 @@ def real_schur_ordered(k):
         If some eigenvalue has ``|Re| <= default_axis_tol(k)``, whether or
         not the reordering succeeded.
     SchurConvergenceFailure
-        If the QR iteration or the reordering fails, or the final factors do
-        not reproduce `k` to working accuracy.
+        If the QR iteration or the reordering fails (``dgees`` ``info``).
+        The factors are not checked again: ``dgees`` is backward stable, and
+        every graph built from `w` is certified by its residual and its
+        closed loop (:func:`dichotomy.decompose_from_riccati`).
     """
     t, k_stable, wr, wi, w, _, info = dgees(lambda re, im: re < 0.0, k, sort_t=1)
     if 0 < info <= len(k):
         raise SchurConvergenceFailure(
             f"Schur reduction did not converge (dgees info {info})"
         )
-    norm = fro(k)  # one norm for the axis tolerance and the reconstruction bound
-    on_axis = np.abs(wr) <= 1e-9 * (1.0 + norm)  # default_axis_tol(k)
+    on_axis = np.abs(wr) <= default_axis_tol(k)
     if on_axis.any():
         # real eigenvalues stay real, as eigenvalues() reports them
         on_axis = (wr + 1j * wi if wi.any() else wr)[on_axis]
@@ -384,16 +385,5 @@ def real_schur_ordered(k):
     if info != 0:
         raise SchurConvergenceFailure(
             f"stable-first reordering failed (dgees info {info})"
-        )
-
-    gram = w.T @ w
-    gram.reshape(-1)[::len(k) + 1] -= 1.0  # W'W - I, in place on the fresh product
-    recon = w.T @ k @ w
-    recon -= t
-    ortho_err, recon_err = fro(gram), fro(recon)
-    if ortho_err > 1e-10 * len(k) or recon_err > 1e-8 * max(norm, 1.0):
-        raise SchurConvergenceFailure(
-            f"ordered Schur factors inaccurate (orthogonality {ortho_err:.3e}, "
-            f"reconstruction {recon_err:.3e})"
         )
     return t, w, k_stable

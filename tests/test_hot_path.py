@@ -4,6 +4,8 @@ does the simulator's factor of ``init_cov``; on small matrices numpy's
 wrappers cost more than the routines.  It shifts diagonals in place
 (:func:`linalg.add_diag`) rather than building identities, and
 builds its solutions with their constructors, not ``dataclasses.replace``.
+The ordered Schur form takes one norm, for its axis tolerance, and checks
+``dgees``'s factors no further: the graph built from them is certified.
 These tests fail if a wrapper, an identity or a ``replace`` comes back onto
 that path; the Pade approximant of :func:`linalg.mat_exp` is the one place
 that builds an identity.  A certified splitting reads its closed-loop
@@ -186,3 +188,34 @@ def test_trajectory_rebuilds_no_solution_and_shifts_no_diagonal(monkeypatch):
         sol.trajectory(grid)
     assert len(solutions) == 2 * len(problems) - 3
     assert calls == []
+
+
+def test_each_ordered_schur_form_takes_one_norm(monkeypatch):
+    # one ``dlange`` for ``default_axis_tol``; no ``W'W - I`` or ``W'KW - T``
+    problems = _problems()
+    counts, inside = [], []  # fro calls per real_schur_ordered call; open calls
+    real_fro, real_schur = linalg.fro, linalg.real_schur_ordered
+
+    def fro(*args, **kwargs):
+        if inside:
+            counts[-1] += 1
+        return real_fro(*args, **kwargs)
+
+    def real_schur_ordered(*args, **kwargs):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return real_schur(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "fro", fro)
+    monkeypatch.setattr(dichotomy, "real_schur_ordered", real_schur_ordered)
+    for p in problems:
+        for solve in (solve_sce, solve_mfg):
+            try:
+                solve(p)
+            except MflqError:
+                continue
+    assert len(counts) > len(problems)
+    assert counts == [1] * len(counts)

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_problem
+from conftest import PROBLEM_DIR, forget_front_end, random_problem
 from mflq import linalg
-from mflq.errors import (ImaginaryAxisEigenvalue, MflqError, SchurConvergenceFailure,
-                         SingularMatrix)
+from mflq.cli import load_problem_file
+from mflq.errors import (GraphSubspaceFailure, ImaginaryAxisEigenvalue, MflqError,
+                         SchurConvergenceFailure, SingularMatrix)
 from mflq.linalg import (
     add_diag,
     as_square,
@@ -29,6 +30,7 @@ from mflq.linalg import (
     weighted_gram,
 )
 from mflq.mfg import solve_mfg
+from mflq.social import solve_sce
 
 
 def scalar_consistency_matrix(a, b, q, r, rho, gamma):
@@ -701,24 +703,6 @@ class TestRealSchurOrdered:
         with pytest.raises(SchurConvergenceFailure, match=f"dgees info {info}"):
             real_schur_ordered(np.diag([2.0, -1.0]))
 
-    @pytest.mark.parametrize("change,check", [
-        # off orthogonal by 2e-9, yet w' k w is within 1e-8 of t
-        (lambda w: w * (1.0 + 1e-9), "orthogonality 2"),
-        # orthogonal, but its columns in the wrong order
-        (lambda w: w[:, ::-1], "reconstruction [1-9]"),
-    ], ids=["not_orthogonal", "wrong_basis"])
-    def test_inaccurate_factors_raise_convergence_failure(self, monkeypatch, change, check):
-        real = linalg.dgees
-
-        def perturbed(*args, **kwargs):
-            t, sdim, wr, wi, w, work, info = real(*args, **kwargs)
-            return t, sdim, wr, wi, change(w), work, info
-
-        monkeypatch.setattr(linalg, "dgees", perturbed)
-        with pytest.raises(SchurConvergenceFailure,
-                           match=f"^ordered Schur factors inaccurate .*{check}"):
-            real_schur_ordered(np.array([[2.0, 3.0], [0.0, -1.0]]))
-
     def test_axis_eigenvalue_named_when_the_reordering_also_fails(self, monkeypatch):
         dgees_reports(monkeypatch, 3)
         with pytest.raises(ImaginaryAxisEigenvalue):
@@ -736,6 +720,59 @@ class TestRealSchurOrdered:
         # no two consecutive nonzero subdiagonal entries (1x1/2x2 blocks only)
         nz = np.flatnonzero(sub)
         assert all(b - a >= 2 for a, b in zip(nz, nz[1:]))
+
+
+def swap_columns(i, j):
+    """A change of `W` that swaps its columns `i` and `j`."""
+    def change(w):
+        w = w.copy()
+        w[:, [i, j]] = w[:, [j, i]]
+        return w
+    return change
+
+
+@pytest.mark.parametrize("solve", [solve_sce, solve_mfg])
+class TestPerturbedSchurFactorsInWholeSolves:
+    """:func:`real_schur_ordered` does not check ``dgees``'s factors again:
+    every graph built from them is certified by
+    :func:`dichotomy.decompose_from_riccati`.  A perturbed `W` that moves the
+    stable subspace is refused by that certification, and one that keeps
+    the subspace gives the same solution."""
+
+    @staticmethod
+    def solve_with_perturbed_dgees(monkeypatch, solve, p, change):
+        real = linalg.dgees
+
+        def perturbed(*args, **kwargs):
+            t, sdim, wr, wi, w, work, info = real(*args, **kwargs)
+            return t, sdim, wr, wi, change(w), work, info
+
+        monkeypatch.setattr(linalg, "dgees", perturbed)
+        forget_front_end()
+        return solve(p)
+
+    @pytest.mark.parametrize("name,change", [
+        ("ex41", lambda w: w[:, ::-1]),
+        ("ex43", lambda w: w[:, ::-1]),
+        ("ex41", swap_columns(0, 1)),  # across the 1/1 split
+        ("ex43", swap_columns(1, 2)),  # across the 2/2 split
+    ], ids=["ex41-reversed", "ex43-reversed", "ex41-swap_0_1", "ex43-swap_1_2"])
+    def test_a_moved_subspace_fails_certification(self, monkeypatch, solve, name, change):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        with pytest.raises(GraphSubspaceFailure, match="failed certification"):
+            self.solve_with_perturbed_dgees(monkeypatch, solve, p, change)
+
+    @pytest.mark.parametrize("name,change", [
+        ("ex41", lambda w: w * (1.0 + 1e-9)),
+        ("ex43", lambda w: w * (1.0 + 1e-9)),
+        ("ex43", swap_columns(0, 1)),  # inside the stable block
+    ], ids=["ex41-scaled", "ex43-scaled", "ex43-swap_0_1"])
+    def test_a_kept_subspace_gives_the_same_solution(self, monkeypatch, solve, name, change):
+        p = load_problem_file(PROBLEM_DIR / f"{name}.json")
+        ref = solve(p)
+        sol = self.solve_with_perturbed_dgees(monkeypatch, solve, p, change)
+        for got, want in ((sol.Pi, ref.Pi), (sol.s0, ref.s0)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestHamiltonianSpectrumSymmetry:

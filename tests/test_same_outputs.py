@@ -55,7 +55,8 @@ def test_expected_differences_exit_4_without_output(records, tmp_path):
 def test_api_records_are_deterministic_and_a_change_is_reported():
     problems = same_outputs.api_problems(seeds=(), draws=3)
     records = same_outputs.run_api(problems)
-    assert len(records) == 5 + 4 * 8 + 3 + 20 + 20
+    # files, rho powers, degenerate costs, draws, exact-verdict scalars, direct sums
+    assert len(records) == 5 + 4 * 8 + 3 + 3 + 20 + 20
     assert same_outputs.run_api(problems) == records
     assert same_outputs.differing(records, records) == []
     # three solves a record: the game cold, the social problem and the game

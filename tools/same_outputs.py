@@ -11,8 +11,9 @@ each tree in its own subprocess:
   ``"timings"``), stderr, warnings and the digest of every file it writes
   (the trajectory CSV of ``solve-social`` and ``solve-game``, the
   replication CSV of ``simulate``, the report of ``spectrum --out``);
-- the API corpus, 665 problems (the 5 shipped files, the 4 solvable ones
-  with ``rho·10^k`` for 8 powers k up to 20, the ``sweep_small`` inputs of
+- the API corpus, 668 problems (the 5 shipped files, the 4 solvable ones
+  with ``rho·10^k`` for 8 powers k up to 20, ex22_degenerate with
+  ``(Q, R)`` times 3 costs, the ``sweep_small`` inputs of
   ``perfbench/instances.py`` for seeds 1-3, 300 ``random_problem(max_n=6)``
   draws of ``tests/conftest.py``, 20 scalar problems of its exact-verdict
   family, 10 decided draws and 5 on each exact boundary, and 20 of its
@@ -245,6 +246,9 @@ FIELDS = ("A", "B", "Q", "R", "Gamma", "eta", "x0", "rho", "D")
 # family, which reaches the scales where a graph can fail certification
 SOLVABLE_FILES = ("ex41", "ex42_gamma005", "ex42_gamma2", "ex43")
 RHO_POWERS = (0, 4, 8, 12, 15, 16, 18, 20)
+# the costs c of the ``(Q, R)·c`` records of ex22_degenerate: the problem
+# stays on the exact boundary, yet both solvers accept it (ROADMAP item 22)
+DEGENERATE_COSTS = (3.0, 3.7, 7.1)
 # the state units 2^k of the exact-verdict family's degenerate-cost records
 STATE_POWERS = (-20, -8, 0, 8, 20)
 # the solves of an API record, in order: the game first, with a cold front end
@@ -275,7 +279,8 @@ def _exact_verdict_problems(rng):
 
 def api_problems(seeds=(1, 2, 3), draws=300):
     """``[(name, fields)]``: the shipped files, the solvable ones with
-    ``rho·10^k`` for k in :data:`RHO_POWERS`, the ``sweep_small`` inputs of
+    ``rho·10^k`` for k in :data:`RHO_POWERS`, ex22_degenerate with ``(Q, R)·c``
+    for c in :data:`DEGENERATE_COSTS`, the ``sweep_small`` inputs of
     `seeds`, `draws` ``random_problem(max_n=6)`` draws from
     ``default_rng(2026)``, 20 scalar problems of the exact-verdict family
     from ``default_rng(2036)`` and its direct sums at ``|e| <= 4`` and
@@ -293,6 +298,10 @@ def api_problems(seeds=(1, 2, 3), draws=300):
     problems = [(f"file {stem}", data) for stem, data in files.items()]
     problems += [(f"rho 1e{k} {stem}", {**files[stem], "rho": files[stem]["rho"] * 10.0**k})
                  for stem in SOLVABLE_FILES for k in RHO_POWERS]
+    degenerate = files["ex22_degenerate"]
+    problems += [(f"cost {c:g} ex22_degenerate",
+                  {**degenerate, "Q": degenerate["Q"] * c, "R": degenerate["R"] * c})
+                 for c in DEGENERATE_COSTS]
     for seed in seeds:
         problems += [(f"sweep {seed}/{i} {inst.name}", inst.data)
                      for i, inst in enumerate(instances.sweep_small(seed))]
